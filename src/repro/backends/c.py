@@ -14,6 +14,14 @@ already backend-neutral; this emitter walks the exact same
   disk-cache hit re-``exec``'s the wrapper and reloads the cached
   ``.so`` without ever invoking the C compiler.
 
+A §9 split plan updates its buffer in place, so its kernel wraps the
+loop nest in a **sweep loop**: ``'.sweeps': (limit, tol)`` in the
+environment runs up to ``limit`` sweeps in one native call — for a
+``tol`` (``converge``), until ``max |new - old|`` over a shadow copy is
+within it — and the step returns the sweep count, or -1 when converge
+ran out (:func:`repro.program.run._sweep_native` is the caller).
+``repro_kernel`` stays the one exported symbol.
+
 Bit-identity with the python emitter is a hard contract (the
 differential suite asserts it), which dictates the translation rules:
 
@@ -70,6 +78,38 @@ static long _floormod(long a, long b) {
     if (r != 0 && ((r < 0) != (b < 0))) r += b;
     return r;
 }
+"""
+
+#: The convergence fold of a split-plan kernel's sweep loop: exact
+#: ``max |new - old|`` with :func:`repro.program.iterate.max_abs_diff`'s
+#: NaN rule (a NaN delta is returned at once: not converged).
+_MAX_ABS_DIFF_C = """\
+static double _max_abs_diff(const double *_new, const double *_old,
+                            long _n) {
+    double _worst = 0.0;
+    for (long _at = 0; _at < _n; _at++) {
+        double _delta = fabs(_new[_at] - _old[_at]);
+        if (_delta != _delta) return _delta;
+        if (_delta > _worst) _worst = _delta;
+    }
+    return _worst;
+}
+"""
+
+#: A split-plan kernel's body inside its sweep loop.  ``_shadow`` is
+#: ``NULL`` for ``iterate`` (run ``_limit`` sweeps); for ``converge`` it
+#: holds each sweep's input, and the loop stops once the fold is
+#: ``<= _tol``.  Returns the sweep count, or -1 when converge ran out.
+_SWEEP_LOOP_C = """\
+    long _cells = {cells};
+    for (long _sweep = 1; _sweep <= _limit; _sweep++) {{
+        if (_shadow)
+            memcpy(_shadow, _out, _cells * sizeof(double));
+{body}
+        if (_shadow && _max_abs_diff(_out, _shadow, _cells) <= _tol)
+            return _sweep;
+    }}
+    return _shadow ? -1 : _limit;
 """
 
 _WRAPPER_HEADER = '''\
@@ -781,19 +821,38 @@ class CBackend(Backend):
         for name in sorted(emitter.c_env):
             decls += [f"double _v_{name}", f"long _vi_{name}"]
             call_args += [f"float(_v_{name})", f"int(_v_{name})"]
+        # A split plan sweeps _out in place, so one call can run every
+        # sweep of an iterate/converge loop (the '.sweeps' slot).
+        sweep_loop = job.mode == "inplace" and not whole_copy
+        if sweep_loop:
+            decls += ["long _limit", "double _tol", "double *_shadow"]
+            call_args += ["_limit", "0.0 if _tol is None else _tol",
+                          "_shadow"]
 
-        signature = f"void repro_kernel({', '.join(decls)})"
+        returns = "long" if sweep_loop else "void"
+        signature = f"{returns} repro_kernel({', '.join(decls)})"
         cdef = signature + ";"
 
         # ---- C source -----------------------------------------------
-        pieces = ["#include <math.h>", ""]
+        pieces = ["#include <math.h>"]
+        if sweep_loop:
+            pieces += ["#include <string.h>", "", _MAX_ABS_DIFF_C.rstrip()]
+        pieces.append("")
         if "floordiv" in emitter.helpers:
             pieces += [_FLOORDIV_C.rstrip(), ""]
         if "floormod" in emitter.helpers:
             pieces += [_FLOORMOD_C.rstrip(), ""]
         pieces.append(signature)
         pieces.append("{")
-        pieces.extend(emitter.w.lines)
+        if sweep_loop:
+            pieces.append(_SWEEP_LOOP_C.rstrip().format(
+                cells=" * ".join(
+                    f"_ex_out_{position}" for position in range(comp.rank)
+                ),
+                body="\n".join("    " + line for line in emitter.w.lines),
+            ))
+        else:
+            pieces.extend(emitter.w.lines)
         pieces.append("}")
         c_source = "\n".join(pieces) + "\n"
 
@@ -859,6 +918,19 @@ class CBackend(Backend):
                     "_incr.STATS.arrays_copied += 1",
                     "_incr.STATS.cells_copied += len(_old)",
                 ]
+        if sweep_loop:
+            # '.sweeps' = (limit, tol): run up to ``limit`` sweeps, and
+            # for a tol (converge) stop at the first within it; the
+            # step then returns the count.  Absent: one sweep.
+            body += [
+                "_limit, _tol = _env.get('.sweeps', (1, None))",
+                "_shadow = _KERNEL.ffi.NULL",
+                "if _tol is not None:",
+                "    _alloc(_size)",
+                "    _shadow = _KERNEL.ffi.from_buffer('double[]', "
+                "_np.empty(_size))",
+                "_swept = 0",
+            ]
         if tiling is not None and comp.rank == len(tiling.sizes):
             # Tile count for obs parity with the python emitter; native
             # code cannot bump python counters, so the wrapper models
@@ -871,7 +943,8 @@ class CBackend(Backend):
             body.append(f"_count_runtime('tile.count', {grid})")
         body.append("if _size:")
         body.append("    _count_runtime('backend.c.kernel_calls')")
-        body.append("    _KERNEL.lib.repro_kernel(")
+        body.append(("    _swept = " if sweep_loop else "    ")
+                    + "_KERNEL.lib.repro_kernel(")
         for arg in call_args:
             body.append(f"        {arg},")
         body.append("    )")
@@ -881,6 +954,8 @@ class CBackend(Backend):
                 "    _cells[:] = _out.tolist()",
                 "    _out = _cells",
             ]
+        if sweep_loop:
+            body += ["if '.sweeps' in _env:", "    return _swept"]
         body.append("return FlatArray(_b, _out)")
         w.extend("    " + line if line else "" for line in body)
         return "\n".join(w) + "\n"

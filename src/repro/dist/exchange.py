@@ -101,7 +101,9 @@ def tree_reduce_max(cells, index: int, parties: int, wait) -> float:
     while stride < parties:
         if index % (2 * stride) == 0 and index + stride < parties:
             other = cells[index + stride]
-            if other > cells[index]:
+            # NaN sticks: a NaN delta means "not converged" (the rule
+            # of :func:`repro.program.iterate.max_abs_diff`).
+            if other > cells[index] or other != other:
                 cells[index] = other
         wait()
         stride *= 2

@@ -129,6 +129,7 @@ def run_dist_iterate(plan, dist_plan, env: Dict, kind: str, control,
         "mode": dp.mode,
         "kind": kind,
         "control": control,
+        "cap": CONVERGE_CAP,
         "kernel": kernel.source,
         "entry": kernel.entry,
         "clamps": [
@@ -318,7 +319,7 @@ def _worker_double(index, parties, barrier, job):
                 sweep(number)
                 wait()
             return control, True
-        for number in range(CONVERGE_CAP):
+        for number in range(job["cap"]):
             src, dst = sweep(number)
             if nonempty:
                 delta = dst.array[window] - src.array[window]
@@ -333,7 +334,7 @@ def _worker_double(index, parties, barrier, job):
             wait()
             if done:
                 return number + 1, True
-        return CONVERGE_CAP, False
+        return job["cap"], False
     finally:
         buf_a.destroy()
         buf_b.destroy()
@@ -383,7 +384,7 @@ def _worker_wavefront(index, parties, barrier, job):
                 sweep()
             return control, True
         shadow = _np.empty_like(slab)
-        for number in range(CONVERGE_CAP):
+        for number in range(job["cap"]):
             shadow[:] = slab
             sweep()
             if slab.size:
@@ -398,7 +399,7 @@ def _worker_wavefront(index, parties, barrier, job):
             wait()
             if done:
                 return number + 1, True
-        return CONVERGE_CAP, False
+        return job["cap"], False
     finally:
         mesh.destroy()
         reduce_buf.destroy()

@@ -262,6 +262,15 @@ def _compile_program_traced(src, params, options, result, fuse=True,
 # Binding classification.
 
 
+def _sweep_driver(report, native: bool) -> str:
+    """Where an in-place step's sweeps run, and why."""
+    if native:
+        return "all sweeps run in one native call (the step lowered to C)"
+    why = "; ".join(report.backend) or "the python backend was requested"
+    return ("sweeps run in the Python driver (the step lowered to "
+            f"python: {why})")
+
+
 def _index_array_names(binds: Sequence[ast.Binding]) -> Set[str]:
     """Names whose *cells* become subscripts somewhere in the program.
 
@@ -817,10 +826,15 @@ class _CompileState:
         bounds = compiled.report.comp.bounds
 
         seed_dead = self._dead_after(spec.seed, name)
+        # An in-place step is a §9 split plan, and the C backend gives
+        # every split-plan kernel its own sweep loop.
+        native_sweeps = (mode == "inplace"
+                         and compiled.report.backend_used == "c")
         if mode == "inplace":
             self.report.iterate.append(
                 f"{name}: true in-place sweeps — {spec.fn!r} runs in "
-                "the seed buffer (zero steady-state allocations)"
+                "the seed buffer (zero steady-state allocations); "
+                + _sweep_driver(compiled.report, native_sweeps)
             )
         else:
             self.report.iterate.append(
@@ -856,6 +870,7 @@ class _CompileState:
             kind=spec.kind, param=param, seed=spec.seed,
             control=spec.control, mode=mode, step=compiled,
             seed_dead=seed_dead, reuse_buffers=reuse_buffers,
+            native_sweeps=native_sweeps,
         )
         if self.dist:
             self._plan_dist(name, plan, compiled, mode, param)

@@ -46,6 +46,14 @@ def max_abs_diff(new, old) -> float:
     (and hence every sweep count) is bit-identical — the loop below is
     the reference and the fallback (non-float cells, tiny lists, no
     numpy).
+
+    NaN rule: a NaN delta (``inf - inf`` in a diverging sweep) makes
+    the result NaN, and ``NaN <= tol`` is false, so the sweep counts
+    as not converged.  ``numpy.max`` already propagates NaN; the
+    scalar loop returns it at once.  Every other convergence fold —
+    out-of-core tiles, the dist tree reduction, the native C sweep
+    loop — keeps the same rule, so a diverging solve ends the same
+    way at every mesh size and placement.
     """
     if _np is not None and len(new) == len(old) and len(new) > 64:
         try:
@@ -57,6 +65,8 @@ def max_abs_diff(new, old) -> float:
     best = 0
     for fresh, stale in zip(new, old):
         delta = fresh - stale
+        if delta != delta:  # NaN: not converged, whatever follows
+            return delta
         if delta < 0:
             delta = -delta
         if delta > best:

@@ -238,7 +238,11 @@ def run_ooc_iterate(plan, ooc_plan, env: Dict, kind: str, control,
                 build(call_env)
                 offset = (t0 - w0) * tail
                 delta = dst - win[offset:offset + rows * tail]
-                biggest = max(biggest, float(_np.max(_np.abs(delta))))
+                tile_max = float(_np.max(_np.abs(delta)))
+                # NaN sticks: a NaN delta means "not converged" (the
+                # rule of :func:`repro.program.iterate.max_abs_diff`).
+                if tile_max > biggest or tile_max != tile_max:
+                    biggest = tile_max
                 write_rows(dst_path, t0, dst)
                 count_runtime("ooc.tiles")
                 count_runtime("tile.count")

@@ -8,6 +8,8 @@ dead producer's buffer in as ``old_array``; iterate steps drive the
 compiled sweep either truly in place (SOR) or by double-buffer
 swapping (Jacobi), threading dead buffers back through the emitters'
 ``'.reuse'`` slot so a whole convergence run allocates O(1) arrays.
+An in-place step that lowered to C runs every sweep, and the
+convergence test, in one native call instead (``'.sweeps'`` slot).
 
 Scalar and function bindings are evaluated by the reference
 interpreter at run time (they are cheap and arbitrary expressions);
@@ -21,6 +23,7 @@ round-trip whole programs through its disk tier.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -73,6 +76,9 @@ class IteratePlan:
     #: Double-buffer only: the step provably defines every cell, so
     #: stale buffers can be handed back through '.reuse'.
     reuse_buffers: bool = False
+    #: In-place only: the step lowered to C, whose split-plan kernel
+    #: loops over the sweeps itself (:func:`_sweep_native`).
+    native_sweeps: bool = False
     #: Block-partition plan (:class:`~repro.core.distplan
     #: .DistBindingPlan`) when the binding compiled with ``dist=``;
     #: ``None`` runs the single-process sweep paths below.
@@ -291,8 +297,63 @@ def _run_iterate(plan: IteratePlan, env: Dict, interp, genv,
         # — the seed was never mutated.
 
     if plan.mode == "inplace":
+        # An empty mesh gives the kernel nothing to sweep; the Python
+        # driver's calls are no-ops on it.
+        if plan.native_sweeps and len(current.cells):
+            return _sweep_native(plan, env, kind, control, current, owned)
         return _sweep_inplace(plan, env, kind, control, current, owned)
     return _sweep_double(plan, env, kind, control, current, owned)
+
+
+def _no_fixpoint(control) -> ProgramError:
+    return ProgramError(
+        f"converge: no fixpoint within {CONVERGE_CAP} sweeps "
+        f"(tol={control!r})"
+    )
+
+
+def _float_tol(control) -> float:
+    """The float64 ``t`` with ``d <= t`` exactly when ``d <= control``
+    for every float64 ``d``: what the native fold compares against.
+
+    A non-numeric ``control`` raises the ``TypeError`` the Python
+    driver's ``<=`` would; an int or other exact tolerance that float64
+    cannot hold rounds down, never up.
+    """
+    positive = control > 0.0  # the TypeError, before any conversion
+    try:
+        tol = float(control)
+    except OverflowError:  # an int beyond the float64 range
+        return math.inf if positive else -math.inf
+    return math.nextafter(tol, -math.inf) if tol > control else tol
+
+
+def _sweep_native(plan: IteratePlan, env: Dict, kind: str, control,
+                  current: FlatArray, owned: bool) -> FlatArray:
+    """In-place sweeps in one native call (C-lowered split plans).
+
+    The seed becomes a float64 buffer once — for a live seed that is
+    also the private copy — and the kernel's own loop runs the sweeps
+    and the convergence fold (:mod:`repro.backends.c`), returning the
+    sweep count.  Values and sweep counts equal :func:`_sweep_inplace`.
+    """
+    from repro.backends.native import as_f64
+
+    cells = as_f64(current.cells)
+    if not owned:
+        alloc_buffer(len(cells))
+        if cells is current.cells:
+            cells = cells.copy()
+    result = FlatArray(current.bounds, cells)
+    if kind == "steps":
+        sweeps = (control, None)
+    else:
+        sweeps = (CONVERGE_CAP, _float_tol(control))
+    swept = plan.step({**env, plan.param: result, ".sweeps": sweeps})
+    if swept < 0:
+        raise _no_fixpoint(control)
+    count_runtime("iterate.sweeps.inplace", swept)
+    return result
 
 
 def _sweep_inplace(plan: IteratePlan, env: Dict, kind: str, control,
@@ -314,10 +375,7 @@ def _sweep_inplace(plan: IteratePlan, env: Dict, kind: str, control,
         if max_abs_diff(current.cells, shadow) <= control:
             count_runtime("iterate.sweeps.inplace", sweep + 1)
             return current
-    raise ProgramError(
-        f"converge: no fixpoint within {CONVERGE_CAP} sweeps "
-        f"(tol={control!r})"
-    )
+    raise _no_fixpoint(control)
 
 
 def _sweep_double(plan: IteratePlan, env: Dict, kind: str, control,
@@ -352,8 +410,5 @@ def _sweep_double(plan: IteratePlan, env: Dict, kind: str, control,
         if converged:
             return previous
     if kind == "until":
-        raise ProgramError(
-            f"converge: no fixpoint within {CONVERGE_CAP} sweeps "
-            f"(tol={control!r})"
-        )
+        raise _no_fixpoint(control)
     return previous

@@ -60,7 +60,10 @@ from repro.lang.parser import parse_expr
 #:     grew a ``tile`` field that changes emitted loop nests, Report
 #:     grew a ``tiling`` plan, IteratePlan an ``ooc`` plan, and
 #:     generated sources a tile-counter hook).
-PIPELINE_SALT = "repro-pipeline/8"
+#: /9: native sweep loops (C split-plan kernels loop over the sweeps
+#:     and fold the convergence test themselves; IteratePlan grew
+#:     ``native_sweeps`` and the wrapper a ``'.sweeps'`` slot).
+PIPELINE_SALT = "repro-pipeline/9"
 
 
 # ----------------------------------------------------------------------

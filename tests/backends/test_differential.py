@@ -8,6 +8,9 @@ the exact same cell list.  The suite needs a C toolchain; without one
 it skips, mirroring the backend's own skip-don't-fail policy.
 """
 
+from array import array
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +20,13 @@ from repro.codegen.emit import CodegenOptions
 from repro.codegen.support import Bounds, FlatArray
 from repro.kernels import CATALOG, PROGRAM_CATALOG, mesh_cells
 from repro.obs.explain import explain_report
+from repro.obs.trace import (
+    refresh_runtime_tracing,
+    reset_runtime_counters,
+    runtime_counters,
+)
+from repro.program import ProgramError
+from repro.program import run as program_run
 
 NO_CC = toolchain_status() is not None
 needs_cc = pytest.mark.skipif(
@@ -24,6 +34,62 @@ needs_cc = pytest.mark.skipif(
 )
 
 C_OPTIONS = CodegenOptions(backend="c")
+
+#: In-place SOR over the seed ``u0``.  Its §9 plan is a clean split, so
+#: the C step lowers with its own sweep loop: one native call a solve.
+SOR_STEP = """
+sweep u = letrec a = array ((1,1),(m,m))
+   ([ (1,j) := u!(1,j) | j <- [1..m] ] ++
+    [ (m,j) := u!(m,j) | j <- [1..m] ] ++
+    [ (i,1) := u!(i,1) | i <- [2..m-1] ] ++
+    [ (i,m) := u!(i,m) | i <- [2..m-1] ] ++
+    [ (i,j) := u!(i,j) + omega *
+         (0.25 * (a!(i-1,j) + a!(i,j-1) + u!(i+1,j) + u!(i,j+1))
+          - u!(i,j))
+      | i <- [2..m-1], j <- [2..m-1] ])
+  in a;
+"""
+SOR_CONVERGE = SOR_STEP + "main = converge sweep u0 tol\n"
+SOR_ITERATE = SOR_STEP + "main = iterate sweep u0 k\n"
+#: The seed is a program binding that ``main`` reads after the loop,
+#: so it stays live and the sweeps must run in a private copy.
+SOR_LIVE_SEED = """
+u0 = array ((1,1),(m,m))
+  [ (i,j) := if i == 1 || i == m || j == 1 || j == m
+             then 1.0 * (i + j) else 0.0
+  | i <- [1..m], j <- [1..m] ];
+""" + SOR_STEP + """
+v = converge sweep u0 tol;
+main = array ((1,1),(m,m))
+  [ (i,j) := v!(i,j) - u0!(i,j) | i <- [1..m], j <- [1..m] ]
+"""
+SOR_M = 9
+SOR_PARAMS = {"m": SOR_M, "omega": 1.5}
+
+
+def sor_seed(as_array: bool = False) -> FlatArray:
+    """A fresh SOR seed: a list, or a float64 buffer like C results."""
+    cells = mesh_cells(SOR_M)
+    return FlatArray(Bounds((1, 1), (SOR_M, SOR_M)),
+                     np.array(cells) if as_array else cells)
+
+
+def bits(result) -> bytes:
+    """The float64 bits of a result (bit identity, not ``==``)."""
+    return array("d", result.to_list()).tobytes()
+
+
+@pytest.fixture
+def traced(monkeypatch):
+    """Runtime counters on (``REPRO_TRACE=1``) for one test."""
+    monkeypatch.setenv("REPRO_TRACE", "1")
+    refresh_runtime_tracing()
+    reset_runtime_counters()
+    yield
+    monkeypatch.delenv("REPRO_TRACE", raising=False)
+    refresh_runtime_tracing()
+    reset_runtime_counters()
+
 
 #: Environments per catalog kernel: params plus a fresh-input factory
 #: (in-place compiles mutate their inputs, so every run needs its own).
@@ -165,36 +231,111 @@ class TestCatalogDifferential:
                                   options=C_OPTIONS)
         assert py({}).to_list() == c({}).to_list()
 
-    def test_convergence_sweep_counts_match(self, monkeypatch):
+    def test_convergence_sweep_counts_match(self, traced):
         """Same fixpoint in the same number of sweeps (not just the
         same final mesh): the convergence metric sees bit-identical
-        intermediate meshes, so the sweep counters agree exactly."""
-        from repro.obs.trace import (
-            refresh_runtime_tracing,
-            reset_runtime_counters,
-            runtime_counters,
+        intermediate meshes, so the sweep counters agree exactly —
+        for Jacobi's double-buffer driver and for SOR's in-place
+        sweeps, which the C step runs in its own native loop."""
+        jacobi = PROGRAM_CATALOG["program_jacobi"]
+        cases = (
+            (jacobi["source"], jacobi["params"], lambda: {},
+             "iterate.sweeps.double"),
+            (SOR_CONVERGE, SOR_PARAMS,
+             lambda: {"u0": sor_seed(), "tol": 1e-6},
+             "iterate.sweeps.inplace"),
         )
-
-        monkeypatch.setenv("REPRO_TRACE", "1")
-        refresh_runtime_tracing()
-        spec = PROGRAM_CATALOG["program_jacobi"]
-        sweeps = {}
-        try:
+        for source, params, inputs, counter in cases:
+            sweeps, results = {}, {}
             for label, options in (("python", None), ("c", C_OPTIONS)):
                 program = repro.compile_program(
-                    spec["source"], params=spec["params"],
-                    options=options,
+                    source, params=params, options=options,
                 )
                 reset_runtime_counters()
-                program({})
-                counters = runtime_counters()
-                sweeps[label] = counters.get("iterate.sweeps.double", 0)
-        finally:
-            monkeypatch.delenv("REPRO_TRACE")
-            refresh_runtime_tracing()
-            reset_runtime_counters()
-        assert sweeps["python"] > 0
-        assert sweeps["python"] == sweeps["c"]
+                results[label] = bits(program(inputs()))
+                sweeps[label] = runtime_counters().get(counter, 0)
+            assert sweeps["python"] > 1, counter
+            assert sweeps["python"] == sweeps["c"], counter
+            assert results["python"] == results["c"], counter
+
+
+@needs_cc
+class TestNativeSweepLoop:
+    """C-lowered in-place steps run every sweep in one native call,
+    with the outcome of the python backend's per-sweep driver and of
+    the lazy oracle for every input."""
+
+    def _pair(self, source, params):
+        py = repro.compile_program(source, params=params)
+        c = repro.compile_program(source, params=params,
+                                  options=C_OPTIONS)
+        (plan,) = [s.iterate for s in py.steps if s.iterate is not None]
+        assert not plan.native_sweeps
+        (plan,) = [s.iterate for s in c.steps if s.iterate is not None]
+        assert plan.native_sweeps
+        return py, c
+
+    @pytest.mark.parametrize("as_array", [False, True],
+                             ids=["list", "float64"])
+    @pytest.mark.parametrize("k", [0, 1, 7])
+    def test_iterate_matches_python_and_oracle(self, k, as_array):
+        params = dict(SOR_PARAMS, k=k)
+        py, c = self._pair(SOR_ITERATE, params)
+        seed = sor_seed(as_array)
+        before = bits(seed)
+        out = c({"u0": seed})
+        assert bits(out) == bits(py({"u0": sor_seed(as_array)}))
+        oracle = repro.run_program(SOR_ITERATE,
+                                   bindings=dict(params, u0=sor_seed()))
+        assert bits(out) == bits(oracle)
+        # The caller's seed is never swept, even for k = 0.
+        assert bits(seed) == before
+        assert out.cells is not seed.cells
+
+    def test_live_seed_read_after_the_loop_is_unchanged(self):
+        params = dict(SOR_PARAMS, tol=1e-6)
+        py, c = self._pair(SOR_LIVE_SEED, params)
+        got = c(dict(params))
+        assert bits(got) == bits(py(dict(params)))
+        oracle = repro.run_program(SOR_LIVE_SEED, bindings=dict(params))
+        assert bits(got) == bits(oracle)
+        assert any(cell != 0.0 for cell in got.to_list())
+
+    def test_cap_error_matches(self, monkeypatch):
+        # A negative tolerance is never reached; a lowered cap keeps
+        # the python backend's run short, and shows the native loop
+        # takes its cap from the driver at run time.
+        monkeypatch.setattr(program_run, "CONVERGE_CAP", 25)
+        py, c = self._pair(SOR_CONVERGE, SOR_PARAMS)
+        messages = []
+        for program in (py, c):
+            with pytest.raises(ProgramError) as err:
+                program({"u0": sor_seed(), "tol": -1.0})
+            messages.append(str(err.value))
+        assert messages == [
+            "converge: no fixpoint within 25 sweeps (tol=-1.0)"] * 2
+
+    @pytest.mark.parametrize("tol", ["1e-6", None, 1j])
+    def test_non_numeric_tol_raises_like_python(self, tol):
+        py, c = self._pair(SOR_CONVERGE, SOR_PARAMS)
+        for program in (py, c):
+            with pytest.raises(TypeError):
+                program({"u0": sor_seed(), "tol": tol})
+
+    def test_int_tolerances_match(self):
+        # 10**400 is beyond float64: the native loop compares with inf.
+        py, c = self._pair(SOR_CONVERGE, SOR_PARAMS)
+        for tol in (1, 10 ** 400):
+            want = bits(py({"u0": sor_seed(), "tol": tol}))
+            assert bits(c({"u0": sor_seed(), "tol": tol})) == want
+
+    def test_converge_is_one_kernel_call(self, traced):
+        _, c = self._pair(SOR_CONVERGE, SOR_PARAMS)
+        reset_runtime_counters()
+        c({"u0": sor_seed(), "tol": 1e-6})
+        counters = runtime_counters()
+        assert counters.get("backend.c.kernel_calls") == 1
+        assert counters.get("iterate.sweeps.inplace", 0) > 1
 
 
 # ----------------------------------------------------------------------

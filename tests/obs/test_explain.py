@@ -2,9 +2,14 @@
 
 import json
 
+import pytest
+
 import repro
+from repro.backends.native import toolchain_status
+from repro.codegen.emit import CodegenOptions
 from repro.kernels import (
     PROGRAM_JACOBI_STEPS,
+    PROGRAM_SOR,
     SOR,
     SOR_MONOLITHIC,
     WAVEFRONT_F,
@@ -159,6 +164,43 @@ class TestProgramGolden:
         ex = explain(PROGRAM_JACOBI_STEPS, params={"m": 6, "k": 2})
         subjects = [d.subject for d in ex.decisions]
         assert any(s.startswith("u0: ") for s in subjects)
+
+
+class TestIterateDriverGolden:
+    """The in-place iterate line says where the sweeps run, and why."""
+
+    PREFIX = ("[iterate] driver: accepted — main: true in-place sweeps "
+              "— 'sweep' runs in the seed buffer (zero steady-state "
+              "allocations); ")
+    needs_cc = pytest.mark.skipif(
+        toolchain_status() is not None,
+        reason=f"native toolchain unavailable: {toolchain_status()}",
+    )
+
+    def _line(self, options=None):
+        ex = explain(PROGRAM_SOR, params={"m": 8, "k": 5, "omega": 1.25},
+                     options=options)
+        [line] = lines_for(ex, "iterate")
+        return line
+
+    def test_python_step_runs_in_the_python_driver(self):
+        assert self._line() == self.PREFIX + (
+            "sweeps run in the Python driver (the step lowered to "
+            "python: the python backend was requested)")
+
+    @needs_cc
+    def test_c_step_runs_in_one_native_call(self):
+        assert self._line(CodegenOptions(backend="c")) == self.PREFIX + (
+            "all sweeps run in one native call (the step lowered to C)")
+
+    @needs_cc
+    def test_c_fallback_gives_the_backend_reason(self):
+        options = CodegenOptions(backend="c", bounds_checks=True)
+        assert self._line(options) == self.PREFIX + (
+            "sweeps run in the Python driver (the step lowered to "
+            "python: backend c fell back on inplace lowering: "
+            "bounds_checks requested — runtime bounds checks are not "
+            "lowered; python emitter used)")
 
 
 class TestCompileExplainKwarg:

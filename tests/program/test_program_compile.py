@@ -329,6 +329,23 @@ class TestIterate:
         with pytest.raises(CompileError, match="missing"):
             compile_program(src, params={"n": 3})
 
+    def test_native_tolerance_never_rounds_up(self):
+        """The native fold compares float64 deltas with a float64 tol;
+        ``d <= t`` must hold exactly when ``d <= tol`` does."""
+        from fractions import Fraction
+        from math import inf
+
+        from repro.program.run import _float_tol
+
+        assert _float_tol(1e-6) == 1e-6
+        assert _float_tol(2 ** 53 + 3) == 2 ** 53 + 2
+        tenth = _float_tol(Fraction(1, 10))
+        assert tenth <= Fraction(1, 10) < 0.1
+        assert _float_tol(10 ** 400) == inf
+        assert _float_tol(-10 ** 400) == -inf
+        with pytest.raises(TypeError):
+            _float_tol("1e-6")
+
     def test_external_seed_is_copied_not_mutated(self):
         src = """
         sweep u = letrec a = array (1,n)
