@@ -401,7 +401,7 @@ def main(argv=None) -> int:
                              "nests fall back with a reasoned note)")
     parser.add_argument("--ooc", action="store_true",
                         help="stream iterate/converge sweeps through "
-                             "memmap-backed row tiles (resident "
+                             "row tiles kept in spill files (resident "
                              "memory bounded by the tile; programs "
                              "only)")
     parser.add_argument("--dist-workers", type=int, default=0,

@@ -16,6 +16,14 @@ that for the thunkless emitter: when a scheduled innermost loop
 each clause becomes one strided-slice assignment on a numpy buffer:
 the "vector instruction" of the paper's Cray/i860 discussion.  Loops
 that do not qualify fall back to scalar emission transparently.
+
+A vector clause must compute the same bits as the scalar emitter, the
+C tier and the oracle, which all call libm through ``math.*``.  So only
+operations that IEEE 754 makes exact or correctly rounded vectorize:
+``+ - * / %``, negation, ``abs``, ``sqrt`` and ``fromIntegral``.
+numpy's ``exp``/``log``/``sin``/``cos`` are not libm's and may differ
+in the last bit, so a clause that calls any other function stays
+scalar.
 """
 
 from __future__ import annotations
@@ -26,14 +34,11 @@ from repro.core.affine import NonAffineError, affine_from_ast
 from repro.core.schedule import ScheduledClause, ScheduledLoop
 from repro.lang import ast
 
-#: Intrinsics with numpy equivalents (element-wise).
+#: Intrinsics whose numpy equivalents (element-wise) are bit-identical
+#: to the scalar ones: exact or correctly rounded under IEEE 754.
 _NUMPY_INTRINSICS = {
     "abs": "_np.abs",
     "sqrt": "_np.sqrt",
-    "exp": "_np.exp",
-    "log": "_np.log",
-    "sin": "_np.sin",
-    "cos": "_np.cos",
     "fromIntegral": "(lambda _x: _x)",
     "negate": "(lambda _x: -_x)",
 }

@@ -594,8 +594,11 @@ def plan_outofcore(
     """Row-tile streaming plan for one iterate binding.
 
     Out-of-core execution (:mod:`repro.program.outofcore`) streams
-    ``numpy.memmap``-backed row tiles through RAM window buffers, so a
-    sweep's resident set is bounded by the tile, not the array.  The
+    row tiles between two spill files and two RAM buffers (a halo
+    window and a destination tile), so a sweep's resident set is
+    bounded by the tile, not the array.  Each tile runs the dist block
+    kernel (:func:`repro.dist.kernel.build_double_kernel`): one row
+    block is both the distribution and the storage unit.  The
     legality argument is the double-buffer one (see the module
     docstring) with one tightening: a read must fall inside its tile's
     halo window, because *only that window is resident*.  Broadcast
@@ -610,8 +613,8 @@ def plan_outofcore(
     the reason when the binding must run in-memory.
     """
     if _np is None:
-        raise DistReject("numpy is unavailable — memmap tile "
-                         "streaming needs it")
+        raise DistReject("numpy is unavailable — tile streaming "
+                         "needs it")
     if mode != "double":
         raise DistReject(
             f"out-of-core streaming needs double-buffer sweeps — the "
@@ -704,9 +707,9 @@ def plan_outofcore(
             f"{halo_cells} halo cell(s) re-read from the previous-"
             "sweep file per sweep"
         )
-    from repro.dist.kernel import build_ooc_kernel
+    from repro.dist.kernel import build_double_kernel
 
-    plan.kernel = build_ooc_kernel(report, params)
+    plan.kernel = build_double_kernel(report, params)
     return plan
 
 

@@ -998,7 +998,7 @@ def compile(
         ``dist=True`` on one is a :class:`CompileError`.
     ooc:
         Program sources only: stream iterate/converge sweeps through
-        memmap-backed row tiles (:mod:`repro.program.outofcore`),
+        spill-file row tiles (:mod:`repro.program.outofcore`),
         bounding resident memory by the tile (``options.tile``).
         Like ``dist``, a :class:`CompileError` on single definitions.
     index_comps:

@@ -23,15 +23,19 @@ the identity links between clauses, schedule items, dependence edges
 and in-place read plans survive; the originals are never mutated.
 
 Double-buffer kernels additionally swap the output allocation for a
-shared destination view (``_env['.dst']``) and drop the materializing
-return — workers write straight into shared memory.
+destination view (``_env['.dst']``) and drop the materializing return.
+One such kernel serves both row-block placements: dist workers write
+straight into the shared full-size buffer, and the out-of-core driver
+(:mod:`repro.program.outofcore`) into a tile-sized RAM buffer whose
+first row it passes as ``_env['.dst_row0']`` (absent, the destination
+is indexed from the array's own first row).
 """
 
 from __future__ import annotations
 
 import pickle
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.codegen.emit import CodegenOptions, emit_inplace, emit_thunkless
 from repro.core.distplan import (
@@ -112,7 +116,7 @@ def _internal_names(clamps, guard_axes) -> set:
 def _env_names(source: str, internal: set) -> Tuple[str, ...]:
     found = set(_ENV_FETCH.findall(source))
     found -= internal
-    found -= {".dst", ".reuse"}
+    found -= {".dst", ".dst_row0", ".reuse"}
     return tuple(sorted(found))
 
 
@@ -126,13 +130,14 @@ def _edit(source: str, old: str, new: str) -> str:
     return source.replace(old, new)
 
 
-def build_double_kernel(report, params,
-                        guarded=None) -> DistKernel:
+def build_double_kernel(report, params) -> DistKernel:
     """Block kernel for a double-buffered (thunkless) sweep.
 
     The kernel reads the previous sweep's array from the environment
-    as usual and writes into the shared destination view handed in as
-    ``_env['.dst']`` — no allocation, no materializing return.
+    as usual and writes into the destination view handed in as
+    ``_env['.dst']`` — no allocation, no materializing return.  Linear
+    stores count axis-0 rows from ``_env['.dst_row0']`` when given (a
+    row tile's own buffer), else from the array's first row.
     """
     comp, schedule, edges = pickle.loads(
         pickle.dumps((report.comp, report.schedule, report.edges))
@@ -144,46 +149,11 @@ def build_double_kernel(report, params,
     )
     source = _edit(source, "_out = _np.zeros(_size)",
                    "_out = _env.pop('.dst')")
+    source = _edit(source, "_lo_out_0 = _b.dims[0][0]",
+                   "_lo_out_0 = _env.pop('.dst_row0', _b.dims[0][0])")
     source = _edit(source, "\n    _alloc(_size)\n", "\n")
     source = _edit(source, "return FlatArray(_b, _out.tolist())",
                    "return None")
-    return DistKernel(
-        source=source,
-        clamps=clamps,
-        guard_axes=guard_axes,
-        env_names=_env_names(source, _internal_names(clamps,
-                                                     guard_axes)),
-    )
-
-
-def build_ooc_kernel(report, params) -> DistKernel:
-    """Row-tile kernel for the out-of-core streaming driver.
-
-    Same clamping as :func:`build_double_kernel` (axis 0 windows pick
-    the row tile) but emitted **scalar**: the driver hands ``.dst`` a
-    base-offset window shim over a tile-sized buffer, which supports
-    plain integer stores only — the §10 vector path's slice
-    assignments cannot be offset-translated through it.  Reads resolve
-    through a :class:`~repro.codegen.support.FlatArray` whose bounds
-    are shifted to the streamed halo window, so the kernel's absolute
-    row arithmetic lands inside the resident buffer unchanged.
-    """
-    comp, schedule, edges = pickle.loads(
-        pickle.dumps((report.comp, report.schedule, report.edges))
-    )
-    clamps, guard_axes = _clamp_axes(comp, (0,), params)
-    source = emit_thunkless(
-        comp, schedule, CodegenOptions(), params, edges=edges,
-    )
-    source = _edit(
-        source,
-        "    _out = _env.pop('.reuse', None)\n"
-        "    if _out is None or len(_out) != _size:\n"
-        "        _alloc(_size)\n"
-        "        _out = [None] * _size\n",
-        "    _out = _env.pop('.dst')\n",
-    )
-    source = _edit(source, "return FlatArray(_b, _out)", "return None")
     return DistKernel(
         source=source,
         clamps=clamps,

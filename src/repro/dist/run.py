@@ -29,7 +29,7 @@ Synchronization invariants (all modes):
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 try:
     import numpy as _np
@@ -219,14 +219,15 @@ def _merge_worker_stats(replies: List[Dict]) -> None:
 # ----------------------------------------------------------------------
 # Worker side.
 
-#: Compiled kernels keyed by source (workers persist across calls).
+#: Compiled block kernels keyed by source, shared by the workers (which
+#: persist across calls) and the out-of-core driver.
 _KERNEL_CACHE: Dict[str, object] = {}
 
 
-def _kernel_fn(source: str, entry: str):
+def _kernel_fn(source: str, entry: str, compile=compile_source):
     fn = _KERNEL_CACHE.get(source)
     if fn is None:
-        fn = compile_source(source, entry)
+        fn = compile(source, entry)
         _KERNEL_CACHE[source] = fn
     return fn
 

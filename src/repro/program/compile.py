@@ -124,9 +124,9 @@ def compile_program(
         ``ProgramReport.dist``.
     ooc:
         Out-of-core streaming (:mod:`repro.program.outofcore`): plan
-        every ``iterate``/``converge`` binding to sweep
-        ``numpy.memmap``-backed row tiles with double-buffered halo
-        windows, bounding resident memory by the tile
+        every ``iterate``/``converge`` binding to sweep row tiles
+        kept in spill files through RAM halo-window and destination
+        buffers, bounding resident memory by the tile
         (``options.tile`` sets the rows per tile) instead of the
         array.  Rejected bindings run the in-memory sweeps with the
         reason in ``ProgramReport.fallbacks`` (``ooc`` prefix).

@@ -23,6 +23,7 @@ round-trip whole programs through its disk tier.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -157,15 +158,30 @@ class CompiledProgram:
 # Execution.
 
 
+#: Result types that hold no interpreter value, hence no path back to
+#: the call's global scope (compiled steps return forced cells).
+_DETACHED = (FlatArray, int, float, complex, str)
+
+
+@functools.lru_cache(maxsize=1)
+def _interpreter():
+    """The interpreter every call shares: it keeps no per-call state
+    (only the prelude scope), and a fresh one per call would leave its
+    self-referencing prelude as cyclic garbage."""
+    from repro.interp.interp import Interpreter
+
+    return Interpreter()
+
+
 def _execute(program: CompiledProgram, env: Dict,
              steps_override: Optional[int],
              tol_override: Optional[float]):
-    from repro.interp.interp import Interpreter, deep_force
+    from repro.interp.interp import deep_force
 
     merged = dict(program.params)
     merged.update(env)
     env = merged
-    interp = Interpreter()
+    interp = _interpreter()
     genv = interp.globals.child(dict(env))
 
     def define(name, value):
@@ -208,7 +224,14 @@ def _execute(program: CompiledProgram, env: Dict,
                         old.bounds, _copy_cells(old.cells)
                     )
             define(step.name, step.compiled(call_env))
-    return env[program.report.result]
+    result = env[program.report.result]
+    if isinstance(result, _DETACHED):
+        # Function bindings close over ``genv`` while ``genv`` binds
+        # them: a cycle holding every array of the call.  Dropping the
+        # bindings breaks it unless the result may still need them (a
+        # function, or anything else that can reach the scope).
+        genv.bindings.clear()
+    return result
 
 
 def _require_inputs(step: ProgramStep, env: Dict) -> None:

@@ -63,7 +63,11 @@ from repro.lang.parser import parse_expr
 #: /9: native sweep loops (C split-plan kernels loop over the sweeps
 #:     and fold the convergence test themselves; IteratePlan grew
 #:     ``native_sweeps`` and the wrapper a ``'.sweeps'`` slot).
-PIPELINE_SALT = "repro-pipeline/9"
+#: /10: out-of-core plans carry the dist block kernel (§10-vectorized,
+#:     tile-relative stores through a ``'.dst_row0'`` slot) instead of
+#:     a scalar kernel storing by absolute index, and §10 vector
+#:     clauses keep only correctly rounded intrinsics.
+PIPELINE_SALT = "repro-pipeline/10"
 
 
 # ----------------------------------------------------------------------

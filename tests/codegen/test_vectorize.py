@@ -1,9 +1,14 @@
 """Vectorized code generation (paper §10 extension)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro import CodegenOptions, FlatArray, compile_array, evaluate
+from repro.dist.pool import fork_available
+from repro.program import compile_program
 
 VEC = CodegenOptions(vectorize=True)
 
@@ -139,6 +144,16 @@ class TestFallbacks:
         assert "_vslice(" not in compiled.source
         assert compiled({}).to_list() == [1.0, 2.0, 3.0, 4.0, 5.0]
 
+    @pytest.mark.parametrize("fn", ["exp", "log", "sin", "cos"])
+    def test_libm_calls_stay_scalar(self, fn):
+        # numpy's transcendental functions are not libm's: vectorizing
+        # them would break bit-identity with the oracle.
+        src = ("letrec a = array (1,n) "
+               f"[ i := {fn} (x!i) | i <- [1..n] ] in a")
+        compiled = repro.compile(src, params={"n": 8}, options=VEC)
+        assert "_vslice(" not in compiled.source
+        assert f"_math.{fn}" in compiled.source
+
     def test_without_option_no_numpy_buffer(self):
         from repro.kernels import SQUARES
 
@@ -172,3 +187,45 @@ def test_vectorized_matches_scalar(n, coefficient, offset, scale):
         if value is None:
             continue  # unwritten cell: vector buffer holds 0.0
         assert got_vec.at(sub) == pytest.approx(value)
+
+
+# One Jacobi sweep with a libm call in the interior clause.  At m=24
+# numpy's exp and libm's differ in the last bit of some results (m=12's
+# short rows happened to agree).
+EXP_JACOBI = """
+step u = letrec a = array ((1,1),(m,m))
+   ([ (1,j) := u!(1,j) | j <- [1..m] ] ++
+    [ (m,j) := u!(m,j) | j <- [1..m] ] ++
+    [ (i,1) := u!(i,1) | i <- [2..m-1] ] ++
+    [ (i,m) := u!(i,m) | i <- [2..m-1] ] ++
+    [ (i,j) := 0.25 * (exp (0.01 * u!(i-1,j)) + u!(i+1,j)
+                       + u!(i,j-1) + u!(i,j+1))
+      | i <- [2..m-1], j <- [2..m-1] ])
+  in a;
+main = iterate step u0 k
+"""
+
+
+@pytest.mark.parametrize("placement", ["vectorize", "dist", "ooc"])
+def test_libm_stencil_matches_oracle_in_every_vector_tier(placement):
+    if placement == "dist" and not fork_available():
+        pytest.skip("dist needs fork")
+    m = 24
+    rng = random.Random(2)
+    u0 = FlatArray.from_list(((1, 1), (m, m)),
+                             [rng.random() for _ in range(m * m)])
+    params = {"m": m, "k": 1}
+    kwargs = {
+        "vectorize": {"options": VEC},
+        "dist": {"dist": True, "workers": 2},
+        "ooc": {"options": CodegenOptions(tile=6), "ooc": True},
+    }[placement]
+    program = compile_program(EXP_JACOBI, params=params, **kwargs)
+    assert not [f for f in program.report.fallbacks
+                if f.startswith(("dist 'main'", "ooc 'main'"))]
+    got = program({"u0": u0})
+    oracle = repro.run_program(EXP_JACOBI, bindings=dict(params, u0=u0))
+    assert got.bounds == oracle.bounds
+    mismatched = [s for s in got.bounds.range()
+                  if got.at(s) != oracle.at(s)]
+    assert mismatched == []

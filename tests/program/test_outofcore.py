@@ -1,18 +1,22 @@
 """Out-of-core streaming execution vs the in-memory path and oracle.
 
-``ooc=True`` streams a program's iterate/converge sweeps through
-``numpy.memmap``-backed tiles.  The contract is *bit-identity* with
-the in-memory double-buffer path — and hence with the lazy oracle —
+``ooc=True`` streams a program's iterate/converge sweeps through row
+tiles held in spill files.  The contract is *bit-identity* with the
+in-memory double-buffer path — and hence with the lazy oracle —
 including the exact sweep count of a convergence loop, while the
-resident working set stays bounded by the tile, not the mesh.
+resident working set stays bounded by the tile, not the mesh.  A spill
+I/O failure raises; it never falls back to the in-memory sweeps.
 """
 
+import errno
 import os
+import random
 
 import pytest
 
 import repro
 from repro.codegen.emit import CodegenOptions
+from repro.codegen.support import FlatArray
 from repro.kernels import PROGRAM_JACOBI, PROGRAM_JACOBI_STEPS, PROGRAM_SOR
 from repro.obs.trace import (
     refresh_runtime_tracing,
@@ -148,3 +152,175 @@ class TestOocComposesWithOverrides:
                               options=CodegenOptions(tile=4), ooc=True)
         plain = compile_program(PROGRAM_JACOBI, params=JACOBI_PARAMS)
         identical(ooc({}, steps=9), plain({}, steps=9))
+
+
+# A rank-1 stencil with halo 2 on both sides that also reads an input
+# array and a scalar: the other shape the tile kernel must stream.
+STENCIL_STEP = """
+step u = letrec a = array (1,n)
+   ([ 1 := u!1 ] ++ [ 2 := u!2 ] ++ [ n-1 := u!(n-1) ] ++ [ n := u!n ] ++
+    [ i := w * (u!(i-2) + u!(i+2)) + (0.5 - 2.0 * w) * (u!(i-1) + u!(i+1))
+           + c!i
+      | i <- [3..n-2] ])
+  in a;
+"""
+STENCIL_STEPS = STENCIL_STEP + "main = iterate step u0 k\n"
+STENCIL_CONVERGE = STENCIL_STEP + "main = converge step u0 tol\n"
+STENCIL_N = 23
+
+
+def stencil_inputs():
+    rng = random.Random(23)
+    return {
+        "u0": FlatArray.from_list(
+            (1, STENCIL_N), [rng.uniform(-1.0, 1.0) for _ in range(STENCIL_N)]
+        ),
+        "c": FlatArray.from_list(
+            (1, STENCIL_N), [rng.uniform(0.0, 0.1) for _ in range(STENCIL_N)]
+        ),
+    }
+
+
+def streamed(counters):
+    """The run went through the tile driver: no silent fallback."""
+    assert counters.get("ooc.tiles", 0) > 0
+    assert "ooc.fallback.runtime" not in counters
+
+
+class TestOocRank1Stencil:
+    params = {"n": STENCIL_N, "w": 0.1}
+
+    @pytest.mark.parametrize("tile", [1, 4, 5, 100])
+    def test_iterate_matches_memory_and_oracle(self, tile, traced):
+        params = dict(self.params, k=6)
+        inputs = stencil_inputs()
+        ooc = compile_program(STENCIL_STEPS, params=params,
+                              options=CodegenOptions(tile=tile), ooc=True)
+        got = ooc(dict(inputs))
+        streamed(runtime_counters())
+        plain = compile_program(STENCIL_STEPS, params=params)
+        identical(got, plain(dict(inputs)))
+        oracle = repro.run_program(STENCIL_STEPS,
+                                   bindings=dict(params, **inputs))
+        identical(got, oracle)
+
+    @pytest.mark.parametrize("tile", [1, 4, 5, 100])
+    def test_converge_sweep_counts_match(self, tile, traced):
+        params = dict(self.params, tol=1e-9)
+        inputs = stencil_inputs()
+        ooc = compile_program(STENCIL_CONVERGE, params=params,
+                              options=CodegenOptions(tile=tile), ooc=True)
+        got = ooc(dict(inputs))
+        counters = runtime_counters()
+        streamed(counters)
+        sweeps = counters["iterate.sweeps.double"]
+        reset_runtime_counters()
+        plain = compile_program(STENCIL_CONVERGE, params=params)
+        identical(got, plain(dict(inputs)))
+        assert runtime_counters()["iterate.sweeps.double"] == sweeps
+        oracle = repro.run_program(STENCIL_CONVERGE,
+                                   bindings=dict(params, **inputs))
+        identical(got, oracle)
+
+    def test_dist_runs_the_same_block_kernel(self, traced):
+        from repro.dist.pool import fork_available
+
+        if not fork_available():
+            pytest.skip("dist needs fork")
+        params = dict(self.params, k=6)
+        inputs = stencil_inputs()
+        dist = compile_program(STENCIL_STEPS, params=params, dist=True,
+                               workers=2)
+        got = dist(dict(inputs))
+        counters = runtime_counters()
+        assert counters.get("dist.blocks", 0) > 0
+        assert "dist.fallback.runtime" not in counters
+        plain = compile_program(STENCIL_STEPS, params=params)
+        identical(got, plain(dict(inputs)))
+
+
+# Jacobi whose seed is the caller's array, so a test can check that a
+# failed run leaves it untouched.
+JACOBI_INPUT_SEED = """
+step u = letrec a = array ((1,1),(m,m))
+   ([ (1,j) := u!(1,j) | j <- [1..m] ] ++
+    [ (m,j) := u!(m,j) | j <- [1..m] ] ++
+    [ (i,1) := u!(i,1) | i <- [2..m-1] ] ++
+    [ (i,m) := u!(i,m) | i <- [2..m-1] ] ++
+    [ (i,j) := 0.25 * (u!(i-1,j) + u!(i+1,j) + u!(i,j-1) + u!(i,j+1))
+      | i <- [2..m-1], j <- [2..m-1] ])
+  in a;
+main = iterate step u0 k
+"""
+
+
+def open_fds():
+    """This process's open descriptors, or None where /proc is absent."""
+    if not os.path.isdir("/proc/self/fd"):
+        return None
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+class TestSpillFaults:
+    params = {"m": 12, "k": 3}
+
+    def run_failing(self, tmp_path, monkeypatch, expected_errno):
+        """Run 3-tile Jacobi out of core with the patched spill I/O;
+        the run must raise, clean up, and leave the seed alone."""
+        spill = tmp_path / "spill"
+        monkeypatch.setenv("REPRO_OOC_DIR", str(spill))
+        ooc = compile_program(JACOBI_INPUT_SEED, params=self.params,
+                              options=CodegenOptions(tile=4), ooc=True)
+        (plan,) = [s.iterate for s in ooc.steps if s.iterate]
+        assert plan.ooc is not None
+        m = self.params["m"]
+        cells = [float(i % 7) for i in range(m * m)]
+        seed = FlatArray.from_list(((1, 1), (m, m)), cells)
+        before = open_fds()
+        with pytest.raises(OSError) as err:
+            ooc({"u0": seed})
+        assert err.value.errno == expected_errno
+        assert "ooc.fallback.runtime" not in runtime_counters()
+        assert os.listdir(spill) == []
+        if before is not None:
+            assert open_fds() == before
+        assert seed.cells == cells
+
+    @pytest.mark.parametrize("failing_write", [2, 5])
+    def test_enospc_raises_and_cleans_up(self, failing_write, tmp_path,
+                                         monkeypatch, traced):
+        # Write 2 is the seed copy's second tile, write 5 the first
+        # sweep's second tile.
+        real = os.pwrite
+        calls = []
+
+        def pwrite(fd, data, offset):
+            calls.append(offset)
+            if len(calls) == failing_write:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real(fd, data, offset)
+
+        monkeypatch.setattr(os, "pwrite", pwrite)
+        self.run_failing(tmp_path, monkeypatch, errno.ENOSPC)
+
+    def test_short_write_raises(self, tmp_path, monkeypatch, traced):
+        # Only the seed copy's middle tile comes up short, so the file
+        # keeps its full length and no later read can notice the hole.
+        real = os.pwrite
+        calls = []
+
+        def pwrite(fd, data, offset):
+            calls.append(offset)
+            return real(fd, data[:-1] if len(calls) == 2 else data,
+                        offset)
+
+        monkeypatch.setattr(os, "pwrite", pwrite)
+        self.run_failing(tmp_path, monkeypatch, errno.EIO)
+
+    def test_short_read_raises(self, tmp_path, monkeypatch, traced):
+        real = os.preadv
+        monkeypatch.setattr(
+            os, "preadv",
+            lambda fd, buffers, offset: real(fd, buffers, offset) - 8,
+        )
+        self.run_failing(tmp_path, monkeypatch, errno.EIO)

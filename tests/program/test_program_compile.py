@@ -365,6 +365,42 @@ class TestIterate:
         assert out.to_list() == oracle.to_list()
 
 
+class TestCallGarbage:
+    @pytest.mark.parametrize("ooc", [False, True])
+    def test_warm_call_leaves_no_cyclic_garbage(self, ooc):
+        # Every array of a call used to sit in a reference cycle (the
+        # per-call interpreter's prelude, function bindings closing
+        # over the scope that binds them), freed only by the cyclic GC.
+        import gc
+
+        from repro.codegen.emit import CodegenOptions
+        from repro.kernels import PROGRAM_JACOBI
+
+        prog = compile_program(
+            PROGRAM_JACOBI, params={"m": 12, "tol": 1e-3},
+            options=CodegenOptions(tile=4) if ooc else None, ooc=ooc,
+        )
+        (plan,) = [s.iterate for s in prog.steps if s.iterate]
+        assert (plan.ooc is not None) == ooc
+        prog({})
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            prog({})
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_function_result_stays_callable(self):
+        prog = compile_program("g x = x * k; f x = g x + 1.0; main = f",
+                               params={"k": 2})
+        fn = prog({})
+        assert fn(3.0) == 7.0
+        assert prog({})(3.0) == 7.0
+
+
 # ----------------------------------------------------------------------
 # Facade dispatch, service, and pickling.
 
