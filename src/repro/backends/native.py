@@ -9,7 +9,7 @@ C emitter generates:
   answer is a reason string, not an exception: a missing toolchain
   *skips* the native tier, it never fails a compile.
 * **artifact cache** — :func:`load_kernel` keys each kernel's ``.so``
-  by ``sha256(PIPELINE_SALT + cdef + source)`` under
+  by ``sha256(PIPELINE_SALT + CFLAGS + cdef + source)`` under
   ``~/.cache/repro/native`` (override: ``REPRO_NATIVE_CACHE_DIR``,
   which wins over ``REPRO_CACHE_DIR``).  Warm loads ``dlopen`` the
   cached object without invoking the C compiler — that is what makes
@@ -26,7 +26,9 @@ Compilation is a plain ``cc -O2 -fPIC -shared -ffp-contract=off``
 subprocess — ABI-mode cffi needs no ``Python.h`` and no setuptools.
 ``-ffp-contract=off`` is load-bearing: fused multiply-adds round once
 where python rounds twice, and the differential suite demands
-bit-identical floats.
+bit-identical floats.  So are the ``-fno-builtin-{exp,log,sin,cos}``
+flags (see :data:`CFLAGS`): a constant-folded libm call would round
+correctly where python's libm call may not.
 """
 
 from __future__ import annotations
@@ -46,7 +48,14 @@ from repro.service.fingerprint import PIPELINE_SALT
 
 #: Flags every kernel is compiled with.  No ``-ffast-math`` and no FP
 #: contraction — bit-identity with the python emitter is a contract.
-CFLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off"]
+#: No ``exp``/``log``/``sin``/``cos`` builtins either: at ``-O2`` gcc
+#: folds a call whose argument became constant with correctly rounded
+#: MPFR, while python and the kernel at run time call libm, which may
+#: round differently.  ``sqrt`` and ``fabs`` are exact, so their
+#: builtins stay (the native fold's ``fabs`` stays inline).
+CFLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off",
+          "-fno-builtin-exp", "-fno-builtin-log", "-fno-builtin-sin",
+          "-fno-builtin-cos"]
 
 _CANDIDATE_COMPILERS = ("cc", "gcc", "clang")
 
@@ -196,8 +205,10 @@ def _compile_shared(source: str, out_path: Path) -> None:
 
 
 def kernel_key(cdef: str, source: str) -> str:
-    """Content hash of one kernel, salted with the pipeline version."""
-    payload = f"{PIPELINE_SALT}\n{cdef}\n{source}".encode("utf-8")
+    """Content hash of one kernel, salted with the pipeline version and
+    the compiler flags (a ``.so`` built under other flags never loads)."""
+    flags = " ".join(CFLAGS)
+    payload = f"{PIPELINE_SALT}\n{flags}\n{cdef}\n{source}".encode("utf-8")
     return hashlib.sha256(payload).hexdigest()
 
 

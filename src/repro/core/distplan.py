@@ -459,7 +459,7 @@ def plan_distribution(
 
     if mode == "double":
         return _plan_double(name, report, param, params, workers,
-                            low, high, rank, order)
+                            low, high, rank)
     if mode == "inplace":
         return _plan_wavefront(name, report, param, params, workers,
                                low, high, rank, order, clause_pos,
@@ -475,18 +475,31 @@ def _sweep_reads(comp, param):
     return names
 
 
-def _plan_double(name, report, param, params, workers, low, high,
-                 rank, order) -> DistBindingPlan:
+def _row_split(report, param, params, low, high, unit: str,
+               storage: str, window_only: bool):
+    """Legality and halo of a double-buffer sweep split into row units.
+
+    One analysis for dist row blocks (``unit`` ``"block"``, ``storage``
+    ``"buffer"``) and out-of-core row tiles (``"tile"``, ``"file"``):
+    every read resolves against the complete previous sweep, so any
+    partition of the writes on axis 0 is legal once each cell has one
+    writer and the step is provably total.  ``window_only`` rejects
+    broadcast reads (non-constant row offset), which a tile cannot
+    serve because only its halo window is resident; dist counts them.
+    Returns ``(kind, halo_lo, halo_hi, tail, broadcast)``, ``tail``
+    being the cells per row.
+    """
     comp = report.comp
+    rank = len(low)
     if report.strategy != "thunkless":
         raise DistReject(
-            f"step strategy is {report.strategy!r} — block kernels "
+            f"step strategy is {report.strategy!r} — {unit} kernels "
             "re-emit the thunkless schedule"
         )
     if report.empties.checks_needed:
         raise DistReject(
             "step is not provably total — unwritten cells would leak "
-            "the sweep-before-last buffer"
+            f"the sweep-before-last {storage}"
         )
     for clause in comp.clauses:
         for read in clause.reads:
@@ -496,25 +509,22 @@ def _plan_double(name, report, param, params, workers, low, high,
                     f"{comp.name!r} — not a pure previous-sweep step"
                 )
 
-    # Write partition on axis 0: clamp demands + guarded rows.
-    clamp_demand: Dict[int, Tuple[object, int]] = {}
-    guarded = []
+    # Write partition on axis 0: one clamp offset per loop (constant
+    # rows are guarded instead).
+    clamp_demand: Dict[int, int] = {}
     offsets = []
     broadcast = 0
     for clause in comp.clauses:
         write = _axis_write(clause, 0, params)
-        if write.const is not None:
-            guarded.append(clause)
-        else:
+        if write.const is None:
             loop = _clause_loop(clause, write.var)
-            previous = clamp_demand.get(id(loop))
-            if previous is not None and previous[1] != write.offset:
+            previous = clamp_demand.setdefault(id(loop), write.offset)
+            if previous != write.offset:
                 raise DistReject(
                     f"{clause.label}: loop {loop.var!r} is shared by "
                     "clauses writing different axis-0 offsets "
-                    f"({previous[1]} vs {write.offset})"
+                    f"({previous} vs {write.offset})"
                 )
-            clamp_demand[id(loop)] = (loop, write.offset)
         write_cols = [_axis_write(clause, a, params)
                       for a in range(rank)]
         for read in clause.reads:
@@ -522,19 +532,32 @@ def _plan_double(name, report, param, params, workers, low, high,
                 continue
             off = _read_offset(clause, read.node, write_cols, params,
                                param, rank)
-            if off is None:
-                broadcast += 1
-            else:
+            if off is not None:
                 offsets.append(off)
+            elif window_only:
+                raise DistReject(
+                    f"{clause.label}: broadcast read of {param!r} "
+                    "(non-constant row offset) — only the tile's halo "
+                    "window is resident, and a read outside it would "
+                    "wrap through the shifted window bounds"
+                )
+            else:
+                broadcast += 1
 
     halo_lo = max((-off[0] for off in offsets if off[0] < 0), default=0)
     halo_hi = max((off[0] for off in offsets if off[0] > 0), default=0)
     kind = "stencil" if (halo_lo or halo_hi) else "dep-free"
-
-    row_blocks = split_windows(low[0], high[0], workers)
     tail = 1
     for axis in range(1, rank):
         tail *= high[axis] - low[axis] + 1
+    return kind, halo_lo, halo_hi, tail, broadcast
+
+
+def _plan_double(name, report, param, params, workers, low, high,
+                 rank) -> DistBindingPlan:
+    kind, halo_lo, halo_hi, tail, broadcast = _row_split(
+        report, param, params, low, high, "block", "buffer", False)
+    row_blocks = split_windows(low[0], high[0], workers)
     internal = sum(
         1 for k in range(workers - 1)
         if row_blocks[k][1] >= row_blocks[k][0]
@@ -623,62 +646,8 @@ def plan_outofcore(
         )
     low, high, rank, order, clause_pos, directions = \
         _common_checks(report, params)
-    comp = report.comp
-    if report.strategy != "thunkless":
-        raise DistReject(
-            f"step strategy is {report.strategy!r} — tile kernels "
-            "re-emit the thunkless schedule"
-        )
-    if report.empties.checks_needed:
-        raise DistReject(
-            "step is not provably total — unwritten cells would leak "
-            "the sweep-before-last file"
-        )
-    for clause in comp.clauses:
-        for read in clause.reads:
-            if comp.name and read.array == comp.name:
-                raise DistReject(
-                    f"{clause.label}: reads the step's own output "
-                    f"{comp.name!r} — not a pure previous-sweep step"
-                )
-
-    clamp_demand: Dict[int, Tuple[object, int]] = {}
-    offsets = []
-    for clause in comp.clauses:
-        write = _axis_write(clause, 0, params)
-        if write.const is None:
-            loop = _clause_loop(clause, write.var)
-            previous = clamp_demand.get(id(loop))
-            if previous is not None and previous[1] != write.offset:
-                raise DistReject(
-                    f"{clause.label}: loop {loop.var!r} is shared by "
-                    "clauses writing different axis-0 offsets "
-                    f"({previous[1]} vs {write.offset})"
-                )
-            clamp_demand[id(loop)] = (loop, write.offset)
-        write_cols = [_axis_write(clause, a, params)
-                      for a in range(rank)]
-        for read in clause.reads:
-            if read.array != param:
-                continue
-            off = _read_offset(clause, read.node, write_cols, params,
-                               param, rank)
-            if off is None:
-                raise DistReject(
-                    f"{clause.label}: broadcast read of {param!r} "
-                    "(non-constant row offset) — only the tile's halo "
-                    "window is resident, and a read outside it would "
-                    "wrap through the shifted window bounds"
-                )
-            offsets.append(off)
-
-    halo_lo = max((-off[0] for off in offsets if off[0] < 0), default=0)
-    halo_hi = max((off[0] for off in offsets if off[0] > 0), default=0)
-    kind = "stencil" if (halo_lo or halo_hi) else "dep-free"
-
-    tail = 1
-    for axis in range(1, rank):
-        tail *= high[axis] - low[axis] + 1
+    kind, halo_lo, halo_hi, tail, _ = _row_split(
+        report, param, params, low, high, "tile", "file", True)
     rows = high[0] - low[0] + 1
     tile_rows = _ooc_tile_rows(tile, tail, halo_lo + halo_hi)
     n_tiles = max(1, -(-rows // tile_rows))

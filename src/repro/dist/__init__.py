@@ -8,7 +8,9 @@ array state in ``multiprocessing.shared_memory`` float64 buffers
 * :mod:`repro.core.distplan` (in the analysis layer) decides *whether*
   and *how* a binding distributes; this package is the runtime.
 * :mod:`repro.dist.kernel` re-emits the step function as a clamped
-  block kernel.
+  block kernel, and holds what running one needs — its compiled-kernel
+  cache, loop windows and runtime admission check — for dist blocks
+  and out-of-core tiles alike.
 * :mod:`repro.dist.exchange` wraps the shared segments and the
   cross-block max tree-reduction.
 * :mod:`repro.dist.pool` owns the worker processes, their pipes and

@@ -9,7 +9,8 @@ parent.
 :func:`tree_reduce_max` is the convergence reduction: every block
 writes its local ``max |delta|`` into one slot of a shared vector, then
 the blocks combine pairwise in ``ceil(log2 n)`` barrier-separated
-rounds.  ``max`` over float64 is exact and associative, so the reduced
+rounds with the NaN-sticky ``fold_max`` the out-of-core tile fold uses
+too.  ``max`` over float64 is exact and associative, so the reduced
 value — and therefore every block's convergence decision and the sweep
 count — is bit-identical to the single-process ``max_abs_diff``.
 """
@@ -25,6 +26,8 @@ try:
     from multiprocessing import shared_memory as _shm
 except ImportError:  # pragma: no cover - stdlib, but gate anyway
     _shm = None
+
+from repro.program.iterate import fold_max
 
 
 def available() -> bool:
@@ -100,11 +103,7 @@ def tree_reduce_max(cells, index: int, parties: int, wait) -> float:
     stride = 1
     while stride < parties:
         if index % (2 * stride) == 0 and index + stride < parties:
-            other = cells[index + stride]
-            # NaN sticks: a NaN delta means "not converged" (the rule
-            # of :func:`repro.program.iterate.max_abs_diff`).
-            if other > cells[index] or other != other:
-                cells[index] = other
+            cells[index] = fold_max(cells[index], cells[index + stride])
         wait()
         stride *= 2
     return float(cells[0])

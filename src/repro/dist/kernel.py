@@ -29,15 +29,31 @@ straight into the shared full-size buffer, and the out-of-core driver
 (:mod:`repro.program.outofcore`) into a tile-sized RAM buffer whose
 first row it passes as ``_env['.dst_row0']`` (absent, the destination
 is indexed from the array's own first row).
+
+The module also holds what *running* a block kernel needs, the same
+for a dist row block and an out-of-core row tile whatever holds the
+block's bytes: the compiled-kernel cache (:func:`kernel_fn`), the
+per-rectangle loop windows (:func:`window_env`), the bounds a block
+reads through (:func:`row_bounds`), and the runtime admission check
+both placements run before touching the seed (:func:`admit`, with
+:func:`float_cells`).  Where the bytes live (shared segments or spill
+files) and how the blocks synchronise stay with each executor.
 """
 
 from __future__ import annotations
 
 import pickle
 import re
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
+try:
+    import numpy as _np
+except ImportError:  # pragma: no cover - numpy ships with the toolchain
+    _np = None
+
+from repro.codegen.compile import compile_source
 from repro.codegen.emit import CodegenOptions, emit_inplace, emit_thunkless
+from repro.codegen.support import FlatArray
 from repro.core.distplan import (
     DistKernel,
     DistReject,
@@ -47,6 +63,7 @@ from repro.core.distplan import (
     _const_eval,
 )
 from repro.lang import ast
+from repro.runtime.bounds import Bounds
 
 _ENV_FETCH = re.compile(r"_env(?:\.pop)?\[?\(?['\"]([^'\"]+)['\"]")
 
@@ -184,3 +201,94 @@ def build_wavefront_kernel(report, params) -> DistKernel:
         env_names=_env_names(source, _internal_names(clamps,
                                                      guard_axes)),
     )
+
+
+# ----------------------------------------------------------------------
+# Running a block kernel: the rules a dist row block and an out-of-core
+# row tile share, whatever holds the block's bytes.
+
+#: Compiled block kernels keyed by source, shared by the dist workers
+#: (which persist across calls) and the out-of-core driver.
+_COMPILED: Dict[str, object] = {}
+
+
+def kernel_fn(kernel: DistKernel, compile=compile_source):
+    """The kernel's entry point, compiled once per source."""
+    fn = _COMPILED.get(kernel.source)
+    if fn is None:
+        fn = compile(kernel.source, kernel.entry)
+        _COMPILED[kernel.source] = fn
+    return fn
+
+
+def float_cells(cells) -> bool:
+    """Whether a cell buffer is exactly float64-representable.
+
+    Shared buffers and spill files hold float64; an int cell would come
+    back ``5.0`` where the in-memory path preserves ``5``.  Lists must
+    be all Python floats; numpy buffers must already be float64.
+    """
+    if _np is not None and isinstance(cells, _np.ndarray):
+        return cells.dtype == _np.float64
+    return all(type(cell) is float for cell in cells)
+
+
+def window_env(env: Dict, kernel: DistKernel,
+               windows: Dict[int, tuple]) -> None:
+    """Fill the kernel's clamp/guard stand-ins for one rectangle.
+
+    ``windows`` maps axis -> inclusive (lo, hi) ownership window.
+    """
+    for clamp in kernel.clamps:
+        wlo, whi = windows[clamp.axis]
+        env[clamp.env_start] = max(clamp.lo, wlo - clamp.offset)
+        env[clamp.env_stop] = min(clamp.hi, whi - clamp.offset)
+    for axis in kernel.guard_axes:
+        wlo, whi = windows[axis]
+        env[f"_dga{axis}_s"] = wlo
+        env[f"_dga{axis}_e"] = whi
+
+
+def row_bounds(low, high, rows=None) -> Bounds:
+    """Bounds ``low..high``, with axis 0 narrowed to ``rows`` if given."""
+    if rows is not None:
+        low = (rows[0],) + tuple(low[1:])
+        high = (rows[1],) + tuple(high[1:])
+    if len(low) == 1:
+        return Bounds(low[0], high[0])
+    return Bounds(tuple(low), tuple(high))
+
+
+def admit(plan, env: Dict, kind: str, control, seed: FlatArray,
+          ship) -> Optional[Dict]:
+    """Check a block run before it starts: its kernel env, or ``None``.
+
+    ``plan`` is the binding's dist or out-of-core
+    :class:`~repro.core.distplan.DistBindingPlan`.  Compile time proved
+    the structural preconditions; these are the ones only the call
+    shows.  Every input the kernel fetches must be an int, a float, or
+    an array of float cells, which ``ship`` converts for the run's
+    transport.  ``None`` means run the in-memory sweeps: nothing was
+    copied and the seed is untouched.
+    """
+    if kind == "steps" and control <= 0:
+        return None  # zero sweeps
+    dims = seed.bounds.dims
+    if (tuple(lo for lo, _ in dims) != plan.low
+            or tuple(hi for _, hi in dims) != plan.high):
+        return None  # not the bounds the blocks were planned for
+    if not float_cells(seed.cells):
+        return None  # the blocks' buffers hold float64
+    payload: Dict[str, object] = {}
+    for name in plan.kernel.env_names:
+        if name == plan.param:
+            continue
+        value = env.get(name)
+        if isinstance(value, FlatArray) and float_cells(value.cells):
+            payload[name] = FlatArray(value.bounds, ship(value.cells))
+        elif (isinstance(value, (int, float))
+              and not isinstance(value, bool)):
+            payload[name] = value
+        else:
+            return None  # missing, a bool, non-float or not shippable
+    return payload

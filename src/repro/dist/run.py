@@ -3,31 +3,39 @@
 The parent side (:func:`run_dist_iterate`) is called by
 ``repro.program.run._run_iterate`` once a binding's
 :class:`~repro.core.distplan.DistBindingPlan` is in hand and the
-iteration control has been evaluated.  It verifies the *runtime*
-preconditions (compile time proved the structural ones), copies the
-seed into shared float64 buffers, broadcasts one job to the pool, and
-materializes the final buffer back into a plain ``FlatArray``.  Any
-precondition failure returns ``None`` — the caller runs the ordinary
+iteration control has been evaluated.  It checks shared memory and
+fork, then the block-run admission check it shares with out-of-core
+tiles (:func:`repro.dist.kernel.admit`), copies the seed into shared
+float64 buffers, broadcasts one job to the pool, and materializes the
+final buffer back into a plain ``FlatArray``.  Any precondition
+failure returns ``None`` — the caller runs the ordinary
 single-process sweep, bumping ``dist.fallback.runtime``.
 
 The worker side runs *whole convergence loops* autonomously: there is
-no per-sweep round trip through the parent.  Convergence is decided
-identically by every worker from the tree-reduced shared maximum, so
-all workers exit their loops after the same sweep — the sweep count
-the parent records (and the one the oracle sees) is bit-identical to
-the single-process driver's.
+no per-sweep round trip through the parent.  Each worker hands its
+sweep to the one steps/until loop every executor shares
+(:func:`repro.program.iterate.run_sweeps`), with the cap its parent
+read.  Convergence is decided identically by every worker from the
+tree-reduced shared maximum, so all workers exit their loops after the
+same sweep — the sweep count the parent records (and the one the
+oracle sees) is bit-identical to the single-process driver's.  What
+stays here is where the bytes live (shared segments) and how the
+blocks synchronise.
 
 Synchronization invariants (all modes):
 
 * one barrier after every sweep's writes (double) or after every stage
   (wavefront), so no block reads a neighbour's cells early;
-* in ``until`` mode, one extra barrier after every block has read the
-  reduced maximum, so a fast block cannot overwrite the reduction
-  vector (or the source buffer) while a slow block is still deciding.
+* in ``until`` mode, the reduction's barriers and then one extra
+  barrier after every block has read the reduced maximum, so a fast
+  block cannot overwrite the reduction vector (or the source buffer)
+  while a slow block is still deciding.  Both live in the fold branch
+  of the worker's sweep, so no worker skips one.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Dict, List
 
@@ -37,9 +45,9 @@ except ImportError:  # pragma: no cover - numpy ships with the toolchain
     _np = None
 
 from repro.codegen import support
-from repro.codegen.compile import compile_source
 from repro.codegen.support import FlatArray
 from repro.dist import exchange
+from repro.dist.kernel import admit, kernel_fn, row_bounds, window_env
 from repro.dist.pool import (
     BARRIER_TIMEOUT,
     DistPoolError,
@@ -54,25 +62,12 @@ from repro.obs.trace import (
     runtime_counters,
     runtime_tracing_enabled,
 )
-from repro.program.iterate import CONVERGE_CAP
-
-#: Values an environment entry may take on its way to a worker.
-_SCALAR_TYPES = (int, float)
-
-
-def _float_cells(cells) -> bool:
-    """Whether a cell buffer is exactly float64-representable.
-
-    Shared buffers hold float64; an int cell would come back ``5.0``
-    where the single-process path preserves ``5``.  Lists must be all
-    Python floats; numpy buffers must already be float64.
-    """
-    if _np is not None and isinstance(cells, _np.ndarray):
-        return cells.dtype == _np.float64
-    return all(type(cell) is float for cell in cells)
+from repro.program import iterate
+from repro.program.iterate import run_sweeps
+from repro.program.run import finish_sweeps
 
 
-def _fallback(reason: str) -> None:
+def _fallback() -> None:
     count_runtime("dist.fallback.runtime")
     return None
 
@@ -89,54 +84,20 @@ def run_dist_iterate(plan, dist_plan, env: Dict, kind: str, control,
     so the single-process path can still run after a fallback.
     """
     dp = dist_plan
-    kernel = dp.kernel
-    if kernel is None or not exchange.available() or not fork_available():
-        return _fallback("no shared-memory/fork support")
-    if kind == "steps" and control <= 0:
-        return _fallback("zero sweeps")
-    bounds = current.bounds
-    if (tuple(lo for lo, _ in bounds.dims) != dp.low
-            or tuple(hi for _, hi in bounds.dims) != dp.high):
-        return _fallback("seed bounds differ from the planned bounds")
-    if not _float_cells(current.cells):
-        return _fallback("seed cells are not all floats")
+    if (dp.kernel is None or not exchange.available()
+            or not fork_available()):
+        return _fallback()
+    payload = admit(dp, env, kind, control, current, list)
+    if payload is None:
+        return _fallback()
 
-    payload: Dict[str, object] = {}
-    for name in kernel.env_names:
-        if name == dp.param:
-            continue
-        if name not in env:
-            return _fallback(f"missing environment value {name!r}")
-        value = env[name]
-        if isinstance(value, bool):
-            return _fallback(f"environment value {name!r} is a bool")
-        if isinstance(value, FlatArray):
-            if not _float_cells(value.cells):
-                return _fallback(
-                    f"input array {name!r} has non-float cells"
-                )
-            payload[name] = FlatArray(value.bounds,
-                                      list(value.cells))
-        elif isinstance(value, _SCALAR_TYPES):
-            payload[name] = value
-        else:
-            return _fallback(
-                f"environment value {name!r} is not shippable"
-            )
-
-    size = bounds.size()
+    size = current.bounds.size()
     job = {
         "mode": dp.mode,
         "kind": kind,
         "control": control,
-        "cap": CONVERGE_CAP,
-        "kernel": kernel.source,
-        "entry": kernel.entry,
-        "clamps": [
-            (c.env_start, c.env_stop, c.axis, c.offset, c.lo, c.hi)
-            for c in kernel.clamps
-        ],
-        "guard_axes": tuple(kernel.guard_axes),
+        "cap": iterate.CONVERGE_CAP,
+        "kernel": dp.kernel,
         "param": dp.param,
         "low": dp.low,
         "high": dp.high,
@@ -172,35 +133,22 @@ def run_dist_iterate(plan, dist_plan, env: Dict, kind: str, control,
         try:
             replies = pool.run(job)
         except DistPoolError:
-            return _fallback("worker pool failed")
+            return _fallback()  # the worker pool failed
 
         sweeps = replies[0]["sweeps"]
-        converged = replies[0]["converged"]
         _merge_worker_stats(replies)
         count_runtime("dist.blocks", dp.workers)
         count_runtime("dist.halo.cells",
                       dp.halo_cells_per_sweep * sweeps)
         if dp.kind == "wavefront":
             count_runtime("dist.wavefront.stages", dp.stages * sweeps)
-
-        if kind == "until" and not converged:
-            from repro.program.run import ProgramError
-
-            if dp.mode == "double":
-                count_runtime("iterate.sweeps.double", sweeps)
-            raise ProgramError(
-                f"converge: no fixpoint within {CONVERGE_CAP} sweeps "
-                f"(tol={control!r})"
-            )
-        sweep_key = ("iterate.sweeps.double" if dp.mode == "double"
-                     else "iterate.sweeps.inplace")
-        count_runtime(sweep_key, sweeps)
+        finish_sweeps(dp.mode, sweeps, replies[0]["converged"], control)
 
         if dp.mode == "double":
             final = dst if sweeps % 2 else src
         else:
             final = mesh
-        return FlatArray(bounds, final.array.tolist())
+        return FlatArray(current.bounds, final.array.tolist())
     finally:
         for shared in buffers:
             shared.destroy()
@@ -219,18 +167,6 @@ def _merge_worker_stats(replies: List[Dict]) -> None:
 # ----------------------------------------------------------------------
 # Worker side.
 
-#: Compiled block kernels keyed by source, shared by the workers (which
-#: persist across calls) and the out-of-core driver.
-_KERNEL_CACHE: Dict[str, object] = {}
-
-
-def _kernel_fn(source: str, entry: str, compile=compile_source):
-    fn = _KERNEL_CACHE.get(source)
-    if fn is None:
-        fn = compile(source, entry)
-        _KERNEL_CACHE[source] = fn
-    return fn
-
 
 def run_worker_job(index: int, parties: int, barrier, job: Dict):
     """One worker's whole convergence loop (called in the worker)."""
@@ -242,11 +178,11 @@ def run_worker_job(index: int, parties: int, barrier, job: Dict):
     reset_runtime_counters()
     support.ALLOC_STATS.reset()
 
-    if job["mode"] == "double":
-        sweeps, converged = _worker_double(index, parties, barrier, job)
-    else:
-        sweeps, converged = _worker_wavefront(index, parties, barrier,
-                                              job)
+    def wait():
+        barrier.wait(BARRIER_TIMEOUT)
+
+    worker = _worker_double if job["mode"] == "double" else _worker_wavefront
+    sweeps, converged = worker(index, parties, wait, job)
     return {
         "sweeps": sweeps,
         "converged": converged,
@@ -256,54 +192,35 @@ def run_worker_job(index: int, parties: int, barrier, job: Dict):
     }
 
 
-def _bounds_of(job):
-    from repro.runtime.bounds import Bounds
-
-    low, high = tuple(job["low"]), tuple(job["high"])
-    if len(low) == 1:
-        return Bounds(low[0], high[0])
-    return Bounds(low, high)
-
-
-def _window_env(env: Dict, job: Dict, windows: Dict[int, tuple]) -> None:
-    """Fill clamp/guard stand-ins for one rectangle, in place.
-
-    ``windows`` maps axis -> inclusive (lo, hi) ownership window.
-    """
-    for start, stop, axis, offset, lo, hi in job["clamps"]:
-        wlo, whi = windows[axis]
-        env[start] = max(lo, wlo - offset)
-        env[stop] = min(hi, whi - offset)
-    for axis in job["guard_axes"]:
-        wlo, whi = windows[axis]
-        env[f"_dga{axis}_s"] = wlo
-        env[f"_dga{axis}_e"] = whi
+def _agree(reduce_buf, index, parties, wait, local: float) -> float:
+    """Every block's shared maximum; the wait after it keeps a fast
+    block from reusing the vector while a slow one still reads it."""
+    reduce_buf.array[index] = local
+    biggest = exchange.tree_reduce_max(reduce_buf.array, index, parties,
+                                       wait)
+    wait()
+    return biggest
 
 
-def _worker_double(index, parties, barrier, job):
+def _worker_double(index, parties, wait, job):
     size = job["size"]
     shm = job["shm"]
     buf_a = exchange.SharedDoubles.attach(shm["a"], size)
     buf_b = exchange.SharedDoubles.attach(shm["b"], size)
     reduce_buf = exchange.SharedDoubles.attach(shm["r"], parties)
     try:
-        build = _kernel_fn(job["kernel"], job["entry"])
-        bounds = _bounds_of(job)
+        build = kernel_fn(job["kernel"])
         low, high = job["low"], job["high"]
+        bounds = row_bounds(low, high)
         wlo, whi = job["row_blocks"][index]
         nonempty = whi >= wlo
-        tail = 1
-        for axis in range(1, len(low)):
-            tail *= high[axis] - low[axis] + 1
+        tail = math.prod(h - lo + 1 for lo, h in zip(low[1:], high[1:]))
         window = slice((wlo - low[0]) * tail, (whi - low[0] + 1) * tail)
 
         env_base = dict(job["env"])
-        _window_env(env_base, job, {0: (wlo, whi)})
+        window_env(env_base, job["kernel"], {0: (wlo, whi)})
 
-        def wait():
-            barrier.wait(BARRIER_TIMEOUT)
-
-        def sweep(number):
+        def sweep(number, fold):
             src, dst = ((buf_a, buf_b) if number % 2 == 0
                         else (buf_b, buf_a))
             if nonempty:
@@ -312,45 +229,32 @@ def _worker_double(index, parties, barrier, job):
                 env[".dst"] = dst.array
                 build(env)
             count_runtime("dist.worker.sweeps")
-            return src, dst
-
-        kind, control = job["kind"], job["control"]
-        if kind == "steps":
-            for number in range(control):
-                sweep(number)
+            if not fold:
                 wait()
-            return control, True
-        for number in range(job["cap"]):
-            src, dst = sweep(number)
+                return None
+            local = 0.0
             if nonempty:
                 delta = dst.array[window] - src.array[window]
                 local = float(_np.max(_np.abs(delta)))
-            else:
-                local = 0.0
-            reduce_buf.array[index] = local
-            biggest = exchange.tree_reduce_max(
-                reduce_buf.array, index, parties, wait
-            )
-            done = biggest <= control
-            wait()
-            if done:
-                return number + 1, True
-        return job["cap"], False
+            return _agree(reduce_buf, index, parties, wait, local)
+
+        return run_sweeps(job["kind"], job["control"], sweep, job["cap"])
     finally:
         buf_a.destroy()
         buf_b.destroy()
         reduce_buf.destroy()
 
 
-def _worker_wavefront(index, parties, barrier, job):
+def _worker_wavefront(index, parties, wait, job):
     size = job["size"]
     shm = job["shm"]
     mesh = exchange.SharedDoubles.attach(shm["u"], size)
     reduce_buf = exchange.SharedDoubles.attach(shm["r"], parties)
     try:
-        build = _kernel_fn(job["kernel"], job["entry"])
-        bounds = _bounds_of(job)
+        kernel = job["kernel"]
+        build = kernel_fn(kernel)
         low, high = job["low"], job["high"]
+        bounds = row_bounds(low, high)
         rows = high[0] - low[0] + 1
         cols = high[1] - low[1] + 1
         grid = mesh.array.reshape(rows, cols)
@@ -358,49 +262,34 @@ def _worker_wavefront(index, parties, barrier, job):
         chunks = job["chunks"]
         slab = grid[:, clo - low[1]:chi - low[1] + 1]
         stages = parties + len(chunks) - 1
-
-        def wait():
-            barrier.wait(BARRIER_TIMEOUT)
+        shadow = _np.empty_like(slab) if job["kind"] == "until" else None
 
         def run_stage(chunk_index):
             rlo, rhi = chunks[chunk_index]
             if rhi < rlo or chi < clo:
                 return
             env = dict(job["env"])
-            _window_env(env, job, {0: (rlo, rhi), 1: (clo, chi)})
+            window_env(env, kernel, {0: (rlo, rhi), 1: (clo, chi)})
             env[job["param"]] = FlatArray(bounds, mesh.array)
             build(env)
 
-        def sweep():
+        def sweep(number, fold):
+            if fold:
+                shadow[:] = slab
             for stage in range(stages):
                 chunk_index = stage - index
                 if 0 <= chunk_index < len(chunks):
                     run_stage(chunk_index)
                 wait()
             count_runtime("dist.worker.sweeps")
-
-        kind, control = job["kind"], job["control"]
-        if kind == "steps":
-            for _ in range(control):
-                sweep()
-            return control, True
-        shadow = _np.empty_like(slab)
-        for number in range(job["cap"]):
-            shadow[:] = slab
-            sweep()
+            if not fold:
+                return None
+            local = 0.0
             if slab.size:
                 local = float(_np.max(_np.abs(slab - shadow)))
-            else:
-                local = 0.0
-            reduce_buf.array[index] = local
-            biggest = exchange.tree_reduce_max(
-                reduce_buf.array, index, parties, wait
-            )
-            done = biggest <= control
-            wait()
-            if done:
-                return number + 1, True
-        return job["cap"], False
+            return _agree(reduce_buf, index, parties, wait, local)
+
+        return run_sweeps(job["kind"], job["control"], sweep, job["cap"])
     finally:
         mesh.destroy()
         reduce_buf.destroy()

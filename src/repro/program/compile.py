@@ -872,77 +872,61 @@ class _CompileState:
             seed_dead=seed_dead, reuse_buffers=reuse_buffers,
             native_sweeps=native_sweeps,
         )
+        from repro.core.distplan import plan_distribution, plan_outofcore
+
         if self.dist:
-            self._plan_dist(name, plan, compiled, mode, param)
+            plan.dist = self._place(
+                name, "dist", param,
+                "interpreter closures cannot ship to workers",
+                lambda: plan_distribution(
+                    name, compiled.report, mode, param,
+                    params=self.params, workers=self.workers,
+                ),
+            )
         if self.ooc:
-            self._plan_ooc(name, plan, compiled, mode, param)
+            plan.ooc = self._place(
+                name, "ooc", param,
+                "only scalars and arrays ride the streamed tile "
+                "environment",
+                lambda: plan_outofcore(
+                    name, compiled.report, mode, param,
+                    params=self.params,
+                    tile=getattr(self.options, "tile", None),
+                ),
+            )
         return ProgramStep(name=name, kind="iterate", iterate=plan)
 
-    def _plan_dist(self, name, plan: IteratePlan, compiled, mode,
-                   param) -> None:
-        """Attach a block-partition plan, or record why not.
+    def _place(self, name, prefix: str, param, no_closures: str, plan):
+        """A block placement's plan for one binding, or ``None``.
 
-        Structural rejection is *compile-time* information: the reason
-        lands in ``report.fallbacks`` (``dist`` prefix, surfacing in
-        the ``dist`` explain area) and the binding runs the ordinary
-        single-process sweeps.
+        ``plan()`` builds it (dist row blocks, or out-of-core row
+        tiles).  A step that calls a program function cannot run as a
+        block kernel either way — ``no_closures`` says why for this
+        placement.  Rejection is *compile-time* information: the reason
+        lands in ``report.fallbacks`` (``prefix`` names the placement;
+        ``dist`` surfaces in the ``dist`` explain area, ``ooc`` in the
+        ``tile`` one) and the binding runs the ordinary in-memory
+        sweeps.
         """
         from repro.codegen.emit import CodegenError
-        from repro.core.distplan import DistReject, plan_distribution
+        from repro.core.distplan import DistReject
 
         try:
-            dist_plan = plan_distribution(
-                name, compiled.report, mode, param,
-                params=self.params, workers=self.workers,
-            )
-            for env_name in dist_plan.kernel.env_names:
+            placed = plan()
+            for env_name in placed.kernel.env_names:
                 if env_name != param and (
                     self.kinds.get(env_name) == "function"
                 ):
                     raise DistReject(
                         f"step calls program function {env_name!r} — "
-                        "interpreter closures cannot ship to workers"
+                        + no_closures
                     )
         except (DistReject, CodegenError) as exc:
-            self.report.fallbacks.append(f"dist {name!r}: {exc}")
-            return
-        plan.dist = dist_plan
-        self.report.dist.extend(dist_plan.notes)
-        count("program.dist.bindings")
-
-    def _plan_ooc(self, name, plan: IteratePlan, compiled, mode,
-                  param) -> None:
-        """Attach an out-of-core streaming plan, or record why not.
-
-        Same shape as :meth:`_plan_dist`: rejection is compile-time
-        information — the reason lands in ``report.fallbacks`` (``ooc``
-        prefix, surfacing in the ``tile`` explain area) and the binding
-        runs the ordinary in-memory sweeps.
-        """
-        from repro.codegen.emit import CodegenError
-        from repro.core.distplan import DistReject, plan_outofcore
-
-        tile = getattr(self.options, "tile", None)
-        try:
-            ooc_plan = plan_outofcore(
-                name, compiled.report, mode, param,
-                params=self.params, tile=tile,
-            )
-            for env_name in ooc_plan.kernel.env_names:
-                if env_name != param and (
-                    self.kinds.get(env_name) == "function"
-                ):
-                    raise DistReject(
-                        f"step calls program function {env_name!r} — "
-                        "only scalars and arrays ride the streamed "
-                        "tile environment"
-                    )
-        except (DistReject, CodegenError) as exc:
-            self.report.fallbacks.append(f"ooc {name!r}: {exc}")
-            return
-        plan.ooc = ooc_plan
-        self.report.dist.extend(ooc_plan.notes)
-        count("program.ooc.bindings")
+            self.report.fallbacks.append(f"{prefix} {name!r}: {exc}")
+            return None
+        self.report.dist.extend(placed.notes)
+        count(f"program.{prefix}.bindings")
+        return placed
 
     def _pick_iterate_mode(self, body, param):
         """In-place sweeps when §9 proves them free; else double-buffer.

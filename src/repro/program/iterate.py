@@ -12,6 +12,12 @@ compiled driver and the lazy interpreter share: the sweep cap and the
 convergence metric.  Sharing them verbatim is what keeps ``converge``
 bit-identical between :func:`repro.program.compile_program` and
 :func:`repro.interp.run_program` — same arithmetic, same sweep count.
+
+It also holds the two sweep rules every compiled executor shares (in
+memory, dist blocks, out-of-core tiles): :func:`run_sweeps`, the one
+steps/until/cap loop, and :func:`fold_max`, the one NaN-sticky
+combination of partial maxima.  The oracle keeps its own loop, because
+it is the reference.
 """
 
 from __future__ import annotations
@@ -29,6 +35,29 @@ except ImportError:  # pragma: no cover - numpy ships with the toolchain
 #: Sweep bound for ``converge``: a diverging iteration (or an
 #: unreachable tolerance) fails loudly instead of spinning forever.
 CONVERGE_CAP = 10_000
+
+
+def run_sweeps(kind: str, control, sweep, cap=None):
+    """The one steps/until loop; returns ``(sweeps, converged)``.
+
+    ``sweep(number, fold)`` runs sweep ``number`` (from 0) and, when
+    ``fold`` is true, returns that sweep's exact ``max |new - old|``.
+    ``steps`` runs ``control`` sweeps and never folds.  ``until`` stops
+    after the first sweep whose delta is ``<= control``, or reports
+    ``(cap, False)`` after ``cap`` sweeps — :data:`CONVERGE_CAP`, read
+    at call time, unless a worker was handed the value its parent read.
+    """
+    if kind == "steps":
+        for number in range(control):
+            sweep(number, False)
+        return control, True
+    if cap is None:
+        cap = CONVERGE_CAP
+    for number in range(cap):
+        if sweep(number, True) <= control:
+            return number + 1, True
+    return cap, False
+
 
 #: The two iteration heads and the control kind each one takes.
 ITERATE_HEADS = {"iterate": "steps", "converge": "until"}
@@ -50,10 +79,11 @@ def max_abs_diff(new, old) -> float:
     NaN rule: a NaN delta (``inf - inf`` in a diverging sweep) makes
     the result NaN, and ``NaN <= tol`` is false, so the sweep counts
     as not converged.  ``numpy.max`` already propagates NaN; the
-    scalar loop returns it at once.  Every other convergence fold —
-    out-of-core tiles, the dist tree reduction, the native C sweep
-    loop — keeps the same rule, so a diverging solve ends the same
-    way at every mesh size and placement.
+    scalar loop returns it at once.  Every other convergence fold
+    keeps the same rule — out-of-core tiles and the dist tree
+    reduction through :func:`fold_max`, and the native C sweep loop —
+    so a diverging solve ends the same way at every mesh size and
+    placement.
     """
     if _np is not None and len(new) == len(old) and len(new) > 64:
         try:
@@ -72,6 +102,15 @@ def max_abs_diff(new, old) -> float:
         if delta > best:
             best = delta
     return best
+
+
+def fold_max(best, delta):
+    """Combine two partial maxima; a NaN on either side wins.
+
+    The rule of :func:`max_abs_diff` for folds over blocks or tiles:
+    float64 ``max`` is exact, and a NaN delta means "not converged".
+    """
+    return delta if delta > best or delta != delta else best
 
 
 @dataclass

@@ -19,7 +19,8 @@ resident working set is bounded by the tile, not the mesh:
   the buffer unchanged.
 * The kernel is the dist block kernel
   (:func:`repro.dist.kernel.build_double_kernel`, §10-vectorized),
-  drawn from the same compiled-kernel cache as the dist workers.  It
+  drawn from the same compiled-kernel cache as the dist workers
+  (:func:`repro.dist.kernel.kernel_fn`).  It
   writes into a preallocated destination buffer the size of one tile —
   ``'.dst_row0'`` is the tile's first row, so its linear stores count
   from there — and one positional write (``os.pwrite``) puts the tile
@@ -41,18 +42,26 @@ because the kernel is the same emitted step (its §10 vector clauses use
 only correctly rounded numpy operations, see
 :mod:`repro.codegen.vectorize`), the windows are served from the
 *complete* previous-sweep file, and convergence folds exact per-tile
-``max(|delta|)`` maxima — ``max`` over float64 is exact, so sweep
-counts match too.  Inputs other than the sweep array stay fully
-resident, converted once per run to float64 (they are read-only and
-typically small next to the mesh).
+``max(|delta|)`` maxima with the NaN-sticky
+:func:`repro.program.iterate.fold_max` the dist tree reduction uses —
+``max`` over float64 is exact, so sweep counts match too.  The sweeps
+run in the one steps/until/cap loop every executor shares
+(:func:`repro.program.iterate.run_sweeps`); what stays here is where
+the bytes live (spill files and two RAM buffers).  Inputs other than
+the sweep array stay fully resident, converted once per run to float64
+(they are read-only and typically small next to the mesh).
 
 ``None`` from :func:`run_ooc_iterate` means a *runtime* precondition
-failed (counted as ``ooc.fallback.runtime``); the caller runs the
-ordinary in-memory sweeps — the seed is never mutated here.
+failed (counted as ``ooc.fallback.runtime``): numpy or the kernel is
+missing, the admission check dist shares
+(:func:`repro.dist.kernel.admit`) refused, or the mesh is empty.  The
+caller runs the ordinary in-memory sweeps — the seed is never mutated
+here.
 
 Counters: ``ooc.tiles`` / ``tile.count`` per executed tile,
 ``tile.halo.cells`` for window rows beyond the tile,
-``iterate.sweeps.double`` for the sweep total, and
+``iterate.sweeps.double`` for the sweep total (the cap, when a
+``converge`` never converges), and
 ``ooc.bytes.resident`` — the bytes of the window and destination
 buffers (recorded once per run).  Spill files live in a private
 directory under ``$REPRO_OOC_DIR`` when set, else under the system
@@ -62,6 +71,7 @@ temporary directory; files and directory are removed afterwards.
 from __future__ import annotations
 
 import errno
+import math
 import os
 import tempfile
 from typing import Dict
@@ -74,28 +84,25 @@ except ImportError:  # pragma: no cover - numpy ships with the toolchain
 from repro.codegen import support
 from repro.codegen.compile import compile_source
 from repro.codegen.support import FlatArray
-from repro.dist.run import _float_cells, _kernel_fn, _window_env
+from repro.dist.kernel import admit, kernel_fn, row_bounds, window_env
 from repro.obs.trace import count_runtime
-from repro.program.iterate import CONVERGE_CAP
-from repro.runtime.bounds import Bounds
+from repro.program.iterate import fold_max, run_sweeps
+from repro.program.run import finish_sweeps
 
 #: Directory for the two sweep spill files (default: the system's
 #: temporary directory).
 OOC_DIR_ENV = "REPRO_OOC_DIR"
 
-_SCALAR_TYPES = (int, float)
 
-
-def _fallback(reason: str) -> None:
+def _fallback() -> None:
     count_runtime("ooc.fallback.runtime")
     return None
 
 
-def _window_bounds(low, high, w0: int, w1: int) -> Bounds:
-    """Full bounds with axis 0 narrowed to the window ``[w0, w1]``."""
-    if len(low) == 1:
-        return Bounds(w0, w1)
-    return Bounds((w0,) + tuple(low[1:]), (w1,) + tuple(high[1:]))
+def _as_f64(cells):
+    """Input cells as float64, once per run, so the vector clauses'
+    per-tile ``asarray`` is a view, not a copy of the whole input."""
+    return _np.asarray(cells, dtype=_np.float64)
 
 
 def _read_at(fd: int, buf, offset: int) -> None:
@@ -125,60 +132,20 @@ def run_ooc_iterate(plan, ooc_plan, env: Dict, kind: str, control,
     op = ooc_plan
     kernel = op.kernel
     if _np is None or kernel is None:
-        return _fallback("no numpy/kernel")
-    if kind == "steps" and control <= 0:
-        return _fallback("zero sweeps")
+        return _fallback()
+    env_base = admit(op, env, kind, control, current, _as_f64)
+    if env_base is None:
+        return _fallback()
     bounds = current.bounds
-    if (tuple(lo for lo, _ in bounds.dims) != op.low
-            or tuple(hi for _, hi in bounds.dims) != op.high):
-        return _fallback("seed bounds differ from the planned bounds")
-    if not _float_cells(current.cells):
-        return _fallback("seed cells are not all floats")
-
-    env_base: Dict[str, object] = {}
-    for name in kernel.env_names:
-        if name == op.param:
-            continue
-        if name not in env:
-            return _fallback(f"missing environment value {name!r}")
-        value = env[name]
-        if isinstance(value, bool):
-            return _fallback(f"environment value {name!r} is a bool")
-        if isinstance(value, FlatArray):
-            if not _float_cells(value.cells):
-                return _fallback(
-                    f"input array {name!r} has non-float cells"
-                )
-            # Once per run, so the vector clauses' per-tile asarray
-            # is a view, not a copy of the whole input.
-            env_base[name] = FlatArray(
-                value.bounds, _np.asarray(value.cells, dtype=_np.float64)
-            )
-        elif isinstance(value, _SCALAR_TYPES):
-            env_base[name] = value
-        else:
-            return _fallback(
-                f"environment value {name!r} is not shippable"
-            )
-
-    low, high = op.low, op.high
-    tail = 1
-    for axis in range(1, len(low)):
-        tail *= high[axis] - low[axis] + 1
     tiles = [(t0, t1) for t0, t1 in op.row_blocks if t1 >= t0]
     if not tiles or bounds.size() <= 0:
-        return _fallback("empty mesh")
+        return _fallback()  # an empty mesh
 
+    low, high = op.low, op.high
+    tail = math.prod(h - lo + 1 for lo, h in zip(low[1:], high[1:]))
     # The tile kernel compiles through this module's compile_source,
     # so a profiler that wraps it sees the kernel's calls.
-    build = _kernel_fn(kernel.source, kernel.entry, compile_source)
-    job = {
-        "clamps": [
-            (c.env_start, c.env_stop, c.axis, c.offset, c.lo, c.hi)
-            for c in kernel.clamps
-        ],
-        "guard_axes": tuple(kernel.guard_axes),
-    }
+    build = kernel_fn(kernel, compile_source)
     row_bytes = tail * 8
     windows = [(max(low[0], t0 - op.halo_lo),
                 min(high[0], t1 + op.halo_hi)) for t0, t1 in tiles]
@@ -198,11 +165,11 @@ def run_ooc_iterate(plan, ooc_plan, env: Dict, kind: str, control,
         win = win_buf[:(w1 - w0 + 1) * tail]
         dst = dst_buf[:(t1 - t0 + 1) * tail]
         tile_env = {
-            op.param: FlatArray(_window_bounds(low, high, w0, w1), win),
+            op.param: FlatArray(row_bounds(low, high, (w0, w1)), win),
             ".dst": dst,
             ".dst_row0": t0,
         }
-        _window_env(tile_env, job, {0: (t0, t1)})
+        window_env(tile_env, kernel, {0: (t0, t1)})
         old = win[(t0 - w0) * tail:(t1 - w0 + 1) * tail]
         units.append(((w0 - low[0]) * row_bytes, win, tile_env,
                       (t0 - low[0]) * row_bytes, dst, old))
@@ -215,11 +182,8 @@ def run_ooc_iterate(plan, ooc_plan, env: Dict, kind: str, control,
             _read_at(src, win, win_at)
             build({**env_base, **tile_env})
             if fold:
-                tile_max = float(_np.max(_np.abs(dst - old)))
-                # NaN sticks: a NaN delta means "not converged" (the
-                # rule of :func:`repro.program.iterate.max_abs_diff`).
-                if tile_max > biggest or tile_max != tile_max:
-                    biggest = tile_max
+                biggest = fold_max(biggest,
+                                   float(_np.max(_np.abs(dst - old))))
             _write_at(dst_fd, dst, dst_at)
         count_runtime("ooc.tiles", len(units))
         count_runtime("tile.count", len(units))
@@ -244,27 +208,10 @@ def run_ooc_iterate(plan, ooc_plan, env: Dict, kind: str, control,
             _write_at(fds[0], _np.ascontiguousarray(
                 cells[lin0:lin1], dtype=_np.float64), lin0 * 8)
 
-        if kind == "steps":
-            sweeps, converged = control, True
-            for number in range(control):
-                sweep(number, False)
-        else:
-            sweeps, converged = CONVERGE_CAP, False
-            for number in range(CONVERGE_CAP):
-                if sweep(number, True) <= control:
-                    sweeps, converged = number + 1, True
-                    break
-
+        sweeps, converged = run_sweeps(kind, control, sweep)
         count_runtime("ooc.bytes.resident",
                       win_buf.nbytes + dst_buf.nbytes)
-        count_runtime("iterate.sweeps.double", sweeps)
-        if kind == "until" and not converged:
-            from repro.program.run import ProgramError
-
-            raise ProgramError(
-                f"converge: no fixpoint within {CONVERGE_CAP} sweeps "
-                f"(tol={control!r})"
-            )
+        finish_sweeps("double", sweeps, converged, control)
 
         out: list = []
         for _, _, _, dst_at, dst, _ in units:

@@ -10,6 +10,10 @@ swapping (Jacobi), threading dead buffers back through the emitters'
 ``'.reuse'`` slot so a whole convergence run allocates O(1) arrays.
 An in-place step that lowered to C runs every sweep, and the
 convergence test, in one native call instead (``'.sweeps'`` slot).
+The Python sweeps here, out of core and on dist workers all run in
+:func:`repro.program.iterate.run_sweeps`, and every executor ends its
+run in :func:`finish_sweeps`, which counts the sweeps and raises the
+one cap error.
 
 Scalar and function bindings are evaluated by the reference
 interpreter at run time (they are cheap and arbitrary expressions);
@@ -32,7 +36,8 @@ from repro.codegen.compile import CompiledComp
 from repro.codegen.support import FlatArray, alloc_buffer, flatten_input
 from repro.lang import ast
 from repro.obs.trace import count_runtime
-from repro.program.iterate import CONVERGE_CAP, max_abs_diff
+from repro.program import iterate
+from repro.program.iterate import max_abs_diff, run_sweeps
 from repro.program.report import ProgramReport
 
 try:  # buffers may be numpy arrays when the C backend produced them
@@ -328,11 +333,20 @@ def _run_iterate(plan: IteratePlan, env: Dict, interp, genv,
     return _sweep_double(plan, env, kind, control, current, owned)
 
 
-def _no_fixpoint(control) -> ProgramError:
-    return ProgramError(
-        f"converge: no fixpoint within {CONVERGE_CAP} sweeps "
-        f"(tol={control!r})"
-    )
+def finish_sweeps(mode: str, sweeps: int, converged: bool,
+                  control) -> None:
+    """End a sweep run, in any executor: count it, raise at the cap.
+
+    ``iterate.sweeps.<mode>`` gets every sweep that ran — a capped
+    ``converge`` counts its cap wherever it ran — and a run that never
+    converged raises the one cap error.
+    """
+    count_runtime(f"iterate.sweeps.{mode}", sweeps)
+    if not converged:
+        raise ProgramError(
+            f"converge: no fixpoint within {sweeps} sweeps "
+            f"(tol={control!r})"
+        )
 
 
 def _float_tol(control) -> float:
@@ -358,7 +372,8 @@ def _sweep_native(plan: IteratePlan, env: Dict, kind: str, control,
     The seed becomes a float64 buffer once — for a live seed that is
     also the private copy — and the kernel's own loop runs the sweeps
     and the convergence fold (:mod:`repro.backends.c`), returning the
-    sweep count.  Values and sweep counts equal :func:`_sweep_inplace`.
+    sweep count, or -1 at the cap.  Values and sweep counts equal
+    :func:`_sweep_inplace`.
     """
     from repro.backends.native import as_f64
 
@@ -368,14 +383,14 @@ def _sweep_native(plan: IteratePlan, env: Dict, kind: str, control,
         if cells is current.cells:
             cells = cells.copy()
     result = FlatArray(current.bounds, cells)
+    cap = iterate.CONVERGE_CAP
     if kind == "steps":
-        sweeps = (control, None)
+        limits = (control, None)
     else:
-        sweeps = (CONVERGE_CAP, _float_tol(control))
-    swept = plan.step({**env, plan.param: result, ".sweeps": sweeps})
-    if swept < 0:
-        raise _no_fixpoint(control)
-    count_runtime("iterate.sweeps.inplace", swept)
+        limits = (cap, _float_tol(control))
+    swept = plan.step({**env, plan.param: result, ".sweeps": limits})
+    finish_sweeps("inplace", cap if swept < 0 else swept, swept >= 0,
+                  control)
     return result
 
 
@@ -385,20 +400,19 @@ def _sweep_inplace(plan: IteratePlan, env: Dict, kind: str, control,
     if not owned:
         alloc_buffer(len(current.cells))
         current = FlatArray(current.bounds, _copy_cells(current.cells))
-    if kind == "steps":
-        for _ in range(control):
-            plan.step({**env, plan.param: current})
-        count_runtime("iterate.sweeps.inplace", control)
-        return current
-    alloc_buffer(len(current.cells))
-    shadow = _copy_cells(current.cells)
-    for sweep in range(CONVERGE_CAP):
-        shadow[:] = current.cells
+    shadow = None
+    if kind == "until":
+        alloc_buffer(len(current.cells))
+        shadow = _copy_cells(current.cells)
+
+    def sweep(number: int, fold: bool):
+        if fold:
+            shadow[:] = current.cells
         plan.step({**env, plan.param: current})
-        if max_abs_diff(current.cells, shadow) <= control:
-            count_runtime("iterate.sweeps.inplace", sweep + 1)
-            return current
-    raise _no_fixpoint(control)
+        return max_abs_diff(current.cells, shadow) if fold else None
+
+    finish_sweeps("inplace", *run_sweeps(kind, control, sweep), control)
+    return current
 
 
 def _sweep_double(plan: IteratePlan, env: Dict, kind: str, control,
@@ -412,26 +426,23 @@ def _sweep_double(plan: IteratePlan, env: Dict, kind: str, control,
     """
     previous = seed
     spare = None
-    total = control if kind == "steps" else CONVERGE_CAP
-    for _ in range(total):
+
+    def sweep(number: int, fold: bool):
+        nonlocal previous, spare
         call_env = dict(env)
         call_env[plan.param] = previous
         if plan.reuse_buffers and spare is not None:
             call_env[".reuse"] = spare
             count_runtime("iterate.buffers.recycled")
-        count_runtime("iterate.sweeps.double")
         stepped = plan.step(call_env)
-        converged = (
-            kind == "until"
-            and max_abs_diff(stepped.cells, previous.cells) <= control
-        )
+        delta = (max_abs_diff(stepped.cells, previous.cells) if fold
+                 else None)
         may_donate = previous is not seed or owned
         spare = previous.cells if (
             may_donate and _donatable(previous.cells)
         ) else None
         previous = stepped
-        if converged:
-            return previous
-    if kind == "until":
-        raise _no_fixpoint(control)
+        return delta
+
+    finish_sweeps("double", *run_sweeps(kind, control, sweep), control)
     return previous

@@ -12,7 +12,7 @@ from array import array
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import repro
 from repro.backends.native import toolchain_status
@@ -25,8 +25,7 @@ from repro.obs.trace import (
     reset_runtime_counters,
     runtime_counters,
 )
-from repro.program import ProgramError
-from repro.program import run as program_run
+from repro.program import ProgramError, iterate
 
 NO_CC = toolchain_status() is not None
 needs_cc = pytest.mark.skipif(
@@ -304,8 +303,8 @@ class TestNativeSweepLoop:
     def test_cap_error_matches(self, monkeypatch):
         # A negative tolerance is never reached; a lowered cap keeps
         # the python backend's run short, and shows the native loop
-        # takes its cap from the driver at run time.
-        monkeypatch.setattr(program_run, "CONVERGE_CAP", 25)
+        # reads the cap at run time.
+        monkeypatch.setattr(iterate, "CONVERGE_CAP", 25)
         py, c = self._pair(SOR_CONVERGE, SOR_PARAMS)
         messages = []
         for program in (py, c):
@@ -368,9 +367,25 @@ def float_stencil(draw):
     return src, n
 
 
+#: Cases where a libm argument is constant after gcc propagates the
+#: loop: a folded call rounds correctly, python's libm call does not.
+LIBM_FOLD_CASES = [
+    ("letrec a = array (1,4)\n"
+     "  ([ i := 0.5 * i | i <- [1..1] ] ++\n"
+     "   [ i := cos(a!(i-1) * (0.30495581115334247) + 0.5 * i)"
+     " | i <- [2..4] ])\nin a", 4),
+    ("letrec a = array (1,4)\n"
+     "  ([ i := 1.0 / i | i <- [1..1] ] ++\n"
+     "   [ i := sin(a!(i-1) * (-0.0730572630403703) + 1.0 / i)"
+     " | i <- [2..4] ])\nin a", 4),
+]
+
+
 @needs_cc
 class TestRandomizedDifferential:
     @given(case=float_stencil())
+    @example(case=LIBM_FOLD_CASES[0])
+    @example(case=LIBM_FOLD_CASES[1])
     @settings(max_examples=30, deadline=None)
     def test_random_recurrences_bit_identical(self, case):
         src, n = case

@@ -81,6 +81,13 @@ class TestKernelKey:
         monkeypatch.setattr(native, "PIPELINE_SALT", "other-salt")
         assert kernel_key(_CDEF, _SRC) != base
 
+    def test_key_embeds_compiler_flags(self, monkeypatch):
+        from repro.backends import native
+
+        base = kernel_key(_CDEF, _SRC)
+        monkeypatch.setattr(native, "CFLAGS", native.CFLAGS[:4])
+        assert kernel_key(_CDEF, _SRC) != base
+
 
 @needs_cc
 class TestLoadKernel:

@@ -5,12 +5,14 @@ Every fold treats a NaN delta as "not converged", so the solve runs to
 the sweep cap and fails the same way at every mesh size — the scalar
 ``max_abs_diff`` loop serves meshes of at most 64 cells, numpy larger
 ones — and in every placement: the in-memory driver on either backend,
-the native C sweep loop, out-of-core tiles, dist blocks, and the lazy
-oracle.
+the native C sweep loop, out-of-core tiles, dist blocks and
+wavefronts, and the lazy oracle.  Every compiled placement also counts
+the same sweeps — the cap — under ``iterate.sweeps.<mode>``.
 
 The oracle interprets a sweep in milliseconds, so the cap is lowered
-to :data:`CAP` in every module that reads it.  The 1e300 coefficients
-overflow within a few sweeps, long before the cap.
+to :data:`CAP` in :mod:`repro.program.iterate`, which every placement
+reads at call time.  The 1e300 coefficients overflow within a few
+sweeps, long before the cap.
 """
 
 import pytest
@@ -18,11 +20,14 @@ import pytest
 import repro
 from repro.backends.native import toolchain_status
 from repro.codegen.emit import CodegenOptions
-from repro.dist import run as dist_run
 from repro.dist.pool import fork_available
 from repro.interp.interp import InterpError
-from repro.program import ProgramError, iterate, outofcore
-from repro.program import run as program_run
+from repro.obs.trace import (
+    refresh_runtime_tracing,
+    reset_runtime_counters,
+    runtime_counters,
+)
+from repro.program import ProgramError, iterate
 
 CAP = 40
 TOL = 1e-6
@@ -70,8 +75,16 @@ MESSAGE = f"converge: no fixpoint within {CAP} sweeps (tol={TOL!r})"
 
 @pytest.fixture(autouse=True)
 def low_cap(monkeypatch):
-    for module in (iterate, program_run, outofcore, dist_run):
-        monkeypatch.setattr(module, "CONVERGE_CAP", CAP)
+    monkeypatch.setattr(iterate, "CONVERGE_CAP", CAP)
+
+
+@pytest.fixture(autouse=True)
+def traced(monkeypatch):
+    monkeypatch.setenv("REPRO_TRACE", "1")
+    refresh_runtime_tracing()
+    yield
+    monkeypatch.delenv("REPRO_TRACE", raising=False)
+    refresh_runtime_tracing()
 
 
 def _placements(m):
@@ -96,9 +109,12 @@ def _fails_like_everyone(source, m, placements):
                    if s.iterate is not None]
         if attached is not None:
             assert getattr(plan, attached), label
+        reset_runtime_counters()
         with pytest.raises(ProgramError) as err:
             program(dict(params))
         assert str(err.value) == MESSAGE, label
+        counters = runtime_counters()
+        assert counters.get(f"iterate.sweeps.{plan.mode}") == CAP, label
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -115,4 +131,6 @@ def test_diverging_sor_fails_the_same_in_the_native_loop(m):
         placements.append(
             ("c", {"options": CodegenOptions(backend="c")},
              "native_sweeps"))
+    if fork_available():
+        placements.append(("dist", {"dist": True, "workers": 2}, "dist"))
     _fails_like_everyone(SOR, m, placements)

@@ -324,3 +324,90 @@ class TestSpillFaults:
             lambda fd, buffers, offset: real(fd, buffers, offset) - 8,
         )
         self.run_failing(tmp_path, monkeypatch, errno.EIO)
+
+
+# Jacobi whose interior calls a program function: no block kernel can
+# fetch an interpreter closure, so neither placement may attach.
+JACOBI_CALLS_HALF = """
+u0 = array ((1,1),(m,m))
+  [ (i,j) := if i == 1 || i == m || j == 1 || j == m
+             then 1.0 * (i + j) else 0.0
+  | i <- [1..m], j <- [1..m] ];
+half x = 0.5 * x;
+step u = letrec a = array ((1,1),(m,m))
+   ([ (1,j) := u!(1,j) | j <- [1..m] ] ++
+    [ (m,j) := u!(m,j) | j <- [1..m] ] ++
+    [ (i,1) := u!(i,1) | i <- [2..m-1] ] ++
+    [ (i,m) := u!(i,m) | i <- [2..m-1] ] ++
+    [ (i,j) := 0.5 * half (u!(i-1,j) + u!(i+1,j) + u!(i,j-1) + u!(i,j+1))
+      | i <- [2..m-1], j <- [2..m-1] ])
+  in a;
+main = iterate step u0 k
+"""
+
+JACOBI_CONVERGE_INPUT_SEED = JACOBI_INPUT_SEED.replace(
+    "main = iterate step u0 k", "main = converge step u0 tol")
+
+
+def jacobi_seed(m, cell_type):
+    return FlatArray.from_list(((1, 1), (m, m)), [
+        cell_type(i + j if i in (1, m) or j in (1, m) else 0)
+        for i in range(1, m + 1) for j in range(1, m + 1)
+    ])
+
+
+class TestBlockPlacements:
+    """dist row blocks and out-of-core row tiles share one placement
+    hook at compile time and one admission check at run time."""
+
+    def test_program_function_call_keeps_both_off(self):
+        params = {"m": 8, "k": 3}
+        oracle = repro.run_program(JACOBI_CALLS_HALF,
+                                   bindings=dict(params))
+        placements = [
+            ("dist", {"dist": True, "workers": 2},
+             "interpreter closures cannot ship to workers"),
+            ("ooc", {"ooc": True, "options": CodegenOptions(tile=3)},
+             "only scalars and arrays ride the streamed tile "
+             "environment"),
+        ]
+        for prefix, kwargs, why in placements:
+            program = compile_program(JACOBI_CALLS_HALF, params=params,
+                                      **kwargs)
+            assert (f"{prefix} 'main': step calls program function "
+                    f"'half' — {why}") in program.report.fallbacks
+            (plan,) = [s.iterate for s in program.steps if s.iterate]
+            assert plan.dist is None and plan.ooc is None
+            identical(program(dict(params)), oracle)
+
+    def test_ooc_runs_before_dist_and_both_fall_back(self, traced):
+        m = 8
+        params = {"m": m, "tol": 1e-3}
+        program = compile_program(
+            JACOBI_CONVERGE_INPUT_SEED, params=params, dist=True,
+            workers=2, ooc=True, options=CodegenOptions(tile=3))
+        (plan,) = [s.iterate for s in program.steps if s.iterate]
+        assert plan.ooc is not None and plan.dist is not None
+
+        # A float seed streams; dist is never tried.
+        seed = jacobi_seed(m, float)
+        got = program({"u0": seed})
+        counters = runtime_counters()
+        streamed(counters)
+        assert "dist.blocks" not in counters
+        assert "dist.fallback.runtime" not in counters
+        identical(got, repro.run_program(
+            JACOBI_CONVERGE_INPUT_SEED, bindings=dict(params, u0=seed)))
+
+        # An int seed fails both admission checks, once each, and the
+        # in-memory sweeps run.
+        reset_runtime_counters()
+        seed = jacobi_seed(m, int)
+        got = program({"u0": seed})
+        counters = runtime_counters()
+        assert counters.get("ooc.fallback.runtime") == 1
+        assert counters.get("dist.fallback.runtime") == 1
+        assert "ooc.tiles" not in counters
+        assert "dist.blocks" not in counters
+        identical(got, repro.run_program(
+            JACOBI_CONVERGE_INPUT_SEED, bindings=dict(params, u0=seed)))
