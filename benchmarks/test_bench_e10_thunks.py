@@ -9,7 +9,7 @@ cons-cell traffic that the §3.1 fold fusion removes.
 
 import pytest
 
-from repro import compile_array
+import repro
 from repro.interp import Interpreter
 from repro.interp.values import CONS_STATS
 from repro.kernels import FORWARD_RECURRENCE, SQUARES, WAVEFRONT
@@ -37,7 +37,7 @@ def _env(src):
      ("recurrence", FORWARD_RECURRENCE)],
 )
 def test_e10_thunkless(benchmark, name, src):
-    compiled = compile_array(src, params={"n": N})
+    compiled = repro.compile(src, strategy="array", params={"n": N})
     THUNK_STATS.reset()
     result = benchmark(compiled, _env(src))
     assert THUNK_STATS.created == 0
@@ -51,7 +51,7 @@ def test_e10_thunkless(benchmark, name, src):
      ("recurrence", FORWARD_RECURRENCE)],
 )
 def test_e10_thunked(benchmark, name, src):
-    compiled = compile_array(src, params={"n": N},
+    compiled = repro.compile(src, strategy="array", params={"n": N},
                              force_strategy="thunked")
     THUNK_STATS.reset()
     result = benchmark(compiled, _env(src))
@@ -61,14 +61,14 @@ def test_e10_thunked(benchmark, name, src):
 
 def test_e10_thunk_traffic_accounting():
     """One thunk per element in thunked mode; zero in thunkless."""
-    thunked = compile_array(WAVEFRONT, params={"n": 20},
+    thunked = repro.compile(WAVEFRONT, strategy="array", params={"n": 20},
                             force_strategy="thunked")
     THUNK_STATS.reset()
     thunked({"n": 20})
     assert THUNK_STATS.created >= 400
     assert THUNK_STATS.forced >= 400
 
-    thunkless = compile_array(WAVEFRONT, params={"n": 20})
+    thunkless = repro.compile(WAVEFRONT, strategy="array", params={"n": 20})
     THUNK_STATS.reset()
     thunkless({"n": 20})
     assert THUNK_STATS.created == 0

@@ -10,7 +10,8 @@ strategy and time each.  Expected shape:
 
 import pytest
 
-from repro import FlatArray, compile_array_inplace
+import repro
+from repro import FlatArray
 from repro.runtime import incremental
 from repro.runtime.incremental import (
     RefCountedArray,
@@ -70,9 +71,8 @@ def test_e12_refcount_single_threaded(benchmark):
 
 @pytest.mark.benchmark(group="E12-copies")
 def test_e12_compiled_inplace(benchmark):
-    compiled = compile_array_inplace(
-        INPLACE_SRC, "a", params={"n": SIZE, "half": SIZE // 2}
-    )
+    compiled = repro.compile(INPLACE_SRC, strategy="inplace", old_array="a",
+                             params={"n": SIZE, "half": SIZE // 2})
 
     def run():
         arr = FlatArray.from_list((1, SIZE), base())

@@ -10,7 +10,8 @@ carried-dependence loops refuse to vectorize.
 
 import pytest
 
-from repro import CodegenOptions, FlatArray, compile_array
+import repro
+from repro import CodegenOptions, FlatArray
 from repro.kernels import SQUARES
 
 N = 4000
@@ -39,14 +40,14 @@ def vector_env():
 
 @pytest.mark.benchmark(group="E14-saxpy")
 def test_e14_saxpy_scalar(benchmark):
-    compiled = compile_array(SAXPY, params={"n": N})
+    compiled = repro.compile(SAXPY, strategy="array", params={"n": N})
     result = benchmark(compiled, vector_env())
     assert result.at(10) == 2.5 * 9.0 + 1.0
 
 
 @pytest.mark.benchmark(group="E14-saxpy")
 def test_e14_saxpy_vectorized(benchmark):
-    compiled = compile_array(SAXPY, params={"n": N},
+    compiled = repro.compile(SAXPY, strategy="array", params={"n": N},
                              options=CodegenOptions(vectorize=True))
     assert "_vslice(" in compiled.source
     result = benchmark(compiled, vector_env())
@@ -55,14 +56,14 @@ def test_e14_saxpy_vectorized(benchmark):
 
 @pytest.mark.benchmark(group="E14-squares")
 def test_e14_squares_scalar(benchmark):
-    compiled = compile_array(SQUARES, params={"n": N})
+    compiled = repro.compile(SQUARES, strategy="array", params={"n": N})
     result = benchmark(compiled, {"n": N})
     assert result.at(N) == N * N
 
 
 @pytest.mark.benchmark(group="E14-squares")
 def test_e14_squares_vectorized(benchmark):
-    compiled = compile_array(SQUARES, params={"n": N},
+    compiled = repro.compile(SQUARES, strategy="array", params={"n": N},
                              options=CodegenOptions(vectorize=True))
     result = benchmark(compiled, {"n": N})
     assert result.at(N) == float(N * N)
@@ -70,7 +71,7 @@ def test_e14_squares_vectorized(benchmark):
 
 @pytest.mark.benchmark(group="E14-gather")
 def test_e14_reversed_gather_vectorized(benchmark):
-    compiled = compile_array(STENCIL_FREE, params={"n": N},
+    compiled = repro.compile(STENCIL_FREE, strategy="array", params={"n": N},
                              options=CodegenOptions(vectorize=True))
     assert "_vslice(" in compiled.source
     env = vector_env()
@@ -81,11 +82,12 @@ def test_e14_reversed_gather_vectorized(benchmark):
 def test_e14_carried_loops_never_vectorize():
     from repro.kernels import FORWARD_RECURRENCE, WAVEFRONT
 
-    recurrence = compile_array(FORWARD_RECURRENCE, params={"n": 50},
+    recurrence = repro.compile(FORWARD_RECURRENCE, strategy="array",
+                               params={"n": 50},
                                options=CodegenOptions(vectorize=True))
     assert "for i in range" in recurrence.source
 
-    wavefront = compile_array(WAVEFRONT, params={"n": 20},
+    wavefront = repro.compile(WAVEFRONT, strategy="array", params={"n": 20},
                               options=CodegenOptions(vectorize=True))
     # Interior nest stays scalar even though borders vectorize.
     assert "for j in range" in wavefront.source

@@ -9,7 +9,8 @@ compiled loops preserve the fold order exactly.
 
 import pytest
 
-from repro import compile_accum_array, evaluate
+import repro
+from repro import evaluate
 
 HISTOGRAM = """
 letrec h = accumArray (\\a b -> a + b) 0 (0,63)
@@ -28,7 +29,7 @@ N = 2000
 
 @pytest.mark.benchmark(group="E15-accum")
 def test_e15_compiled_histogram(benchmark):
-    compiled = compile_accum_array(HISTOGRAM, params={"n": N})
+    compiled = repro.compile(HISTOGRAM, strategy="accum", params={"n": N})
     result = benchmark(compiled, {"n": N})
     assert sum(result.to_list()) == N
 
@@ -44,7 +45,7 @@ def test_e15_interpreted_histogram(benchmark):
 
 @pytest.mark.benchmark(group="E15-ordered")
 def test_e15_ordered_combiner(benchmark):
-    compiled = compile_accum_array(ORDERED, params={"n": 64})
+    compiled = repro.compile(ORDERED, strategy="accum", params={"n": 64})
     assert any("source order" in note for note in compiled.report.notes)
     result = benchmark(compiled, {"n": 64})
     oracle = evaluate(ORDERED, bindings={"n": 64}, deep=False)

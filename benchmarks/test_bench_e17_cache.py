@@ -13,10 +13,23 @@ import time
 
 import pytest
 
-from repro import CompileRequest, CompileService, compile_array
+import repro
+from repro import CompileRequest, CompileService
 from repro.kernels import SOR, SQUARES, WAVEFRONT
 
 PARAMS = {"n": 30}
+
+
+def cold_compile(src=WAVEFRONT, params=PARAMS):
+    """One full pipeline run (no cache)."""
+    return repro.compile(src, strategy="array", params=params)
+
+
+def cached_compile(service, src=WAVEFRONT, params=PARAMS):
+    """One definition request through the service's cache (the kind
+    given, so a hit does not parse the source to detect it)."""
+    return service.submit(
+        CompileRequest(src, params, kind="definition")).value()
 
 
 def best_of(fn, repeat=5):
@@ -31,15 +44,15 @@ def best_of(fn, repeat=5):
 
 @pytest.mark.benchmark(group="E17-cold")
 def test_e17_cold_compile(benchmark):
-    compiled = benchmark(compile_array, WAVEFRONT, PARAMS)
+    compiled = benchmark(cold_compile)
     assert compiled.report.strategy == "thunkless"
 
 
 @pytest.mark.benchmark(group="E17-warm")
 def test_e17_warm_hit(benchmark):
     service = CompileService()
-    service.compile(WAVEFRONT, params=PARAMS)
-    compiled = benchmark(service.compile, WAVEFRONT, PARAMS)
+    cached_compile(service)
+    compiled = benchmark(cached_compile, service)
     assert compiled.report.strategy == "thunkless"
     stats = service.stats()["requests"]
     assert stats["misses"] == 1
@@ -48,9 +61,9 @@ def test_e17_warm_hit(benchmark):
 
 def test_e17_warm_speedup_at_least_10x():
     service = CompileService()
-    cold = best_of(lambda: compile_array(WAVEFRONT, params=PARAMS))
-    service.compile(WAVEFRONT, params=PARAMS)
-    warm = best_of(lambda: service.compile(WAVEFRONT, params=PARAMS))
+    cold = best_of(cold_compile)
+    cached_compile(service)
+    warm = best_of(lambda: cached_compile(service))
     speedup = cold / warm
     print(f"\nE17: cold {cold * 1e3:.3f}ms  warm {warm * 1e6:.1f}us  "
           f"speedup {speedup:.0f}x")
@@ -58,8 +71,7 @@ def test_e17_warm_speedup_at_least_10x():
         f"warm hit only {speedup:.1f}x faster than cold compile"
     )
     # A hit returns the same artifact a cold compile would produce.
-    assert (service.compile(WAVEFRONT, params=PARAMS).source
-            == compile_array(WAVEFRONT, params=PARAMS).source)
+    assert cached_compile(service).source == cold_compile().source
 
 
 def test_e17_batch_throughput_dedup():
@@ -68,7 +80,7 @@ def test_e17_batch_throughput_dedup():
                 CompileRequest(SQUARES, {"n": 50}),
                 CompileRequest(SOR, {"m": 10, "omega": 1})] * 4
     started = time.perf_counter()
-    results = service.compile_batch(requests, max_workers=4)
+    results = service.submit(requests, max_workers=4)
     batch_time = time.perf_counter() - started
     assert all(result.ok for result in results)
     stats = service.stats()["requests"]
@@ -77,8 +89,7 @@ def test_e17_batch_throughput_dedup():
     assert stats["hits"] + stats["coalesced"] == 9
     # Throughput sanity: the batch costs about 3 compiles, not 12.
     serial_estimate = sum(
-        best_of(lambda src=s, p=prm: compile_array(src, params=p),
-                repeat=1)
+        best_of(lambda src=s, p=prm: cold_compile(src, p), repeat=1)
         for s, prm in [(WAVEFRONT, PARAMS), (SQUARES, {"n": 50}),
                        (SOR, {"m": 10, "omega": 1})]
     )
@@ -88,12 +99,12 @@ def test_e17_batch_throughput_dedup():
 
 
 def test_e17_disk_tier_faster_than_pipeline(tmp_path):
-    CompileService(disk_dir=tmp_path).compile(WAVEFRONT, params=PARAMS)
-    cold = best_of(lambda: compile_array(WAVEFRONT, params=PARAMS))
+    cached_compile(CompileService(disk_dir=tmp_path))
+    cold = best_of(cold_compile)
 
     def disk_hit():
         service = CompileService(disk_dir=tmp_path)  # empty memory tier
-        service.compile(WAVEFRONT, params=PARAMS)
+        cached_compile(service)
         assert service.stats()["requests"]["disk_hits"] == 1
 
     warm_disk = best_of(disk_hit)

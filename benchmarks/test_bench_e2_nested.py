@@ -7,7 +7,8 @@ i forward and j backward, clause 3 after the inner loop.
 
 import pytest
 
-from repro import analyze, compile_array, CodegenOptions
+import repro
+from repro import analyze, CodegenOptions
 from repro.kernels import EXAMPLE2
 
 EXPECTED_EDGES = {
@@ -32,7 +33,8 @@ def test_e2_analysis(benchmark):
 
 @pytest.mark.benchmark(group="E2-execution")
 def test_e2_execution(benchmark):
-    compiled = compile_array(EXAMPLE2, options=CodegenOptions())
+    compiled = repro.compile(EXAMPLE2, strategy="array",
+                             options=CodegenOptions())
     result = benchmark(compiled, {})
     # Spot-check a value chain: clause 2 feeds clause 3 across i.
     assert result.at(100 * 2 + 51) == result.at(100 * 1 + 2 * 5) + 0

@@ -9,7 +9,8 @@ Expected shape: hand ~= thunkless << thunked << interpreter.
 
 import pytest
 
-from repro import compile_array, evaluate
+import repro
+from repro import evaluate
 from repro.kernels import WAVEFRONT, ref_wavefront
 
 N = 60
@@ -28,7 +29,7 @@ def test_e3_hand_coded(benchmark):
 
 @pytest.mark.benchmark(group="E3-wavefront")
 def test_e3_compiled_thunkless(benchmark):
-    compiled = compile_array(WAVEFRONT, params={"n": N})
+    compiled = repro.compile(WAVEFRONT, strategy="array", params={"n": N})
     assert compiled.report.strategy == "thunkless"
     result = benchmark(compiled, {"n": N})
     assert result.to_list() == expected_flat()
@@ -36,7 +37,7 @@ def test_e3_compiled_thunkless(benchmark):
 
 @pytest.mark.benchmark(group="E3-wavefront")
 def test_e3_compiled_thunked(benchmark):
-    compiled = compile_array(WAVEFRONT, params={"n": N},
+    compiled = repro.compile(WAVEFRONT, strategy="array", params={"n": N},
                              force_strategy="thunked")
     result = benchmark(compiled, {"n": N})
     assert result.to_list() == expected_flat()

@@ -8,7 +8,8 @@ times scheduling and runs the two-pass code.
 
 import pytest
 
-from repro import analyze, compile_array, evaluate
+import repro
+from repro import analyze, evaluate
 from repro.core.schedule import ScheduledLoop
 from repro.kernels import ABC_ACYCLIC
 
@@ -30,7 +31,7 @@ def test_e4_pass_structure(benchmark):
 
 @pytest.mark.benchmark(group="E4-execution")
 def test_e4_two_pass_execution(benchmark):
-    compiled = compile_array(ABC_ACYCLIC)
+    compiled = repro.compile(ABC_ACYCLIC, strategy="array")
     result = benchmark(compiled, {})
     oracle = evaluate(ABC_ACYCLIC, deep=False)
     assert result.to_list() == [

@@ -8,7 +8,8 @@ variant of the same size.
 
 import pytest
 
-from repro import analyze, compile_array, evaluate
+import repro
+from repro import analyze, evaluate
 from repro.kernels import CYCLIC_FALLBACK
 from repro.runtime.thunks import STATS as THUNK_STATS
 
@@ -36,7 +37,7 @@ def test_e5_fallback_detected(benchmark):
 
 @pytest.mark.benchmark(group="E5-execution")
 def test_e5_thunked_fallback_runs(benchmark):
-    compiled = compile_array(CYCLIC_FALLBACK)
+    compiled = repro.compile(CYCLIC_FALLBACK, strategy="array")
     assert compiled.report.strategy == "thunked"
     THUNK_STATS.reset()
     result = benchmark(compiled, {})
@@ -49,7 +50,7 @@ def test_e5_thunked_fallback_runs(benchmark):
 
 @pytest.mark.benchmark(group="E5-execution")
 def test_e5_schedulable_variant_thunkless(benchmark):
-    compiled = compile_array(SCHEDULABLE_VARIANT)
+    compiled = repro.compile(SCHEDULABLE_VARIANT, strategy="array")
     assert compiled.report.strategy == "thunkless"
     THUNK_STATS.reset()
     result = benchmark(compiled, {})

@@ -9,7 +9,8 @@ per element update).
 
 import pytest
 
-from repro import FlatArray, compile_array_inplace
+import repro
+from repro import FlatArray
 from repro.kernels import SWAP, ref_swap
 from repro.runtime import incremental
 from repro.runtime.incremental import VersionedArray, bigupd
@@ -25,7 +26,8 @@ def base_cells():
 
 @pytest.mark.benchmark(group="E6-swap")
 def test_e6_compiled_inplace(benchmark):
-    compiled = compile_array_inplace(SWAP, "a", params=PARAMS)
+    compiled = repro.compile(SWAP, strategy="inplace", old_array="a",
+                             params=PARAMS)
     assert compiled.report.strategy == "inplace"
 
     def run():

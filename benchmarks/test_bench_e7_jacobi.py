@@ -10,7 +10,8 @@ copy-semantics bigupd.
 
 import pytest
 
-from repro import FlatArray, compile_array_inplace
+import repro
+from repro import FlatArray
 from repro.kernels import JACOBI, mesh_cells, ref_jacobi
 from repro.runtime import incremental
 from repro.runtime.incremental import VersionedArray
@@ -21,7 +22,8 @@ INTERIOR = (M - 2) ** 2
 
 @pytest.mark.benchmark(group="E7-jacobi")
 def test_e7_compiled_node_split(benchmark, mesh_factory):
-    compiled = compile_array_inplace(JACOBI, "u", params={"m": M})
+    compiled = repro.compile(JACOBI, strategy="inplace", old_array="u",
+                             params={"m": M})
     assert compiled.report.strategy == "inplace"
 
     def run():
@@ -76,7 +78,8 @@ def test_e7_factor_n_claim():
     """Copies per outer iteration: node-split O(n) vs naive O(n^2)."""
     ratios = []
     for m in (16, 32):
-        compiled = compile_array_inplace(JACOBI, "u", params={"m": m})
+        compiled = repro.compile(JACOBI, strategy="inplace", old_array="u",
+                                 params={"m": m})
         arr = FlatArray.from_list(((1, 1), (m, m)), mesh_cells(m))
         incremental.STATS.reset()
         compiled({"u": arr})

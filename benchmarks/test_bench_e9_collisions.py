@@ -10,7 +10,8 @@ element.
 
 import pytest
 
-from repro import CodegenOptions, analyze, compile_array
+import repro
+from repro import CodegenOptions, analyze
 from repro.codegen.support import CHECK_STATS
 from repro.kernels import WAVEFRONT
 
@@ -22,7 +23,7 @@ def test_e9_checks_elided(benchmark):
     report = analyze(WAVEFRONT, {"n": N})
     assert report.collision.status == "none"
     assert report.empties.status == "none"
-    compiled = compile_array(WAVEFRONT, params={"n": N})
+    compiled = repro.compile(WAVEFRONT, strategy="array", params={"n": N})
     CHECK_STATS.reset()
     result = benchmark(compiled, {"n": N})
     assert CHECK_STATS.collision_checks == 0
@@ -35,7 +36,8 @@ def test_e9_checks_forced(benchmark):
     options = CodegenOptions(
         bounds_checks=True, collision_checks=True, empties_check=True
     )
-    compiled = compile_array(WAVEFRONT, params={"n": N}, options=options)
+    compiled = repro.compile(WAVEFRONT, strategy="array", params={"n": N},
+                             options=options)
     CHECK_STATS.reset()
     result = benchmark(compiled, {"n": N})
     rounds = max(1, CHECK_STATS.collision_checks // (N * N))

@@ -28,8 +28,7 @@ Quick start::
 ``repro.compile`` is the single entry point: ``strategy=`` selects
 monolithic (``"array"``), in-place (``"inplace"`` + ``old_array=``),
 ``"bigupd"``, or accumulated (``"accum"``) compilation — or ``"auto"``
-(the default) to detect it from the source.  The per-mode functions
-(``compile_array`` and friends) are deprecated wrappers.
+(the default) to detect it from the source.
 
 Multi-binding *programs* (``;``-separated top-level bindings) compile
 as a whole through ``repro.compile_program`` — inter-binding liveness
@@ -57,10 +56,6 @@ from repro.core.pipeline import (
     Report,
     analyze,
     compile,
-    compile_accum_array,
-    compile_array,
-    compile_array_inplace,
-    compile_bigupd,
     detect_strategy,
 )
 from repro.interp import evaluate, run_program
@@ -116,10 +111,6 @@ __all__ = [
     "backend_names",
     "bigupd",
     "compile",
-    "compile_accum_array",
-    "compile_array",
-    "compile_array_inplace",
-    "compile_bigupd",
     "compile_program",
     "detect_strategy",
     "evaluate",

@@ -1,8 +1,8 @@
 """Pluggable backend registry (the language/backend split).
 
-The pipeline's four emitter call sites all funnel through
-:func:`lower`: they pack a :class:`~repro.backends.base.LoweringJob`
-and let the registry pick the emitter named by
+The pipeline's codegen pass (one for every strategy) funnels through
+:func:`lower`: it packs a :class:`~repro.backends.base.LoweringJob`
+and lets the registry pick the emitter named by
 ``CodegenOptions(backend=...)``.  Two backends ship built in —
 
 * ``"python"`` (:mod:`repro.backends.python`) — the default and the

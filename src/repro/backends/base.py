@@ -8,8 +8,8 @@ varies is the loop *body* language: the python backend interprets each
 cell in-process, the C backend (:mod:`repro.backends.c`) emits a
 native kernel and a thin python wrapper around it.
 
-:class:`LoweringJob` is the whole contract: every emitter call site in
-:mod:`repro.core.pipeline` packs its mode-specific inputs into one job
+:class:`LoweringJob` is the whole contract: the codegen pass of
+:mod:`repro.core.pipeline` packs every strategy's inputs into one job
 and hands it to :func:`repro.backends.lower`, which picks the emitter.
 A backend that cannot lower a particular job raises
 :class:`BackendUnsupported` with a *reason a user can act on* — the
@@ -31,8 +31,9 @@ class BackendUnsupported(Exception):
 class LoweringJob:
     """One emitter request, backend-agnostic.
 
-    ``mode`` selects which of the pipeline's four emission paths the
-    job came from and which optional fields are meaningful:
+    ``mode`` selects the emission path and which optional fields are
+    meaningful (the pipeline fills every field it has; emitters read
+    only theirs):
 
     ``"thunkless"``
         Static schedule over ``comp`` (§8); ``edges``,
@@ -42,7 +43,7 @@ class LoweringJob:
         Demand-driven fallback; only ``comp`` and ``params``.
     ``"inplace"``
         §9 in-place update; ``plan`` is the
-        :class:`~repro.inplace.plan.InPlacePlan`, ``old_array`` the
+        :class:`~repro.core.inplace.InPlacePlan`, ``old_array`` the
         updated array's name.
     ``"accum"``
         Accumulation-array emission; ``combine`` / ``init_ast`` as for
@@ -84,8 +85,8 @@ class LoweringJob:
     def indirect_guard_dims(self) -> Optional[Dict]:
         """The indirect-dimension map for checked emission, if any.
 
-        ``thunkless``/``accum`` jobs over comprehensions with indirect
-        writes carry a :class:`~repro.core.subscripts_indirect.
+        ``thunkless``/``accum``/``inplace`` jobs over comprehensions
+        with indirect writes carry a :class:`~repro.core.subscripts_indirect.
         GuardPlan` too (no dual schedule, just the exact-int guards on
         every ``idx!inner`` store dimension).
         """

@@ -39,6 +39,7 @@ class PythonBackend(Backend):
             return emit_inplace(
                 job.comp, job.schedule, job.plan, job.options, job.params,
                 tiling=job.tiling,
+                indirect_guard_dims=job.indirect_guard_dims(),
             )
         if job.mode == "accum":
             return emit_accum(

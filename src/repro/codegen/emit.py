@@ -777,13 +777,16 @@ def emit_inplace(
     options: Optional[CodegenOptions] = None,
     params: Optional[Dict[str, int]] = None,
     tiling=None,
+    indirect_guard_dims: Optional[Dict[int, Dict[int, str]]] = None,
 ) -> str:
     """In-place loops over the dead input array's buffer (§9).
 
     The environment must bind ``plan.old_array`` to the input array;
     its cell list is mutated.  Copy traffic (hoists, snapshots, or the
     whole-copy fallback) is counted in ``repro.runtime.incremental``'s
-    global ``STATS``.
+    global ``STATS``.  ``indirect_guard_dims`` wraps stores through
+    unverified index arrays in exact-int guards, as for
+    :func:`emit_thunkless`.
     """
     if options is not None and options.parallel:
         # Same loud-conflict rule as vectorize-vs-inplace below, but
@@ -797,6 +800,8 @@ def emit_inplace(
             "compile monolithically"
         )
     emitter = _Emitter(comp, options or CodegenOptions(), params)
+    if indirect_guard_dims:
+        emitter.indirect_guard_dims = dict(indirect_guard_dims)
     old = plan.old_array
 
     if plan.mode == "whole_copy":

@@ -141,6 +141,11 @@ class DepEdge:
 def _directions_between(
     first: Reference, second: Reference, verify_exact: bool
 ) -> set:
+    """The possible direction vectors (callers iterate them sorted:
+    set order of string tuples depends on ``PYTHONHASHSEED``, and edge
+    order reaches reports and schedules, which must be identical in
+    every process — serve workers and the disk tier share artifacts).
+    """
     equations = build_equations(first, second)
     store = getattr(_MEMO, "store", None)
     if store is None:
@@ -201,8 +206,8 @@ def flow_edges(
                 continue
             seen = set()
             for read_ref in reader.read_references(array):
-                for dv in _directions_between(write_ref, read_ref,
-                                              verify_exact):
+                for dv in sorted(_directions_between(
+                        write_ref, read_ref, verify_exact)):
                     if dv not in seen:
                         seen.add(dv)
                         edges.append(DepEdge(writer, reader, dv, FLOW))
@@ -243,8 +248,8 @@ def anti_edges(
             for read_ref in reads:
                 # First reference = read (source x), second = write
                 # (sink y): '<' then means read earlier than write.
-                for dv in _directions_between(read_ref, write_ref,
-                                              verify_exact):
+                for dv in sorted(_directions_between(
+                        read_ref, write_ref, verify_exact)):
                     if writer is reader and all(s == "=" for s in dv):
                         continue
                     if dv not in seen:
@@ -274,8 +279,8 @@ def output_edges(
                 dv = _pessimistic_vector(first, second)
                 edges.append(DepEdge(first, second, dv, OUTPUT))
                 continue
-            for dv in _directions_between(first_ref, second_ref,
-                                          verify_exact):
+            for dv in sorted(_directions_between(
+                    first_ref, second_ref, verify_exact)):
                 if second is first:
                     if all(s == "=" for s in dv):
                         continue

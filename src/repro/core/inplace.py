@@ -252,12 +252,12 @@ def self_read_plan(
     Returns a :class:`ReadPlan` when this clause's writes are what
     (possibly) kill the cell; ``None`` when they never alias it (other
     clauses must be checked); ``"nonconforming"`` when the read needs
-    protection but does not fit the stencil model.
+    protection but does not fit the stencil model — in particular
+    whenever either side is opaque: a write through an index array
+    (``a!(p!i)``) can kill any cell, before or after its read.
     """
     write_ref = clause.write_reference(read.array)
-    if write_ref is None:
-        return "nonconforming" if read.subscripts is None else None
-    if read.subscripts is None:
+    if write_ref is None or read.subscripts is None:
         return "nonconforming"
     read_ref = Reference(read.array, read.subscripts, clause.loop_infos,
                          clause=clause)

@@ -1,25 +1,31 @@
 """The end-to-end compiler driver.
 
-``compile(src, strategy=...)`` is the single public entry point; it
-runs the full pipeline of the paper:
+``compile(src, strategy=...)`` is the single public entry point.
+Every strategy runs the paper's one chain of analyses, written once as
+passes over one :class:`_State` (see :data:`PASSES`):
 
-1. parse the ``letrec``/``letrec*`` array definition;
-2. build the normalized loop IR (§6 normalization);
-3. collision and empties analysis (§4, §7) — decides which runtime
-   checks survive;
-4. flow-dependence analysis (§5, §6) and static scheduling (§8);
-5. code generation: thunkless loops when the schedule is safe, the
-   thunked fallback otherwise — optionally vectorized (§10) or run
-   through the parallel backend (§10: hyperplane wavefronts and
-   dependence-free loops).
+1. parse the definition and build the normalized loop IR (§6
+   normalization);
+2. subscript properties of indirect writes, then collision and
+   empties analysis (§4, §7) — decides which runtime checks survive;
+3. flow dependence (§5, §6) — plus anti dependence against the dead
+   input array when the update runs in place (§9) — and static
+   scheduling (§8);
+4. guard planning and runtime checks, tiling, and code generation
+   through one :class:`~repro.backends.base.LoweringJob`: thunkless
+   loops when the schedule is safe, the thunked fallback otherwise —
+   optionally vectorized (§10) or run through the parallel backend
+   (§10: hyperplane wavefronts and dependence-free loops).
 
 ``strategy`` selects the compilation mode — ``"array"`` (monolithic),
 ``"inplace"`` (the §9 storage-reuse path: anti edges against the dead
 input array, node-splitting, in-place codegen), ``"bigupd"`` (the §9
 surface form), ``"accum"`` (accumulated arrays) — or ``"auto"``, which
-detects the mode from the source's shape.  The legacy per-mode entry
-points (``compile_array`` and friends) remain as thin deprecated
-wrappers.
+detects the mode from the source's shape.  A strategy is a tuple of
+passes: the shared ones above plus a few of its own (its front end,
+the accumArray combiner and schedule, interchange, the
+thunkless/thunked/guarded choice, the in-place plan, the parallel
+plan).  :func:`analyze` runs the analysis prefix of the same list.
 
 All modes return a :class:`~repro.codegen.compile.CompiledComp` whose
 ``report`` records every decision (dependence edges, schedule, checks,
@@ -29,7 +35,6 @@ compile-time side of each experiment in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -75,7 +80,9 @@ class Report:
     empties: EmptiesReport = None
     edges: List[DepEdge] = field(default_factory=list)
     schedule: Schedule = None
-    strategy: str = ""  # 'thunkless' | 'thunked' | 'inplace' | 'inplace-copy'
+    #: 'thunkless' | 'thunked' | 'guarded' | 'inplace' | 'inplace-copy'
+    #: | 'accumulate' ('' for an analysis-only report).
+    strategy: str = ""
     checks: CodegenOptions = None
     inplace_plan: Optional[InPlacePlan] = None
     vectorizable: List[str] = field(default_factory=list)
@@ -92,7 +99,7 @@ class Report:
     backend_used: str = ""
     #: Subscript-property analysis over indirect writes
     #: (:class:`~repro.core.subscripts_indirect.SubscriptReport`);
-    #: ``None`` until :func:`analyze` runs.
+    #: ``None`` until the subscripts pass runs.
     subscripts: Optional[object] = None
     #: Cache-blocking decision (:class:`~repro.core.tiling.TilePlan`):
     #: an accepted plan or a reasoned ``ok=False`` rejection.  ``None``
@@ -181,113 +188,6 @@ def _vectorizable_loops(comp: ArrayComp, edges: List[DepEdge]) -> List[str]:
     return out
 
 
-def _base_report(
-    comp: ArrayComp,
-    collision: CollisionReport,
-    empties: EmptiesReport,
-    edges: List[DepEdge],
-    schedule: Optional[Schedule],
-    flow: Optional[List[DepEdge]] = None,
-) -> Report:
-    """One :class:`Report` constructor for every strategy.
-
-    All strategies populate the same analysis fields (vectorizable
-    loops, §10 parallelism profiles) from the *flow* edges, so
-    ``summary()`` output is line-for-line comparable — and stable —
-    across strategies (the facade's fingerprints rely on this).
-    """
-    from repro.core.parallel import analyze_parallelism
-
-    flow = edges if flow is None else flow
-    return Report(
-        comp=comp,
-        collision=collision,
-        empties=empties,
-        edges=edges,
-        schedule=schedule,
-        vectorizable=_vectorizable_loops(comp, flow),
-        parallelism=analyze_parallelism(comp, flow),
-    )
-
-
-def analyze(
-    src,
-    params: Optional[Dict[str, int]] = None,
-    verify_exact: bool = True,
-    index_comps: Optional[Dict[str, ArrayComp]] = None,
-) -> Report:
-    """Run analysis and scheduling without generating code.
-
-    ``index_comps`` maps sibling binding names to their built
-    comprehensions; the subscript-property pass uses them to prove
-    injectivity/boundedness of index arrays statically, which feeds
-    the collision and empties analyses for indirect writes.
-    """
-    from repro.core.subscripts_indirect import analyze_subscripts
-
-    from repro.core.accum import find_accum_array
-
-    with ensure_trace("analyze") as trace, dependence_memo():
-        with span("parse"):
-            expr = _parse(src)
-        with span("build"):
-            try:
-                name, bounds_ast, pairs_ast = find_array_comp(expr)
-            except BuildError as build_exc:
-                # accumArray definitions analyze through the same
-                # bounds/pairs comprehension; the combiner only
-                # matters for codegen.
-                try:
-                    name, _f, _init, bounds_ast, pairs_ast = \
-                        find_accum_array(expr)
-                except ValueError:
-                    raise build_exc from None
-            comp = build_array_comp(name, bounds_ast, pairs_ast, params)
-        with span("subscripts"):
-            sub_report = analyze_subscripts(comp, params, index_comps)
-        with span("collisions"):
-            collision = analyze_collisions(
-                comp, injective=sub_report.static_injective,
-                params=params,
-            )
-            empties = analyze_empties(
-                comp, collision, bounded=sub_report.static_bounded,
-                params=params,
-            )
-        with span("dependence"):
-            edges = flow_edges(comp, verify_exact=verify_exact)
-        with span("schedule"):
-            schedule = schedule_comp(comp, edges)
-        with span("parallelism"):
-            report = _base_report(comp, collision, empties, edges,
-                                  schedule)
-    report.subscripts = sub_report
-    report.trace = trace.root
-    report.timings = trace.timings()
-    return report
-
-
-def _compile_array(
-    src,
-    params: Optional[Dict[str, int]] = None,
-    options: Optional[CodegenOptions] = None,
-    force_strategy: Optional[str] = None,
-    index_comps: Optional[Dict[str, ArrayComp]] = None,
-) -> CompiledComp:
-    """Monolithic compilation (the ``"array"`` strategy of the facade).
-
-    ``force_strategy`` overrides the pipeline's choice (``"thunked"``
-    or ``"thunkless"``) for benchmarking; forcing ``"thunkless"`` on an
-    unsafely scheduled array raises :class:`CompileError`.
-    """
-    with trace_scope("compile") as scope:
-        compiled = _compile_array_traced(src, params, options,
-                                         force_strategy, index_comps)
-    compiled.report.trace = scope
-    compiled.report.timings = span_timings(scope)
-    return compiled
-
-
 def _guard_compatible(options: Optional[CodegenOptions]) -> bool:
     """Whether user options leave room for a guarded dual schedule.
 
@@ -310,8 +210,9 @@ def _unproven_guard_dims(
 
     These are the store dimensions that need exact-int guards when the
     kernel runs with per-write checks (an unverified cell could hold a
-    float or bool).  Accumulated stores pass ``need_injective=False``:
-    duplicates are their semantics, so a static *bounded* proof alone
+    float or bool).  Accumulated and in-place stores pass
+    ``need_injective=False``: duplicates are their semantics (combined,
+    or a later store wins), so a static *bounded* proof alone
     discharges the dimension.
     """
     out: Dict[int, Dict[int, str]] = {}
@@ -326,242 +227,6 @@ def _unproven_guard_dims(
         out.setdefault(write.clause.index, {})[write.dim] = \
             write.index_array
     return out
-
-
-def _compile_array_traced(
-    src,
-    params: Optional[Dict[str, int]],
-    options: Optional[CodegenOptions],
-    force_strategy: Optional[str],
-    index_comps: Optional[Dict[str, ArrayComp]] = None,
-) -> CompiledComp:
-    report = analyze(src, params, index_comps=index_comps)
-    if options is not None and options.vectorize:
-        # §8.2/§10 extension: interchange perfect nests whose inner
-        # loop carries a dependence but whose outer loop does not, so
-        # the vectorizer finds a dependence-free innermost loop.
-        # Monolithic semantics make any loop permutation meaning-
-        # preserving; only the analysis must be redone.
-        from repro.core.interchange import interchange, plan_interchanges
-        from repro.core.schedule import schedule_comp as _schedule
-
-        proposals = plan_interchanges(report.comp, report.edges)
-        if proposals:
-            with span("interchange"):
-                for outer in proposals:
-                    interchange(report.comp, outer)
-                report.edges = flow_edges(report.comp)
-                report.schedule = _schedule(report.comp, report.edges)
-                report.vectorizable = _vectorizable_loops(
-                    report.comp, report.edges
-                )
-            report.notes.append(
-                "interchanged "
-                + ", ".join(f"loops around {p.var}" for p in proposals)
-                + " to expose a vectorizable innermost loop"
-            )
-    if report.collision.status == CERTAIN:
-        witnesses = [
-            f for f in report.collision.findings if f.status == CERTAIN
-        ]
-        raise CompileError(
-            "write collision is certain: "
-            + "; ".join(str(f) for f in witnesses)
-        )
-
-    # Indirect writes: when the schedule is safe but collision/empties
-    # stay inconclusive *only* because an index array's properties are
-    # runtime-verifiable, emit the guarded dual-schedule kernel — an
-    # O(n) verifier picks the unchecked (optionally parallel) fast
-    # path or the fully checked serial fallback at call time.
-    sub = report.subscripts
-    guard = None
-    static_discharged = False
-    unproven_dims: Dict[int, Dict[int, str]] = {}
-    if sub is not None and sub.has_indirect:
-        unproven_dims = _unproven_guard_dims(sub)
-        if (report.schedule.ok and force_strategy is None
-                and _guard_compatible(options)):
-            from repro.core.subscripts_indirect import plan_guard
-
-            with span("subscript-guard"):
-                guard = plan_guard(report.comp, sub, params,
-                                   mode="scatter")
-            if guard is not None and not guard.verify:
-                # Every property proven statically: the collision and
-                # empties analyses already came back NONE, so the
-                # plain thunkless path elides the checks outright.
-                static_discharged = True
-                guard = None
-    guarded = guard is not None
-    if guarded:
-        sub.guarded = True
-        sub.guard = guard
-        names = ", ".join(sorted(s.array for s in guard.verify))
-        sub.decisions.append((
-            "guarded kernel", "accepted",
-            f"runtime verifier over {names} picks the unchecked fast "
-            "schedule or the checked serial fallback per call",
-        ))
-        report.notes.append(
-            f"guarded dual-schedule kernel: O(n) runtime verifier "
-            f"over {names} elides per-write checks on the fast path"
-        )
-    elif static_discharged:
-        sub.decisions.append((
-            "static proof", "accepted",
-            "every subscript property proven statically; the plain "
-            "unchecked schedule needs no runtime verifier",
-        ))
-        report.notes.append(
-            "indirect subscripts statically proven injective and "
-            "bounded: unchecked scatter, no runtime verifier"
-        )
-    elif sub is not None and sub.has_indirect and report.schedule.ok \
-            and force_strategy is None and _guard_compatible(options):
-        sub.decisions.append((
-            "guarded kernel", "rejected",
-            "no sound guard plan (opaque inner subscripts, unknown "
-            "static ranges, or multi-dimension index use); per-write "
-            "checks compiled instead",
-        ))
-
-    if options is None:
-        if guarded:
-            options = CodegenOptions()
-        else:
-            options = CodegenOptions(
-                bounds_checks=False,
-                collision_checks=report.collision.checks_needed,
-                empties_check=report.empties.checks_needed,
-            )
-            if report.collision.checks_needed:
-                report.notes.append(
-                    "runtime collision checks compiled (analysis "
-                    "inconclusive)"
-                )
-            if report.empties.checks_needed:
-                report.notes.append(
-                    "runtime empties check compiled (analysis "
-                    "inconclusive)"
-                )
-            if unproven_dims:
-                # An unverified index array can hold out-of-range or
-                # non-int values; unchecked stores would wrap Python
-                # list indices silently or crash with a raw error.
-                options.bounds_checks = True
-                report.notes.append(
-                    "indirect subscripts without a guard plan: "
-                    "runtime bounds + exact-int checks compiled on "
-                    "every indirect store"
-                )
-    report.checks = options
-
-    strategy = force_strategy
-    if strategy is None:
-        if guarded:
-            strategy = "guarded"
-        else:
-            strategy = "thunkless" if report.schedule.ok else "thunked"
-        for failure in report.schedule.failures:
-            report.notes.append(f"thunk fallback: {failure}")
-    elif strategy == "thunkless" and not report.schedule.ok:
-        raise CompileError(
-            "cannot force thunkless code: " + "; ".join(
-                report.schedule.failures
-            )
-        )
-    report.strategy = strategy
-
-    from repro.codegen.exprs import CodegenError
-
-    tiling = None
-    if options.tile is not None:
-        from repro.core.tiling import plan_tiling
-
-        with span("tiling"):
-            tiling = plan_tiling(
-                report.schedule, report.edges, mode=strategy,
-                tile=options.tile, options=options,
-            )
-        report.tiling = tiling
-        if tiling.ok:
-            report.notes.append(f"tiled: {tiling.summary()}")
-        else:
-            report.notes.append(f"tile fallback: {tiling.note}")
-            tiling = None
-
-    parallel_plan = None
-    if options.parallel:
-        if strategy in ("thunkless", "guarded"):
-            from repro.core.parallel import plan_parallelism
-
-            parallel_plan = plan_parallelism(
-                report.comp, report.edges, report.parallelism,
-                subscripts=sub,
-            )
-            for entry in parallel_plan.clauses:
-                if entry.kind == "sequential":
-                    report.parallel.append(entry.describe())
-            report.notes.append(
-                "parallel backend requested (paper §10 executed): "
-                "wavefront nests sweep anti-diagonals, dep-free loops "
-                "run as slices or thread chunks"
-            )
-        else:
-            report.notes.append(
-                "parallel backend inapplicable: the thunked fallback "
-                "has no static schedule to parallelize"
-            )
-
-    try:
-        with span("codegen"):
-            if strategy == "guarded":
-                source = lower(LoweringJob(
-                    mode="guarded", comp=report.comp,
-                    options=options, schedule=report.schedule,
-                    params=params, edges=report.edges,
-                    parallel_plan=parallel_plan,
-                    parallel_log=report.parallel,
-                    empties_needed=report.empties.checks_needed,
-                    subscripts=guard,
-                ), report)
-            elif strategy == "thunkless":
-                job_guard = None
-                if unproven_dims:
-                    from repro.core.subscripts_indirect import GuardPlan
-
-                    job_guard = GuardPlan(
-                        verify=(), mode="scatter",
-                        indirect_dims=unproven_dims,
-                    )
-                source = lower(LoweringJob(
-                    mode="thunkless", comp=report.comp,
-                    options=options, schedule=report.schedule,
-                    params=params, edges=report.edges,
-                    parallel_plan=parallel_plan,
-                    parallel_log=report.parallel,
-                    empties_needed=report.empties.checks_needed,
-                    subscripts=job_guard,
-                    tiling=tiling,
-                ), report)
-                if options.vectorize:
-                    report.notes.append(
-                        "vectorization requested (paper §10): "
-                        "qualifying innermost loops emitted as numpy "
-                        "slices"
-                    )
-            elif strategy == "thunked":
-                source = lower(LoweringJob(
-                    mode="thunked", comp=report.comp,
-                    options=options, params=params,
-                ), report)
-            else:
-                raise CompileError(f"unknown strategy {strategy!r}")
-    except CodegenError as exc:
-        raise CompileError(f"cannot generate code: {exc}") from exc
-    with span("exec"):
-        return CompiledComp(source, report)
 
 
 def find_bigupd(expr: ast.Node):
@@ -581,291 +246,321 @@ def find_bigupd(expr: ast.Node):
     )
 
 
-def _compile_bigupd(
-    src,
-    params: Optional[Dict[str, int]] = None,
-    options: Optional[CodegenOptions] = None,
-) -> CompiledComp:
-    """Compile the paper's §9 ``bigupd a svpairs`` construct directly.
+@dataclass(frozen=True)
+class _Stores:
+    """How one strategy's stores are checked and guarded, and the
+    wording of its notes and ``subscript`` explain decisions.
 
-    Sugar over the in-place path: the updated array's name
-    is read from the ``bigupd`` application and its bounds are taken
-    from the input array at run time.  ``bigupd`` semantics — all reads
-    see the *original* values — is exactly the anti-dependence model,
-    so node-splitting (or the whole-copy fallback) preserves it while
-    mutating in place.
+    ``monolithic``: a duplicate store or an unwritten cell is an error,
+    so runtime collision and empties checks apply and an index array
+    must be injective.  Accumulation combines duplicates and an update
+    lets a later store win, both over cells that already hold a value.
+    ``mode`` is the :class:`~repro.core.subscripts_indirect.GuardPlan`
+    mode; ``guarded`` says whether the strategy has a guarded
+    dual-schedule kernel at all.  ``{names}`` is the verified index
+    arrays.
     """
-    expr = _parse(src)
-    old_name, pairs_ast = find_bigupd(expr)
-    return _compile_inplace_parts(
-        "", None, pairs_ast, old_name, params, options
-    )
+
+    mode: str
+    guarded: bool
+    monolithic: bool
+    checked_note: str
+    accepted: str = ""
+    accepted_note: str = ""
+    static: str = ""
+    static_note: str = ""
+    rejected: str = ""
 
 
-def _compile_accum_array(
-    src,
-    params: Optional[Dict[str, int]] = None,
-    options: Optional[CodegenOptions] = None,
-    index_comps: Optional[Dict[str, ArrayComp]] = None,
-) -> CompiledComp:
-    """Compile ``accumArray f init bounds pairs`` (§3/§7 extension).
+_SCATTER = _Stores(
+    mode="scatter", guarded=True, monolithic=True,
+    accepted="runtime verifier over {names} picks the unchecked fast "
+             "schedule or the checked serial fallback per call",
+    accepted_note="guarded dual-schedule kernel: O(n) runtime verifier "
+                  "over {names} elides per-write checks on the fast path",
+    static="every subscript property proven statically; the plain "
+           "unchecked schedule needs no runtime verifier",
+    static_note="indirect subscripts statically proven injective and "
+                "bounded: unchecked scatter, no runtime verifier",
+    rejected="no sound guard plan (opaque inner subscripts, unknown "
+             "static ranges, or multi-dimension index use); per-write "
+             "checks compiled instead",
+    checked_note="indirect subscripts without a guard plan: runtime "
+                 "bounds + exact-int checks compiled on every indirect "
+                 "store",
+)
 
-    A commutative-associative combiner (recognized ``+``, ``*``,
-    ``min``, ``max`` shapes) leaves the scheduler free; any other
-    combiner makes colliding writes *ordered* output dependences, so
-    the loops replay the pair list in source order (the fold order).
-    An unrecognized combiner expression is compiled as an environment
-    call when it is a plain variable, otherwise rejected.
+_ACCUM = _Stores(
+    mode="accum", guarded=True, monolithic=False,
+    accepted="histogram fast path: runtime bounds verifier over {names} "
+             "elides per-store checks",
+    accepted_note="guarded accumulation: O(n) bounds verifier over "
+                  "{names} elides per-store checks on the fast path",
+    static="index array statically bounded; accumulation needs no "
+           "runtime verifier",
+    static_note="indirect accumulation statically bounded: unchecked "
+                "stores, no runtime verifier",
+    checked_note="indirect accumulation without a guard plan: runtime "
+                 "bounds + exact-int checks compiled on every store",
+)
+
+_UPDATE = _Stores(
+    mode="scatter", guarded=False, monolithic=False,
+    checked_note="indirect in-place stores: runtime bounds + exact-int "
+                 "checks compiled on every indirect store (a later "
+                 "store to the same cell wins)",
+)
+
+_STORES = {"array": _SCATTER, "accum": _ACCUM, "inplace": _UPDATE,
+           "bigupd": _UPDATE}
+
+
+@dataclass
+class _State:
+    """Everything one compilation threads from pass to pass.
+
+    The analyses write straight into :attr:`report`; the rest is what
+    later passes (and the lowering job) need but the report does not
+    keep.
     """
-    with trace_scope("compile") as scope:
-        compiled = _compile_accum_traced(src, params, options, index_comps)
-    compiled.report.trace = scope
-    compiled.report.timings = span_timings(scope)
-    return compiled
+
+    strategy: str
+    src: object
+    params: Optional[Dict[str, int]] = None
+    options: Optional[CodegenOptions] = None
+    force_strategy: Optional[str] = None
+    old_array: Optional[str] = None
+    index_comps: Optional[Dict[str, ArrayComp]] = None
+    report: Report = field(default_factory=Report)
+    expr: Optional[ast.Node] = None
+    name: str = ""
+    bounds_ast: Optional[ast.Node] = None
+    pairs_ast: Optional[ast.Node] = None
+    #: accumArray only: the combining function and initial value, the
+    #: combiner's ``(kind, op)`` classification, its lowering
+    #: (``LoweringJob.combine``), and the fold-order note.
+    f_ast: Optional[ast.Node] = None
+    init_ast: Optional[ast.Node] = None
+    combiner: tuple = ()
+    combine: object = None
+    fold_note: str = ""
+    #: Flow edges alone (``report.edges`` adds the §9 anti edges).
+    flow: List[DepEdge] = field(default_factory=list)
+    #: The guarded kernel's :class:`GuardPlan`, when one was accepted.
+    guard: object = None
+    #: Indirect store dims needing exact-int guards when unguarded.
+    unproven: Dict[int, Dict[int, str]] = field(default_factory=dict)
+    #: The :class:`~repro.backends.base.LoweringJob` mode.
+    lowering: str = ""
+    parallel_plan: object = None
+    source: str = ""
+    compiled: Optional[CompiledComp] = None
 
 
-def _compile_accum_traced(
-    src,
-    params: Optional[Dict[str, int]],
-    options: Optional[CodegenOptions],
-    index_comps: Optional[Dict[str, ArrayComp]] = None,
-) -> CompiledComp:
-    from repro.codegen.exprs import CodegenError
-    from repro.core.accum import (
-        classify_combiner,
-        find_accum_array,
-        reordering_allowed,
-        source_schedule,
-    )
+# ----------------------------------------------------------------------
+# Passes.  Each takes the state and advances it; the strategy tuples in
+# PASSES below pick and order them.
 
+
+def _parse_pass(st: _State) -> None:
     with span("parse"):
-        expr = _parse(src)
-        try:
-            name, f_ast, init_ast, bounds_ast, pairs_ast = \
-                find_accum_array(expr)
-        except ValueError as exc:
-            raise CompileError(str(exc)) from exc
-    with span("build"):
-        comp = build_array_comp(name, bounds_ast, pairs_ast, params)
-    kind, op = classify_combiner(f_ast)
+        st.expr = _parse(st.src)
 
+
+def _front_array(st: _State) -> None:
+    st.name, st.bounds_ast, st.pairs_ast = find_array_comp(st.expr)
+
+
+def _front_monolithic(st: _State) -> None:
+    """``array`` definitions; ``accumArray`` ones analyze through the
+    same bounds/pairs comprehension (the combiner only matters for
+    codegen)."""
+    from repro.core.accum import find_accum_array
+
+    try:
+        _front_array(st)
+    except BuildError as build_exc:
+        try:
+            st.name, _f, _init, st.bounds_ast, st.pairs_ast = \
+                find_accum_array(st.expr)
+        except ValueError:
+            raise build_exc from None
+
+
+def _front_bigupd(st: _State) -> None:
+    """``bigupd old pairs``: the old array is named by the source and
+    the bounds come from it at run time."""
+    st.old_array, st.pairs_ast = find_bigupd(st.expr)
+
+
+def _front_accum(st: _State) -> None:
+    from repro.core.accum import find_accum_array
+
+    try:
+        st.name, st.f_ast, st.init_ast, st.bounds_ast, st.pairs_ast = \
+            find_accum_array(st.expr)
+    except ValueError as exc:
+        raise CompileError(str(exc)) from exc
+
+
+def _build(st: _State) -> None:
+    with span("build"):
+        st.report.comp = build_array_comp(st.name, st.bounds_ast,
+                                          st.pairs_ast, st.params)
+
+
+def _accum_combiner(st: _State) -> None:
+    """A commutative-associative combiner (recognized ``+``, ``*``,
+    ``min``, ``max`` shapes) leaves the scheduler free; any other
+    combiner is compiled as an environment call when it is a plain
+    variable, inlined when it is a two-parameter lambda, else
+    rejected."""
+    from repro.core.accum import classify_combiner
+
+    kind, op = classify_combiner(st.f_ast)
     if kind == "commutative":
-        combine = op
-    elif isinstance(f_ast, ast.Var):
-        combine = ("env", f_ast.name)
-    elif isinstance(f_ast, ast.Lam) and len(f_ast.params) == 2:
-        combine = ("lambda", f_ast)
+        st.combine = op
+    elif isinstance(st.f_ast, ast.Var):
+        st.combine = ("env", st.f_ast.name)
+    elif isinstance(st.f_ast, ast.Lam) and len(st.f_ast.params) == 2:
+        st.combine = ("lambda", st.f_ast)
     else:
         raise CompileError(
             "combining function must be a two-parameter lambda or a name"
         )
+    st.combiner = (kind, op)
+    st.lowering = "accum"
+
+
+def _subscripts(st: _State) -> None:
+    """Properties of index arrays written through (``a!(p!i)``);
+    ``index_comps`` lets visible definitions prove them statically."""
+    from repro.core.subscripts_indirect import analyze_subscripts
 
     with span("subscripts"):
-        from repro.core.subscripts_indirect import analyze_subscripts
+        st.report.subscripts = analyze_subscripts(
+            st.report.comp, st.params, st.index_comps
+        )
 
-        sub = analyze_subscripts(comp, params, index_comps)
+
+def _collisions(st: _State) -> None:
+    report = st.report
+    sub = report.subscripts
     with span("collisions"):
-        collision = analyze_collisions(
-            comp, injective=sub.static_injective, params=params
+        report.collision = analyze_collisions(
+            report.comp, injective=sub.static_injective, params=st.params,
         )
-        empties = analyze_empties(
-            comp, collision, bounded=sub.static_bounded, params=params
+        report.empties = analyze_empties(
+            report.comp, report.collision, bounded=sub.static_bounded,
+            params=st.params,
         )
-    with span("dependence"):
-        edges = flow_edges(comp) if comp.name else []
 
+
+def _reject_certain(st: _State) -> None:
+    collision = st.report.collision
+    if collision.status == CERTAIN:
+        raise CompileError(
+            "write collision is certain: " + "; ".join(
+                str(f) for f in collision.findings if f.status == CERTAIN
+            )
+        )
+
+
+def _dependence(st: _State) -> None:
+    """Flow edges of the array's own name; in place, anti edges from
+    every read of the old array to the writes that kill it (§9)."""
+    comp = st.report.comp
+    with span("dependence"):
+        st.flow = flow_edges(comp) if comp.name else []
+        anti = anti_edges(comp, st.old_array) if st.old_array else []
+        st.report.edges = st.flow + anti
+
+
+def _schedule(st: _State) -> None:
+    report = st.report
     with span("schedule"):
-        if reordering_allowed(comp, kind):
-            schedule = schedule_comp(comp, edges)
-            strategy_note = "reorderable (commutative or collision-free)"
-        else:
-            schedule = source_schedule(comp)
-            strategy_note = "source order preserved (ordered combiner)"
+        report.schedule = schedule_comp(
+            report.comp, report.edges,
+            allow_node_splitting=st.old_array is not None,
+        )
+
+
+def _require_schedule(st: _State, what: str) -> None:
+    schedule = st.report.schedule
     if not schedule.ok:
         raise CompileError(
-            "cannot schedule accumulated array: "
-            + "; ".join(schedule.failures)
+            f"cannot schedule {what}: " + "; ".join(schedule.failures)
         )
 
+
+def _accum_schedule(st: _State) -> None:
+    """Colliding writes under an ordered combiner are *ordered* output
+    dependences: the loops replay the pair list in source order."""
+    from repro.core.accum import reordering_allowed, source_schedule
+
+    report = st.report
+    with span("schedule"):
+        if reordering_allowed(report.comp, st.combiner[0]):
+            report.schedule = schedule_comp(report.comp, report.edges)
+            st.fold_note = "reorderable (commutative or collision-free)"
+        else:
+            report.schedule = source_schedule(report.comp)
+            st.fold_note = "source order preserved (ordered combiner)"
+    _require_schedule(st, "accumulated array")
+
+
+def _profile(st: _State) -> None:
+    """Vectorizable loops and §10 parallelism profiles from the *flow*
+    edges, for every strategy — so ``summary()`` output is
+    line-for-line comparable across strategies."""
+    from repro.core.parallel import analyze_parallelism
+
+    report = st.report
     with span("parallelism"):
-        report = _base_report(comp, collision, empties, edges, schedule)
-    report.strategy = "accumulate"
-    report.subscripts = sub
-
-    if options is not None and options.tile is not None:
-        from repro.core.tiling import TilePlan
-
-        report.tiling = TilePlan(
-            ok=False,
-            note="accumulated arrays fold colliding stores in source "
-                 "order; tiling would re-associate the float combine",
-        )
-        report.notes.append(f"tile fallback: {report.tiling.note}")
-
-    # Indirect accumulation (histograms): duplicates are semantics, so
-    # only bounds and int-ness of the index array are at stake.  A
-    # static bounded proof elides even those; otherwise the guarded
-    # kernel verifies bounds once per call, and failing that every
-    # store runs checked.
-    guard = None
-    static_discharged = False
-    unproven_dims: Dict[int, Dict[int, str]] = {}
-    if sub.has_indirect:
-        unproven_dims = _unproven_guard_dims(sub, need_injective=False)
-        if _guard_compatible(options):
-            from repro.core.subscripts_indirect import plan_guard
-
-            with span("subscript-guard"):
-                guard = plan_guard(comp, sub, params, mode="accum")
-            if guard is not None and not guard.verify:
-                static_discharged = True
-                guard = None
-    guarded = guard is not None
-    if guarded:
-        sub.guarded = True
-        sub.guard = guard
-        names = ", ".join(sorted(s.array for s in guard.verify))
-        sub.decisions.append((
-            "guarded kernel", "accepted",
-            f"histogram fast path: runtime bounds verifier over "
-            f"{names} elides per-store checks",
-        ))
-        report.notes.append(
-            f"guarded accumulation: O(n) bounds verifier over {names} "
-            "elides per-store checks on the fast path"
-        )
-    elif static_discharged:
-        sub.decisions.append((
-            "static proof", "accepted",
-            "index array statically bounded; accumulation needs no "
-            "runtime verifier",
-        ))
-        report.notes.append(
-            "indirect accumulation statically bounded: unchecked "
-            "stores, no runtime verifier"
-        )
-    if options is None:
-        options = CodegenOptions()
-        if unproven_dims and not guarded:
-            options.bounds_checks = True
-            report.notes.append(
-                "indirect accumulation without a guard plan: runtime "
-                "bounds + exact-int checks compiled on every store"
-            )
-    report.checks = options
-    report.notes += [f"combiner: {kind}" + (f" ({op})" if op else ""),
-                     strategy_note]
-    if options.parallel:
-        report.notes.append(
-            "parallel backend inapplicable: accumulated arrays "
-            "combine element-wise in schedule order"
-        )
-    try:
-        with span("codegen"):
-            if guarded:
-                source = lower(LoweringJob(
-                    mode="guarded", comp=comp, options=options,
-                    schedule=schedule, params=params,
-                    combine=combine, init_ast=init_ast,
-                    subscripts=guard,
-                ), report)
-            else:
-                job_guard = None
-                if unproven_dims:
-                    from repro.core.subscripts_indirect import GuardPlan
-
-                    job_guard = GuardPlan(
-                        verify=(), mode="accum",
-                        indirect_dims=unproven_dims,
-                    )
-                source = lower(LoweringJob(
-                    mode="accum", comp=comp, options=options,
-                    schedule=schedule, params=params,
-                    combine=combine, init_ast=init_ast,
-                    subscripts=job_guard,
-                ), report)
-    except CodegenError as exc:
-        raise CompileError(f"cannot generate code: {exc}") from exc
-    with span("exec"):
-        return CompiledComp(source, report)
+        report.vectorizable = _vectorizable_loops(report.comp, st.flow)
+        report.parallelism = analyze_parallelism(report.comp, st.flow)
 
 
-def _compile_array_inplace(
-    src,
-    old_array: str,
-    params: Optional[Dict[str, int]] = None,
-    options: Optional[CodegenOptions] = None,
-) -> CompiledComp:
-    """Compile a definition to run in the storage of ``old_array`` (§9).
+def _interchange(st: _State) -> None:
+    """§8.2/§10 extension: under ``vectorize``, interchange perfect
+    nests whose inner loop carries a dependence but whose outer loop
+    does not, so the vectorizer finds a dependence-free innermost
+    loop.  Monolithic semantics make any loop permutation meaning-
+    preserving; only the analysis must be redone."""
+    if st.options is None or not st.options.vectorize:
+        return
+    from repro.core.interchange import interchange, plan_interchanges
 
-    The definition's reads of ``old_array`` become anti dependences;
-    reads of the array's own name (if recursive) stay flow
-    dependences.  Node-splitting temporaries are inserted exactly where
-    the anti dependences demand; if the stencil model does not apply,
-    the whole-copy fallback is generated (and noted in the report).
-    """
-    expr = _parse(src)
-    name, bounds_ast, pairs_ast = find_array_comp(expr)
-    return _compile_inplace_parts(
-        name, bounds_ast, pairs_ast, old_array, params, options
+    report = st.report
+    proposals = plan_interchanges(report.comp, report.edges)
+    if not proposals:
+        return
+    with span("interchange"):
+        for outer in proposals:
+            interchange(report.comp, outer)
+        st.flow = report.edges = flow_edges(report.comp)
+        report.schedule = schedule_comp(report.comp, report.edges)
+        report.vectorizable = _vectorizable_loops(report.comp, report.edges)
+    report.notes.append(
+        "interchanged "
+        + ", ".join(f"loops around {p.var}" for p in proposals)
+        + " to expose a vectorizable innermost loop"
     )
 
 
-def _compile_inplace_parts(
-    name: str,
-    bounds_ast,
-    pairs_ast,
-    old_array: str,
-    params: Optional[Dict[str, int]],
-    options: Optional[CodegenOptions],
-) -> CompiledComp:
-    with trace_scope("compile") as scope:
-        compiled = _compile_inplace_traced(
-            name, bounds_ast, pairs_ast, old_array, params, options
-        )
-    compiled.report.trace = scope
-    compiled.report.timings = span_timings(scope)
-    return compiled
-
-
-def _compile_inplace_traced(
-    name: str,
-    bounds_ast,
-    pairs_ast,
-    old_array: str,
-    params: Optional[Dict[str, int]],
-    options: Optional[CodegenOptions],
-) -> CompiledComp:
-    with span("build"):
-        comp = build_array_comp(name, bounds_ast, pairs_ast, params)
-    with span("collisions"):
-        collision = analyze_collisions(comp)
-        empties = analyze_empties(comp, collision)
-    if collision.status == CERTAIN:
-        raise CompileError("write collision is certain")
-
-    with span("dependence"):
-        flow = flow_edges(comp) if comp.name else []
-        anti = anti_edges(comp, old_array)
-        edges = flow + anti
-    with span("schedule"):
-        schedule = schedule_comp(comp, edges, allow_node_splitting=True)
-    with span("parallelism"):
-        report = _base_report(comp, collision, empties, edges, schedule,
-                              flow=flow)
-    if not schedule.ok:
-        raise CompileError(
-            "cannot schedule in-place update: "
-            + "; ".join(schedule.failures)
-        )
+def _inplace_plan(st: _State) -> None:
+    """Node-splitting temporaries where the anti edges demand them, or
+    the whole-copy fallback when the stencil model does not apply."""
+    _require_schedule(st, "in-place update")
+    report = st.report
+    schedule = report.schedule
     with span("inplace-plan"):
         plan = plan_inplace(
-            comp,
-            old_array,
-            schedule.clause_directions(),
-            schedule.clause_positions(),
+            report.comp, st.old_array,
+            schedule.clause_directions(), schedule.clause_positions(),
         )
     report.inplace_plan = plan
+    st.lowering = "inplace"
     if plan.mode == "whole_copy":
         report.strategy = "inplace-copy"
         report.notes.append(f"whole-copy fallback: {plan.reason}")
@@ -876,48 +571,274 @@ def _compile_inplace_traced(
                 f"node-splitting: {len(plan.snapshots)} snapshot ring(s), "
                 f"{len(plan.hoisted)} hoisted temp(s)"
             )
-    report.checks = options or CodegenOptions()
+
+
+def _guard(st: _State) -> None:
+    """Indirect writes: when the schedule is safe but collision/empties
+    stay inconclusive *only* because an index array's properties are
+    runtime-verifiable, plan the guarded dual-schedule kernel — an
+    O(n) verifier picks the unchecked (optionally parallel) fast path
+    or the fully checked serial fallback at call time."""
+    report = st.report
+    sub = report.subscripts
+    if not sub.has_indirect:
+        return
+    stores = _STORES[st.strategy]
+    st.unproven = _unproven_guard_dims(sub, stores.monolithic)
+    if not (stores.guarded and report.schedule.ok
+            and st.force_strategy is None
+            and _guard_compatible(st.options)):
+        return
+    from repro.core.subscripts_indirect import plan_guard
+
+    with span("subscript-guard"):
+        guard = plan_guard(report.comp, sub, st.params, mode=stores.mode)
+    if guard is None:
+        if stores.rejected:
+            sub.decisions.append(
+                ("guarded kernel", "rejected", stores.rejected)
+            )
+    elif guard.verify:
+        st.guard = sub.guard = guard
+        sub.guarded = True
+        st.lowering = "guarded"
+        names = ", ".join(sorted(s.array for s in guard.verify))
+        sub.decisions.append((
+            "guarded kernel", "accepted", stores.accepted.format(names=names)
+        ))
+        report.notes.append(stores.accepted_note.format(names=names))
+    else:
+        # Every property proven statically: the analyses already came
+        # back clean, so the plain path elides the checks outright.
+        sub.decisions.append(("static proof", "accepted", stores.static))
+        report.notes.append(stores.static_note)
+
+
+def _checks(st: _State) -> None:
+    """Runtime checks the analyses could not discharge (only when the
+    caller passed no options): collisions and empties for monolithic
+    arrays; and bounds + exact-int checks on stores through an
+    unverified index array, which can hold out-of-range or non-int
+    values that unchecked stores would wrap silently or crash on."""
+    report = st.report
+    options = st.options
+    if options is None:
+        options = CodegenOptions()
+        stores = _STORES[st.strategy]
+        if st.guard is None and stores.monolithic:
+            options.collision_checks = report.collision.checks_needed
+            options.empties_check = report.empties.checks_needed
+            if options.collision_checks:
+                report.notes.append(
+                    "runtime collision checks compiled (analysis "
+                    "inconclusive)"
+                )
+            if options.empties_check:
+                report.notes.append(
+                    "runtime empties check compiled (analysis "
+                    "inconclusive)"
+                )
+        if st.unproven and st.guard is None:
+            options.bounds_checks = True
+            report.notes.append(stores.checked_note)
+    report.checks = st.options = options
+
+
+def _choose(st: _State) -> None:
+    """The thunkless/thunked/guarded choice; ``force_strategy``
+    overrides it (forcing thunkless on an unsafe schedule fails)."""
+    report = st.report
+    strategy = st.force_strategy
+    if strategy is None:
+        if st.guard is not None:
+            strategy = "guarded"
+        else:
+            strategy = "thunkless" if report.schedule.ok else "thunked"
+        for failure in report.schedule.failures:
+            report.notes.append(f"thunk fallback: {failure}")
+    elif strategy == "thunkless" and not report.schedule.ok:
+        raise CompileError(
+            "cannot force thunkless code: "
+            + "; ".join(report.schedule.failures)
+        )
+    report.strategy = st.lowering = strategy
+
+
+def _accum_notes(st: _State) -> None:
+    report = st.report
+    kind, op = st.combiner
+    report.strategy = "accumulate"
+    report.notes += [f"combiner: {kind}" + (f" ({op})" if op else ""),
+                     st.fold_note]
+    if st.options.parallel:
+        report.notes.append(
+            "parallel backend inapplicable: accumulated arrays "
+            "combine element-wise in schedule order"
+        )
+
+
+def _tiling(st: _State) -> None:
+    tile = getattr(st.options, "tile", None)
+    if tile is None:
+        return
+    from repro.core.tiling import plan_tiling
+
+    report = st.report
+    plan = report.inplace_plan
+    # Whole-copy updates read every old value from the frozen copy, so
+    # the anti edges the copy satisfies do not constrain the tile
+    # order; only flow (self-name) edges remain live.
+    live = st.flow if plan is not None and plan.mode == "whole_copy" \
+        else report.edges
+    with span("tiling"):
+        report.tiling = plan_tiling(
+            report.schedule, live, mode=st.lowering, tile=tile,
+            inplace_plan=plan, options=st.options,
+        )
+    if report.tiling.ok:
+        report.notes.append(f"tiled: {report.tiling.summary()}")
+    else:
+        report.notes.append(f"tile fallback: {report.tiling.note}")
+
+
+def _parallel(st: _State) -> None:
+    if not st.options.parallel:
+        return
+    report = st.report
+    if st.lowering not in ("thunkless", "guarded"):
+        report.notes.append(
+            "parallel backend inapplicable: the thunked fallback has no "
+            "static schedule to parallelize"
+        )
+        return
+    from repro.core.parallel import plan_parallelism
+
+    st.parallel_plan = plan_parallelism(
+        report.comp, report.edges, report.parallelism,
+        subscripts=report.subscripts,
+    )
+    for entry in st.parallel_plan.clauses:
+        if entry.kind == "sequential":
+            report.parallel.append(entry.describe())
+    report.notes.append(
+        "parallel backend requested (paper §10 executed): wavefront "
+        "nests sweep anti-diagonals, dep-free loops run as slices or "
+        "thread chunks"
+    )
+
+
+def _codegen(st: _State) -> None:
     from repro.codegen.exprs import CodegenError
 
-    tiling = None
-    if report.checks.tile is not None:
-        from repro.core.tiling import plan_tiling
+    report = st.report
+    guard = st.guard
+    if guard is None and st.unproven:
+        from repro.core.subscripts_indirect import GuardPlan
 
-        # Whole-copy updates read every old value from the frozen
-        # copy, so the anti edges the copy satisfies do not constrain
-        # the tile order; only flow (self-name) edges remain live.
-        live_edges = flow if plan.mode == "whole_copy" else edges
-        with span("tiling"):
-            tiling = plan_tiling(
-                schedule, live_edges, mode="inplace",
-                tile=report.checks.tile, inplace_plan=plan,
-                options=report.checks,
-            )
-        report.tiling = tiling
-        if tiling.ok:
-            report.notes.append(f"tiled: {tiling.summary()}")
-        else:
-            report.notes.append(f"tile fallback: {tiling.note}")
-            tiling = None
-
+        guard = GuardPlan(verify=(), mode=_STORES[st.strategy].mode,
+                          indirect_dims=st.unproven)
+    job = LoweringJob(
+        mode=st.lowering, comp=report.comp, options=st.options,
+        schedule=report.schedule, params=st.params, edges=report.edges,
+        parallel_plan=st.parallel_plan, parallel_log=report.parallel,
+        plan=report.inplace_plan, old_array=st.old_array,
+        combine=st.combine, init_ast=st.init_ast, subscripts=guard,
+        empties_needed=report.empties.checks_needed, tiling=report.tiling,
+    )
     try:
         with span("codegen"):
-            source = lower(LoweringJob(
-                mode="inplace", comp=comp, options=report.checks,
-                schedule=schedule, params=params, plan=plan,
-                old_array=plan.old_array, tiling=tiling,
-            ), report)
+            st.source = lower(job, report)
     except CodegenError as exc:
         raise CompileError(f"cannot generate code: {exc}") from exc
+
+
+def _vectorize_note(st: _State) -> None:
+    if st.lowering == "thunkless" and st.options.vectorize:
+        st.report.notes.append(
+            "vectorization requested (paper §10): qualifying innermost "
+            "loops emitted as numpy slices"
+        )
+
+
+def _exec(st: _State) -> None:
     with span("exec"):
-        return CompiledComp(source, report)
+        st.compiled = CompiledComp(st.source, st.report)
+
+
+#: The analysis prefix :func:`analyze` runs (monolithic front end).
+_ANALYSIS = (_parse_pass, _front_monolithic, _build, _subscripts, _collisions,
+             _dependence, _schedule, _profile)
+
+_INPLACE_TAIL = (_build, _subscripts, _collisions, _reject_certain,
+                 _dependence, _schedule, _profile, _inplace_plan, _guard,
+                 _checks, _tiling, _codegen, _exec)
+
+#: Each strategy's passes, in order.  Shared passes appear in every
+#: tuple; the rest are the strategy's own choices.
+PASSES = {
+    "array": _ANALYSIS + (
+        _interchange, _reject_certain, _guard, _checks, _choose, _tiling,
+        _parallel, _codegen, _vectorize_note, _exec,
+    ),
+    "inplace": (_parse_pass, _front_array) + _INPLACE_TAIL,
+    "bigupd": (_parse_pass, _front_bigupd) + _INPLACE_TAIL,
+    "accum": (
+        _parse_pass, _front_accum, _build, _accum_combiner, _subscripts,
+        _collisions, _dependence, _accum_schedule, _profile, _tiling,
+        _guard, _checks, _accum_notes, _codegen, _exec,
+    ),
+}
+
+
+def _drive(
+    strategy: str,
+    src,
+    params: Optional[Dict[str, int]] = None,
+    options: Optional[CodegenOptions] = None,
+    old_array: Optional[str] = None,
+    force_strategy: Optional[str] = None,
+    index_comps: Optional[Dict[str, ArrayComp]] = None,
+) -> CompiledComp:
+    """Run ``strategy``'s passes inside one ``compile`` trace scope."""
+    st = _State(strategy, src, params, options, force_strategy,
+                old_array, index_comps)
+    with trace_scope("compile") as scope:
+        for step in PASSES[strategy]:
+            step(st)
+    st.report.trace = scope
+    st.report.timings = span_timings(scope)
+    return st.compiled
+
+
+def analyze(
+    src,
+    params: Optional[Dict[str, int]] = None,
+    index_comps: Optional[Dict[str, ArrayComp]] = None,
+) -> Report:
+    """Run analysis and scheduling without generating code.
+
+    ``index_comps`` maps sibling binding names to their built
+    comprehensions; the subscript-property pass uses them to prove
+    injectivity/boundedness of index arrays statically, which feeds
+    the collision and empties analyses for indirect writes.
+    """
+    st = _State("array", src, params, index_comps=index_comps)
+    with ensure_trace("analyze") as trace, dependence_memo():
+        for step in _ANALYSIS:
+            step(st)
+    st.report.trace = trace.root
+    st.report.timings = trace.timings()
+    return st.report
 
 
 # ----------------------------------------------------------------------
-# The unified facade (and the deprecated per-mode wrappers).
+# The facade.
 
 #: Strategies the facade accepts.
 STRATEGIES = ("auto", "array", "inplace", "bigupd", "accum")
+
+#: ``force_strategy`` values (monolithic arrays only).
+FORCED = ("thunkless", "thunked")
 
 
 def detect_strategy(expr) -> str:
@@ -1043,6 +964,11 @@ def _compile_dispatch(
             f"unknown strategy {strategy!r}; expected one of "
             + ", ".join(repr(s) for s in STRATEGIES)
         )
+    if force_strategy is not None and force_strategy not in FORCED:
+        raise CompileError(
+            f"unknown force_strategy {force_strategy!r}; expected one of "
+            + ", ".join(repr(s) for s in FORCED)
+        )
     if isinstance(src, str):
         from repro.program.compile import as_program
 
@@ -1120,65 +1046,5 @@ def _compile_dispatch(
             kind="definition",
         )).value()
 
-    if resolved == "array":
-        return _compile_array(src, params, options, force_strategy,
-                              index_comps)
-    if resolved == "inplace":
-        return _compile_array_inplace(src, old_array, params, options)
-    if resolved == "bigupd":
-        return _compile_bigupd(src, params, options)
-    return _compile_accum_array(src, params, options, index_comps)
-
-
-def _deprecated(old_name: str, hint: str) -> None:
-    warnings.warn(
-        f"{old_name}() is deprecated; use repro.compile({hint})",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def compile_array(
-    src,
-    params: Optional[Dict[str, int]] = None,
-    options: Optional[CodegenOptions] = None,
-    force_strategy: Optional[str] = None,
-    cache=None,
-) -> CompiledComp:
-    """Deprecated: use :func:`compile` (``strategy="array"``)."""
-    _deprecated("compile_array", "src, strategy='array'")
-    return compile(src, strategy="array", params=params, options=options,
-                   force_strategy=force_strategy, cache=cache)
-
-
-def compile_array_inplace(
-    src,
-    old_array: str,
-    params: Optional[Dict[str, int]] = None,
-    options: Optional[CodegenOptions] = None,
-) -> CompiledComp:
-    """Deprecated: use :func:`compile` (``strategy="inplace"``)."""
-    _deprecated("compile_array_inplace",
-                "src, strategy='inplace', old_array=...")
-    return compile(src, strategy="inplace", old_array=old_array,
-                   params=params, options=options)
-
-
-def compile_bigupd(
-    src,
-    params: Optional[Dict[str, int]] = None,
-    options: Optional[CodegenOptions] = None,
-) -> CompiledComp:
-    """Deprecated: use :func:`compile` (``strategy="bigupd"``)."""
-    _deprecated("compile_bigupd", "src, strategy='bigupd'")
-    return compile(src, strategy="bigupd", params=params, options=options)
-
-
-def compile_accum_array(
-    src,
-    params: Optional[Dict[str, int]] = None,
-    options: Optional[CodegenOptions] = None,
-) -> CompiledComp:
-    """Deprecated: use :func:`compile` (``strategy="accum"``)."""
-    _deprecated("compile_accum_array", "src, strategy='accum'")
-    return compile(src, strategy="accum", params=params, options=options)
+    return _drive(resolved, src, params, options, old_array,
+                  force_strategy, index_comps)

@@ -251,6 +251,11 @@ def plan_tiling(schedule: Schedule, edges, *, mode: str,
     carrying the rejection reason; never raises.
     """
     try:
+        if mode == "accum":
+            raise TileReject(
+                "accumulated arrays fold colliding stores in source "
+                "order; tiling would re-associate the float combine"
+            )
         spec = _normalize_spec(tile)
         if spec is None:
             raise TileReject("tiling not requested")

@@ -105,11 +105,38 @@ def _explain_schedule(out: Explanation, report, prefix: str) -> None:
                 "; ".join(schedule.failures))
 
 
+#: Why an inconclusive analysis compiled no runtime check, per report
+#: strategy: ``(collisions, empties)``.
+_UNCHECKED = {
+    "guarded": ("only the guarded kernel's checked fallback schedule "
+                "runs them, when the runtime verifier fails",
+                "only the guarded kernel's checked fallback schedule "
+                "runs it, when the runtime verifier fails"),
+    "accumulate": ("colliding stores combine; accumulation has no "
+                   "collisions to reject",
+                   "every cell starts at the initial value"),
+    "inplace": ("a later store to the same cell wins in place",
+                "unwritten cells keep the input's values"),
+}
+_UNCHECKED["inplace-copy"] = _UNCHECKED["inplace"]
+_NOT_COMPILED = "the definition was not compiled"
+
+
 def _explain_checks(out: Explanation, report, prefix: str) -> None:
+    """What the analyses proved, and which runtime checks that left
+    compiled (``report.checks``; ``None`` for an analysis-only report,
+    which compiled nothing)."""
     from repro.core.collisions import CERTAIN, NONE
 
+    checks = report.checks
+    unchecked = _UNCHECKED.get(
+        report.strategy,
+        ("the options request no runtime collision checks",
+         "the options request no definedness sweep"),
+    )
     collision = report.collision
     if collision is not None:
+        compiled = checks is not None and checks.collision_checks
         if collision.status == CERTAIN:
             witnesses = "; ".join(
                 str(f) for f in collision.findings
@@ -119,20 +146,35 @@ def _explain_checks(out: Explanation, report, prefix: str) -> None:
                     f"write collision is certain: {witnesses}")
         elif collision.status == NONE:
             out.add("checks", prefix + "collisions", ACCEPTED,
+                    "proven collision-free; runtime collision checks "
+                    "compiled as requested" if compiled else
                     "proven collision-free; runtime checks elided")
-        else:
+        elif compiled:
             out.add("checks", prefix + "collisions", FALLBACK,
                     "analysis inconclusive; runtime collision checks "
                     "compiled")
+        else:
+            out.add("checks", prefix + "collisions", FALLBACK,
+                    "analysis inconclusive; no runtime collision checks "
+                    "compiled: " + (unchecked[0] if checks is not None
+                                    else _NOT_COMPILED))
     empties = report.empties
     if empties is not None:
+        compiled = checks is not None and checks.empties_check
         if empties.status == NONE:
             out.add("checks", prefix + "empties", ACCEPTED,
+                    "proven total; definedness sweep compiled as "
+                    "requested" if compiled else
                     "proven total; definedness sweep elided")
-        else:
+        elif compiled:
             out.add("checks", prefix + "empties", FALLBACK,
                     "totality not proven; runtime definedness sweep "
                     "compiled")
+        else:
+            out.add("checks", prefix + "empties", FALLBACK,
+                    "totality not proven; no definedness sweep "
+                    "compiled: " + (unchecked[1] if checks is not None
+                                    else _NOT_COMPILED))
 
 
 def _explain_subscripts(out: Explanation, report, prefix: str) -> None:

@@ -18,9 +18,7 @@ memoized.  This package turns the per-call compiler into a service:
 * :mod:`repro.service.service` — :class:`CompileService` with
   ``submit()`` (single request, batch fan-out with per-entry
   isolation and in-flight deduplication, or cache warming via
-  ``warm_only=True``); the pre-redesign ``compile`` /
-  ``compile_program`` / ``compile_batch`` / ``warmup`` survive as
-  deprecated shims;
+  ``warm_only=True``);
 * :mod:`repro.service.metrics` / :mod:`repro.service.stats` —
   hit/miss/eviction counters, latency histograms with p50/p95/p99,
   per-pass timings, all rendered into one versioned stats schema.
@@ -37,13 +35,12 @@ Quick start::
 
 Or through the pipeline front door::
 
-    from repro import compile_array
-    compiled = compile_array(src, params={"n": 100}, cache=True)
+    import repro
+    compiled = repro.compile(src, params={"n": 100}, cache=True)
 """
 
 from repro.service.api import (
     WIRE_SCHEMA,
-    BatchResult,
     CompileRequest,
     CompileResult,
     WireError,
@@ -75,7 +72,6 @@ from repro.service.store import (
 )
 
 __all__ = [
-    "BatchResult",
     "CompileRequest",
     "CompileResult",
     "CompileService",

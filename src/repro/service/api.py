@@ -12,8 +12,7 @@ One request type, one result type, one wire schema:
   wire layer strips the generated source from the response.
 * :class:`CompileResult` — one request's outcome: fingerprint, the
   live compiled object (in-process), which tier served it, the error
-  if any.  ``BatchResult`` is the same class under its pre-redesign
-  name.
+  if any.
 * the **wire schema** — a versioned JSON rendering of both
   (:data:`WIRE_SCHEMA`), used verbatim by the HTTP endpoint
   (:mod:`repro.serve`) and by the worker pool to ship requests into
@@ -56,12 +55,11 @@ class WireError(ValueError):
 class CompileRequest:
     """One unit of work for :meth:`CompileService.submit`.
 
-    The first six fields mirror ``repro.compile`` and predate the
-    redesign (positional compatibility is kept — ``(src, params)``
-    tuples still normalize).  The rest make the type total over the
-    service's old surface: ``kind``/``result``/``fuse`` subsume
-    ``compile_program``, ``warm_only`` subsumes ``warmup``, and a list
-    of requests subsumes ``compile_batch``.
+    The first six fields mirror ``repro.compile`` (``(src, params)``
+    tuples normalize positionally).  The rest cover the service's
+    other work: ``kind``/``result``/``fuse`` make a program request
+    (``repro.compile_program``), ``warm_only`` warms the cache, and a
+    list of requests is a batch.
     """
 
     src: object
@@ -302,9 +300,3 @@ def encode_results(results: List[CompileResult]) -> Dict:
         "results": [res.to_wire() for res in results],
     }
 
-
-#: Pre-redesign name of :class:`CompileResult` (``compile_batch``'s
-#: per-entry result).  Same class, so ``isinstance`` checks and the
-#: ``index``/``fingerprint``/``compiled``/``error``/``cached`` fields
-#: keep working.
-BatchResult = CompileResult

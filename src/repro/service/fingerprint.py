@@ -67,7 +67,11 @@ from repro.lang.parser import parse_expr
 #:     tile-relative stores through a ``'.dst_row0'`` slot) instead of
 #:     a scalar kernel storing by absolute index, and §10 vector
 #:     clauses keep only correctly rounded intrinsics.
-PIPELINE_SALT = "repro-pipeline/10"
+#: /11: one pass list for every strategy: in-place and bigupd updates
+#:     through an index array compile to a whole copy with bounds +
+#:     exact-int checks on their indirect stores, and dependence edges
+#:     come out in sorted (hash-seed independent) order.
+PIPELINE_SALT = "repro-pipeline/11"
 
 
 # ----------------------------------------------------------------------
@@ -252,8 +256,8 @@ def _options_key(options) -> str:
     return repr(sorted(dataclasses.asdict(options).items()))
 
 
-#: Facade strategies -> fingerprint modes (kept distinct from the
-#: strategy names for backward compatibility of monolithic keys).
+#: Facade strategies -> the mode named in the key text (``monolithic``
+#: for arrays, so monolithic keys keep their long-standing spelling).
 _STRATEGY_MODES = {
     "array": "monolithic",
     "inplace": "inplace",
@@ -301,30 +305,28 @@ def fingerprint(
     params: Optional[Dict] = None,
     options=None,
     force_strategy: Optional[str] = None,
-    mode: str = "monolithic",
+    strategy: str = "array",
     old_array: Optional[str] = None,
-    strategy: Optional[str] = None,
     salt: str = PIPELINE_SALT,
 ) -> str:
     """SHA-256 cache key for one compilation request.
 
-    ``src`` may be source text or a parsed AST.  ``strategy`` (a
-    facade strategy name: ``array``/``inplace``/``bigupd``/``accum``)
-    is the preferred way to select the mode; the older ``mode``
-    spelling is kept for direct callers.  Raises the same front-end
-    errors the pipeline itself would raise on this input (parse
-    errors, :class:`~repro.comprehension.build.BuildError`), so a
-    fingerprint failure never masks a compile failure.
+    ``src`` may be source text or a parsed AST; ``strategy`` is a
+    facade strategy name (``array``/``inplace``/``bigupd``/``accum``,
+    or ``auto`` to detect it the way ``repro.compile`` does).  Raises
+    the same front-end errors the pipeline itself would raise on this
+    input (parse errors,
+    :class:`~repro.comprehension.build.BuildError`), so a fingerprint
+    failure never masks a compile failure.
     """
-    if strategy is not None:
-        if strategy == "auto":
-            from repro.core.pipeline import detect_strategy
+    if strategy == "auto":
+        from repro.core.pipeline import detect_strategy
 
-            strategy = "inplace" if old_array is not None \
-                else detect_strategy(src)
-        if strategy not in _STRATEGY_MODES:
-            raise ValueError(f"unknown strategy {strategy!r}")
-        mode = _STRATEGY_MODES[strategy]
+        strategy = "inplace" if old_array is not None \
+            else detect_strategy(src)
+    if strategy not in _STRATEGY_MODES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    mode = _STRATEGY_MODES[strategy]
     expr = parse_expr(src) if isinstance(src, str) else src
     comp_serial, old_array = _canonical_request(
         expr, params, mode, old_array

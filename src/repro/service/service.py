@@ -17,10 +17,6 @@
 * ``submit(CompileRequest(..., warm_only=True))`` — cache warming,
   e.g. at process start from a kernel catalog.
 
-The pre-redesign methods — ``compile``, ``compile_program``,
-``compile_batch``, ``warmup`` — survive as thin deprecated wrappers
-over ``submit`` and produce byte-identical artifacts.
-
 Concurrency: the memory tier is sharded by fingerprint prefix
 (:class:`~repro.service.store.ShardedLRU`) and in-flight coalescing
 is sharded the same way, so requests only serialize against requests
@@ -32,20 +28,13 @@ Mutating a cached object's report would poison later hits — don't.
 from __future__ import annotations
 
 import os
-import warnings
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import replace
 from threading import Lock
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence
 
-from repro.codegen.compile import CompiledComp
 from repro.obs.trace import count as _trace_count
-from repro.service.api import (
-    BatchResult,
-    CompileRequest,
-    CompileResult,
-)
+from repro.service.api import CompileRequest, CompileResult
 from repro.service.fingerprint import PIPELINE_SALT, _options_key
 from repro.service.fingerprint import fingerprint as _fingerprint
 from repro.service.metrics import ServiceMetrics
@@ -64,15 +53,6 @@ _FP_MEMO_CAP = 4096
 
 #: Default shard count for the memory tier and the in-flight table.
 DEFAULT_SHARDS = 8
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"CompileService.{old}() is deprecated; use "
-        f"CompileService.submit({new})",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 class CompileService:
@@ -356,65 +336,6 @@ class CompileService:
         return CompileRequest(req)
 
     # ------------------------------------------------------------------
-    # Deprecated pre-redesign methods (thin shims over submit()).
-
-    def compile(self, src, params=None, options=None,
-                force_strategy=None, strategy="array",
-                old_array=None) -> CompiledComp:
-        """Deprecated: ``submit(CompileRequest(...))``."""
-        _deprecated("compile", "CompileRequest(src, ...)")
-        return self.submit(CompileRequest(
-            src, params, options, force_strategy, strategy, old_array,
-            kind="definition",
-        )).value()
-
-    def compile_program(self, src, params=None, options=None,
-                        result=None, fuse=True):
-        """Deprecated: ``submit(CompileRequest(..., kind="program"))``."""
-        _deprecated("compile_program",
-                    'CompileRequest(src, kind="program", ...)')
-        return self.submit(CompileRequest(
-            src, params, options, kind="program", result=result,
-            fuse=fuse,
-        )).value()
-
-    def compile_batch(
-        self,
-        requests: Sequence,
-        max_workers: Optional[int] = None,
-    ) -> List[BatchResult]:
-        """Deprecated: ``submit([request, ...])``."""
-        _deprecated("compile_batch", "[request, ...]")
-        return self.submit(list(requests), max_workers=max_workers)
-
-    def warmup(self, requests: Sequence,
-               max_workers: Optional[int] = None) -> Dict[str, int]:
-        """Deprecated: ``submit`` with ``warm_only=True`` requests.
-
-        Still returns the pre-redesign summary counts.  Unlike the
-        original, program sources warm correctly: kind auto-detection
-        routes them through the program pipeline instead of failing
-        the single-definition parser.
-        """
-        _deprecated("warmup",
-                    "[CompileRequest(..., warm_only=True), ...]")
-        warmed = [
-            replace(self._normalize(req), warm_only=True)
-            for req in requests
-        ]
-        results = self.submit(warmed, max_workers=max_workers)
-        summary = {"total": len(results), "compiled": 0,
-                   "cached": 0, "errors": 0}
-        for result in results:
-            if not result.ok:
-                summary["errors"] += 1
-            elif result.cached:
-                summary["cached"] += 1
-            else:
-                summary["compiled"] += 1
-        return summary
-
-    # ------------------------------------------------------------------
 
     def invalidate(self, src, params=None, options=None,
                    force_strategy=None, strategy="array",
@@ -453,7 +374,7 @@ class CompileService:
 
 
 # ----------------------------------------------------------------------
-# The default service used by ``compile_array(..., cache=True)``.
+# The default service used by ``repro.compile(..., cache=True)``.
 
 _default_service: Optional[CompileService] = None
 _default_lock = Lock()
@@ -469,7 +390,7 @@ def default_service() -> CompileService:
 
 
 def resolve_cache(cache) -> CompileService:
-    """Map ``compile_array``'s ``cache=`` argument to a service.
+    """Map ``repro.compile``'s ``cache=`` argument to a service.
 
     Accepts ``True`` (the shared default service), a
     :class:`CompileService`, or a directory path (``str`` /

@@ -24,7 +24,7 @@ from repro.backends.native import (
 from repro.codegen.emit import CodegenOptions
 from repro.kernels import SQUARES
 from repro.obs.trace import Trace, tracing
-from repro.service.service import CompileService
+from repro.service.service import CompileRequest, CompileService
 
 NO_CC = toolchain_status() is not None
 needs_cc = pytest.mark.skipif(
@@ -151,8 +151,8 @@ class TestWarmServiceCompile:
         cold = CompileService(disk_dir=disk)
         trace = Trace("cold")
         with tracing(trace):
-            compiled = cold.compile(SQUARES, params={"n": 6},
-                                    options=options)
+            compiled = cold.submit(CompileRequest(
+                SQUARES, {"n": 6}, options, kind="definition")).value()
         assert compiled.report.backend_used == "c"
         assert trace.counters().get("service.miss") == 1
         assert NATIVE_STATS.cc_invocations == 1
@@ -168,8 +168,8 @@ class TestWarmServiceCompile:
         warm = CompileService(disk_dir=disk)
         trace = Trace("warm")
         with tracing(trace):
-            warmed = warm.compile(SQUARES, params={"n": 6},
-                                  options=options)
+            warmed = warm.submit(CompileRequest(
+                SQUARES, {"n": 6}, options, kind="definition")).value()
         assert trace.counters().get("service.hit.disk") == 1
         assert NATIVE_STATS.cc_invocations == cc_before
         assert NATIVE_STATS.so_cache_hits >= 1

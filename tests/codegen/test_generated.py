@@ -2,13 +2,8 @@
 
 import pytest
 
-from repro import (
-    CodegenOptions,
-    FlatArray,
-    compile_array,
-    compile_array_inplace,
-    evaluate,
-)
+import repro
+from repro import CodegenOptions, FlatArray, evaluate
 from repro.codegen.support import CHECK_STATS
 from repro.runtime import incremental
 from repro.runtime.errors import UndefinedElementError, WriteCollisionError
@@ -29,14 +24,14 @@ class TestThunkless:
             (WAVEFRONT, {"n": 7}),
             (STRIDE3, {}),
         ]:
-            compiled = compile_array(src, params=params)
+            compiled = repro.compile(src, strategy="array", params=params)
             assert compiled.report.strategy == "thunkless"
             assert compiled(params).to_list() == oracle_list(src, params)
 
     def test_no_thunks_allocated(self):
         from repro.kernels import WAVEFRONT
 
-        compiled = compile_array(WAVEFRONT, params={"n": 10})
+        compiled = repro.compile(WAVEFRONT, strategy="array", params={"n": 10})
         THUNK_STATS.reset()
         compiled({"n": 10})
         assert THUNK_STATS.created == 0
@@ -44,7 +39,7 @@ class TestThunkless:
     def test_checks_elided_when_proved(self):
         from repro.kernels import WAVEFRONT
 
-        compiled = compile_array(WAVEFRONT, params={"n": 6})
+        compiled = repro.compile(WAVEFRONT, strategy="array", params={"n": 6})
         assert not compiled.report.checks.collision_checks
         assert not compiled.report.checks.empties_check
         CHECK_STATS.reset()
@@ -58,7 +53,7 @@ class TestThunkless:
         options = CodegenOptions(
             bounds_checks=True, collision_checks=True, empties_check=True
         )
-        compiled = compile_array(WAVEFRONT, params={"n": 6},
+        compiled = repro.compile(WAVEFRONT, strategy="array", params={"n": 6},
                                  options=options)
         CHECK_STATS.reset()
         compiled({"n": 6})
@@ -68,28 +63,29 @@ class TestThunkless:
 
     def test_runtime_collision_check_fires(self):
         src = "letrec a = array (1,9) [* [ mod i 3 + 1 := i ] | i <- [1..4] *] in a"
-        compiled = compile_array(src)
+        compiled = repro.compile(src, strategy="array")
         assert compiled.report.checks.collision_checks
         with pytest.raises(WriteCollisionError):
             compiled({})
 
     def test_runtime_empties_check_fires(self):
         src = "letrec a = array (1,n) [ i := 0 | i <- [1..n-1] ] in a"
-        compiled = compile_array(src)  # symbolic: checks compiled
+        # symbolic: checks compiled
+        compiled = repro.compile(src, strategy="array")
         with pytest.raises(UndefinedElementError):
             compiled({"n": 5})
 
     def test_runtime_bounds_parameterized(self):
         # Compile once with symbolic n, run at several sizes.
         src = "letrec a = array (1,n) [ i := i * i | i <- [1..n] ] in a"
-        compiled = compile_array(src)
+        compiled = repro.compile(src, strategy="array")
         for n in (1, 4, 9):
             out = compiled({"n": n})
             assert out.to_list() == [i * i for i in range(1, n + 1)]
 
     def test_free_function_from_env(self):
         src = "letrec a = array (1,5) [ i := f i | i <- [1..5] ] in a"
-        compiled = compile_array(src, params={})
+        compiled = repro.compile(src, strategy="array", params={})
         out = compiled({"f": lambda x: x * 100})
         assert out.to_list() == [100, 200, 300, 400, 500]
 
@@ -99,7 +95,7 @@ class TestThunkless:
         in y
         """
         x = FlatArray.from_list((1, 4), [1, 2, 3, 4])
-        compiled = compile_array(src, params={})
+        compiled = repro.compile(src, strategy="array", params={})
         assert compiled({"x": x}).to_list() == [3, 5, 7, 9]
 
     def test_zero_trip_loops(self):
@@ -108,7 +104,7 @@ class TestThunkless:
           ([ i := 1 | i <- [1..3] ] ++ [ i := 2 | i <- [5..4] ])
         in a
         """
-        compiled = compile_array(src, params={})
+        compiled = repro.compile(src, strategy="array", params={})
         assert compiled({}).to_list() == [1, 1, 1]
 
 
@@ -116,15 +112,15 @@ class TestThunked:
     def test_matches_thunkless(self):
         from repro.kernels import WAVEFRONT
 
-        thunked = compile_array(WAVEFRONT, params={"n": 6},
+        thunked = repro.compile(WAVEFRONT, strategy="array", params={"n": 6},
                                 force_strategy="thunked")
-        thunkless = compile_array(WAVEFRONT, params={"n": 6})
+        thunkless = repro.compile(WAVEFRONT, strategy="array", params={"n": 6})
         assert thunked({"n": 6}).to_list() == thunkless({"n": 6}).to_list()
 
     def test_really_allocates_thunks(self):
         from repro.kernels import WAVEFRONT
 
-        thunked = compile_array(WAVEFRONT, params={"n": 6},
+        thunked = repro.compile(WAVEFRONT, strategy="array", params={"n": 6},
                                 force_strategy="thunked")
         THUNK_STATS.reset()
         thunked({"n": 6})
@@ -133,7 +129,7 @@ class TestThunked:
     def test_fallback_on_unschedulable(self):
         from repro.kernels import CYCLIC_FALLBACK
 
-        compiled = compile_array(CYCLIC_FALLBACK)
+        compiled = repro.compile(CYCLIC_FALLBACK, strategy="array")
         assert compiled.report.strategy == "thunked"
         assert compiled({}).to_list() == oracle_list(CYCLIC_FALLBACK)
 
@@ -142,7 +138,8 @@ class TestThunked:
         from repro import CompileError
 
         with pytest.raises(CompileError):
-            compile_array(CYCLIC_FALLBACK, force_strategy="thunkless")
+            repro.compile(CYCLIC_FALLBACK, strategy="array",
+                          force_strategy="thunkless")
 
     def test_guards_respected(self):
         src = """
@@ -151,7 +148,8 @@ class TestThunked:
            [ i := 0 | i <- [1..6], mod i 2 == 1 ])
         in a
         """
-        compiled = compile_array(src, force_strategy="thunked")
+        compiled = repro.compile(src, strategy="array",
+                                 force_strategy="thunked")
         assert compiled({}).to_list() == [0, 1, 0, 1, 0, 1]
 
 
@@ -160,7 +158,8 @@ class TestInplace:
         from repro.kernels import SWAP, ref_swap
 
         params = {"m": 6, "n": 8, "i": 2, "k": 5}
-        compiled = compile_array_inplace(SWAP, "a", params=params)
+        compiled = repro.compile(SWAP, strategy="inplace", old_array="a",
+                                 params=params)
         base = [float(v) for v in range(48)]
         arr = FlatArray.from_list(((1, 1), (6, 8)), list(base))
         incremental.STATS.reset()
@@ -173,7 +172,8 @@ class TestInplace:
         from repro.kernels import SCALE_ROW
 
         params = {"m": 3, "n": 4, "i": 2, "s": 10}
-        compiled = compile_array_inplace(SCALE_ROW, "a", params=params)
+        compiled = repro.compile(SCALE_ROW, strategy="inplace", old_array="a",
+                                 params=params)
         arr = FlatArray.from_list(((1, 1), (3, 4)), list(range(12)))
         out = compiled({"a": arr, "s": 10})
         assert out.cells is arr.cells  # same storage, no copy
@@ -182,7 +182,8 @@ class TestInplace:
         from repro.kernels import JACOBI, mesh_cells, ref_jacobi
 
         m = 10
-        compiled = compile_array_inplace(JACOBI, "u", params={"m": m})
+        compiled = repro.compile(JACOBI, strategy="inplace", old_array="u",
+                                 params={"m": m})
         assert compiled.report.strategy == "inplace"
         cells = mesh_cells(m)
         arr = FlatArray.from_list(((1, 1), (m, m)), list(cells))
@@ -200,7 +201,8 @@ class TestInplace:
         from repro.kernels import SOR, mesh_cells, ref_sor
 
         m = 10
-        compiled = compile_array_inplace(SOR, "u", params={"m": m})
+        compiled = repro.compile(SOR, strategy="inplace", old_array="u",
+                                 params={"m": m})
         cells = mesh_cells(m)
         arr = FlatArray.from_list(((1, 1), (m, m)), list(cells))
         incremental.STATS.reset()
@@ -213,7 +215,8 @@ class TestInplace:
     def test_whole_copy_fallback_counts_one_copy(self):
         from repro.kernels import REVERSE
 
-        compiled = compile_array_inplace(REVERSE, "a", params={"n": 10})
+        compiled = repro.compile(REVERSE, strategy="inplace", old_array="a",
+                                 params={"n": 10})
         assert compiled.report.strategy == "inplace-copy"
         arr = FlatArray.from_list((1, 10), list(range(10)))
         incremental.STATS.reset()
@@ -228,7 +231,8 @@ class TestInplace:
         from repro.kernels import GAUSS_SEIDEL, mesh_cells
 
         m = 8
-        compiled = compile_array_inplace(GAUSS_SEIDEL, "u", params={"m": m})
+        compiled = repro.compile(GAUSS_SEIDEL, strategy="inplace",
+                                 old_array="u", params={"m": m})
         arr = FlatArray.from_list(((1, 1), (m, m)), mesh_cells(m))
         for _ in range(200):
             compiled({"u": arr})

@@ -209,11 +209,11 @@ class TestOptionConflicts:
         # The facade rejects this combination up front (see
         # tests/test_facade.py); the emitter's own guard is the
         # defence for direct callers.
-        from repro.core.pipeline import CompileError, _compile_array_inplace
+        from repro.core.pipeline import CompileError, _drive
 
         with pytest.raises(CompileError, match="in-place"):
-            _compile_array_inplace(kernels.JACOBI, "u", params={"m": 8},
-                                   options=CodegenOptions(parallel=True))
+            _drive("inplace", kernels.JACOBI, params={"m": 8},
+                   options=CodegenOptions(parallel=True), old_array="u")
 
 
 class TestParChunks:

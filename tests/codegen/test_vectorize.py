@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
-from repro import CodegenOptions, FlatArray, compile_array, evaluate
+from repro import CodegenOptions, FlatArray, evaluate
 from repro.dist.pool import fork_available
 from repro.program import compile_program
 
@@ -21,7 +21,8 @@ class TestVectorizedKernels:
     def test_squares(self):
         from repro.kernels import SQUARES
 
-        compiled = compile_array(SQUARES, params={"n": 20}, options=VEC)
+        compiled = repro.compile(SQUARES, strategy="array", params={"n": 20},
+                                 options=VEC)
         assert "_vslice(" in compiled.source
         assert "for i in range" not in compiled.source
         out = compiled({"n": 20})
@@ -30,7 +31,8 @@ class TestVectorizedKernels:
     def test_wavefront_borders_vector_interior_scalar(self):
         from repro.kernels import WAVEFRONT, ref_wavefront
 
-        compiled = compile_array(WAVEFRONT, params={"n": 9}, options=VEC)
+        compiled = repro.compile(WAVEFRONT, strategy="array", params={"n": 9},
+                                 options=VEC)
         # The border loops vectorize; the interior (carried deps) must
         # remain a scalar loop.
         assert "_vslice(" in compiled.source
@@ -46,7 +48,8 @@ class TestVectorizedKernels:
           [ i := 2.0 * x!i + x!(n+1-i) | i <- [1..n] ]
         in y
         """
-        compiled = compile_array(src, params={"n": 8}, options=VEC)
+        compiled = repro.compile(src, strategy="array", params={"n": 8},
+                                 options=VEC)
         assert compiled.source.count("_vslice") >= 3
         x = FlatArray.from_list((1, 8), floats(range(1, 9)))
         out = compiled({"x": x})
@@ -61,7 +64,7 @@ class TestVectorizedKernels:
            [ 2*i-1 := 2.0 | i <- [1..10] ])
         in a
         """
-        compiled = compile_array(src, options=VEC)
+        compiled = repro.compile(src, strategy="array", options=VEC)
         assert "_vslice(" in compiled.source
         out = compiled({})
         assert out.to_list() == [2.0, 1.0] * 10
@@ -73,7 +76,8 @@ class TestVectorizedKernels:
         in a
         """
         m = 6
-        compiled = compile_array(src, params={"m": m}, options=VEC)
+        compiled = repro.compile(src, strategy="array", params={"m": m},
+                                 options=VEC)
         # The outer i loop stays scalar, the inner j loop vectorizes.
         assert "for i in range" in compiled.source
         assert "_vslice(" in compiled.source
@@ -84,14 +88,16 @@ class TestVectorizedKernels:
 
     def test_intrinsics_vectorize(self):
         src = "letrec a = array (1,n) [ i := sqrt (x!i) | i <- [1..n] ] in a"
-        compiled = compile_array(src, params={"n": 5}, options=VEC)
+        compiled = repro.compile(src, strategy="array", params={"n": 5},
+                                 options=VEC)
         assert "_np.sqrt" in compiled.source
         x = FlatArray.from_list((1, 5), [1.0, 4.0, 9.0, 16.0, 25.0])
         assert compiled({"x": x}).to_list() == [1.0, 2.0, 3.0, 4.0, 5.0]
 
     def test_loop_invariant_read_broadcasts(self):
         src = "letrec a = array (1,n) [ i := x!1 + 0.0 * i | i <- [1..n] ] in a"
-        compiled = compile_array(src, params={"n": 4}, options=VEC)
+        compiled = repro.compile(src, strategy="array", params={"n": 4},
+                                 options=VEC)
         x = FlatArray.from_list((1, 3), [7.0, 0.0, 0.0])
         assert compiled({"x": x}).to_list() == [7.0] * 4
 
@@ -104,15 +110,15 @@ class TestFallbacks:
            [ i := 0.0 | i <- [1..10], mod i 2 == 1 ])
         in a
         """
-        compiled = compile_array(src, options=VEC)
+        compiled = repro.compile(src, strategy="array", options=VEC)
         assert "_vslice(" not in compiled.source
         assert compiled({}).to_list() == [0.0, 1.0] * 5
 
     def test_carried_dependence_falls_back(self):
         from repro.kernels import FORWARD_RECURRENCE
 
-        compiled = compile_array(FORWARD_RECURRENCE, params={"n": 6},
-                                 options=VEC)
+        compiled = repro.compile(FORWARD_RECURRENCE, strategy="array",
+                                 params={"n": 6}, options=VEC)
         # The recurrence loop carries (<): must not vectorize.
         assert "for i in range" in compiled.source
         b = FlatArray.from_list((1, 6), floats(range(1, 7)))
@@ -130,7 +136,7 @@ class TestFallbacks:
           [ i := (if i > 5 then 1.0 else 0.0) | i <- [1..10] ]
         in a
         """
-        compiled = compile_array(src, options=VEC)
+        compiled = repro.compile(src, strategy="array", options=VEC)
         assert "_vslice(" not in compiled.source
         assert compiled({}).to_list() == [0.0] * 5 + [1.0] * 5
 
@@ -140,7 +146,7 @@ class TestFallbacks:
           [ i := sum [ 1.0 | k <- [1..i] ] | i <- [1..5] ]
         in a
         """
-        compiled = compile_array(src, options=VEC)
+        compiled = repro.compile(src, strategy="array", options=VEC)
         assert "_vslice(" not in compiled.source
         assert compiled({}).to_list() == [1.0, 2.0, 3.0, 4.0, 5.0]
 
@@ -157,7 +163,7 @@ class TestFallbacks:
     def test_without_option_no_numpy_buffer(self):
         from repro.kernels import SQUARES
 
-        compiled = compile_array(SQUARES, params={"n": 5})
+        compiled = repro.compile(SQUARES, strategy="array", params={"n": 5})
         assert "_np.zeros" not in compiled.source
 
 
@@ -178,8 +184,9 @@ def test_vectorized_matches_scalar(n, coefficient, offset, scale):
         f"| i <- [1..{n}] ] in a"
     )
     x = FlatArray.from_list((1, n), [float(k * k) for k in range(1, n + 1)])
-    vector = compile_array(src, options=CodegenOptions(vectorize=True))
-    scalar = compile_array(src, options=CodegenOptions())
+    vector = repro.compile(src, strategy="array",
+                           options=CodegenOptions(vectorize=True))
+    scalar = repro.compile(src, strategy="array", options=CodegenOptions())
     got_vec = vector({"x": x})
     got_scalar = scalar({"x": x})
     for sub in got_vec.bounds.range():

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import CompileError, compile_accum_array, evaluate
+import repro
+from repro import CompileError, evaluate
 from repro.core.accum import classify_combiner, source_schedule
 from repro.lang.parser import parse_expr
 
@@ -45,13 +46,13 @@ class TestCommutativeCompilation:
           [ mod (k * 7) 10 := 1 | k <- [1..100] ]
         in h
         """
-        compiled = compile_accum_array(src)
+        compiled = repro.compile(src, strategy="accum")
         assert compiled.report.strategy == "accumulate"
         assert compiled({}).to_list() == oracle_list(src)
 
     def test_default_value_fills(self):
         src = "letrec a = accumArray (\\x y -> x + y) 7 (1,5) [ 3 := 1 ] in a"
-        compiled = compile_accum_array(src)
+        compiled = repro.compile(src, strategy="accum")
         assert compiled({}).to_list() == [7, 7, 8, 7, 7]
 
     def test_max_accumulation(self):
@@ -60,7 +61,7 @@ class TestCommutativeCompilation:
           [ mod k 4 := k | k <- [1..20] ]
         in m
         """
-        compiled = compile_accum_array(src)
+        compiled = repro.compile(src, strategy="accum")
         assert compiled({}).to_list() == oracle_list(src)
 
     def test_two_dimensional(self):
@@ -69,7 +70,7 @@ class TestCommutativeCompilation:
           [ (mod k 2, mod k 3) := k | k <- [1..12] ]
         in g
         """
-        compiled = compile_accum_array(src)
+        compiled = repro.compile(src, strategy="accum")
         assert compiled({}).to_list() == oracle_list(src)
 
     def test_symbolic_size(self):
@@ -78,7 +79,7 @@ class TestCommutativeCompilation:
           [ i := i | i <- [1..n] ]
         in h
         """
-        compiled = compile_accum_array(src)
+        compiled = repro.compile(src, strategy="accum")
         assert compiled({"n": 6}).to_list() == [1, 2, 3, 4, 5, 6]
 
 
@@ -89,7 +90,7 @@ class TestOrderedCompilation:
           [* [ mod i 3 + 1 := i ] | i <- [1..9] *]
         in d
         """
-        compiled = compile_accum_array(src)
+        compiled = repro.compile(src, strategy="accum")
         assert any("source order" in n for n in compiled.report.notes)
         assert compiled({}).to_list() == oracle_list(src)
 
@@ -99,7 +100,7 @@ class TestOrderedCompilation:
           [ 1 := k | k <- [1..4] ]
         in d
         """
-        compiled = compile_accum_array(src)
+        compiled = repro.compile(src, strategy="accum")
         assert compiled({}).to_list() == [100 - 1 - 2 - 3 - 4, 100]
 
     def test_collision_free_ordered_still_reorderable(self):
@@ -109,7 +110,7 @@ class TestOrderedCompilation:
           [ i := i | i <- [1..5] ]
         in d
         """
-        compiled = compile_accum_array(src)
+        compiled = repro.compile(src, strategy="accum")
         assert any("reorderable" in n for n in compiled.report.notes)
         assert compiled({}).to_list() == [-1, -2, -3, -4, -5]
 
@@ -118,19 +119,21 @@ class TestOrderedCompilation:
         letrec e = accumArray g 1 (1,2) [ 1 := k | k <- [2..4] ]
         in e
         """
-        compiled = compile_accum_array(src)
+        compiled = repro.compile(src, strategy="accum")
         out = compiled({"g": lambda a, b: a * b})
         assert out.to_list() == [24, 1]
 
     def test_rejects_non_function(self):
         with pytest.raises(CompileError):
-            compile_accum_array(
-                "letrec e = accumArray (1 + 2) 0 (1,1) [ 1 := 1 ] in e"
+            repro.compile(
+                "letrec e = accumArray (1 + 2) 0 (1,1) [ 1 := 1 ] in e",
+                strategy="accum",
             )
 
     def test_rejects_non_accum(self):
         with pytest.raises(CompileError):
-            compile_accum_array("letrec a = array (1,1) [ 1 := 1 ] in a")
+            repro.compile("letrec a = array (1,1) [ 1 := 1 ] in a",
+                          strategy="accum")
 
 
 class TestSourceSchedule:
@@ -168,5 +171,5 @@ def test_ordered_accumulation_matches_foldl(n, targets, scale):
         f"letrec d = accumArray (\\a b -> a * 100 + b) 0 (1,4) "
         f"[{pairs}] in d"
     )
-    compiled = compile_accum_array(src)
+    compiled = repro.compile(src, strategy="accum")
     assert compiled({}).to_list() == oracle_list(src)

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import CodegenOptions, compile_array, evaluate
+import repro
+from repro import CodegenOptions, evaluate
 from repro.comprehension.build import build_array_comp, find_array_comp
 from repro.core.dependence import flow_edges
 from repro.core.interchange import (
@@ -94,7 +95,8 @@ class TestTransformation:
 class TestEndToEnd:
     def test_interchange_enables_vectorization(self):
         m = 8
-        vec = compile_array(COLUMN_RECURRENCE, params={"m": m},
+        vec = repro.compile(COLUMN_RECURRENCE, strategy="array",
+                            params={"m": m},
                             options=CodegenOptions(vectorize=True))
         assert any("interchanged" in n for n in vec.report.notes)
         assert "_vslice(" in vec.source
@@ -103,7 +105,8 @@ class TestEndToEnd:
         assert vec({"m": m}).to_list() == want
 
     def test_without_vectorize_no_interchange(self):
-        plain = compile_array(COLUMN_RECURRENCE, params={"m": 8})
+        plain = repro.compile(COLUMN_RECURRENCE, strategy="array",
+                              params={"m": 8})
         assert not any("interchanged" in n for n in plain.report.notes)
 
 
@@ -121,7 +124,8 @@ def test_interchanged_matches_oracle(m, offset):
          | i <- [1..{m}], j <- [{offset + 1}..{m}] ])
     in a
     """
-    vec = compile_array(src, options=CodegenOptions(vectorize=True))
+    vec = repro.compile(src, strategy="array",
+                        options=CodegenOptions(vectorize=True))
     oracle = evaluate(src, deep=False)
     want = [float(oracle.at(s)) for s in oracle.bounds.range()]
     assert vec({}).to_list() == pytest.approx(want)

@@ -8,10 +8,13 @@ import repro
 from repro.backends.native import toolchain_status
 from repro.codegen.emit import CodegenOptions
 from repro.kernels import (
+    HISTOGRAM,
+    PERMUTATION_SCATTER,
     PROGRAM_JACOBI_STEPS,
     PROGRAM_SOR,
     SOR,
     SOR_MONOLITHIC,
+    WAVEFRONT,
     WAVEFRONT_F,
 )
 from repro.obs.explain import (
@@ -261,3 +264,77 @@ class TestTileArea:
                  if d.verdict == FALLBACK]
         assert any("main" in d.subject for d in falls)
         assert any("perfect loop chain" in d.reason for d in falls)
+
+
+def _claims_compiled(reason):
+    """Whether a ``checks`` line says a runtime check was compiled."""
+    if "no runtime collision checks" in reason \
+            or "no definedness sweep" in reason:
+        return False
+    return "checks compiled" in reason or "sweep compiled" in reason
+
+
+class TestChecksAreaMatchesCompiledChecks:
+    """The ``checks`` area states what ``report.checks`` compiled, and
+    says why an inconclusive analysis compiled nothing."""
+
+    ALL_CHECKS = repro.CodegenOptions(
+        bounds_checks=True, collision_checks=True, empties_check=True,
+    )
+    CASES = {
+        "histogram": (HISTOGRAM, {"n": 8, "m": 4}, {}),
+        "sor-inplace": (SOR, {"n": 8, "omega": 1.0},
+                        {"old_array": "u"}),
+        "wavefront-all-checks": (WAVEFRONT, {"n": 6},
+                                 {"options": ALL_CHECKS}),
+        "scatter-guarded": (PERMUTATION_SCATTER, {"n": 6}, {}),
+        "partial-auto": (
+            "letrec a = array (1,n) [ i := 0 | i <- [1..n-1] ] in a",
+            {}, {},
+        ),
+    }
+
+    def _checks(self, case):
+        src, params, kwargs = self.CASES[case]
+        report = repro.compile(src, params=params, **kwargs).report
+        decisions = explain_report(report).by_area("checks")
+        return report.checks, {d.subject: d.reason for d in decisions}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_claims_follow_report_checks(self, case):
+        checks, reasons = self._checks(case)
+        assert _claims_compiled(reasons["collisions"]) \
+            == checks.collision_checks
+        assert _claims_compiled(reasons["empties"]) == checks.empties_check
+
+    def test_histogram_says_accumulation(self):
+        _, reasons = self._checks("histogram")
+        assert reasons["collisions"].endswith(
+            "colliding stores combine; accumulation has no collisions "
+            "to reject")
+        assert reasons["empties"].endswith(
+            "every cell starts at the initial value")
+
+    def test_inplace_says_old_values_remain(self):
+        _, reasons = self._checks("sor-inplace")
+        assert reasons["empties"].endswith(
+            "unwritten cells keep the input's values")
+
+    def test_forced_checks_on_proven_definition(self):
+        _, reasons = self._checks("wavefront-all-checks")
+        assert reasons["collisions"] == (
+            "proven collision-free; runtime collision checks compiled "
+            "as requested")
+        assert reasons["empties"] == (
+            "proven total; definedness sweep compiled as requested")
+
+    def test_guarded_kernel_names_its_fallback(self):
+        _, reasons = self._checks("scatter-guarded")
+        assert "guarded kernel's checked fallback" in reasons["collisions"]
+
+    def test_true_lines_unchanged(self):
+        _, reasons = self._checks("partial-auto")
+        assert reasons["collisions"] == (
+            "proven collision-free; runtime checks elided")
+        assert reasons["empties"] == (
+            "totality not proven; runtime definedness sweep compiled")

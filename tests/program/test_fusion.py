@@ -302,13 +302,17 @@ class TestServiceKeying:
             fingerprint_program(src, fuse=False)
 
     def test_service_keeps_fused_and_unfused_plans_apart(self):
-        from repro.service.service import CompileService
+        from repro.service.service import CompileRequest, CompileService
 
         service = CompileService()
-        fused = service.compile_program(TestAccept.SRC)
-        unfused = service.compile_program(TestAccept.SRC, fuse=False)
+
+        def compile_program(**kwargs):
+            return service.submit(CompileRequest(
+                TestAccept.SRC, kind="program", **kwargs)).value()
+
+        fused = compile_program()
+        unfused = compile_program(fuse=False)
         assert fused is not unfused
-        assert fused is service.compile_program(TestAccept.SRC)
-        assert unfused is service.compile_program(TestAccept.SRC,
-                                                  fuse=False)
+        assert fused is compile_program()
+        assert unfused is compile_program(fuse=False)
         assert fused.report.fused and not unfused.report.fused

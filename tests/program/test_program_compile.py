@@ -430,10 +430,10 @@ class TestFacade:
     def test_service_caches_programs(self):
         service = repro.CompileService()
         spec = PROGRAM_CATALOG["program_sor"]
-        first = service.compile_program(spec["source"],
-                                        params=spec["params"])
-        second = service.compile_program(spec["source"],
-                                         params=spec["params"])
+        request = repro.CompileRequest(spec["source"], spec["params"],
+                                       kind="program")
+        first = service.submit(request).value()
+        second = service.submit(request).value()
         assert first is second
         assert service.stats()["requests"]["misses"] == 1
 
@@ -461,8 +461,8 @@ class TestFacade:
         first = compile_program(spec["source"], params=spec["params"],
                                 cache=str(tmp_path))
         fresh = repro.CompileService(disk_dir=str(tmp_path))
-        second = fresh.compile_program(spec["source"],
-                                       params=spec["params"])
+        second = fresh.submit(repro.CompileRequest(
+            spec["source"], spec["params"], kind="program")).value()
         assert second is not first  # came back through pickle
         assert (second(dict(spec["params"])).to_list()
                 == first(dict(spec["params"])).to_list())

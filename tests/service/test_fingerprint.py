@@ -99,7 +99,7 @@ class TestDiscrimination:
     def test_mode_and_old_array_distinguish(self):
         base = fingerprint(kernels.JACOBI, {"m": 6})
         assert base != fingerprint(
-            kernels.JACOBI, {"m": 6}, mode="inplace", old_array="u"
+            kernels.JACOBI, {"m": 6}, strategy="inplace", old_array="u"
         )
 
 

@@ -10,18 +10,25 @@ import repro.core.pipeline as pipeline_mod
 from repro import (
     CompileError,
     CompileRequest,
+    CompileResult,
     CompileService,
     kernels,
 )
 from repro.service import resolve_cache
-from repro.service.service import BatchResult, default_service
+from repro.service.service import default_service
+
+
+def compile_one(service, src, **kwargs):
+    """One definition request through ``submit``; raises its error."""
+    return service.submit(
+        CompileRequest(src, kind="definition", **kwargs)).value()
 
 
 @pytest.fixture
 def counting_pipeline(monkeypatch):
     """Count (and optionally slow down) real pipeline invocations."""
     calls = {"count": 0, "delay": 0.0}
-    real = pipeline_mod._compile_array
+    real = pipeline_mod._drive
 
     def wrapper(*args, **kwargs):
         calls["count"] += 1
@@ -29,15 +36,15 @@ def counting_pipeline(monkeypatch):
             time.sleep(calls["delay"])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline_mod, "_compile_array", wrapper)
+    monkeypatch.setattr(pipeline_mod, "_drive", wrapper)
     return calls
 
 
 class TestAccounting:
     def test_miss_then_hit(self, counting_pipeline):
         service = CompileService()
-        first = service.compile(kernels.WAVEFRONT, params={"n": 6})
-        second = service.compile(kernels.WAVEFRONT, params={"n": 6})
+        first = compile_one(service, kernels.WAVEFRONT, params={"n": 6})
+        second = compile_one(service, kernels.WAVEFRONT, params={"n": 6})
         assert first is second
         assert counting_pipeline["count"] == 1
         stats = service.stats()["requests"]
@@ -50,20 +57,20 @@ class TestAccounting:
     def test_hit_skips_dependence_analysis(self, monkeypatch):
         """The acceptance check: a cache hit runs no analysis pass."""
         service = CompileService()
-        compiled = service.compile(kernels.WAVEFRONT, params={"n": 6})
+        compiled = compile_one(service, kernels.WAVEFRONT, params={"n": 6})
 
         def boom(*args, **kwargs):
             raise AssertionError("dependence analysis re-ran on a hit")
 
         monkeypatch.setattr(pipeline_mod, "flow_edges", boom)
-        again = service.compile(kernels.WAVEFRONT, params={"n": 6})
+        again = compile_one(service, kernels.WAVEFRONT, params={"n": 6})
         assert again is compiled
         assert service.stats()["requests"]["hits"] == 1
 
     def test_cached_result_equals_uncached(self):
         service = CompileService()
-        service.compile(kernels.WAVEFRONT, params={"n": 6})
-        cached = service.compile(kernels.WAVEFRONT, params={"n": 6})
+        compile_one(service, kernels.WAVEFRONT, params={"n": 6})
+        cached = compile_one(service, kernels.WAVEFRONT, params={"n": 6})
         uncached = repro.compile(kernels.WAVEFRONT, params={"n": 6})
         assert cached.source == uncached.source
         assert (cached({"n": 6}).to_list()
@@ -71,11 +78,13 @@ class TestAccounting:
 
     def test_renamed_source_hits_same_entry(self, counting_pipeline):
         service = CompileService()
-        service.compile(
+        compile_one(
+            service,
             "letrec* a = array (1,n) [ i := i*i | i <- [1..n] ] in a",
             params={"n": 4},
         )
-        service.compile(
+        compile_one(
+            service,
             "letrec* sq = array (1,n) [ k := k*k | k <- [1..n] ] in sq",
             params={"n": 4},
         )
@@ -83,42 +92,41 @@ class TestAccounting:
 
     def test_lru_eviction_shows_in_stats(self, counting_pipeline):
         service = CompileService(capacity=1)
-        service.compile(kernels.SQUARES, params={"n": 4})
-        service.compile(kernels.SQUARES, params={"n": 5})
-        service.compile(kernels.SQUARES, params={"n": 4})  # evicted
+        compile_one(service, kernels.SQUARES, params={"n": 4})
+        compile_one(service, kernels.SQUARES, params={"n": 5})
+        compile_one(service, kernels.SQUARES, params={"n": 4})  # evicted
         assert counting_pipeline["count"] == 3
         assert service.stats()["store"]["memory"]["evictions"] == 2
 
     def test_errors_are_counted_and_propagate(self):
         service = CompileService()
         with pytest.raises(CompileError):
-            service.compile(kernels.SQUARES, params={"n": 4},
-                            force_strategy="bogus")
+            compile_one(service, kernels.SQUARES, params={"n": 4},
+                        force_strategy="bogus")
         assert service.stats()["requests"]["errors"] == 1
 
     def test_invalidate_forces_recompile(self, counting_pipeline):
         service = CompileService()
-        service.compile(kernels.SQUARES, params={"n": 4})
+        compile_one(service, kernels.SQUARES, params={"n": 4})
         assert service.invalidate(kernels.SQUARES,
                                   params={"n": 4}) is True
-        service.compile(kernels.SQUARES, params={"n": 4})
+        compile_one(service, kernels.SQUARES, params={"n": 4})
         assert counting_pipeline["count"] == 2
 
     def test_salt_separates_services(self, tmp_path, counting_pipeline):
         first = CompileService(disk_dir=tmp_path, salt="v1")
-        first.compile(kernels.SQUARES, params={"n": 4})
+        compile_one(first, kernels.SQUARES, params={"n": 4})
         bumped = CompileService(disk_dir=tmp_path, salt="v2")
-        bumped.compile(kernels.SQUARES, params={"n": 4})
+        compile_one(bumped, kernels.SQUARES, params={"n": 4})
         assert counting_pipeline["count"] == 2
         assert bumped.stats()["requests"]["disk_hits"] == 0
 
     def test_disk_tier_survives_service_restart(self, tmp_path,
                                                 counting_pipeline):
-        CompileService(disk_dir=tmp_path).compile(
-            kernels.WAVEFRONT, params={"n": 6}
-        )
+        compile_one(CompileService(disk_dir=tmp_path),
+                    kernels.WAVEFRONT, params={"n": 6})
         reborn = CompileService(disk_dir=tmp_path)
-        compiled = reborn.compile(kernels.WAVEFRONT, params={"n": 6})
+        compiled = compile_one(reborn, kernels.WAVEFRONT, params={"n": 6})
         assert counting_pipeline["count"] == 1
         assert reborn.stats()["requests"]["disk_hits"] == 1
         assert compiled({"n": 6}).to_list()
@@ -128,7 +136,7 @@ class TestAccounting:
 class TestBatch:
     def test_results_in_request_order(self):
         service = CompileService()
-        results = service.compile_batch([
+        results = service.submit([
             CompileRequest(kernels.SQUARES, {"n": 3}),
             (kernels.WAVEFRONT, {"n": 4}),
             {"src": kernels.SQUARES, "params": {"n": 5}},
@@ -139,20 +147,20 @@ class TestBatch:
 
     def test_bad_entry_does_not_kill_batch(self):
         service = CompileService()
-        results = service.compile_batch([
+        results = service.submit([
             CompileRequest(kernels.SQUARES, {"n": 3}),
             CompileRequest("letrec* broken = array", {"n": 3}),
             CompileRequest(kernels.SQUARES, {"n": 4}),
         ])
         assert [r.ok for r in results] == [True, False, True]
-        assert isinstance(results[1], BatchResult)
+        assert isinstance(results[1], CompileResult)
         assert results[1].error is not None
         assert results[1].compiled is None
 
     def test_duplicate_requests_compile_once(self, counting_pipeline):
         counting_pipeline["delay"] = 0.05  # force overlap
         service = CompileService()
-        results = service.compile_batch(
+        results = service.submit(
             [CompileRequest(kernels.WAVEFRONT, {"n": 6})] * 8,
             max_workers=8,
         )
@@ -171,7 +179,7 @@ class TestBatch:
 
         def worker():
             outputs.append(
-                service.compile(kernels.WAVEFRONT, params={"n": 6})
+                compile_one(service, kernels.WAVEFRONT, params={"n": 6})
             )
 
         threads = [threading.Thread(target=worker) for _ in range(6)]
@@ -183,18 +191,7 @@ class TestBatch:
         assert len({id(c) for c in outputs}) == 1
 
     def test_empty_batch(self):
-        assert CompileService().compile_batch([]) == []
-
-    def test_warmup_summary(self, counting_pipeline):
-        service = CompileService()
-        service.compile(kernels.SQUARES, params={"n": 3})
-        summary = service.warmup([
-            CompileRequest(kernels.SQUARES, {"n": 3}),   # cached
-            CompileRequest(kernels.WAVEFRONT, {"n": 4}),  # fresh
-            CompileRequest("letrec* nope = array", None),  # error
-        ])
-        assert summary == {"total": 3, "compiled": 1, "cached": 1,
-                           "errors": 1}
+        assert CompileService().submit([]) == []
 
 
 class TestPipelineWiring:
@@ -230,14 +227,14 @@ class TestMetricsRendering:
         import json
 
         service = CompileService()
-        service.compile(kernels.SQUARES, params={"n": 4})
-        service.compile(kernels.SQUARES, params={"n": 4})
+        compile_one(service, kernels.SQUARES, params={"n": 4})
+        compile_one(service, kernels.SQUARES, params={"n": 4})
         json.dumps(service.stats())  # must not raise
 
     def test_summary_mentions_key_numbers(self):
         service = CompileService()
-        service.compile(kernels.SQUARES, params={"n": 4})
-        service.compile(kernels.SQUARES, params={"n": 4})
+        compile_one(service, kernels.SQUARES, params={"n": 4})
+        compile_one(service, kernels.SQUARES, params={"n": 4})
         text = service.summary()
         assert "hits: 1" in text
         assert "misses: 1" in text
@@ -246,7 +243,7 @@ class TestMetricsRendering:
 
     def test_pass_timings_aggregated(self):
         service = CompileService()
-        service.compile(kernels.WAVEFRONT, params={"n": 6})
+        compile_one(service, kernels.WAVEFRONT, params={"n": 6})
         passes = service.stats()["requests"]["passes"]
         assert "dependence" in passes
         assert passes["dependence"]["count"] == 1

@@ -119,14 +119,14 @@ class TestShardedLRU:
 class TestPerShardCoalescing:
     def test_identical_concurrent_requests_compile_once(self, monkeypatch):
         calls = {"count": 0}
-        real = pipeline_mod._compile_array
+        real = pipeline_mod._drive
 
         def slow(*args, **kwargs):
             calls["count"] += 1
             time.sleep(0.2)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline_mod, "_compile_array", slow)
+        monkeypatch.setattr(pipeline_mod, "_drive", slow)
         service = CompileService(shards=8)
         results = []
 
@@ -149,7 +149,7 @@ class TestPerShardCoalescing:
         sharding the in-flight table)."""
         active = {"now": 0, "peak": 0}
         lock = threading.Lock()
-        real = pipeline_mod._compile_array
+        real = pipeline_mod._drive
 
         def tracked(*args, **kwargs):
             with lock:
@@ -162,7 +162,7 @@ class TestPerShardCoalescing:
                 with lock:
                     active["now"] -= 1
 
-        monkeypatch.setattr(pipeline_mod, "_compile_array", tracked)
+        monkeypatch.setattr(pipeline_mod, "_drive", tracked)
         service = CompileService(shards=8)
         sources = [
             f"array (1,{n}) [ (i) := i+{n} | i <- [1..{n}] ]"

@@ -5,14 +5,15 @@ import pickle
 
 import pytest
 
-from repro import compile_array, kernels
+import repro
+from repro import kernels
 from repro.service import DiskStore, MemoryLRU, TieredStore
 from repro.service.store import FORMAT_VERSION
 
 
 @pytest.fixture(scope="module")
 def compiled():
-    return compile_array(kernels.SQUARES, params={"n": 5})
+    return repro.compile(kernels.SQUARES, strategy="array", params={"n": 5})
 
 
 class TestMemoryLRU:

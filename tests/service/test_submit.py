@@ -1,4 +1,4 @@
-"""The redesigned submit() API and its deprecated shims."""
+"""The typed submit() API: single requests, batches, cache warming."""
 
 import pytest
 
@@ -73,58 +73,14 @@ class TestSubmitBatch:
         hot = service.submit(CompileRequest(SRC))
         assert hot.cached and hot.tier == "memory"
 
-
-class TestDeprecatedShims:
-    """The old four methods: still working, warning, byte-identical."""
-
-    def test_compile_matches_submit(self):
-        with pytest.warns(DeprecationWarning, match="compile"):
-            old = CompileService().compile(SRC, params={"n": 8})
-        new = CompileService().submit(
-            CompileRequest(SRC, params={"n": 8})
-        ).value()
-        assert old.source == new.source
-
-    def test_compile_program_matches_submit(self):
-        with pytest.warns(DeprecationWarning, match="compile_program"):
-            old = CompileService().compile_program(
-                kernels.PROGRAM_PIPELINE, params={"n": 12},
-            )
-        new = CompileService().submit(CompileRequest(
-            kernels.PROGRAM_PIPELINE, params={"n": 12}, kind="program",
-        )).value()
-        assert old.sources() == new.sources()
-
-    def test_compile_batch_matches_submit(self):
-        with pytest.warns(DeprecationWarning, match="compile_batch"):
-            old = CompileService().compile_batch([SRC, BAD])
-        new = CompileService().submit(
-            [CompileRequest(SRC), CompileRequest(BAD)]
-        )
-        assert [r.ok for r in old] == [r.ok for r in new]
-        assert old[0].compiled.source == new[0].compiled.source
-
-    def test_warmup_summary_counts(self):
-        service = CompileService()
-        with pytest.warns(DeprecationWarning, match="warmup"):
-            summary = service.warmup([SRC, SRC, BAD])
-        assert summary["total"] == 3
-        assert summary["compiled"] >= 1 and summary["errors"] == 1
-        # the duplicate either coalesced onto the first compile
-        # (counted compiled) or hit the fresh entry (counted cached)
-        assert summary["compiled"] + summary["cached"] == 2
-
     def test_warmup_routes_program_sources(self):
         """Regression: program sources used to fail the definition
-        parser inside warmup; kind auto-detection now routes them."""
+        parser when warming; kind auto-detection now routes them."""
         service = CompileService()
-        with pytest.warns(DeprecationWarning):
-            summary = service.warmup(
-                [CompileRequest(kernels.PROGRAM_PIPELINE,
-                                params={"n": 12})]
-            )
-        assert summary == {"total": 1, "compiled": 1,
-                           "cached": 0, "errors": 0}
+        warm = service.submit(CompileRequest(
+            kernels.PROGRAM_PIPELINE, params={"n": 12}, warm_only=True,
+        ))
+        assert warm.ok and warm.kind == "program" and not warm.cached
         hot = service.submit(CompileRequest(
             kernels.PROGRAM_PIPELINE, params={"n": 12},
         ))

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro import CompileError, FlatArray, compile_bigupd, evaluate
+import repro
+from repro import CompileError, FlatArray, evaluate
 from repro.runtime import incremental
 
 
@@ -14,7 +15,7 @@ class TestSwap:
                   | j <- [1..n] *]
         """
         params = {"n": 6, "i": 1, "k": 3}
-        compiled = compile_bigupd(swap, params=params)
+        compiled = repro.compile(swap, strategy="bigupd", params=params)
         assert compiled.report.strategy == "inplace"
         base = [float(v) for v in range(24)]
         arr = FlatArray.from_list(((1, 1), (4, 6)), list(base))
@@ -34,7 +35,7 @@ class TestSwap:
                   [ (k,j) := a!(i,j) | j <- [1..n] ])
         """
         params = {"n": 6, "i": 1, "k": 3}
-        compiled = compile_bigupd(swap, params=params)
+        compiled = repro.compile(swap, strategy="bigupd", params=params)
         assert compiled.report.strategy == "inplace-copy"
         base = [float(v) for v in range(24)]
         arr = FlatArray.from_list(((1, 1), (4, 6)), list(base))
@@ -48,7 +49,7 @@ class TestSwap:
 class TestBoundsFromInput:
     def test_runs_at_any_size(self):
         scale = "bigupd a [* i := 2.0 * a!i | i <- [1..n] *]"
-        compiled = compile_bigupd(scale, params={"n": 4})
+        compiled = repro.compile(scale, strategy="bigupd", params={"n": 4})
         arr = FlatArray.from_list((1, 4), [1.0, 2.0, 3.0, 4.0])
         out = compiled({"a": arr})
         assert out.to_list() == [2.0, 4.0, 6.0, 8.0]
@@ -56,14 +57,15 @@ class TestBoundsFromInput:
 
     def test_untouched_cells_keep_values(self):
         partial = "bigupd a [* i := 0.0 | i <- [2..3] *]"
-        compiled = compile_bigupd(partial, params={})
+        compiled = repro.compile(partial, strategy="bigupd", params={})
         arr = FlatArray.from_list((1, 5), [9.0] * 5)
         out = compiled({"a": arr})
         assert out.to_list() == [9.0, 0.0, 0.0, 9.0, 9.0]
 
     def test_offset_bounds_respected(self):
         scale = "bigupd a [* i := a!i + 1.0 | i <- [lo..hi] *]"
-        compiled = compile_bigupd(scale, params={"lo": -2, "hi": 0})
+        compiled = repro.compile(scale, strategy="bigupd",
+                                 params={"lo": -2, "hi": 0})
         arr = FlatArray.from_list((-3, 1), [0.0] * 5)
         out = compiled({"a": arr})
         assert out.to_list() == [0.0, 1.0, 1.0, 1.0, 0.0]
@@ -74,7 +76,7 @@ class TestSemantics:
         # bigupd: every read is of the ORIGINAL array.
         shift = "bigupd a [* i := a!(i-1) + a!(i+1) | i <- [2..n-1] *]"
         n = 6
-        compiled = compile_bigupd(shift, params={"n": n})
+        compiled = repro.compile(shift, strategy="bigupd", params={"n": n})
         cells = [float(k * k) for k in range(1, n + 1)]
         arr = FlatArray.from_list((1, n), list(cells))
         out = compiled({"a": arr})
@@ -90,7 +92,7 @@ class TestSemantics:
         """
         oracle = evaluate(src, deep=False)
         update = "bigupd a [* i := a!1 + a!i | i <- [2..4] *]"
-        compiled = compile_bigupd(update, params={})
+        compiled = repro.compile(update, strategy="bigupd", params={})
         arr = FlatArray.from_list((1, 5), [1, 2, 3, 4, 5])
         out = compiled({"a": arr})
         assert out.to_list() == oracle.to_list()
@@ -99,8 +101,61 @@ class TestSemantics:
 class TestErrors:
     def test_not_a_bigupd(self):
         with pytest.raises(CompileError):
-            compile_bigupd("array (1,3) [ i := 0 | i <- [1..3] ]")
+            repro.compile("array (1,3) [ i := 0 | i <- [1..3] ]",
+                          strategy="bigupd")
 
     def test_computed_old_array_rejected(self):
         with pytest.raises(CompileError):
-            compile_bigupd("bigupd (f x) [ 1 := 0 ]")
+            repro.compile("bigupd (f x) [ 1 := 0 ]", strategy="bigupd")
+
+
+#: A ``bigupd`` whose stores go through an index array ``p`` (its
+#: values spliced in per case).  Every read sees the *original* ``a``.
+INDIRECT_UPDATE = """
+a = array (1,4) [ i := 1.0 * i | i <- [1..4] ];
+p = array (1,4) ([1 := {0}] ++ [2 := {1}] ++ [3 := {2}] ++ [4 := {3}]);
+b = bigupd a [ (p!i) := a!i * 10.0 | i <- [1..4] ];
+main = b
+"""
+
+
+def _outcome(run):
+    try:
+        return run().to_list()
+    except Exception as exc:  # the oracle's error is part of the story
+        return exc
+
+
+class TestIndirectUpdateMatchesOracle:
+    """In-place stores through an index array can kill any cell: the
+    plan must fall back to a whole copy, and an out-of-range or
+    non-int index must fail as the oracle does, never wrap."""
+
+    @pytest.mark.parametrize("fuse", [True, False])
+    @pytest.mark.parametrize("values", [
+        (2, 1, 4, 3),    # a permutation: reads before overwrites
+        (4, 3, 2, 1),
+        (1, 1, 2, 2),    # duplicates: the later store wins
+        (0, 2, 3, 4),    # below the bounds (python would wrap to -1)
+        (1, 2, 3, 9),    # above the bounds
+        (1, 2, 3, 1.5),  # not an int
+    ], ids=["swaps", "reverse", "duplicates", "below", "above", "float"])
+    def test_compiled_matches_oracle(self, values, fuse):
+        src = INDIRECT_UPDATE.format(*values)
+        want = _outcome(lambda: repro.run_program(src))
+        program = repro.compile_program(src, fuse=fuse)
+        got = _outcome(lambda: program({}))
+        if isinstance(want, Exception):
+            assert isinstance(got, type(want)), got
+        else:
+            assert got == want
+
+    def test_update_compiles_to_checked_whole_copy(self):
+        compiled = repro.compile(
+            "bigupd a [ (p!i) := a!i * 10.0 | i <- [1..n] ]",
+            params={"n": 4},
+        )
+        report = compiled.report
+        assert report.strategy == "inplace-copy"
+        assert report.checks.bounds_checks
+        assert "_as_index(" in compiled.source

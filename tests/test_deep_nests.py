@@ -7,7 +7,8 @@ exercise the machinery beyond the two levels of the worked examples.
 
 import pytest
 
-from repro import analyze, compile_array, evaluate
+import repro
+from repro import analyze, evaluate
 from repro.core.direction import refine_directions
 from repro.core.subscripts import LoopInfo, Reference, build_equations
 from repro.core.affine import Affine
@@ -87,7 +88,7 @@ class TestDepth3Analysis:
 class TestDepth3Execution:
     def test_compiled_matches_reference(self):
         n = 5
-        compiled = compile_array(WAVE3D, params={"n": n})
+        compiled = repro.compile(WAVE3D, strategy="array", params={"n": n})
         assert compiled.report.strategy == "thunkless"
         out = compiled({"n": n})
         want = ref_wave3d(n)
@@ -96,7 +97,7 @@ class TestDepth3Execution:
 
     def test_compiled_matches_oracle(self):
         n = 3
-        compiled = compile_array(WAVE3D, params={"n": n})
+        compiled = repro.compile(WAVE3D, strategy="array", params={"n": n})
         oracle = evaluate(WAVE3D, bindings={"n": n}, deep=False)
         out = compiled({"n": n})
         assert out.to_list() == [
@@ -105,9 +106,9 @@ class TestDepth3Execution:
 
     def test_thunked_matches(self):
         n = 3
-        thunked = compile_array(WAVE3D, params={"n": n},
+        thunked = repro.compile(WAVE3D, strategy="array", params={"n": n},
                                 force_strategy="thunked")
-        thunkless = compile_array(WAVE3D, params={"n": n})
+        thunkless = repro.compile(WAVE3D, strategy="array", params={"n": n})
         assert thunked({"n": n}).to_list() == thunkless({"n": n}).to_list()
 
     def test_backward_middle_loop(self):
@@ -120,7 +121,7 @@ class TestDepth3Execution:
         n = 4
         report = analyze(src, {"n": n})
         assert report.schedule.loop_directions()["j"] == ["backward"]
-        compiled = compile_array(src, params={"n": n})
+        compiled = repro.compile(src, strategy="array", params={"n": n})
         oracle = evaluate(src, bindings={"n": n}, deep=False)
         assert compiled({"n": n}).to_list() == [
             oracle.at(s) for s in oracle.bounds.range()
@@ -130,7 +131,8 @@ class TestDepth3Execution:
         from repro import CodegenOptions
 
         n = 4
-        compiled = compile_array(MIDDLE_CARRIED, params={"n": n},
+        compiled = repro.compile(MIDDLE_CARRIED, strategy="array",
+                                 params={"n": n},
                                  options=CodegenOptions(vectorize=True))
         oracle = evaluate(MIDDLE_CARRIED, bindings={"n": n}, deep=False)
         out = compiled({"n": n})

@@ -1,16 +1,12 @@
-"""The unified ``repro.compile`` facade (strategy dispatch, wrappers).
+"""The unified ``repro.compile`` facade (strategy dispatch).
 
-One entry point replaces the four per-mode functions: ``strategy=``
-selects the pipeline, ``"auto"`` detects it from the source, and the
-old functions survive only as thin :class:`DeprecationWarning`
-wrappers.  These tests pin (a) the dispatch matrix — the facade must
-produce the same generated source, the same report summary, and the
-same cache fingerprint as the legacy entry point it replaces — and
-(b) the facade's argument validation, which is the single place
-strategy/option conflicts are rejected.
+One entry point covers every compilation mode: ``strategy=`` selects
+the pass list, ``"auto"`` detects it from the source.  These tests pin
+(a) the dispatch matrix — auto detection and its cache fingerprint
+resolve to the same strategy — and (b) the facade's argument
+validation, which is the single place strategy/option conflicts are
+rejected.
 """
-
-import warnings
 
 import pytest
 
@@ -27,19 +23,6 @@ in h
 """
 
 
-def _legacy(strategy, src, old, **kwargs):
-    """Call the deprecated per-mode wrapper for ``strategy``."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        if strategy == "array":
-            return repro.compile_array(src, **kwargs)
-        if strategy == "inplace":
-            return repro.compile_array_inplace(src, old, **kwargs)
-        if strategy == "bigupd":
-            return repro.compile_bigupd(src, **kwargs)
-        return repro.compile_accum_array(src, **kwargs)
-
-
 #: strategy -> (source, old_array, params)
 MATRIX = {
     "array": (kernels.WAVEFRONT, None, {"n": 6}),
@@ -50,33 +33,6 @@ MATRIX = {
 
 
 class TestDispatchMatrix:
-    @pytest.mark.parametrize("strategy", sorted(MATRIX))
-    def test_facade_matches_legacy(self, strategy):
-        src, old, params = MATRIX[strategy]
-        new = repro.compile(src, strategy=strategy, old_array=old,
-                            params=params)
-        legacy = _legacy(strategy, src, old, params=params)
-        assert new.source == legacy.source
-        assert new.report.summary() == legacy.report.summary()
-
-    @pytest.mark.parametrize("strategy", sorted(MATRIX))
-    def test_facade_matches_legacy_with_options(self, strategy):
-        src, old, params = MATRIX[strategy]
-        options = CodegenOptions(bounds_checks=True)
-        new = repro.compile(src, strategy=strategy, old_array=old,
-                            params=params, options=options)
-        legacy = _legacy(strategy, src, old, params=params,
-                         options=options)
-        assert new.source == legacy.source
-
-    @pytest.mark.parametrize("strategy", sorted(MATRIX))
-    def test_fingerprint_strategy_matches_mode(self, strategy):
-        src, old, params = MATRIX[strategy]
-        mode = {"array": "monolithic"}.get(strategy, strategy)
-        assert fingerprint(
-            src, params=params, strategy=strategy, old_array=old
-        ) == fingerprint(src, params=params, mode=mode, old_array=old)
-
     def test_auto_fingerprint_matches_resolved(self):
         assert fingerprint(BIGUPD, params={"n": 5}, strategy="auto") \
             == fingerprint(BIGUPD, params={"n": 5}, strategy="bigupd")
@@ -141,24 +97,10 @@ class TestValidation:
             repro.compile(BIGUPD, params={"n": 4},
                           options=CodegenOptions(parallel=True))
 
-
-class TestDeprecatedWrappers:
-    def test_compile_array_warns(self):
-        with pytest.warns(DeprecationWarning, match="repro.compile"):
-            repro.compile_array(kernels.SQUARES, params={"n": 3})
-
-    def test_compile_array_inplace_warns(self):
-        with pytest.warns(DeprecationWarning, match="repro.compile"):
-            repro.compile_array_inplace(kernels.JACOBI, "u",
-                                        params={"m": 8})
-
-    def test_compile_bigupd_warns(self):
-        with pytest.warns(DeprecationWarning, match="repro.compile"):
-            repro.compile_bigupd(BIGUPD, params={"n": 3})
-
-    def test_compile_accum_array_warns(self):
-        with pytest.warns(DeprecationWarning, match="repro.compile"):
-            repro.compile_accum_array(ACCUM)
+    def test_unknown_force_strategy(self):
+        # Rejected by the facade, before any pass runs.
+        with pytest.raises(CompileError, match="force_strategy"):
+            repro.compile(kernels.SQUARES, force_strategy="guarded")
 
 
 class TestReportStability:
@@ -188,6 +130,18 @@ class TestReportStability:
             # vectorizability and parallelism analyses.
             assert report.vectorizable is not None, strategy
             assert report.parallelism is not None, strategy
+
+    def test_every_strategy_runs_the_shared_passes(self):
+        # One pass list: every strategy records the same analysis and
+        # codegen spans (in-place updates included).
+        shared = ("parse", "build", "subscripts", "collisions",
+                  "dependence", "schedule", "parallelism", "codegen",
+                  "exec")
+        for strategy, (src, old, params) in MATRIX.items():
+            timings = repro.compile(src, strategy=strategy,
+                                    old_array=old,
+                                    params=params).report.timings
+            assert set(shared) <= set(timings), strategy
 
     def test_section_order_is_stable(self):
         orders = {}

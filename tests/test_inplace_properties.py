@@ -9,7 +9,8 @@ the whole-copy fallback the planner chooses, the values must agree.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import FlatArray, compile_array_inplace
+import repro
+from repro import FlatArray
 from repro.runtime import incremental
 
 
@@ -52,7 +53,8 @@ def reference_1d(cells, n, offsets):
 def test_random_1d_stencils_inplace(case):
     n, offsets = case
     src = render_stencil_1d(n, offsets)
-    compiled = compile_array_inplace(src, "u", params={"n": n})
+    compiled = repro.compile(src, strategy="inplace", old_array="u",
+                             params={"n": n})
     cells = [float((k * 13 + 5) % 11) for k in range(n)]
     arr = FlatArray.from_list((1, n), list(cells))
     out = compiled({"u": arr})
@@ -101,7 +103,8 @@ def reference_2d(cells, m, offsets):
 def test_random_2d_stencils_inplace(case):
     m, offsets = case
     src = render_stencil_2d(m, offsets)
-    compiled = compile_array_inplace(src, "u", params={"m": m})
+    compiled = repro.compile(src, strategy="inplace", old_array="u",
+                             params={"m": m})
     cells = [float((k * 7 + 3) % 9) for k in range(m * m)]
     arr = FlatArray.from_list(((1, 1), (m, m)), list(cells))
     out = compiled({"u": arr})
@@ -118,7 +121,8 @@ def test_copy_traffic_bounded_by_buffers(case):
     asymptotic comparison is asserted in benchmark E7.)"""
     m, offsets = case
     src = render_stencil_2d(m, offsets)
-    compiled = compile_array_inplace(src, "u", params={"m": m})
+    compiled = repro.compile(src, strategy="inplace", old_array="u",
+                             params={"m": m})
     cells = [0.0] * (m * m)
     arr = FlatArray.from_list(((1, 1), (m, m)), cells)
     incremental.STATS.reset()
@@ -140,7 +144,8 @@ def test_mixed_flow_and_anti_fuzz():
         """
         from repro.kernels import ref_gauss_seidel
 
-        compiled = compile_array_inplace(src, "u", params={"m": m})
+        compiled = repro.compile(src, strategy="inplace", old_array="u",
+                                 params={"m": m})
         cells = [float((k * 3 + 1) % 7) for k in range(m * m)]
         arr = FlatArray.from_list(((1, 1), (m, m)), list(cells))
         out = compiled({"u": arr})

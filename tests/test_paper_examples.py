@@ -7,13 +7,8 @@ derives for its examples.
 
 import pytest
 
-from repro import (
-    FlatArray,
-    analyze,
-    compile_array,
-    compile_array_inplace,
-    evaluate,
-)
+import repro
+from repro import FlatArray, analyze, evaluate
 from repro.runtime import incremental
 from repro.runtime.thunks import STATS as THUNK_STATS
 from repro import kernels
@@ -73,7 +68,8 @@ class TestE3Wavefront:
 
     def test_end_to_end(self):
         n = 12
-        compiled = compile_array(kernels.WAVEFRONT, params={"n": n})
+        compiled = repro.compile(kernels.WAVEFRONT, strategy="array",
+                                 params={"n": n})
         assert compiled.report.strategy == "thunkless"
         THUNK_STATS.reset()
         out = compiled({"n": n})
@@ -84,7 +80,8 @@ class TestE3Wavefront:
         ]
 
     def test_matches_lazy_oracle(self):
-        compiled = compile_array(kernels.WAVEFRONT, params={"n": 6})
+        compiled = repro.compile(kernels.WAVEFRONT, strategy="array",
+                                 params={"n": 6})
         oracle = evaluate(kernels.WAVEFRONT, bindings={"n": 6}, deep=False)
         got = compiled({"n": 6})
         assert got.to_list() == [
@@ -101,7 +98,7 @@ class TestE4AcyclicPasses:
         assert len(report.schedule.loop_directions()["i"]) == 2
 
     def test_values(self):
-        compiled = compile_array(kernels.ABC_ACYCLIC)
+        compiled = repro.compile(kernels.ABC_ACYCLIC, strategy="array")
         oracle = evaluate(kernels.ABC_ACYCLIC, deep=False)
         assert compiled({}).to_list() == [
             oracle.at(s) for s in oracle.bounds.range()
@@ -121,7 +118,7 @@ class TestE5CyclicFallback:
         assert not report.schedule.ok
 
     def test_thunked_code_still_correct(self):
-        compiled = compile_array(kernels.CYCLIC_FALLBACK)
+        compiled = repro.compile(kernels.CYCLIC_FALLBACK, strategy="array")
         assert compiled.report.strategy == "thunked"
         oracle = evaluate(kernels.CYCLIC_FALLBACK, deep=False)
         THUNK_STATS.reset()
@@ -149,8 +146,8 @@ class TestE6LinpackSwap:
         assert dirs == {(1, 2, ("=",)), (2, 1, ("=",))}
 
     def test_copies_match_hand_code(self):
-        compiled = compile_array_inplace(kernels.SWAP, "a",
-                                         params=self.PARAMS)
+        compiled = repro.compile(kernels.SWAP, strategy="inplace",
+                                 old_array="a", params=self.PARAMS)
         base = [float(v) for v in range(48)]
         arr = FlatArray.from_list(((1, 1), (6, 8)), list(base))
         incremental.STATS.reset()
@@ -163,8 +160,8 @@ class TestE7Jacobi:
     """§9 Jacobi: scalar + row-vector temporaries, factor-n savings."""
 
     def test_temporary_structure(self):
-        compiled = compile_array_inplace(kernels.JACOBI, "u",
-                                         params={"m": 12})
+        compiled = repro.compile(kernels.JACOBI, strategy="inplace",
+                                 old_array="u", params={"m": 12})
         plan = compiled.report.inplace_plan
         assert plan.mode == "split"
         levels = sorted(s.level for s in plan.snapshots)
@@ -172,8 +169,8 @@ class TestE7Jacobi:
 
     def test_copy_count_scales_linearly_per_row(self):
         for m in (8, 16):
-            compiled = compile_array_inplace(kernels.JACOBI, "u",
-                                             params={"m": m})
+            compiled = repro.compile(kernels.JACOBI, strategy="inplace",
+                                     old_array="u", params={"m": m})
             cells = kernels.mesh_cells(m)
             arr = FlatArray.from_list(((1, 1), (m, m)), list(cells))
             incremental.STATS.reset()
@@ -204,7 +201,8 @@ class TestE8SorWavefront:
 
     def test_zero_cost_schedule(self):
         m = 10
-        compiled = compile_array_inplace(kernels.SOR, "u", params={"m": m})
+        compiled = repro.compile(kernels.SOR, strategy="inplace",
+                                 old_array="u", params={"m": m})
         directions = compiled.report.schedule.loop_directions()
         assert directions == {"i": ["forward"], "j": ["forward"]}
         cells = kernels.mesh_cells(m)
@@ -236,8 +234,9 @@ class TestE9Collisions:
         from repro import CompileError
 
         with pytest.raises(CompileError):
-            compile_array(
-                "letrec a = array (1,10) [* [ 5 := i ] | i <- [1..3] *] in a"
+            repro.compile(
+                "letrec a = array (1,10) [* [ 5 := i ] | i <- [1..3] *] in a",
+                strategy="array",
             )
 
 

@@ -2,13 +2,8 @@
 
 import pytest
 
-from repro import (
-    CodegenOptions,
-    CompileError,
-    analyze,
-    compile_array,
-    compile_array_inplace,
-)
+import repro
+from repro import CodegenOptions, CompileError, analyze
 from repro import kernels
 from repro.report import render_dot, render_edges, render_schedule
 
@@ -23,7 +18,8 @@ class TestAnalyze:
         assert report.edges
 
     def test_summary_is_readable(self):
-        compiled = compile_array(kernels.WAVEFRONT, params={"n": 8})
+        compiled = repro.compile(kernels.WAVEFRONT, strategy="array",
+                                 params={"n": 8})
         text = compiled.report.summary()
         assert "strategy: thunkless" in text
         assert "collisions: none" in text
@@ -62,50 +58,51 @@ class TestVectorizationReport:
 
 class TestCompileArray:
     def test_default_strategy_thunkless_when_safe(self):
-        compiled = compile_array(kernels.SQUARES, params={"n": 5})
+        compiled = repro.compile(kernels.SQUARES, strategy="array",
+                                 params={"n": 5})
         assert compiled.report.strategy == "thunkless"
 
     def test_notes_explain_fallback(self):
-        compiled = compile_array(kernels.CYCLIC_FALLBACK)
+        compiled = repro.compile(kernels.CYCLIC_FALLBACK, strategy="array")
         assert compiled.report.strategy == "thunked"
         assert any("thunk fallback" in n for n in compiled.report.notes)
 
     def test_source_is_inspectable(self):
-        compiled = compile_array(kernels.SQUARES, params={"n": 5})
+        compiled = repro.compile(kernels.SQUARES, strategy="array",
+                                 params={"n": 5})
         assert "def _build(_env):" in compiled.source
 
     def test_certain_collision_rejected_with_witness(self):
         with pytest.raises(CompileError) as exc_info:
-            compile_array(
-                "letrec a = array (1,9) [* [ 3 := i ] | i <- [1..2] *] in a"
+            repro.compile(
+                "letrec a = array (1,9) [* [ 3 := i ] | i <- [1..2] *] in a",
+                strategy="array",
             )
         assert "collision" in str(exc_info.value)
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(CompileError):
-            compile_array(kernels.SQUARES, params={"n": 5},
+            repro.compile(kernels.SQUARES, strategy="array", params={"n": 5},
                           force_strategy="mystery")
 
     def test_uncompilable_value_reported(self):
         # A lambda inside the element value has no codegen.
         src = "letrec a = array (1,2) [ i := (\\x -> x) i | i <- [1..2] ] in a"
         with pytest.raises(CompileError):
-            compile_array(src)
+            repro.compile(src, strategy="array")
 
 
 class TestCompileInplace:
     def test_report_carries_plan(self):
-        compiled = compile_array_inplace(
-            kernels.JACOBI, "u", params={"m": 8}
-        )
+        compiled = repro.compile(kernels.JACOBI, strategy="inplace",
+                                 old_array="u", params={"m": 8})
         assert compiled.report.inplace_plan is not None
         assert compiled.report.strategy == "inplace"
         assert any("node-splitting" in n for n in compiled.report.notes)
 
     def test_whole_copy_noted(self):
-        compiled = compile_array_inplace(
-            kernels.REVERSE, "a", params={"n": 6}
-        )
+        compiled = repro.compile(kernels.REVERSE, strategy="inplace",
+                                 old_array="a", params={"n": 6})
         assert compiled.report.strategy == "inplace-copy"
         assert any("whole-copy" in n for n in compiled.report.notes)
 
@@ -118,7 +115,7 @@ class TestCompileInplace:
         in a
         """
         with pytest.raises(CompileError):
-            compile_array_inplace(src, "u", params={})
+            repro.compile(src, strategy="inplace", old_array="u", params={})
 
 
 class TestRendering:
@@ -143,8 +140,8 @@ class TestRendering:
 class TestOptionsPlumbing:
     def test_explicit_options_respected(self):
         options = CodegenOptions(bounds_checks=True)
-        compiled = compile_array(kernels.SQUARES, params={"n": 4},
-                                 options=options)
+        compiled = repro.compile(kernels.SQUARES, strategy="array",
+                                 params={"n": 4}, options=options)
         assert "_CS.bounds_checks" in compiled.source
         from repro.codegen.support import CHECK_STATS
 
@@ -153,7 +150,8 @@ class TestOptionsPlumbing:
         assert CHECK_STATS.bounds_checks == 4
 
     def test_symbolic_compile_concrete_run(self):
-        compiled = compile_array(kernels.WAVEFRONT)  # no params at all
+        # no params at all
+        compiled = repro.compile(kernels.WAVEFRONT, strategy="array")
         out = compiled({"n": 5})
         want = kernels.ref_wavefront(5)
         assert out.to_list() == [

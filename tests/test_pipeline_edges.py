@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro import (
-    CodegenOptions,
-    analyze,
-    compile_array,
-    compile_array_inplace,
-)
+import repro
+from repro import CodegenOptions, analyze
 from repro.comprehension.build import BuildError
 
 
@@ -22,14 +18,14 @@ class TestSymbolicAnalysis:
         assert report.empties.status == "possible"
 
     def test_verify_exact_false_is_superset(self):
+        from repro.core.dependence import flow_edges
         from repro.kernels import STRIDE3_SCHEMATIC
 
-        loose = analyze(STRIDE3_SCHEMATIC, verify_exact=False)
-        tight = analyze(STRIDE3_SCHEMATIC, verify_exact=True)
+        comp = analyze(STRIDE3_SCHEMATIC).comp
         loose_set = {(e.src.index, e.dst.index, e.direction)
-                     for e in loose.edges}
+                     for e in flow_edges(comp, verify_exact=False)}
         tight_set = {(e.src.index, e.dst.index, e.direction)
-                     for e in tight.edges}
+                     for e in flow_edges(comp, verify_exact=True)}
         assert tight_set <= loose_set
 
     def test_partial_params(self):
@@ -39,7 +35,7 @@ class TestSymbolicAnalysis:
           [ (i,j) := i * 100 + j | i <- [1..m], j <- [1..n] ]
         in a
         """
-        compiled = compile_array(src, params={"m": 3})
+        compiled = repro.compile(src, strategy="array", params={"m": 3})
         out = compiled({"m": 3, "n": 2})
         assert out.to_list() == [101, 102, 201, 202, 301, 302]
 
@@ -54,8 +50,9 @@ class TestErrorPaths:
             analyze("array (1,3) [ i := 0 | i <- [1, 3, 2] ]")
 
     def test_missing_env_key_at_runtime(self):
-        compiled = compile_array(
-            "letrec a = array (1,3) [ i := q * i | i <- [1..3] ] in a"
+        compiled = repro.compile(
+            "letrec a = array (1,3) [ i := q * i | i <- [1..3] ] in a",
+            strategy="array",
         )
         with pytest.raises(KeyError):
             compiled({})
@@ -63,9 +60,8 @@ class TestErrorPaths:
     def test_inplace_needs_old_array_in_env(self):
         from repro.kernels import SCALE_ROW
 
-        compiled = compile_array_inplace(
-            SCALE_ROW, "a", params={"m": 2, "n": 2, "i": 1, "s": 2}
-        )
+        compiled = repro.compile(SCALE_ROW, strategy="inplace", old_array="a",
+                                 params={"m": 2, "n": 2, "i": 1, "s": 2})
         with pytest.raises(KeyError):
             compiled({"s": 2})
 
@@ -80,14 +76,14 @@ class TestReportPlumbing:
     def test_compiled_repr(self):
         from repro.kernels import SQUARES
 
-        compiled = compile_array(SQUARES, params={"n": 3})
+        compiled = repro.compile(SQUARES, strategy="array", params={"n": 3})
         assert "thunkless" in repr(compiled)
 
     def test_source_reexecutable(self):
         from repro.codegen.compile import compile_source
         from repro.kernels import SQUARES
 
-        compiled = compile_array(SQUARES, params={"n": 4})
+        compiled = repro.compile(SQUARES, strategy="array", params={"n": 4})
         rebuilt = compile_source(compiled.source)
         assert rebuilt({"n": 4}).to_list() == [1, 4, 9, 16]
 

@@ -11,7 +11,8 @@ property of the whole system.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import CompileError, compile_array, evaluate
+import repro
+from repro import CompileError, evaluate
 from repro.runtime.errors import ArrayError
 
 # ----------------------------------------------------------------------
@@ -76,7 +77,7 @@ def test_random_1d_recurrences_match_oracle(case):
         oracle_error = type(exc)
 
     try:
-        compiled = compile_array(src)
+        compiled = repro.compile(src, strategy="array")
     except CompileError:
         # Static rejection is only allowed for genuinely erroneous
         # definitions (certain collisions); our generator never makes
@@ -142,7 +143,7 @@ def test_random_2d_stencils_match_oracle(case):
         want = None
         oracle_error = type(exc)
 
-    compiled = compile_array(src)
+    compiled = repro.compile(src, strategy="array")
     if oracle_error is not None:
         with pytest.raises(Exception):
             compiled({})
@@ -166,7 +167,7 @@ def test_random_reductions_match_oracle(n, coefficient, modulus):
         f"[ i := sum [ {coefficient}*k | k <- [1..i], "
         f"mod k {modulus} == 0 ] | i <- [1..{n}] ] in a"
     )
-    compiled = compile_array(src)
+    compiled = repro.compile(src, strategy="array")
     oracle = evaluate(src, deep=False)
     assert compiled({}).to_list() == [
         oracle.at(i) for i in range(1, n + 1)

@@ -10,7 +10,8 @@ import math
 
 import pytest
 
-from repro import FlatArray, compile_array, compile_array_inplace
+import repro
+from repro import FlatArray
 
 
 class TestHeatEquation:
@@ -36,8 +37,8 @@ class TestHeatEquation:
 
     def test_time_stepping(self):
         n, r, steps = 30, 0.25, 50
-        compiled = compile_array_inplace(self.STEP, "u",
-                                         params={"n": n, "r": r})
+        compiled = repro.compile(self.STEP, strategy="inplace", old_array="u",
+                                 params={"n": n, "r": r})
         cells = [0.0] * n
         cells[n // 2] = 100.0  # heat spike in the middle
         mesh = FlatArray.from_list((1, n), list(cells))
@@ -51,8 +52,8 @@ class TestHeatEquation:
         # interior+boundary stays constant (boundary fixed at 0 and the
         # spike far from it over few steps).
         n, r = 40, 0.2
-        compiled = compile_array_inplace(self.STEP, "u",
-                                         params={"n": n, "r": r})
+        compiled = repro.compile(self.STEP, strategy="inplace", old_array="u",
+                                 params={"n": n, "r": r})
         cells = [0.0] * n
         cells[n // 2] = 60.0
         mesh = FlatArray.from_list((1, n), cells)
@@ -109,13 +110,15 @@ class TestTridiagonalSolver:
             "c": FlatArray.from_list((1, n), c),
             "d": FlatArray.from_list((1, n), d),
         }
-        cp_comp = compile_array(self.FORWARD_C, params={"n": n})
+        cp_comp = repro.compile(self.FORWARD_C, strategy="array",
+                                params={"n": n})
         assert cp_comp.report.schedule.loop_directions()["i"] == ["forward"]
         cp = cp_comp(env)
-        dp = compile_array(self.FORWARD_D, params={"n": n})(
+        dp = repro.compile(self.FORWARD_D, strategy="array", params={"n": n})(
             {**env, "cp": cp}
         )
-        x_comp = compile_array(self.BACKWARD, params={"n": n})
+        x_comp = repro.compile(self.BACKWARD, strategy="array",
+                               params={"n": n})
         assert x_comp.report.schedule.loop_directions()["i"] == ["backward"]
         x = x_comp({**env, "cp": cp, "dp": dp})
         assert x.to_list() == pytest.approx(true_x)
@@ -152,7 +155,8 @@ class TestBinomialPricing:
             "p": p, "q": q, "disc": disc,
             "up": lambda j, steps: up(j, steps),
         }
-        compiled = compile_array(self.LATTICE, params={"n": n})
+        compiled = repro.compile(self.LATTICE, strategy="array",
+                                 params={"n": n})
         directions = compiled.report.schedule.loop_directions()
         assert directions["i"] == ["backward"]
         result = compiled(env)
