@@ -4,11 +4,14 @@ The workload is Jacobi iterated a fixed k sweeps on an m x m mesh
 (m = 1024), plus SOR's wavefront variant: the two distributable
 iterate shapes.  Two ways to run each:
 
-* **single process** — the program driver's compiled sweeps (the
-  parallel backend is available to the kernel as usual);
+* **single process** — the program driver's compiled sweeps: Jacobi
+  runs as the one-block placement (the vectorized block kernel on two
+  float64 buffers), SOR as true in-place sweeps;
 * **distributed** — the same sweeps block-partitioned over a
   persistent fork pool writing shared ``float64`` buffers, halo reads
   served from the neighbor's block of the previous-sweep buffer.
+  Jacobi's blocks run the same block kernel as the single process, so
+  its speedup measures the partition alone, not vectorization too.
 
 Asserted shape:
 

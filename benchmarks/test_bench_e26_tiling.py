@@ -16,15 +16,15 @@ without a C toolchain — pure-python loops are interpreter-bound, not
 memory-bound, so blocking cannot show there.)
 
 **Out-of-core streaming.** Jacobi on a mesh, with ``ooc=True``
-streaming the sweeps through ``numpy.memmap`` tiles.  The timed rows
-run a *fixed-step* ``iterate`` (deterministic sweep cost at m = 96);
-the convergence-loop claims run ``converge`` at a smaller mesh, where
-Jacobi's O(m^2) sweep count stays CI-sized.  Asserted: bit-identity
+streaming the sweeps through row tiles kept in two spill files.  The
+timed rows run a *fixed-step* ``iterate`` (deterministic sweep cost
+at m = 96); the convergence-loop claims run ``converge`` at a smaller
+mesh, where Jacobi's O(m^2) sweep count stays CI-sized.  Asserted: bit-identity
 with the in-memory driver *including the sweep count*, the
 ``ooc.bytes.resident`` gauge bounded by the tile (not the mesh), and
 — via the harness's tracemalloc sampler — a Python-heap peak for the
-streaming run that stays below the two full-mesh buffers the
-in-memory double-buffer driver keeps live.
+streaming run that stays below the two full-mesh float64 buffers the
+in-memory one-block placement keeps live.
 
 Set ``REPRO_BENCH_FAST=1`` for a CI-sized run (m = 128; timing rows
 still land in the baseline but no speedup is claimed).
@@ -247,10 +247,10 @@ def test_e26_ooc_converge_sweep_counts_match(monkeypatch):
 def test_e26_ooc_heap_peak_stays_bounded(peak_resident):
     """tracemalloc view of the same claim: during the sweeps the
     streaming run keeps only (window + destination tile) buffers
-    live, so its heap peak stays below the in-memory driver's, which
-    must hold two full meshes of Python floats.  Both runs pay the
-    same result-list materialization at the end, so the comparison
-    isolates the sweeps' resident set."""
+    live, so its heap peak stays below the in-memory run's, which
+    holds two full float64 meshes (the one-block placement's
+    buffers).  Both runs pay the same result-list materialization at
+    the end, so the comparison isolates the sweeps' resident set."""
     if np is None:
         pytest.skip("streaming needs numpy")
     params = {"m": OOC_M, "k": OOC_STEPS}

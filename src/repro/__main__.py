@@ -254,6 +254,12 @@ def _program_command(args, source: str, params) -> int:
     steps, tol = _parse_iterate(args.iterate)
 
     if args.command == "oracle":
+        if args.iterate:
+            raise SystemExit(
+                "--iterate does not apply to oracle: the lazy oracle runs "
+                "the program as written; pass the iteration control as a "
+                "parameter instead (e.g. -p k=30 for iterate step u0 k)"
+            )
         result = repro.run_program(source, bindings=params, deep=False)
         _print_result(result)
         return 0

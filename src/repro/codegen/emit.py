@@ -690,12 +690,14 @@ def emit_thunkless(
     parallel_log: Optional[List[str]] = None,
     indirect_guard_dims: Optional[Dict[int, Dict[int, str]]] = None,
     tiling=None,
+    vector_log: Optional[List] = None,
 ) -> str:
     """Thunkless scheduled loops into a fresh buffer.
 
     With ``options.vectorize`` set, qualifying innermost loops become
     numpy slice assignments (§10); ``edges`` supplies the dependence
-    edges used to prove a loop carries nothing.  With
+    edges used to prove a loop carries nothing, and the loops taken
+    are appended to ``vector_log`` when given.  With
     ``options.parallel`` set, ``parallel_plan`` (a
     :class:`~repro.core.parallel.ParallelPlan`) drives wavefront and
     dep-free emission, and the backend's decisions are appended to
@@ -706,6 +708,8 @@ def emit_thunkless(
     emitter.parallel_plan = parallel_plan
     if parallel_log is not None:
         emitter.parallel_log = parallel_log
+    if vector_log is not None:
+        emitter.vectorized_loops = vector_log
     if indirect_guard_dims:
         emitter.indirect_guard_dims = dict(indirect_guard_dims)
     if tiling is not None and tiling.ok:
@@ -869,7 +873,8 @@ def emit_inplace(
         # the request loudly instead of emitting dangling references.
         raise CodegenError(
             "in-place code generation cannot vectorize loop(s) "
-            + ", ".join(sorted(set(emitter.vectorized_loops)))
+            + ", ".join(sorted({loop.var
+                                for loop in emitter.vectorized_loops}))
             + ": vector reads need immutable numpy views, but the "
             "input buffer is mutated in place; drop vectorize or "
             "compile monolithically"

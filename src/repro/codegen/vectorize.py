@@ -268,7 +268,7 @@ def emit_vector_loop(emitter, item: ScheduledLoop, locals_) -> bool:
             )
         for assignment in assignments:
             writer.line(assignment)
-        emitter.vectorized_loops.append(loop.var)
+        emitter.vectorized_loops.append(loop)
         return True
     except NotVectorizable:
         del writer.lines[probe:]

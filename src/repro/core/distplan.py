@@ -22,6 +22,13 @@ Everything that does not fit is a *reasoned fallback*: the binding runs
 single-process and the reason lands in ``ProgramReport.fallbacks``
 (prefix ``dist``) and the ``dist`` explain area.
 
+Double-buffer sweeps have three row placements, pavings of one row
+space that differ only in their row blocks and read rule, planned by
+one builder (:func:`_row_plan`) and run by one kernel emitted once per
+binding (:func:`double_kernel`): the one-block placement, in memory
+(:func:`plan_block`); dist row blocks (:func:`plan_distribution`);
+and out-of-core row tiles (:func:`plan_outofcore`).
+
 Legality
 --------
 For **double-buffer** sweeps the argument is locality-free: every read
@@ -62,6 +69,7 @@ never matters at all).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -116,6 +124,9 @@ class DistKernel:
     guard_axes: Tuple[int, ...] = ()
     #: Environment names the kernel fetches (beyond the stand-ins).
     env_names: Tuple[str, ...] = ()
+    #: Innermost loops (by variable) that hold a row-window clause and
+    #: that the §10 vector path left scalar.
+    scalar_loops: Tuple[str, ...] = ()
 
 
 @dataclass
@@ -253,6 +264,58 @@ def value_provably_float(node: ast.Node, params) -> bool:
     if isinstance(node, ast.Let):
         return value_provably_float(node.body, params)
     return False
+
+
+#: Intrinsics that raise in Python for some float arguments, and the
+#: argument position that decides it.
+_TRAP_FNS = {"div": 1, "mod": 1, "sqrt": 0}
+
+
+def _nonzero_literal(node: ast.Node) -> bool:
+    if isinstance(node, ast.UnOp) and node.op == "-":
+        node = node.operand
+    return (isinstance(node, ast.Lit)
+            and type(node.value) in (int, float) and node.value != 0)
+
+
+def _non_negative(node: ast.Node) -> bool:
+    if isinstance(node, ast.Lit):
+        return type(node.value) in (int, float) and node.value >= 0
+    return (isinstance(node, ast.App) and isinstance(node.fn, ast.Var)
+            and node.fn.name == "abs" and len(node.args) == 1)
+
+
+def float_trap(node: ast.Node) -> Optional[str]:
+    """An operation in ``node`` that may raise in Python but not on
+    float64 buffers, or ``None``.
+
+    Python raises on a zero divisor (``/``, ``%``, ``div``, ``mod``)
+    and on ``sqrt`` of a negative, where numpy arrays and scalars give
+    inf or NaN with only a warning.  A nonzero literal divisor and
+    ``sqrt`` of a non-negative literal or of an ``abs`` cannot raise
+    (``sqrt`` of NaN is NaN in both).  Every other operation a block
+    kernel runs raises, or does not, as the list path does.
+    """
+    children = node.children()
+    if isinstance(node, ast.BinOp) and node.op in ("/", "%"):
+        if not _nonzero_literal(node.right):
+            return f"{node.op!r} by a divisor that is not a nonzero literal"
+    elif isinstance(node, ast.App) and isinstance(node.fn, ast.Var) \
+            and node.fn.name in _TRAP_FNS:
+        name, at = node.fn.name, _TRAP_FNS[node.fn.name]
+        safe = _non_negative if name == "sqrt" else _nonzero_literal
+        if len(node.args) != at + 1 or not safe(node.args[at]):
+            return (f"{name!r} of an argument that is not a "
+                    + ("non-negative literal or an abs" if name == "sqrt"
+                       else "nonzero literal"))
+        children = node.args
+    elif isinstance(node, ast.Var) and node.name in _TRAP_FNS:
+        return f"{node.name!r} used as a value"
+    for child in children:
+        found = float_trap(child)
+        if found:
+            return found
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -437,14 +500,17 @@ def plan_distribution(
     param: str,
     params: Optional[Dict] = None,
     workers: int = 0,
+    *,
+    kernel,
 ) -> DistBindingPlan:
     """Build a :class:`DistBindingPlan` for one iterate binding.
 
     ``report`` is the step function's single-definition
     :class:`~repro.core.pipeline.Report`; ``mode`` the driver mode the
-    program compiler picked (``'double'``/``'inplace'``).  Raises
-    :class:`DistReject` with the reason when the binding must stay
-    single-process.
+    program compiler picked (``'double'``/``'inplace'``); ``kernel``
+    the binding's shared double-kernel builder (:func:`double_kernel`).
+    Raises :class:`DistReject` with the reason when the binding must
+    stay single-process.
     """
     if _np is None:
         raise DistReject("numpy is unavailable — shared float64 "
@@ -454,13 +520,12 @@ def plan_distribution(
             f"workers={workers} — a single block is the single-process "
             "path; distribution skipped"
         )
-    low, high, rank, order, clause_pos, directions = \
-        _common_checks(report, params)
-
     if mode == "double":
         return _plan_double(name, report, param, params, workers,
-                            low, high, rank)
+                            kernel)
     if mode == "inplace":
+        low, high, rank, order, clause_pos, directions = \
+            _common_checks(report, params)
         return _plan_wavefront(name, report, param, params, workers,
                                low, high, rank, order, clause_pos,
                                directions)
@@ -479,15 +544,15 @@ def _row_split(report, param, params, low, high, unit: str,
                storage: str, window_only: bool):
     """Legality and halo of a double-buffer sweep split into row units.
 
-    One analysis for dist row blocks (``unit`` ``"block"``, ``storage``
-    ``"buffer"``) and out-of-core row tiles (``"tile"``, ``"file"``):
-    every read resolves against the complete previous sweep, so any
-    partition of the writes on axis 0 is legal once each cell has one
-    writer and the step is provably total.  ``window_only`` rejects
-    broadcast reads (non-constant row offset), which a tile cannot
-    serve because only its halo window is resident; dist counts them.
-    Returns ``(kind, halo_lo, halo_hi, tail, broadcast)``, ``tail``
-    being the cells per row.
+    One analysis for the one-block placement and dist row blocks
+    (``unit`` ``"block"``, ``storage`` ``"buffer"``) and out-of-core
+    row tiles (``"tile"``, ``"file"``): every read resolves against the
+    complete previous sweep, so any partition of the writes on axis 0
+    is legal once each cell has one writer and the step is provably
+    total.  ``window_only`` rejects broadcast reads (non-constant row
+    offset), which a tile cannot serve because only its halo window is
+    resident; a resident mesh counts them.  Returns ``(kind, halo_lo,
+    halo_hi, tail, broadcast)``, ``tail`` being the cells per row.
     """
     comp = report.comp
     rank = len(low)
@@ -553,33 +618,107 @@ def _row_split(report, param, params, low, high, unit: str,
     return kind, halo_lo, halo_hi, tail, broadcast
 
 
-def _plan_double(name, report, param, params, workers, low, high,
-                 rank) -> DistBindingPlan:
-    kind, halo_lo, halo_hi, tail, broadcast = _row_split(
-        report, param, params, low, high, "block", "buffer", False)
-    row_blocks = split_windows(low[0], high[0], workers)
-    internal = sum(
-        1 for k in range(workers - 1)
-        if row_blocks[k][1] >= row_blocks[k][0]
-        and row_blocks[k + 1][1] >= row_blocks[k + 1][0]
-    )
-    halo_cells = internal * (halo_lo + halo_hi) * tail
+def double_kernel(report, params):
+    """The binding's double-buffer block kernel, emitted on first call.
 
+    One builder serves every row placement of a binding (one block,
+    dist blocks, out-of-core tiles), so the kernel is emitted once; a
+    failed emission is not cached and raises again.
+    """
+    from repro.dist.kernel import build_double_kernel
+
+    return functools.cache(lambda: build_double_kernel(report, params))
+
+
+def _row_plan(name, report, param, params, kernel, workers, unit,
+              storage, window_only, blocks):
+    """The row placement of a double-buffer sweep, every placement's.
+
+    ``blocks(low, high, tail, halo)`` gives the axis-0 row blocks and
+    ``window_only`` the read rule (see :func:`_row_split`); ``kernel``
+    is the binding's :func:`double_kernel` builder.  Returns ``(plan,
+    broadcast, tail)``.
+    """
+    low, high, rank, _, _, _ = _common_checks(report, params)
+    kind, halo_lo, halo_hi, tail, broadcast = _row_split(
+        report, param, params, low, high, unit, storage, window_only)
+    row_blocks = tuple(blocks(low, high, tail, halo_lo + halo_hi))
+    internal = sum(1 for a, b in zip(row_blocks, row_blocks[1:])
+                   if a[1] >= a[0] and b[1] >= b[0])
     plan = DistBindingPlan(
         name=name, kind=kind, mode="double", workers=workers,
         rank=rank, low=low, high=high, param=param,
-        row_blocks=tuple(row_blocks), halo_lo=halo_lo, halo_hi=halo_hi,
-        halo_cells_per_sweep=halo_cells,
+        row_blocks=row_blocks, halo_lo=halo_lo, halo_hi=halo_hi,
+        halo_cells_per_sweep=internal * (halo_lo + halo_hi) * tail,
     )
+    plan.kernel = kernel()
+    return plan, broadcast, tail
+
+
+def plan_block(
+    name: str,
+    report,
+    param: str,
+    params: Optional[Dict] = None,
+    *,
+    kernel,
+) -> DistBindingPlan:
+    """The one-block placement of a double-buffer sweep.
+
+    In memory is the one-tile paving of the row space: one block
+    spanning axis 0, swept by the same vectorized block kernel the
+    dist and out-of-core placements run, on two float64 buffers
+    (:func:`repro.program.run._sweep_block`).  The whole mesh is
+    resident, so broadcast reads are served.  No clause may hold a
+    :func:`float_trap`: where the list path raises, as the oracle
+    does, float64 buffers would return inf or NaN.  The block kernel
+    must vectorize every innermost loop that holds a row-window
+    clause: a scalar loop indexing float64 buffers is slower than the
+    list path, which keeps such a step.  Raises :class:`DistReject`
+    with the reason otherwise.
+    """
+    if _np is None:
+        raise DistReject("numpy is unavailable — the block kernel "
+                         "sweeps float64 buffers")
+    plan, _, _ = _row_plan(
+        name, report, param, params, kernel, 1, "block", "buffer",
+        False, lambda low, high, tail, halo: [(low[0], high[0])])
+    for clause in report.comp.clauses:
+        for node in (clause.value, *clause.guards, *clause.lets):
+            trap = float_trap(node)
+            if trap:
+                raise DistReject(
+                    f"{clause.label}: {trap} — the list path raises "
+                    "where float64 buffers give inf or NaN"
+                )
+    scalar = plan.kernel.scalar_loops
+    if scalar:
+        raise DistReject(
+            "the block kernel leaves loop(s) " + ", ".join(scalar)
+            + " scalar, and scalar access to float64 buffers is "
+            "slower than the list path"
+        )
+    return plan
+
+
+def _plan_double(name, report, param, params, workers,
+                 kernel) -> DistBindingPlan:
+    plan, broadcast, _ = _row_plan(
+        name, report, param, params, kernel, workers, "block",
+        "buffer", False,
+        lambda low, high, tail, halo: split_windows(low[0], high[0],
+                                                    workers))
+    low, high, kind = plan.low, plan.high, plan.kind
     plan.notes.append(
         f"{name}: {kind} — axis 0 split into {workers} row block(s) "
         f"of ~{(high[0] - low[0] + 1 + workers - 1) // workers} row(s)"
     )
     if kind == "stencil":
         plan.notes.append(
-            f"{name}: halo widths -{halo_lo}/+{halo_hi} row(s); "
-            f"{halo_cells} halo cell(s) cross block boundaries per "
-            "sweep (served from the shared previous-sweep buffer)"
+            f"{name}: halo widths -{plan.halo_lo}/+{plan.halo_hi} "
+            f"row(s); {plan.halo_cells_per_sweep} halo cell(s) cross "
+            "block boundaries per sweep (served from the shared "
+            "previous-sweep buffer)"
         )
     if broadcast:
         plan.notes.append(
@@ -587,9 +726,6 @@ def _plan_double(name, report, param, params, workers, low, high,
             "offset) served from the shared buffer without halo "
             "accounting"
         )
-    from repro.dist.kernel import build_double_kernel
-
-    plan.kernel = build_double_kernel(report, params)
     return plan
 
 
@@ -613,6 +749,8 @@ def plan_outofcore(
     param: str,
     params: Optional[Dict] = None,
     tile=None,
+    *,
+    kernel,
 ) -> DistBindingPlan:
     """Row-tile streaming plan for one iterate binding.
 
@@ -632,8 +770,9 @@ def plan_outofcore(
     ``tile`` is the ``CodegenOptions.tile`` spec: an explicit int is
     rows per tile (the cache-blocking tile is the partition unit);
     ``None``/``"auto"`` budgets rows so the two resident buffers stay
-    under :data:`OOC_TARGET_BYTES`.  Raises :class:`DistReject` with
-    the reason when the binding must run in-memory.
+    under :data:`OOC_TARGET_BYTES`.  ``kernel`` is the binding's
+    shared :func:`double_kernel` builder.  Raises :class:`DistReject`
+    with the reason when the binding must run in-memory.
     """
     if _np is None:
         raise DistReject("numpy is unavailable — tile streaming "
@@ -644,41 +783,30 @@ def plan_outofcore(
             f"{mode!r} sweep mutates one buffer whose tiles cannot "
             "stream independently"
         )
-    low, high, rank, order, clause_pos, directions = \
-        _common_checks(report, params)
-    kind, halo_lo, halo_hi, tail, _ = _row_split(
-        report, param, params, low, high, "tile", "file", True)
-    rows = high[0] - low[0] + 1
-    tile_rows = _ooc_tile_rows(tile, tail, halo_lo + halo_hi)
-    n_tiles = max(1, -(-rows // tile_rows))
-    row_blocks = tuple(
-        (low[0] + k * tile_rows,
-         min(high[0], low[0] + (k + 1) * tile_rows - 1))
-        for k in range(n_tiles)
-    )
-    halo_cells = (n_tiles - 1) * (halo_lo + halo_hi) * tail
+    def tiles(low, high, tail, halo):
+        tile_rows = _ooc_tile_rows(tile, tail, halo)
+        rows = high[0] - low[0] + 1
+        return [(low[0] + k * tile_rows,
+                 min(high[0], low[0] + (k + 1) * tile_rows - 1))
+                for k in range(max(1, -(-rows // tile_rows)))]
 
-    plan = DistBindingPlan(
-        name=name, kind=kind, mode="double", workers=1,
-        rank=rank, low=low, high=high, param=param,
-        row_blocks=row_blocks, halo_lo=halo_lo, halo_hi=halo_hi,
-        halo_cells_per_sweep=halo_cells,
-    )
-    window_bytes = (tile_rows + halo_lo + halo_hi) * tail * 8
+    plan, _, tail = _row_plan(name, report, param, params, kernel, 1,
+                              "tile", "file", True, tiles)
+    halo = plan.halo_lo + plan.halo_hi
+    tile_rows = _ooc_tile_rows(tile, tail, halo)
+    window_bytes = (tile_rows + halo) * tail * 8
     plan.notes.append(
-        f"{name}: out-of-core {kind} — {rows} row(s) stream as "
-        f"{n_tiles} tile(s) of <= {tile_rows} row(s); resident window "
-        f"~{window_bytes} byte(s)"
+        f"{name}: out-of-core {plan.kind} — "
+        f"{plan.high[0] - plan.low[0] + 1} row(s) stream as "
+        f"{len(plan.row_blocks)} tile(s) of <= {tile_rows} row(s); "
+        f"resident window ~{window_bytes} byte(s)"
     )
-    if kind == "stencil":
+    if plan.kind == "stencil":
         plan.notes.append(
-            f"{name}: halo widths -{halo_lo}/+{halo_hi} row(s); "
-            f"{halo_cells} halo cell(s) re-read from the previous-"
-            "sweep file per sweep"
+            f"{name}: halo widths -{plan.halo_lo}/+{plan.halo_hi} "
+            f"row(s); {plan.halo_cells_per_sweep} halo cell(s) re-read "
+            "from the previous-sweep file per sweep"
         )
-    from repro.dist.kernel import build_double_kernel
-
-    plan.kernel = build_double_kernel(report, params)
     return plan
 
 

@@ -24,24 +24,34 @@ and in-place read plans survive; the originals are never mutated.
 
 Double-buffer kernels additionally swap the output allocation for a
 destination view (``_env['.dst']``) and drop the materializing return.
-One such kernel serves both row-block placements: dist workers write
-straight into the shared full-size buffer, and the out-of-core driver
-(:mod:`repro.program.outofcore`) into a tile-sized RAM buffer whose
-first row it passes as ``_env['.dst_row0']`` (absent, the destination
-is indexed from the array's own first row).
+One such kernel, emitted once per binding, serves all three row-block
+placements: the in-memory driver (:mod:`repro.program.run`) sweeps it
+as one block spanning axis 0 over two float64 buffers, dist workers
+write straight into the shared full-size buffer, and the out-of-core
+driver (:mod:`repro.program.outofcore`) into a tile-sized RAM buffer
+whose first row it passes as ``_env['.dst_row0']`` (absent, the
+destination is indexed from the array's own first row).  The kernel
+records the innermost loops the §10 path left scalar
+(:attr:`~repro.core.distplan.DistKernel.scalar_loops`): scalar element
+access to float64 buffers is slower than the list path, so the
+one-block placement refuses such a kernel.
 
 The module also holds what *running* a block kernel needs, the same
-for a dist row block and an out-of-core row tile whatever holds the
-block's bytes: the compiled-kernel cache (:func:`kernel_fn`), the
-per-rectangle loop windows (:func:`window_env`), the bounds a block
-reads through (:func:`row_bounds`), and the runtime admission check
-both placements run before touching the seed (:func:`admit`, with
-:func:`float_cells`).  Where the bytes live (shared segments or spill
-files) and how the blocks synchronise stay with each executor.
+for every placement whatever holds the block's bytes: the
+compiled-kernel cache (:func:`kernel_fn`), the per-rectangle loop
+windows (:func:`window_env`), the bounds a block reads through
+(:func:`row_bounds`), one double-buffer sweep of one block
+(:func:`block_sweep`), and the runtime admission check every
+placement runs before touching the seed (:func:`admit`, with
+:func:`float_cells`; in-process placements ship inputs through
+:func:`as_f64`).  Where the bytes live (RAM buffers, shared segments
+or spill files) and how the blocks synchronise stay with each
+executor.
 """
 
 from __future__ import annotations
 
+import functools
 import pickle
 import re
 from typing import Dict, List, Optional, Tuple
@@ -62,6 +72,7 @@ from repro.core.distplan import (
     _clause_loop,
     _const_eval,
 )
+from repro.core.schedule import ScheduledClause, ScheduledLoop
 from repro.lang import ast
 from repro.runtime.bounds import Bounds
 
@@ -147,6 +158,23 @@ def _edit(source: str, old: str, new: str) -> str:
     return source.replace(old, new)
 
 
+def _scalar_loops(items, vectorized, rows) -> List[str]:
+    """Innermost loops holding a clause that writes a row window (not
+    a constant row, ``id`` in ``rows``) and stayed scalar."""
+    out: List[str] = []
+    for item in items:
+        if not isinstance(item, ScheduledLoop):
+            continue
+        if id(item.loop) not in vectorized and any(
+            isinstance(child, ScheduledClause)
+            and id(child.clause) not in rows
+            for child in item.body
+        ):
+            out.append(item.loop.var)
+        out.extend(_scalar_loops(item.body, vectorized, rows))
+    return out
+
+
 def build_double_kernel(report, params) -> DistKernel:
     """Block kernel for a double-buffered (thunkless) sweep.
 
@@ -160,9 +188,12 @@ def build_double_kernel(report, params) -> DistKernel:
         pickle.dumps((report.comp, report.schedule, report.edges))
     )
     clamps, guard_axes = _clamp_axes(comp, (0,), params)
+    rows = {id(clause) for clause in comp.clauses
+            if _axis_write(clause, 0, params).const is not None}
+    vectorized: List = []
     source = emit_thunkless(
         comp, schedule, CodegenOptions(vectorize=True), params,
-        edges=edges,
+        edges=edges, vector_log=vectorized,
     )
     source = _edit(source, "_out = _np.zeros(_size)",
                    "_out = _env.pop('.dst')")
@@ -177,6 +208,8 @@ def build_double_kernel(report, params) -> DistKernel:
         guard_axes=guard_axes,
         env_names=_env_names(source, _internal_names(clamps,
                                                      guard_axes)),
+        scalar_loops=tuple(_scalar_loops(
+            schedule.items, {id(loop) for loop in vectorized}, rows)),
     )
 
 
@@ -204,33 +237,43 @@ def build_wavefront_kernel(report, params) -> DistKernel:
 
 
 # ----------------------------------------------------------------------
-# Running a block kernel: the rules a dist row block and an out-of-core
-# row tile share, whatever holds the block's bytes.
+# Running a block kernel: the rules every row placement shares (one
+# block in memory, a dist row block, an out-of-core row tile), whatever
+# holds the block's bytes.
 
-#: Compiled block kernels keyed by source, shared by the dist workers
-#: (which persist across calls) and the out-of-core driver.
-_COMPILED: Dict[str, object] = {}
+@functools.lru_cache(maxsize=32)
+def _compiled(source: str, entry: str, compile):
+    return compile(source, entry)
 
 
 def kernel_fn(kernel: DistKernel, compile=compile_source):
-    """The kernel's entry point, compiled once per source."""
-    fn = _COMPILED.get(kernel.source)
-    if fn is None:
-        fn = compile(kernel.source, kernel.entry)
-        _COMPILED[kernel.source] = fn
-    return fn
+    """The kernel's entry point, compiled once per source.
+
+    The cache is shared by the dist workers (which persist across
+    calls), the out-of-core driver and the in-memory one-block path,
+    and bounded, so a long-lived process that compiles many programs
+    keeps only the recent kernels.
+    """
+    return _compiled(kernel.source, kernel.entry, compile)
 
 
 def float_cells(cells) -> bool:
     """Whether a cell buffer is exactly float64-representable.
 
-    Shared buffers and spill files hold float64; an int cell would come
-    back ``5.0`` where the in-memory path preserves ``5``.  Lists must
-    be all Python floats; numpy buffers must already be float64.
+    Block buffers hold float64; an int cell would come back ``5.0``
+    where the list path preserves ``5``.  Lists must be all Python
+    floats (exact type: no bool, subclass or numpy scalar); numpy
+    buffers must already be float64.
     """
     if _np is not None and isinstance(cells, _np.ndarray):
         return cells.dtype == _np.float64
-    return all(type(cell) is float for cell in cells)
+    return set(map(type, cells)) <= {float}
+
+
+def as_f64(cells):
+    """Input cells as float64, once per run, so the vector clauses'
+    per-call ``asarray`` is a view, not a copy of the whole input."""
+    return _np.asarray(cells, dtype=_np.float64)
 
 
 def window_env(env: Dict, kernel: DistKernel,
@@ -249,6 +292,23 @@ def window_env(env: Dict, kernel: DistKernel,
         env[f"_dga{axis}_e"] = whi
 
 
+def block_sweep(build, env_base: Dict, param: str, bounds: Bounds,
+                src, dst, window, fold: bool):
+    """One double-buffer sweep of one row block, ``src`` to ``dst``.
+
+    ``env_base`` is the block's kernel environment (inputs and loop
+    windows).  With ``fold``, returns the exact ``max |dst - src|``
+    over the block's cells ``window`` (NaN propagates), else ``None``.
+    """
+    env = dict(env_base)
+    env[param] = FlatArray(bounds, src)
+    env[".dst"] = dst
+    build(env)
+    if not fold:
+        return None
+    return float(_np.max(_np.abs(dst[window] - src[window])))
+
+
 def row_bounds(low, high, rows=None) -> Bounds:
     """Bounds ``low..high``, with axis 0 narrowed to ``rows`` if given."""
     if rows is not None:
@@ -263,12 +323,12 @@ def admit(plan, env: Dict, kind: str, control, seed: FlatArray,
           ship) -> Optional[Dict]:
     """Check a block run before it starts: its kernel env, or ``None``.
 
-    ``plan`` is the binding's dist or out-of-core
+    ``plan`` is the binding's one-block, dist or out-of-core
     :class:`~repro.core.distplan.DistBindingPlan`.  Compile time proved
     the structural preconditions; these are the ones only the call
     shows.  Every input the kernel fetches must be an int, a float, or
     an array of float cells, which ``ship`` converts for the run's
-    transport.  ``None`` means run the in-memory sweeps: nothing was
+    transport.  ``None`` means run the list-path sweeps: nothing was
     copied and the seed is untouched.
     """
     if kind == "steps" and control <= 0:
@@ -277,6 +337,8 @@ def admit(plan, env: Dict, kind: str, control, seed: FlatArray,
     if (tuple(lo for lo, _ in dims) != plan.low
             or tuple(hi for _, hi in dims) != plan.high):
         return None  # not the bounds the blocks were planned for
+    if not len(seed.cells):
+        return None  # an empty mesh: no block to sweep
     if not float_cells(seed.cells):
         return None  # the blocks' buffers hold float64
     payload: Dict[str, object] = {}

@@ -47,7 +47,13 @@ except ImportError:  # pragma: no cover - numpy ships with the toolchain
 from repro.codegen import support
 from repro.codegen.support import FlatArray
 from repro.dist import exchange
-from repro.dist.kernel import admit, kernel_fn, row_bounds, window_env
+from repro.dist.kernel import (
+    admit,
+    block_sweep,
+    kernel_fn,
+    row_bounds,
+    window_env,
+)
 from repro.dist.pool import (
     BARRIER_TIMEOUT,
     DistPoolError,
@@ -223,19 +229,14 @@ def _worker_double(index, parties, wait, job):
         def sweep(number, fold):
             src, dst = ((buf_a, buf_b) if number % 2 == 0
                         else (buf_b, buf_a))
+            local = 0.0
             if nonempty:
-                env = dict(env_base)
-                env[job["param"]] = FlatArray(bounds, src.array)
-                env[".dst"] = dst.array
-                build(env)
+                local = block_sweep(build, env_base, job["param"], bounds,
+                                    src.array, dst.array, window, fold)
             count_runtime("dist.worker.sweeps")
             if not fold:
                 wait()
                 return None
-            local = 0.0
-            if nonempty:
-                delta = dst.array[window] - src.array[window]
-                local = float(_np.max(_np.abs(delta)))
             return _agree(reduce_buf, index, parties, wait, local)
 
         return run_sweeps(job["kind"], job["control"], sweep, job["cap"])

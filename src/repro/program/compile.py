@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import replace as _dc_replace
 from typing import Dict, List, Optional, Sequence, Set
 
+from repro.codegen.emit import CodegenError
 from repro.comprehension.build import BuildError, find_array_comp
 from repro.core import pipeline
 from repro.core.dependence import dependence_memo
@@ -269,6 +270,16 @@ def _sweep_driver(report, native: bool) -> str:
     why = "; ".join(report.backend) or "the python backend was requested"
     return ("sweeps run in the Python driver (the step lowered to "
             f"python: {why})")
+
+
+def _superseded(options) -> str:
+    """The requested step options the block kernel runs instead of."""
+    names = [name for name in ("vectorize", "parallel")
+             if getattr(options, name, False)]
+    tile = getattr(options, "tile", None)
+    if tile is not None:
+        names.append(f"tile={tile}")
+    return f" (superseding {', '.join(names)})" if names else ""
 
 
 def _index_array_names(binds: Sequence[ast.Binding]) -> Set[str]:
@@ -824,12 +835,21 @@ class _CompileState:
         compiled, mode, reuse_buffers, why_not_inplace = \
             self._pick_iterate_mode(body, param)
         bounds = compiled.report.comp.bounds
+        from repro.core.distplan import (
+            double_kernel,
+            plan_distribution,
+            plan_outofcore,
+        )
 
+        # One block kernel per binding, emitted on first use, serves
+        # every row placement below.
+        kernel = double_kernel(compiled.report, self.params)
         seed_dead = self._dead_after(spec.seed, name)
+        on_c = compiled.report.backend_used == "c"
         # An in-place step is a §9 split plan, and the C backend gives
         # every split-plan kernel its own sweep loop.
-        native_sweeps = (mode == "inplace"
-                         and compiled.report.backend_used == "c")
+        native_sweeps = mode == "inplace" and on_c
+        block = None
         if mode == "inplace":
             self.report.iterate.append(
                 f"{name}: true in-place sweeps — {spec.fn!r} runs in "
@@ -837,9 +857,11 @@ class _CompileState:
                 + _sweep_driver(compiled.report, native_sweeps)
             )
         else:
+            block, placement = self._one_block(name, compiled.report,
+                                               param, on_c, kernel)
             self.report.iterate.append(
                 f"{name}: double-buffer sweeps (in-place rejected: "
-                f"{why_not_inplace}); buffer recycling "
+                f"{why_not_inplace}); {placement}, buffer recycling "
                 + ("on" if reuse_buffers else "off")
             )
             self.report.fallbacks.append(
@@ -855,7 +877,10 @@ class _CompileState:
             ))
             self.report.elided.append(
                 f"iterate {name!r}: seed {spec.seed!r}'s buffer joins "
-                "the sweep rotation (initial copy elided)"
+                + ("the sweep rotation (initial copy elided)"
+                   if block is None else
+                   "the list path's sweep rotation (initial copy "
+                   "elided; the one block copies it into float64)")
             )
             self.consumed.add(spec.seed)
 
@@ -870,19 +895,8 @@ class _CompileState:
             kind=spec.kind, param=param, seed=spec.seed,
             control=spec.control, mode=mode, step=compiled,
             seed_dead=seed_dead, reuse_buffers=reuse_buffers,
-            native_sweeps=native_sweeps,
+            native_sweeps=native_sweeps, block=block,
         )
-        from repro.core.distplan import plan_distribution, plan_outofcore
-
-        if self.dist:
-            plan.dist = self._place(
-                name, "dist", param,
-                "interpreter closures cannot ship to workers",
-                lambda: plan_distribution(
-                    name, compiled.report, mode, param,
-                    params=self.params, workers=self.workers,
-                ),
-            )
         if self.ooc:
             plan.ooc = self._place(
                 name, "ooc", param,
@@ -892,9 +906,73 @@ class _CompileState:
                     name, compiled.report, mode, param,
                     params=self.params,
                     tile=getattr(self.options, "tile", None),
+                    kernel=kernel,
+                ),
+            )
+            if plan.ooc is not None and on_c:
+                self.report.fallbacks.append(
+                    f"ooc {name!r}: tiles run the numpy block kernel, "
+                    "not the C step — streaming keeps the memory bound "
+                    "it was asked for"
+                )
+        if self.dist and (on_c or plan.ooc is not None):
+            self.report.fallbacks.append(f"dist {name!r}: " + (
+                "the step lowered to C, and dist blocks run the numpy "
+                "block kernel — the C step in one process is faster"
+                if on_c else
+                "out-of-core streaming is planned and runs first; it "
+                "admits the same seeds, so dist would never run"))
+        elif self.dist:
+            plan.dist = self._place(
+                name, "dist", param,
+                "interpreter closures cannot ship to workers",
+                lambda: plan_distribution(
+                    name, compiled.report, mode, param,
+                    params=self.params, workers=self.workers,
+                    kernel=kernel,
                 ),
             )
         return ProgramStep(name=name, kind="iterate", iterate=plan)
+
+    def _one_block(self, name, report, param, on_c: bool, kernel):
+        """The one-block plan, or ``None``, and the placement text of
+        the binding's ``iterate`` line."""
+        from repro.core.distplan import DistReject, plan_block
+
+        try:
+            if on_c:
+                raise DistReject("the step lowered to C, and its "
+                                 "per-sweep native call is faster")
+            block = self._closure_free(
+                plan_block(name, report, param, params=self.params,
+                           kernel=kernel),
+                param, "only scalars and arrays ride the block kernel "
+                "environment")
+        except (DistReject, CodegenError) as exc:
+            return None, f"one-block placement refused ({exc}); list path"
+        return block, ("one-block placement: float seeds run the "
+                       "vectorized block kernel on two float64 buffers"
+                       + _superseded(self.options)
+                       + "; other seeds run the list path")
+
+    def _closure_free(self, placed, param, no_closures: str):
+        """``placed``, unless its kernel calls a program function.
+
+        Program functions are interpreter closures, which no block
+        kernel can take as an input; ``no_closures`` says why for the
+        placement.
+        """
+        from repro.core.distplan import DistReject
+
+        for env_name in placed.kernel.env_names:
+            if env_name != param and (
+                self.kinds.get(env_name) == "function"
+            ):
+                raise DistReject(
+                    f"step calls program function {env_name!r} — "
+                    + no_closures
+                )
+        return placed
 
     def _place(self, name, prefix: str, param, no_closures: str, plan):
         """A block placement's plan for one binding, or ``None``.
@@ -908,19 +986,10 @@ class _CompileState:
         ``tile`` one) and the binding runs the ordinary in-memory
         sweeps.
         """
-        from repro.codegen.emit import CodegenError
         from repro.core.distplan import DistReject
 
         try:
-            placed = plan()
-            for env_name in placed.kernel.env_names:
-                if env_name != param and (
-                    self.kinds.get(env_name) == "function"
-                ):
-                    raise DistReject(
-                        f"step calls program function {env_name!r} — "
-                        + no_closures
-                    )
+            placed = self._closure_free(plan(), param, no_closures)
         except (DistReject, CodegenError) as exc:
             self.report.fallbacks.append(f"{prefix} {name!r}: {exc}")
             return None

@@ -1,10 +1,12 @@
 """Out-of-core streaming execution of iterate/converge sweeps.
 
-The double-buffer sweep driver (:func:`repro.program.run._sweep_double`)
-keeps two full arrays in RAM.  This module keeps them in two spill
-files instead and streams each sweep through row *tiles*
-(:func:`repro.core.distplan.plan_outofcore` picked them), so the
-resident working set is bounded by the tile, not the mesh:
+In memory, a double-buffered sweep runs as one block of the vectorized
+block kernel over two full float64 buffers
+(:func:`repro.program.run._sweep_block`).  This module keeps the two
+buffers in spill files instead and streams each sweep through row
+*tiles* of the same kernel (:func:`repro.core.distplan.plan_outofcore`
+picked them), so the resident working set is bounded by the tile, not
+the mesh:
 
 * Two spill files ``sweep-a.dat``/``sweep-b.dat``, opened once per
   run, hold the previous and the current sweep's cells; they swap roles
@@ -17,9 +19,9 @@ resident working set is bounded by the tile, not the mesh:
   :class:`~repro.codegen.support.FlatArray` whose axis-0 bounds are
   shifted to the window, so its absolute row arithmetic lands inside
   the buffer unchanged.
-* The kernel is the dist block kernel
+* The kernel is the binding's block kernel
   (:func:`repro.dist.kernel.build_double_kernel`, §10-vectorized),
-  drawn from the same compiled-kernel cache as the dist workers
+  drawn from the compiled-kernel cache every placement shares
   (:func:`repro.dist.kernel.kernel_fn`).  It
   writes into a preallocated destination buffer the size of one tile —
   ``'.dst_row0'`` is the tile's first row, so its linear stores count
@@ -53,10 +55,10 @@ the sweep array stay fully resident, converted once per run to float64
 
 ``None`` from :func:`run_ooc_iterate` means a *runtime* precondition
 failed (counted as ``ooc.fallback.runtime``): numpy or the kernel is
-missing, the admission check dist shares
-(:func:`repro.dist.kernel.admit`) refused, or the mesh is empty.  The
-caller runs the ordinary in-memory sweeps — the seed is never mutated
-here.
+missing, or the admission check every row placement shares
+(:func:`repro.dist.kernel.admit`, which also refuses an empty mesh)
+refused.  The caller runs the in-memory sweeps — the seed is never
+mutated here.
 
 Counters: ``ooc.tiles`` / ``tile.count`` per executed tile,
 ``tile.halo.cells`` for window rows beyond the tile,
@@ -84,7 +86,13 @@ except ImportError:  # pragma: no cover - numpy ships with the toolchain
 from repro.codegen import support
 from repro.codegen.compile import compile_source
 from repro.codegen.support import FlatArray
-from repro.dist.kernel import admit, kernel_fn, row_bounds, window_env
+from repro.dist.kernel import (
+    admit,
+    as_f64,
+    kernel_fn,
+    row_bounds,
+    window_env,
+)
 from repro.obs.trace import count_runtime
 from repro.program.iterate import fold_max, run_sweeps
 from repro.program.run import finish_sweeps
@@ -97,12 +105,6 @@ OOC_DIR_ENV = "REPRO_OOC_DIR"
 def _fallback() -> None:
     count_runtime("ooc.fallback.runtime")
     return None
-
-
-def _as_f64(cells):
-    """Input cells as float64, once per run, so the vector clauses'
-    per-tile ``asarray`` is a view, not a copy of the whole input."""
-    return _np.asarray(cells, dtype=_np.float64)
 
 
 def _read_at(fd: int, buf, offset: int) -> None:
@@ -133,14 +135,11 @@ def run_ooc_iterate(plan, ooc_plan, env: Dict, kind: str, control,
     kernel = op.kernel
     if _np is None or kernel is None:
         return _fallback()
-    env_base = admit(op, env, kind, control, current, _as_f64)
+    env_base = admit(op, env, kind, control, current, as_f64)
     if env_base is None:
         return _fallback()
     bounds = current.bounds
-    tiles = [(t0, t1) for t0, t1 in op.row_blocks if t1 >= t0]
-    if not tiles or bounds.size() <= 0:
-        return _fallback()  # an empty mesh
-
+    tiles = op.row_blocks  # a non-empty mesh: every tile holds rows
     low, high = op.low, op.high
     tail = math.prod(h - lo + 1 for lo, h in zip(low[1:], high[1:]))
     # The tile kernel compiles through this module's compile_source,

@@ -6,11 +6,16 @@ shared environment dict.  Array steps call their per-binding
 :class:`~repro.codegen.compile.CompiledComp`; in-place steps hand the
 dead producer's buffer in as ``old_array``; iterate steps drive the
 compiled sweep either truly in place (SOR) or by double-buffer
-swapping (Jacobi), threading dead buffers back through the emitters'
-``'.reuse'`` slot so a whole convergence run allocates O(1) arrays.
-An in-place step that lowered to C runs every sweep, and the
-convergence test, in one native call instead (``'.sweeps'`` slot).
-The Python sweeps here, out of core and on dist workers all run in
+swapping (Jacobi).  An in-place step that lowered to C runs every
+sweep, and the convergence test, in one native call (``'.sweeps'``
+slot).  A double-buffered step that lowered to python runs as the
+one-block placement of the vectorized block kernel that dist blocks
+and out-of-core tiles also run: an admitted float seed sweeps two
+float64 buffers, swapped each sweep (:func:`_sweep_block`).  Every
+other double-buffered seed takes the list path (:func:`_sweep_double`),
+which threads dead buffers back through the emitters' ``'.reuse'``
+slot so a whole convergence run allocates O(1) arrays.  The Python
+sweeps here, out of core and on dist workers all run in
 :func:`repro.program.iterate.run_sweeps`, and every executor ends its
 run in :func:`finish_sweeps`, which counts the sweeps and raises the
 one cap error.
@@ -91,9 +96,14 @@ class IteratePlan:
     dist: Optional[object] = None
     #: Out-of-core streaming plan (also a :class:`~repro.core.distplan
     #: .DistBindingPlan`; the tile is the block-partition unit) when
-    #: the binding compiled with ``ooc=``.  Takes precedence over
-    #: ``dist`` — streaming was asked for explicitly.
+    #: the binding compiled with ``ooc=``.  When it is planned, dist
+    #: is not — both placements admit the same seeds.
     ooc: Optional[object] = None
+    #: One-block plan (a :class:`~repro.core.distplan.DistBindingPlan`
+    #: with one row block spanning axis 0) for a double-buffered step
+    #: that lowered to python: admitted seeds sweep the block kernel
+    #: in memory (:func:`_sweep_block`), the rest the list path.
+    block: Optional[object] = None
 
 
 @dataclass
@@ -330,6 +340,11 @@ def _run_iterate(plan: IteratePlan, env: Dict, interp, genv,
         if plan.native_sweeps and len(current.cells):
             return _sweep_native(plan, env, kind, control, current, owned)
         return _sweep_inplace(plan, env, kind, control, current, owned)
+    if plan.block is not None:
+        swept = _sweep_block(plan.block, env, kind, control, current)
+        if swept is not None:
+            return swept
+        # Not admitted: the list path below — the seed is untouched.
     return _sweep_double(plan, env, kind, control, current, owned)
 
 
@@ -413,6 +428,50 @@ def _sweep_inplace(plan: IteratePlan, env: Dict, kind: str, control,
 
     finish_sweeps("inplace", *run_sweeps(kind, control, sweep), control)
     return current
+
+
+def _sweep_block(block, env: Dict, kind: str, control,
+                 seed: FlatArray) -> Optional[FlatArray]:
+    """Double-buffer sweeps as the one-block placement: ``None`` unless
+    :func:`repro.dist.kernel.admit` accepts the call.
+
+    The seed is copied into one of two float64 buffers, never mutated;
+    each sweep runs the vectorized block kernel over the whole mesh
+    into the other buffer and the two swap roles.  The convergence
+    fold is the exact numpy ``max |dst - src|`` over the block, so
+    values and sweep counts equal :func:`_sweep_double`'s (and the
+    dist and out-of-core runs of the same kernel).
+    """
+    from repro.dist.kernel import (
+        admit,
+        as_f64,
+        block_sweep,
+        kernel_fn,
+        window_env,
+    )
+
+    env_base = admit(block, env, kind, control, seed, as_f64)
+    if env_base is None:
+        return None
+    window_env(env_base, block.kernel, {0: block.row_blocks[0]})
+    build = kernel_fn(block.kernel)
+    size = len(seed.cells)
+    buffers = (_np.array(seed.cells, dtype=_np.float64),
+               _np.empty(size, dtype=_np.float64))
+    alloc_buffer(size)
+    alloc_buffer(size)
+    bounds = seed.bounds
+    whole = slice(None)
+
+    def sweep(number: int, fold: bool):
+        src, dst = buffers[number % 2], buffers[1 - number % 2]
+        return block_sweep(build, env_base, block.param, bounds, src,
+                           dst, whole, fold)
+
+    sweeps, converged = run_sweeps(kind, control, sweep)
+    count_runtime("iterate.block.sweeps", sweeps)
+    finish_sweeps("double", sweeps, converged, control)
+    return FlatArray(bounds, buffers[sweeps % 2].tolist())
 
 
 def _sweep_double(plan: IteratePlan, env: Dict, kind: str, control,

@@ -71,7 +71,11 @@ from repro.lang.parser import parse_expr
 #:     through an index array compile to a whole copy with bounds +
 #:     exact-int checks on their indirect stores, and dependence edges
 #:     come out in sorted (hash-seed independent) order.
-PIPELINE_SALT = "repro-pipeline/11"
+#: /12: double-buffered python steps carry a one-block plan
+#:     (IteratePlan grew ``block``; DistKernel ``scalar_loops``) unless
+#:     a clause may raise where numpy would not, and a C-lowered step
+#:     or a planned out-of-core placement plans no dist blocks.
+PIPELINE_SALT = "repro-pipeline/12"
 
 
 # ----------------------------------------------------------------------

@@ -1,19 +1,23 @@
 """Unit tests for the distribution planner (repro.core.distplan).
 
-Window arithmetic, float provability, the per-mode legality checks,
-and every reasoned rejection the planner can hand the program
-compiler.
+The admission check's cell test, window arithmetic, float
+provability, the per-mode legality checks, and every reasoned
+rejection the planner can hand the program compiler.
 """
 
+import numpy as np
 import pytest
 
 import repro
 from repro.core.distplan import (
     DistReject,
+    double_kernel,
+    float_trap,
     plan_distribution,
     split_windows,
     value_provably_float,
 )
+from repro.dist.kernel import float_cells
 from repro.kernels import PROGRAM_JACOBI, PROGRAM_JACOBI_STEPS, PROGRAM_SOR
 from repro.lang.parser import parse_expr
 
@@ -27,6 +31,34 @@ def _iterate_plan(prog, name="main"):
 
 def _dist_fallbacks(prog):
     return [f for f in prog.report.fallbacks if f.startswith("dist ")]
+
+
+# ----------------------------------------------------------------------
+# The block-run admission check's cell test.
+
+
+class TestFloatCells:
+    """Block buffers hold float64: only exact floats may enter."""
+
+    @pytest.mark.parametrize("cells", [
+        [0.5, -1.0, 2.0],
+        [],
+        np.array([0.5, 1.0]),
+    ], ids=["floats", "empty", "float64-ndarray"])
+    def test_accepted(self, cells):
+        assert float_cells(cells)
+
+    class Half(float):
+        pass
+
+    @pytest.mark.parametrize("odd", [
+        3, True, Half(0.5), np.float64(0.5),
+    ], ids=["int", "bool", "float-subclass", "numpy-float64"])
+    def test_refused_cell_types(self, odd):
+        assert not float_cells([1.0, odd, 2.0])
+
+    def test_refused_float32_ndarray(self):
+        assert not float_cells(np.array([0.5, 1.0], dtype=np.float32))
 
 
 # ----------------------------------------------------------------------
@@ -94,6 +126,40 @@ class TestValueProvablyFloat:
 
     def test_intrinsics(self):
         assert self.check("sqrt (i + j)")
+
+
+class TestFloatTrap:
+    """Operations Python raises on and float64 buffers do not."""
+
+    @pytest.mark.parametrize("src", [
+        "0.25 * (u!(i-1) + u!(i+1))",
+        "u!i / 4.0",
+        "u!i / (-2)",
+        "u!i % 3.0",
+        "div i 2",
+        "mod (u!i) (-1.5)",
+        "sqrt 2.0",
+        "sqrt (abs (u!i - 1.0))",
+        "exp (u!i) + log (u!i) + sin (u!i)",
+        "if u!i > 0.0 then u!i / 2.0 else u!i",
+    ])
+    def test_trap_free(self, src):
+        assert float_trap(parse_expr(src)) is None
+
+    @pytest.mark.parametrize("src, found", [
+        ("1.0 / (1.0 + u!i)", "'/' by a divisor"),
+        ("u!i / 0.0", "'/' by a divisor"),
+        ("u!i / w", "'/' by a divisor"),
+        ("u!i % u!(i+1)", "'%' by a divisor"),
+        ("div i (i - 3)", "'div' of an argument"),
+        ("mod (u!i) 0", "'mod' of an argument"),
+        ("sqrt (u!i)", "'sqrt' of an argument"),
+        ("sqrt (-1.0)", "'sqrt' of an argument"),
+        ("u!i + (if u!i > 0.0 then 1.0 else 1.0 / u!i)", "'/' by"),
+        ("let f = sqrt in f (u!i)", "'sqrt' used as a value"),
+    ])
+    def test_traps(self, src, found):
+        assert found in float_trap(parse_expr(src))
 
 
 # ----------------------------------------------------------------------
@@ -219,7 +285,9 @@ class TestRejections:
         info = prog.report.binding("main")
         with pytest.raises(DistReject, match="single block"):
             plan_distribution("main", info.report, step.mode,
-                              step.param, params={"m": 6}, workers=1)
+                              step.param, params={"m": 6}, workers=1,
+                              kernel=double_kernel(info.report,
+                                                   {"m": 6}))
 
     def test_int_valued_clause_rejected(self):
         prog = repro.compile_program(
@@ -247,4 +315,6 @@ class TestRejections:
         step = _iterate_plan(prog)
         with pytest.raises(DistReject, match="unknown iterate mode"):
             plan_distribution("main", info.report, "mystery",
-                              step.param, params={"m": 6}, workers=2)
+                              step.param, params={"m": 6}, workers=2,
+                              kernel=double_kernel(info.report,
+                                                   {"m": 6}))

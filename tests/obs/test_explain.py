@@ -206,6 +206,44 @@ class TestIterateDriverGolden:
             "lowered; python emitter used)")
 
 
+class TestDoubleBufferDriverGolden:
+    """The double-buffer iterate line names the one-block placement,
+    or why it was refused, and keeps the list path's recycling."""
+
+    PREFIX = ("[iterate] driver: info — main: double-buffer sweeps "
+              "(in-place rejected: split plan needs snapshot/hoisted "
+              "temporaries, re-allocated every sweep); ")
+    BLOCK = ("one-block placement: float seeds run the vectorized block "
+             "kernel on two float64 buffers")
+
+    def _line(self, options=None):
+        ex = explain(PROGRAM_JACOBI_STEPS, params={"m": 8, "k": 5},
+                     options=options)
+        [line] = lines_for(ex, "iterate")
+        return line
+
+    def test_python_step_runs_as_one_block(self):
+        assert self._line() == self.PREFIX + self.BLOCK + (
+            "; other seeds run the list path, buffer recycling on")
+
+    @pytest.mark.parametrize("options, superseded, recycling", [
+        (CodegenOptions(vectorize=True), "vectorize", "off"),
+        (CodegenOptions(tile=4), "tile=4", "on"),
+    ], ids=["vectorize", "tile"])
+    def test_superseded_options_are_named(self, options, superseded,
+                                          recycling):
+        assert self._line(options) == self.PREFIX + self.BLOCK + (
+            f" (superseding {superseded}); other seeds run the list "
+            f"path, buffer recycling {recycling}")
+
+    @TestIterateDriverGolden.needs_cc
+    def test_c_step_refuses_the_block(self):
+        assert self._line(CodegenOptions(backend="c")) == self.PREFIX + (
+            "one-block placement refused (the step lowered to C, and its "
+            "per-sweep native call is faster); list path, buffer "
+            "recycling on")
+
+
 class TestCompileExplainKwarg:
     def test_compile_attaches_explanation(self):
         compiled = repro.compile(WAVEFRONT_F, params={"n": 6},

@@ -4,10 +4,11 @@ Once a sweep overflows, ``inf - inf`` makes convergence deltas NaN.
 Every fold treats a NaN delta as "not converged", so the solve runs to
 the sweep cap and fails the same way at every mesh size — the scalar
 ``max_abs_diff`` loop serves meshes of at most 64 cells, numpy larger
-ones — and in every placement: the in-memory driver on either backend,
-the native C sweep loop, out-of-core tiles, dist blocks and
-wavefronts, and the lazy oracle.  Every compiled placement also counts
-the same sweeps — the cap — under ``iterate.sweeps.<mode>``.
+ones — and in every placement: the in-memory one block (python), the
+in-memory driver on C, the native C sweep loop, out-of-core tiles,
+dist blocks and wavefronts, and the lazy oracle.  Every compiled
+placement also counts the same sweeps — the cap — under
+``iterate.sweeps.<mode>``.
 
 The oracle interprets a sweep in milliseconds, so the cap is lowered
 to :data:`CAP` in :mod:`repro.program.iterate`, which every placement
@@ -89,7 +90,7 @@ def traced(monkeypatch):
 
 def _placements(m):
     """(label, compile kwargs, plan attribute that must be attached)."""
-    yield "python", {}, None
+    yield "python", {}, "block"
     if not NO_CC:
         yield "c", {"options": CodegenOptions(backend="c")}, None
     yield "ooc", {"ooc": True,

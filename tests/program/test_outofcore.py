@@ -15,6 +15,7 @@ import random
 import pytest
 
 import repro
+from repro.backends.native import toolchain_status
 from repro.codegen.emit import CodegenOptions
 from repro.codegen.support import FlatArray
 from repro.kernels import PROGRAM_JACOBI, PROGRAM_JACOBI_STEPS, PROGRAM_SOR
@@ -24,6 +25,11 @@ from repro.obs.trace import (
     runtime_counters,
 )
 from repro.program.compile import compile_program
+
+needs_cc = pytest.mark.skipif(
+    toolchain_status() is not None,
+    reason=f"native toolchain unavailable: {toolchain_status()}",
+)
 
 JACOBI_PARAMS = {"m": 12, "tol": 1e-3}
 STEPS_PARAMS = {"m": 12, "k": 7}
@@ -378,36 +384,98 @@ class TestBlockPlacements:
                     f"'half' — {why}") in program.report.fallbacks
             (plan,) = [s.iterate for s in program.steps if s.iterate]
             assert plan.dist is None and plan.ooc is None
+            # The call also keeps the interior loop scalar, which is
+            # the one-block placement's first reason.
+            assert plan.block is None
+            assert ("one-block placement refused (the block kernel leaves "
+                    "loop(s) j scalar" in program.report.iterate[0])
             identical(program(dict(params)), oracle)
 
-    def test_ooc_runs_before_dist_and_both_fall_back(self, traced):
+    def test_planned_ooc_rejects_dist_with_a_reason(self, traced):
+        # Both placements admit the same seeds and out-of-core runs
+        # first, so a dist plan next to it could never run.
         m = 8
         params = {"m": m, "tol": 1e-3}
         program = compile_program(
             JACOBI_CONVERGE_INPUT_SEED, params=params, dist=True,
             workers=2, ooc=True, options=CodegenOptions(tile=3))
         (plan,) = [s.iterate for s in program.steps if s.iterate]
-        assert plan.ooc is not None and plan.dist is not None
+        assert plan.ooc is not None and plan.dist is None
+        assert ("dist 'main': out-of-core streaming is planned and runs "
+                "first; it admits the same seeds, so dist would never "
+                "run") in program.report.fallbacks
+        assert not any("row block" in note
+                       for note in program.report.dist)
 
-        # A float seed streams; dist is never tried.
+        # A float seed streams.
         seed = jacobi_seed(m, float)
         got = program({"u0": seed})
         counters = runtime_counters()
         streamed(counters)
-        assert "dist.blocks" not in counters
-        assert "dist.fallback.runtime" not in counters
+        assert not [name for name in counters if name.startswith("dist.")]
         identical(got, repro.run_program(
             JACOBI_CONVERGE_INPUT_SEED, bindings=dict(params, u0=seed)))
 
-        # An int seed fails both admission checks, once each, and the
-        # in-memory sweeps run.
+        # An int seed fails the admission check once, and the list
+        # path runs.
         reset_runtime_counters()
         seed = jacobi_seed(m, int)
         got = program({"u0": seed})
         counters = runtime_counters()
         assert counters.get("ooc.fallback.runtime") == 1
-        assert counters.get("dist.fallback.runtime") == 1
         assert "ooc.tiles" not in counters
-        assert "dist.blocks" not in counters
+        assert "iterate.block.sweeps" not in counters
+        assert not [name for name in counters if name.startswith("dist.")]
         identical(got, repro.run_program(
             JACOBI_CONVERGE_INPUT_SEED, bindings=dict(params, u0=seed)))
+
+    @needs_cc
+    @pytest.mark.parametrize("source, params", [
+        (PROGRAM_JACOBI_STEPS, {"m": 8, "k": 5}),
+        (PROGRAM_SOR, {"m": 8, "k": 5, "omega": 1.25}),
+    ], ids=["jacobi", "sor"])
+    def test_c_step_rejects_dist_with_a_reason(self, source, params,
+                                               traced):
+        # Dist blocks run the numpy block kernel; the C step in one
+        # process is faster, so it keeps the binding.
+        program = compile_program(source, params=params, dist=True,
+                                  workers=2,
+                                  options=CodegenOptions(backend="c"))
+        (plan,) = [s.iterate for s in program.steps if s.iterate]
+        assert plan.dist is None and plan.block is None
+        assert plan.step.report.backend_used == "c"
+        assert ("dist 'main': the step lowered to C, and dist blocks run "
+                "the numpy block kernel — the C step in one process is "
+                "faster") in program.report.fallbacks
+        assert program.report.dist == []
+        got = program(dict(params))
+        counters = runtime_counters()
+        assert not [name for name in counters if name.startswith("dist.")]
+        # One native call for the seed binding ``u0``, then one per
+        # sweep (Jacobi), or one for every sweep of the in-place native
+        # loop (SOR).
+        calls = 1 if plan.native_sweeps else params["k"]
+        assert counters.get("backend.c.kernel_calls") == 1 + calls
+        identical(got, repro.run_program(source, bindings=dict(params)))
+
+    @needs_cc
+    def test_c_step_streams_with_an_ooc_reason(self, traced):
+        # Streaming keeps its memory bound; the report says the tiles
+        # run the numpy block kernel instead of the C step.
+        params = {"m": 8, "k": 5}
+        program = compile_program(PROGRAM_JACOBI_STEPS, params=params,
+                                  ooc=True,
+                                  options=CodegenOptions(backend="c",
+                                                         tile=3))
+        (plan,) = [s.iterate for s in program.steps if s.iterate]
+        assert plan.ooc is not None and plan.block is None
+        assert ("ooc 'main': tiles run the numpy block kernel, not the C "
+                "step — streaming keeps the memory bound it was asked "
+                "for") in program.report.fallbacks
+        got = program(dict(params))
+        counters = runtime_counters()
+        streamed(counters)
+        # The seed binding ``u0`` is the only native call.
+        assert counters.get("backend.c.kernel_calls") == 1
+        identical(got, repro.run_program(PROGRAM_JACOBI_STEPS,
+                                         bindings=dict(params)))

@@ -265,13 +265,26 @@ class TestIterate:
         assert allocations(prog, spec["params"]) == 1  # just the seed
 
     def test_jacobi_double_buffers_with_recycling(self):
+        # An int-celled seed: the one-block placement refuses it at run
+        # time, so the list path's buffer recycling is what runs.
         spec = PROGRAM_CATALOG["program_jacobi"]
-        prog = compile_program(spec["source"], params=spec["params"])
+        source = spec["source"].replace(
+            "then 1.0 * (i + j) else 0.0", "then i + j else 0")
+        prog = compile_program(source, params=spec["params"])
         info = prog.report.binding("main")
         assert "mode double" in info.detail
+        assert prog.steps[-1].iterate.block is not None
         assert any("recycling on" in line for line in prog.report.iterate)
         # seed + one sweep output, everything else recycled
         assert allocations(prog, spec["params"]) == 2
+
+    def test_jacobi_block_path_allocates_two_buffers(self):
+        # The float seed runs the one-block placement: the seed plus
+        # two float64 buffers swapped each sweep, at any sweep count.
+        spec = PROGRAM_CATALOG["program_jacobi_steps"]
+        prog = compile_program(spec["source"], params=spec["params"])
+        for k in (3, 30):
+            assert allocations(prog, dict(spec["params"], k=k)) == 3
 
     def test_steps_and_tol_overrides(self):
         spec = PROGRAM_CATALOG["program_jacobi_steps"]

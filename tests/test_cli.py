@@ -289,6 +289,28 @@ class TestProgramCommands:
         nine = capsys.readouterr().out.split("\n\n", 1)[1]
         assert two != nine
 
+    def test_iterate_override_on_oracle_rejected(self, jacobi_file,
+                                                 capsys):
+        # The oracle used to drop the override and run the program's
+        # own convergence loop, printing a different grid from run.
+        with pytest.raises(SystemExit) as exc_info:
+            main(["oracle", jacobi_file, "-p", "m=6", "-p", "tol=1e-3",
+                  "--iterate", "steps=2"])
+        assert "--iterate does not apply to oracle" in str(exc_info.value)
+        assert "as a parameter" in str(exc_info.value)
+        assert capsys.readouterr().out == ""
+
+    def test_fixed_step_run_matches_oracle(self, tmp_path, capsys):
+        from repro.kernels import PROGRAM_JACOBI_STEPS
+
+        path = tmp_path / "jacobi_steps.hs"
+        path.write_text(PROGRAM_JACOBI_STEPS)
+        main(["oracle", str(path), "-p", "m=6", "-p", "k=4"])
+        oracle = capsys.readouterr().out
+        assert main(["run", str(path), "-p", "m=6", "-p", "k=4"]) == 0
+        out = capsys.readouterr().out
+        assert out.split("\n\n", 1)[1].lstrip() == oracle.lstrip()
+
     def test_analyze_names_reuse(self, pipeline_file, capsys):
         assert main(["analyze", pipeline_file, "-p", "n=8"]) == 0
         out = capsys.readouterr().out
