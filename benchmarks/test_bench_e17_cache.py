@@ -4,9 +4,13 @@ Not a paper artifact but a scaling claim for the reproduction itself
 (see ROADMAP): the pipeline is deterministic (E17's precondition,
 ``tests/test_determinism.py``), so a fingerprint-keyed cache can serve
 repeated compilations without re-running parsing, the §5/§6 dependence
-tests, or §8 scheduling.  Asserted shape: a warm hit on the wavefront
-kernel is at least 10x faster than a cold pipeline run, and a batch of
-duplicates compiles exactly once.
+tests, or §8 scheduling.  A repeated request is answered from the
+service's request memo, so a hit parses nothing whatever its kind.
+Asserted shape: a warm hit is at least 10x faster than a cold pipeline
+run for a wavefront definition (with ``kind="definition"`` and with the
+default ``kind="auto"``) and for a whole program
+(``program_jacobi_steps``, ``kind="auto"``), and a batch of duplicates
+compiles exactly once.
 """
 
 import time
@@ -15,9 +19,10 @@ import pytest
 
 import repro
 from repro import CompileRequest, CompileService
-from repro.kernels import SOR, SQUARES, WAVEFRONT
+from repro.kernels import PROGRAM_CATALOG, SOR, SQUARES, WAVEFRONT
 
 PARAMS = {"n": 30}
+JACOBI_STEPS = PROGRAM_CATALOG["program_jacobi_steps"]
 
 
 def cold_compile(src=WAVEFRONT, params=PARAMS):
@@ -25,11 +30,10 @@ def cold_compile(src=WAVEFRONT, params=PARAMS):
     return repro.compile(src, strategy="array", params=params)
 
 
-def cached_compile(service, src=WAVEFRONT, params=PARAMS):
-    """One definition request through the service's cache (the kind
-    given, so a hit does not parse the source to detect it)."""
-    return service.submit(
-        CompileRequest(src, params, kind="definition")).value()
+def cached_compile(service, src=WAVEFRONT, params=PARAMS,
+                   kind="definition"):
+    """One request through the service's cache."""
+    return service.submit(CompileRequest(src, params, kind=kind)).value()
 
 
 def best_of(fn, repeat=5):
@@ -59,19 +63,45 @@ def test_e17_warm_hit(benchmark):
     assert stats["hits"] >= 1
 
 
+def warm_speedup(label, cold_fn, warm_fn):
+    """Cold best-of over warm best-of, after one warming call."""
+    cold = best_of(cold_fn)
+    warm_fn()
+    warm = best_of(warm_fn)
+    speedup = cold / warm
+    print(f"\nE17 {label}: cold {cold * 1e3:.3f}ms  "
+          f"warm {warm * 1e6:.1f}us  speedup {speedup:.0f}x")
+    assert speedup >= 10.0, (
+        f"{label}: warm hit only {speedup:.1f}x faster than cold compile"
+    )
+
+
 def test_e17_warm_speedup_at_least_10x():
     service = CompileService()
-    cold = best_of(cold_compile)
-    cached_compile(service)
-    warm = best_of(lambda: cached_compile(service))
-    speedup = cold / warm
-    print(f"\nE17: cold {cold * 1e3:.3f}ms  warm {warm * 1e6:.1f}us  "
-          f"speedup {speedup:.0f}x")
-    assert speedup >= 10.0, (
-        f"warm hit only {speedup:.1f}x faster than cold compile"
-    )
+    warm_speedup("definition", cold_compile,
+                 lambda: cached_compile(service))
     # A hit returns the same artifact a cold compile would produce.
     assert cached_compile(service).source == cold_compile().source
+
+
+def test_e17_auto_kind_hit_at_least_10x():
+    """The default kind: the hit must not parse to detect it."""
+    service = CompileService()
+    warm_speedup("auto definition", cold_compile,
+                 lambda: cached_compile(service, kind="auto"))
+    assert service.stats()["requests"]["misses"] == 1
+
+
+def test_e17_program_hit_at_least_10x():
+    src, params = JACOBI_STEPS["source"], JACOBI_STEPS["params"]
+    service = CompileService()
+    warm_speedup(
+        "auto program",
+        lambda: repro.compile_program(src, params=params),
+        lambda: cached_compile(service, src, params, kind="auto"),
+    )
+    hit = service.submit(CompileRequest(src, params))
+    assert hit.kind == "program" and hit.tier == "memory"
 
 
 def test_e17_batch_throughput_dedup():

@@ -31,6 +31,7 @@ Set ``REPRO_BENCH_FAST=1`` for a CI-sized run (fewer requests per
 client; same assertions).
 """
 
+import gc
 import os
 import threading
 import time
@@ -225,10 +226,16 @@ def test_e23_sharding_never_costs_throughput():
     warm, plans = make_mix()
     total = CLIENTS * REQUESTS_PER_CLIENT
 
-    locked_s, _ = run_global_lock_baseline(warm, plans)
-    sharded = CompileService(capacity=512, shards=8)
-    prewarm(sharded, warm)
-    sharded_s, _ = drive(service_submit(sharded), warm, plans)
+    def timed(service):
+        prewarm(service, warm)
+        # A run takes ~0.1 s on two cores, less than one full
+        # collection of what earlier tests left: collect first, so
+        # no arm pays for garbage it did not make.
+        gc.collect()
+        return drive(service_submit(service), warm, plans)[0]
+
+    locked_s = timed(GlobalLockService(capacity=512))
+    sharded_s = timed(CompileService(capacity=512, shards=8))
 
     ratio = (total / sharded_s) / (total / locked_s)
     print(f"\nE23: sharded/global-lock in-process ratio {ratio:.2f}x")

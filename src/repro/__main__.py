@@ -236,7 +236,7 @@ def _tile_flag(args):
         raise SystemExit("--tile must be 'auto' or an integer >= 1")
 
 
-def _program_command(args, source: str, params) -> int:
+def _program_command(args, binds, params) -> int:
     """``analyze``/``compile``/``run``/``oracle`` on a whole program."""
     from repro.program import ProgramError
 
@@ -260,7 +260,7 @@ def _program_command(args, source: str, params) -> int:
                 "the program as written; pass the iteration control as a "
                 "parameter instead (e.g. -p k=30 for iterate step u0 k)"
             )
-        result = repro.run_program(source, bindings=params, deep=False)
+        result = repro.run_program(binds, bindings=params, deep=False)
         _print_result(result)
         return 0
 
@@ -279,7 +279,7 @@ def _program_command(args, source: str, params) -> int:
         raise SystemExit("--dist-workers needs a non-negative count")
     try:
         program = repro.compile_program(
-            source, params=params, options=options,
+            binds, params=params, options=options,
             cache=_cache_dir(args.cache),
             dist=bool(dist_workers), workers=dist_workers,
             ooc=bool(getattr(args, "ooc", False)),
@@ -315,7 +315,7 @@ def _print_result(result):
         print(repr(result))
 
 
-def _explain_command(args, source: str, params) -> int:
+def _explain_command(args, tree, params) -> int:
     """``explain``: the decision trace for a definition or program."""
     from repro.obs.explain import explain
 
@@ -332,7 +332,7 @@ def _explain_command(args, source: str, params) -> int:
         raise SystemExit(str(exc)) from exc
     try:
         explanation = explain(
-            source,
+            tree,
             params=params,
             options=options,
             old_array=args.inplace,
@@ -498,14 +498,14 @@ def main(argv=None) -> int:
 
     source = _read_source(args.file)
     params = _parse_params(args.param)
+    from repro.program import classify_source
+
+    kind, tree = classify_source(source)
 
     if args.command == "explain":
-        return _explain_command(args, source, params)
-
-    from repro.program import as_program
-
-    if as_program(source) is not None:
-        return _program_command(args, source, params)
+        return _explain_command(args, tree, params)
+    if kind == "program":
+        return _program_command(args, tree, params)
     if args.iterate:
         raise SystemExit(
             "--iterate only applies to multi-binding programs (this "
@@ -524,7 +524,7 @@ def main(argv=None) -> int:
 
     if args.command == "analyze":
         try:
-            report = analyze(source, params)
+            report = analyze(tree, params)
         except (BuildError, CompileError) as exc:
             raise SystemExit(f"compile error: {exc}") from exc
         print("dependence edges:")
@@ -549,7 +549,7 @@ def main(argv=None) -> int:
         raise SystemExit(str(exc)) from exc
     try:
         compiled = repro.compile(
-            source,
+            tree,
             strategy="inplace" if args.inplace else "auto",
             old_array=args.inplace,
             params=params,
@@ -576,7 +576,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "oracle":
-        result = evaluate(source, bindings=params, deep=False)
+        result = evaluate(tree, bindings=params, deep=False)
         _print_array(result)
         return 0
     return 1

@@ -969,22 +969,22 @@ def _compile_dispatch(
             f"unknown force_strategy {force_strategy!r}; expected one of "
             + ", ".join(repr(s) for s in FORCED)
         )
+    cached = cache is not None and cache is not False
+    text = src
     if isinstance(src, str):
-        from repro.program.compile import as_program
+        from repro.program.compile import classify_source, compile_program
 
-        program = as_program(src)
-        if program is not None:
+        kind, src = classify_source(src)
+        if kind == "program":
             if (strategy == "auto" and old_array is None
                     and force_strategy is None):
-                from repro.program.compile import compile_program
-
-                return compile_program(src, params=params,
-                                       options=options, cache=cache,
-                                       dist=dist, workers=workers,
-                                       ooc=ooc)
+                return compile_program(text if cached else src,
+                                       params=params, options=options,
+                                       cache=cache, dist=dist,
+                                       workers=workers, ooc=ooc)
             raise CompileError(
                 "source is a multi-binding program (bindings "
-                + ", ".join(repr(b.name) for b in program)
+                + ", ".join(repr(b.name) for b in src)
                 + "); strategy=/old_array=/force_strategy= apply to "
                 "single definitions — use repro.compile_program(src, "
                 "params=..., options=...) for whole programs"
@@ -1029,7 +1029,7 @@ def _compile_dispatch(
             "in place; drop parallel or compile monolithically"
         )
 
-    if cache is not None and cache is not False:
+    if cached:
         if index_comps:
             # Loop IR is not serializable into a cache key; the
             # program compiler (which owns the only real producer of
@@ -1041,8 +1041,9 @@ def _compile_dispatch(
         from repro.service.api import CompileRequest
         from repro.service.service import resolve_cache
 
+        # The text, not the tree: the service's request memo keys on it.
         return resolve_cache(cache).submit(CompileRequest(
-            src, params, options, force_strategy, resolved, old_array,
+            text, params, options, force_strategy, resolved, old_array,
             kind="definition",
         )).value()
 

@@ -528,8 +528,8 @@ def _product_list(xs):
     return total
 
 
-def evaluate(src: str, bindings=None, deep: bool = True):
-    """Parse and evaluate an expression string.
+def evaluate(src, bindings=None, deep: bool = True):
+    """Evaluate an expression (source text or its parsed tree).
 
     ``bindings`` supplies extra global values (e.g. ``{"n": 10}``).
     With ``deep=True`` the result is hereditarily forced: lazy lists
@@ -539,18 +539,20 @@ def evaluate(src: str, bindings=None, deep: bool = True):
     env = interp.globals.child(
         {name: value for name, value in (bindings or {}).items()}
     )
-    result = interp.eval(parse_expr(src), env)
+    result = interp.eval(
+        parse_expr(src) if isinstance(src, str) else src, env)
     return deep_force(result) if deep else result
 
 
-def run_program(src: str, main: str = "main", bindings=None,
+def run_program(src, main: str = "main", bindings=None,
                 deep: bool = True):
-    """Parse a binding list, evaluate it recursively, return ``main``."""
+    """Evaluate a binding list (source text or parsed) recursively and
+    return ``main``."""
     interp = Interpreter()
     env = interp.globals.child(
         {name: value for name, value in (bindings or {}).items()}
     )
-    for bind in parse_program(src):
+    for bind in parse_program(src) if isinstance(src, str) else src:
         env.define(bind.name, Thunk(
             lambda node=bind.expr: interp.eval(node, env)
         ))

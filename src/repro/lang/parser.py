@@ -41,7 +41,7 @@ _ATOM_STARTS_OPS = {"(", "[", "[*"}
 
 
 class Parser:
-    """Token-stream parser.  One instance per parse."""
+    """Token-stream parser.  Reset ``pos`` to 0 to parse again."""
 
     def __init__(self, src: str):
         self.tokens = tokenize(src)

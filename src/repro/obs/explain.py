@@ -391,11 +391,10 @@ def explain(src, *, params=None, options=None, old_array=None,
     """
     from repro.core.pipeline import CompileError, analyze
     from repro.core.pipeline import compile as pipeline_compile
-    from repro.program.compile import as_program
+    from repro.program.compile import classify_source, compile_program
 
-    if isinstance(src, str) and as_program(src) is not None:
-        from repro.program.compile import compile_program
-
+    kind, src = classify_source(src)
+    if kind == "program":
         program = compile_program(src, params=params, options=options,
                                   ooc=ooc)
         return explain_program_report(program.report)

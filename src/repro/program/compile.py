@@ -42,7 +42,7 @@ from repro.core.liveness import (
 from repro.core.pipeline import CompileError
 from repro.lang import ast
 from repro.lang.errors import ParseError
-from repro.lang.parser import parse_expr, parse_program
+from repro.lang.parser import Parser, parse_program
 from repro.obs.trace import count, span, span_timings, trace_scope
 from repro.program.iterate import (
     IterateShapeError,
@@ -58,27 +58,53 @@ from repro.program.report import (
 from repro.program.run import CompiledProgram, IteratePlan, ProgramStep
 
 
-def as_program(src) -> Optional[List[ast.Binding]]:
-    """Recognize multi-binding program source.
+def classify_source(src, kind: str = "auto"):
+    """Parse ``src`` once and say what it is: ``(kind, tree)``.
 
-    Returns the binding list when ``src`` is a string that fails to
-    parse as a single expression but parses as a ``;``-separated
-    binding sequence; ``None`` otherwise.  This is the facade's
-    dispatch test: expressions keep going through the single-definition
-    pipeline, programs route to :func:`compile_program`.
+    ``kind="auto"`` tokenizes once and tries the expression grammar,
+    then the binding-list grammar over the same tokens: an expression
+    is a ``"definition"``, a binding list a ``"program"``.  A source
+    that is neither is a definition, so the expression parser's
+    :class:`ParseError` is raised.  An explicit kind parses with its
+    own grammar only.  Parsed input passes through (a binding list is
+    a program).
     """
+    kind = kind or "auto"
+    if kind not in ("auto", "definition", "program"):
+        raise ValueError(
+            f"unknown request kind {kind!r} (expected 'auto', "
+            "'definition', or 'program')"
+        )
+    if not isinstance(src, str):
+        if kind == "auto":
+            kind = "program" if isinstance(src, list) else "definition"
+        return kind, src
+    parser = Parser(src)
+    if kind == "program":
+        return kind, parser.parse_program()
+    try:
+        return "definition", parser.parse_expression()
+    except ParseError as exc:
+        if kind == "definition":
+            raise
+        error = exc
+    parser.pos = 0
+    try:
+        return "program", parser.parse_program()
+    except ParseError:
+        raise error from None
+
+
+def as_program(src) -> Optional[List[ast.Binding]]:
+    """The binding list when ``src`` is program text, else ``None``
+    (:func:`classify_source` on a string; a parse error is ``None``)."""
     if not isinstance(src, str):
         return None
     try:
-        parse_expr(src)
-        return None
-    except ParseError:
-        pass
-    try:
-        binds = parse_program(src)
+        kind, tree = classify_source(src)
     except ParseError:
         return None
-    return binds or None
+    return tree if kind == "program" else None
 
 
 def compile_program(

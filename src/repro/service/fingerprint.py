@@ -323,15 +323,15 @@ def fingerprint(
     :class:`~repro.comprehension.build.BuildError`), so a fingerprint
     failure never masks a compile failure.
     """
+    expr = parse_expr(src) if isinstance(src, str) else src
     if strategy == "auto":
         from repro.core.pipeline import detect_strategy
 
         strategy = "inplace" if old_array is not None \
-            else detect_strategy(src)
+            else detect_strategy(expr)
     if strategy not in _STRATEGY_MODES:
         raise ValueError(f"unknown strategy {strategy!r}")
     mode = _STRATEGY_MODES[strategy]
-    expr = parse_expr(src) if isinstance(src, str) else src
     comp_serial, old_array = _canonical_request(
         expr, params, mode, old_array
     )

@@ -8,7 +8,8 @@
 
 * ``submit(CompileRequest(...))`` — one request (definition or
   program, detected from the source); a hit skips the entire pipeline
-  (including the dependence tests, the expensive part per E11);
+  (including the dependence tests, the expensive part per E11), and a
+  repeated request skips the parse too;
 * ``submit([req, req, ...])`` — thread-pool fan-out with per-entry
   isolation (one bad source yields one errored
   :class:`CompileResult`, never a dead batch) and in-flight
@@ -27,16 +28,18 @@ Mutating a cached object's report would poison later hits — don't.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from concurrent.futures import Future, ThreadPoolExecutor
 from threading import Lock
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.trace import count as _trace_count
+from repro.program.compile import classify_source
 from repro.service.api import CompileRequest, CompileResult
 from repro.service.fingerprint import PIPELINE_SALT, _options_key
-from repro.service.fingerprint import fingerprint as _fingerprint
+from repro.service.fingerprint import fingerprint, fingerprint_program
 from repro.service.metrics import ServiceMetrics
 from repro.service.stats import service_stats
 from repro.service.store import (
@@ -47,9 +50,9 @@ from repro.service.store import (
     shard_index,
 )
 
-#: Exact-text fingerprint memo entries kept per service (see
-#: :meth:`CompileService.fingerprint`).
-_FP_MEMO_CAP = 4096
+#: Request-memo entries kept per service (see
+#: :meth:`CompileService._resolve`).
+_MEMO_CAP = 4096
 
 #: Default shard count for the memory tier and the in-flight table.
 DEFAULT_SHARDS = 8
@@ -105,10 +108,11 @@ class CompileService:
             (Lock(), {}) for _ in range(self.shards)
         ]
         self._lock = Lock()
-        # Exact-text memo over the canonical fingerprint: identical
-        # request *texts* skip re-parsing; renamed or re-formatted
-        # variants still funnel through canonicalization below.
-        self._fp_memo: Dict[tuple, str] = {}
+        # Request memo: a request's fields -> (kind, fingerprint), so
+        # a repeated request goes to the store without parsing.
+        # Renamed or re-formatted variants still meet in the store
+        # through the canonical fingerprint.
+        self._memo: Dict[tuple, Tuple[str, str]] = {}
 
     # ------------------------------------------------------------------
     # Fingerprints.
@@ -116,76 +120,66 @@ class CompileService:
     def fingerprint(self, src, params=None, options=None,
                     force_strategy=None, strategy="array",
                     old_array=None) -> str:
-        """The cache key this service would use for a definition.
-
-        Canonical fingerprinting re-parses the source; for the hot
-        path (the same text compiled over and over) an exact-text memo
-        answers in a dict lookup instead.
-        """
-        memo_key = None
-        if isinstance(src, str):
-            memo_key = (
-                src, repr(sorted((params or {}).items())),
-                _options_key(options), force_strategy,
-                strategy, old_array,
-            )
-            cached = self._fp_memo.get(memo_key)
-            if cached is not None:
-                return cached
-        key = _fingerprint(
-            src, params=params, options=options,
-            force_strategy=force_strategy, strategy=strategy,
-            old_array=old_array, salt=self.salt,
-        )
-        self._memoize_fp(memo_key, key)
-        return key
+        """The cache key this service would use for a definition."""
+        return self.fingerprint_request(CompileRequest(
+            src, params, options, force_strategy, strategy, old_array,
+            kind="definition",
+        ))
 
     def fingerprint_program(self, src, params=None, options=None,
                             result=None, fuse=True, dist=False,
                             workers=0, ooc=False) -> str:
         """The cache key this service would use for a whole program."""
-        from repro.service.fingerprint import fingerprint_program
-
-        memo_key = None
-        if isinstance(src, str):
-            memo_key = (
-                "program", src,
-                repr(sorted((params or {}).items())),
-                _options_key(options), result, bool(fuse),
-                bool(dist), int(workers), bool(ooc),
-            )
-            cached = self._fp_memo.get(memo_key)
-            if cached is not None:
-                return cached
-        key = fingerprint_program(
-            src, params=params, options=options, result=result,
-            fuse=fuse, salt=self.salt, dist=dist, workers=workers,
-            ooc=ooc,
-        )
-        self._memoize_fp(memo_key, key)
-        return key
-
-    def _memoize_fp(self, memo_key, key: str) -> None:
-        if memo_key is None:
-            return
-        with self._lock:
-            if len(self._fp_memo) >= _FP_MEMO_CAP:
-                self._fp_memo.clear()
-            self._fp_memo[memo_key] = key
+        return self.fingerprint_request(CompileRequest(
+            src, params, options, kind="program", result=result,
+            fuse=fuse, dist=dist, workers=workers, ooc=ooc,
+        ))
 
     def fingerprint_request(self, request: CompileRequest) -> str:
         """The cache key for a normalized typed request."""
-        if self._request_kind(request) == "program":
-            return self.fingerprint_program(
-                request.src, request.params, request.options,
+        return self._resolve(request)[1]
+
+    def _resolve(self, request: CompileRequest):
+        """``(kind, fingerprint, tree)`` of one request.
+
+        A request seen before is answered from the request memo and
+        parses nothing (``tree`` is ``None``).  A new one is parsed
+        once (:func:`~repro.program.compile.classify_source`) and
+        fingerprinted from the tree, which the caller builds from on a
+        store miss.  The memo holds strings only, never a tree, and no
+        failed request.
+        """
+        memo_key = None
+        if isinstance(request.src, str):
+            memo_key = (
+                request.src, repr(sorted((request.params or {}).items())),
+                _options_key(request.options), request.strategy,
+                request.force_strategy, request.old_array, request.kind,
                 request.result, request.fuse, request.dist,
                 request.workers, request.ooc,
             )
-        return self.fingerprint(
-            request.src, request.params, request.options,
-            request.force_strategy, request.strategy,
-            request.old_array,
-        )
+            known = self._memo.get(memo_key)
+            if known is not None:
+                return known[0], known[1], None
+        kind, tree = classify_source(request.src, request.kind)
+        if kind == "program":
+            key = fingerprint_program(
+                tree, request.params, request.options, request.result,
+                request.fuse, self.salt, request.dist, request.workers,
+                request.ooc,
+            )
+        else:
+            key = fingerprint(
+                tree, request.params, request.options,
+                request.force_strategy, request.strategy,
+                request.old_array, self.salt,
+            )
+        if memo_key is not None:
+            with self._lock:
+                if len(self._memo) >= _MEMO_CAP:
+                    self._memo.clear()
+                self._memo[memo_key] = (kind, key)
+        return kind, key, tree
 
     # ------------------------------------------------------------------
     # The typed entry point.
@@ -226,33 +220,21 @@ class CompileService:
                     index: int = 0) -> CompileResult:
         started = perf_counter()
         out = CompileResult(index=index, warm_only=request.warm_only)
+        if request.kind == "program":  # even when its parse fails
+            out.kind = "program"
         try:
-            kind = self._request_kind(request)
-            out.kind = kind
-            key = self.fingerprint_request(request)
-            out.fingerprint = key
+            out.kind, out.fingerprint, tree = self._resolve(request)
+            if tree is not None:
+                request = dataclasses.replace(request, src=tree)
             out.compiled, out.tier = self._cached(
-                key, self._builder(request, kind)
+                out.fingerprint, self._builder(request, out.kind), started
             )
             out.cached = out.tier is not None
         except BaseException as exc:  # per-request isolation
             out.error = exc
+            self.metrics.record_error()
         out.elapsed_s = perf_counter() - started
         return out
-
-    def _request_kind(self, request: CompileRequest) -> str:
-        kind = request.kind or "auto"
-        if kind == "auto":
-            from repro.program.compile import as_program
-
-            return "program" if as_program(request.src) is not None \
-                else "definition"
-        if kind not in ("definition", "program"):
-            raise ValueError(
-                f"unknown request kind {kind!r} (expected 'auto', "
-                "'definition', or 'program')"
-            )
-        return kind
 
     def _builder(self, request: CompileRequest, kind: str):
         if kind == "program":
@@ -277,14 +259,14 @@ class CompileService:
                 )
         return build
 
-    def _cached(self, key: str, build):
+    def _cached(self, key: str, build, started: float):
         """Store lookup -> per-shard in-flight dedup -> build -> put.
 
         Returns ``(compiled, tier)`` — ``tier`` is the store tier that
         served a hit, ``None`` when this call (or an in-flight leader
-        it coalesced onto) ran the pipeline.
+        it coalesced onto) ran the pipeline.  ``started`` is the
+        request's clock, so ``hit_time`` is what the caller waited.
         """
-        started = perf_counter()
         compiled, tier = self.store.get(key)
         shard = shard_index(key, self.shards)
         if compiled is not None:
@@ -307,9 +289,9 @@ class CompileService:
             return future.result(), None
 
         try:
-            started = perf_counter()
+            build_started = perf_counter()
             compiled = build()
-            elapsed = perf_counter() - started
+            elapsed = perf_counter() - build_started
             self.store.put(key, compiled)
             self.metrics.record_miss(
                 elapsed, getattr(compiled.report, "timings", None)
@@ -318,7 +300,6 @@ class CompileService:
             future.set_result(compiled)
             return compiled, None
         except BaseException as exc:
-            self.metrics.record_error()
             future.set_exception(exc)
             raise
         finally:
@@ -340,10 +321,16 @@ class CompileService:
     def invalidate(self, src, params=None, options=None,
                    force_strategy=None, strategy="array",
                    old_array=None) -> bool:
-        """Drop one request's entry from both tiers."""
-        key = self.fingerprint(src, params, options, force_strategy,
-                               strategy, old_array)
-        return self.store.invalidate(key)
+        """Drop one request's entry from both tiers.
+
+        ``src`` is a :class:`CompileRequest`, or the source of one
+        built from the other arguments; either way its kind is found
+        the way :meth:`submit` finds it.
+        """
+        request = src if isinstance(src, CompileRequest) else \
+            CompileRequest(src, params, options, force_strategy,
+                           strategy, old_array)
+        return self.store.invalidate(self.fingerprint_request(request))
 
     def clear(self) -> None:
         """Drop every entry from both tiers."""

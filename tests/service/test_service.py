@@ -113,6 +113,31 @@ class TestAccounting:
         compile_one(service, kernels.SQUARES, params={"n": 4})
         assert counting_pipeline["count"] == 2
 
+    @pytest.mark.parametrize("tier", ["memory", "disk"])
+    @pytest.mark.parametrize("src, params", [
+        (kernels.SQUARES, {"n": 4}),
+        (kernels.PROGRAM_JACOBI_STEPS, {"m": 6, "k": 2}),
+    ], ids=["definition", "program"])
+    def test_invalidate_finds_the_submitted_entry(self, tmp_path, tier,
+                                                  src, params):
+        # The request's kind is found the way submit finds it, so a
+        # program's entry can be dropped too, positionally or by
+        # request, from whichever tier holds it.
+        CompileService(disk_dir=tmp_path).submit(
+            CompileRequest(src, params)).value()
+        service = CompileService(disk_dir=tmp_path)
+        first = service.submit(CompileRequest(src, params))
+        assert first.tier == "disk"
+        if tier == "memory":
+            assert service.submit(CompileRequest(src, params)).tier \
+                == "memory"
+        assert service.invalidate(src, params) is True
+        rebuilt = service.submit(CompileRequest(src, params))
+        assert rebuilt.ok and not rebuilt.cached
+        assert service.invalidate(CompileRequest(src, params)) is True
+        assert service.invalidate(CompileRequest(src, params)) is False
+        assert not service.submit(CompileRequest(src, params)).cached
+
     def test_salt_separates_services(self, tmp_path, counting_pipeline):
         first = CompileService(disk_dir=tmp_path, salt="v1")
         compile_one(first, kernels.SQUARES, params={"n": 4})
@@ -131,6 +156,80 @@ class TestAccounting:
         assert reborn.stats()["requests"]["disk_hits"] == 1
         assert compiled({"n": 6}).to_list()
         assert "disk tier" in reborn.summary()
+
+
+#: Requests that fail before the store lookup, with the error type,
+#: message and result kind each must keep.
+FRONT_END_FAILURES = {
+    "lex": (CompileRequest(
+        "array (1,n) [ i := i $ 2 | i <- [1..n] ]", {"n": 4}),
+        "LexError", "1:22: unexpected character '$'", "definition"),
+    "parse": (CompileRequest(
+        "array (1,n) [ i := | i <- [1..n] ]", {"n": 4}),
+        "ParseError", "1:20: expected an expression (found '|')",
+        "definition"),
+    "program as definition": (CompileRequest(
+        kernels.PROGRAM_JACOBI_STEPS, {"m": 6, "k": 2},
+        kind="definition"),
+        "ParseError", "2:4: unexpected input after expression "
+        "(found '=')", "definition"),
+    "definition as program": (CompileRequest(
+        kernels.WAVEFRONT, {"n": 6}, kind="program"),
+        "ParseError", "2:1: expected identifier (found 'letrec*')",
+        "program"),
+    "empty": (CompileRequest(""),
+              "ParseError", "1:1: expected an expression (found '')",
+              "definition"),
+    "neither": (CompileRequest("a = 1; 2 +"),
+                "ParseError", "1:3: unexpected input after expression "
+                "(found '=')", "definition"),
+}
+
+
+class TestFailedRequests:
+    @pytest.mark.parametrize("case", sorted(FRONT_END_FAILURES))
+    def test_error_keeps_type_message_and_kind(self, case):
+        request, error, message, kind = FRONT_END_FAILURES[case]
+        result = CompileService().submit(request)
+        assert type(result.error).__name__ == error
+        assert str(result.error) == message
+        assert result.kind == kind and result.fingerprint is None
+
+    def test_every_failed_request_is_counted_once(self):
+        service = CompileService()
+        results = [service.submit(request)
+                   for request, *_ in FRONT_END_FAILURES.values()]
+        assert not any(result.ok for result in results)
+        # A build failure (counted where the build runs) and a repeat
+        # of a front-end failure, which no memo answers.
+        service.submit(CompileRequest(kernels.SQUARES, {"n": 4},
+                                      force_strategy="bogus"))
+        service.submit(FRONT_END_FAILURES["lex"][0])
+        stats = service.stats()["requests"]
+        assert stats["errors"] == len(FRONT_END_FAILURES) + 2
+        # requests and hit_rate count hits, misses and coalesced
+        # requests; a failed build records no miss.
+        assert stats["requests"] == 0 and stats["hit_rate"] == 0.0
+
+
+class TestHitTime:
+    def test_hit_time_is_what_the_caller_waited(self, tmp_path):
+        # Disk hits on a fresh service: every request is new to its
+        # memo, so each one parses and fingerprints before the lookup.
+        requests = [
+            CompileRequest(kernels.PROGRAM_JACOBI_STEPS, {"m": 6, "k": 2}),
+            CompileRequest(kernels.PROGRAM_PIPELINE, {"n": 12}),
+            CompileRequest(kernels.WAVEFRONT, {"n": 6}),
+            CompileRequest(kernels.SOR_MONOLITHIC, {"m": 6, "omega": 1.5}),
+        ]
+        CompileService(disk_dir=tmp_path).submit(requests)
+        service = CompileService(disk_dir=tmp_path)
+        results = [service.submit(request) for request in requests]
+        assert [result.tier for result in results] == ["disk"] * 4
+        waited = sum(result.elapsed_s for result in results)
+        hit_time = service.stats()["requests"]["hit_time"]
+        assert hit_time["count"] == 4
+        assert abs(hit_time["total_s"] - waited) <= 0.1 * waited
 
 
 class TestBatch:
