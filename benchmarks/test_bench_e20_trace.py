@@ -3,10 +3,9 @@
 The compile-time spans replaced bookkeeping the pipeline already did
 (``Report.timings`` was always filled from ``perf_counter`` pairs), so
 the interesting price is the runtime side: the ``REPRO_TRACE``-gated
-counters in ``alloc_buffer`` and ``par_chunks`` and the program
-driver's sweep counters.  Disabled, each site costs one module-global
-boolean test; enabled, a dict upsert per *allocation or dispatch* —
-never per cell.
+counters in ``alloc_buffer`` and the program driver's sweep counters.
+Disabled, each site costs one module-global boolean test; enabled, a
+dict upsert per *allocation or sweep* — never per cell.
 
 Asserted shape, on the E18 SOR kernel:
 

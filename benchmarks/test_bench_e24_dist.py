@@ -1,17 +1,21 @@
 """E24 (extension) — distributed block-parallel execution, measured.
 
 The workload is Jacobi iterated a fixed k sweeps on an m x m mesh
-(m = 1024), plus SOR's wavefront variant: the two distributable
-iterate shapes.  Two ways to run each:
+(m = 1024).  Two ways to run it:
 
-* **single process** — the program driver's compiled sweeps: Jacobi
-  runs as the one-block placement (the vectorized block kernel on two
-  float64 buffers), SOR as true in-place sweeps;
+* **single process** — the program driver's compiled sweeps, as the
+  one-block placement (the vectorized block kernel on two float64
+  buffers);
 * **distributed** — the same sweeps block-partitioned over a
   persistent fork pool writing shared ``float64`` buffers, halo reads
   served from the neighbor's block of the previous-sweep buffer.
-  Jacobi's blocks run the same block kernel as the single process, so
-  its speedup measures the partition alone, not vectorization too.
+  The blocks run the same block kernel as the single process, so the
+  speedup measures the partition alone, not vectorization too.
+
+SOR asks for ``dist=True`` too, and is refused at compile time: its
+in-place sweep mutates one buffer, so no row block can run apart, and
+the in-process driver runs it.  ``E24-sor`` times that run and
+asserts the reason and bit-identity.
 
 Asserted shape:
 
@@ -23,6 +27,8 @@ Asserted shape:
   lazy oracle — including the *sweep count* when iterating to
   convergence, because ``max_abs_diff`` over float64 is reduced
   exactly;
+* SOR under ``dist=True`` attaches no dist plan, names the reason,
+  and returns the single-process grid;
 * worker-side trace counters and allocation stats fold back into the
   parent trace.
 
@@ -105,12 +111,18 @@ def test_e24_jacobi_distributed(benchmark):
     assert result.to_list() == jacobi()().to_list()
 
 
-@needs_fork
+#: Why SOR's in-place sweeps take no dist blocks.
+SOR_REASON = ("dist 'main': needs double-buffer sweeps — the 'inplace' "
+              "sweep mutates one buffer, so its row blocks cannot run "
+              "independently")
+
+
 @pytest.mark.benchmark(group="E24-sor")
 def test_e24_sor_distributed(benchmark):
+    """What ``dist=True`` on SOR runs: the in-process driver."""
     program = sor(dist=True)
-    plan = program.steps[-1].iterate.dist
-    assert plan is not None and plan.kind == "wavefront"
+    assert program.steps[-1].iterate.dist is None
+    assert SOR_REASON in program.report.fallbacks
     result = benchmark(program)
     assert result.to_list() == sor()().to_list()
 
@@ -171,9 +183,11 @@ def test_e24_matches_lazy_oracle():
 
 @needs_fork
 def test_e24_plan_recorded():
-    """The report names the partition, the halo, and the stages."""
+    """The report names the partition and the halo, and says why SOR
+    stays in one process."""
     program = jacobi(dist=True)
     assert any("stencil" in line for line in program.report.dist)
     assert any("halo" in line for line in program.report.dist)
-    staged = sor(dist=True)
-    assert any("wavefront" in line for line in staged.report.dist)
+    refused = sor(dist=True)
+    assert not refused.report.dist
+    assert SOR_REASON in refused.report.fallbacks

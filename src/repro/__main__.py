@@ -268,7 +268,6 @@ def _program_command(args, binds, params) -> int:
         options = CodegenOptions.from_flags(
             vectorize=args.vectorize,
             parallel=args.parallel,
-            parallel_threads=args.parallel_threads,
             backend=args.backend,
             tile=_tile_flag(args),
         )
@@ -323,7 +322,6 @@ def _explain_command(args, tree, params) -> int:
         options = CodegenOptions.from_flags(
             vectorize=args.vectorize,
             parallel=args.parallel,
-            parallel_threads=args.parallel_threads,
             inplace=bool(args.inplace),
             backend=args.backend,
             tile=_tile_flag(args),
@@ -378,13 +376,8 @@ def main(argv=None) -> int:
                              "innermost loops")
     parser.add_argument("--parallel", action="store_true",
                         help="run the parallel backend: hyperplane "
-                             "wavefront sweeps and dep-free slice/"
-                             "thread-chunk loops")
-    parser.add_argument("--parallel-threads", type=int, default=0,
-                        metavar="N",
-                        help="thread-pool width for dep-free loops "
-                             "that resist slice translation "
-                             "(requires --parallel)")
+                             "wavefront sweeps and dep-free slice "
+                             "loops")
     parser.add_argument("--inplace", metavar="OLD_ARRAY",
                         help="compile for in-place update of OLD_ARRAY")
     parser.add_argument("--backend", default="python",
@@ -540,7 +533,6 @@ def main(argv=None) -> int:
         options = CodegenOptions.from_flags(
             vectorize=args.vectorize,
             parallel=args.parallel,
-            parallel_threads=args.parallel_threads,
             inplace=bool(args.inplace),
             backend=args.backend,
             tile=_tile_flag(args),

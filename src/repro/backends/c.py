@@ -693,7 +693,7 @@ class CBackend(Backend):
         options = job.options
         for flag, why in (
             ("vectorize", "numpy slice emission is python-only"),
-            ("parallel", "the wavefront/thread backend is python-only"),
+            ("parallel", "the wavefront/slice backend is python-only"),
             ("bounds_checks", "runtime bounds checks are not lowered"),
             ("collision_checks",
              "runtime collision checks are not lowered"),

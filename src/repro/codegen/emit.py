@@ -50,7 +50,6 @@ from repro.codegen.support import (
     flatten_input,
     make_slice as _vslice,
     read_gather as _gather,
-    par_chunks as _par_chunks,
     verify_subscripts as _verify,
 )
 try:
@@ -76,15 +75,10 @@ class CodegenOptions:
     vectorize: bool = False
     #: Run the parallel backend (paper §10): hyperplane wavefront
     #: nests become per-anti-diagonal slice assignments, dependence-
-    #: free loops whole-dimension slices or thread-pool chunks.  The
-    #: result buffer becomes float64.  Incompatible with in-place
-    #: code generation (the backend needs immutable input views).
+    #: free loops whole-dimension slices.  The result buffer becomes
+    #: float64.  Incompatible with in-place code generation (the
+    #: backend needs immutable input views).
     parallel: bool = False
-    #: Thread-pool width for dep-free loops that resist slice
-    #: translation; 0 (the default) disables the thread-chunk path
-    #: (slices and wavefronts need no threads).  Only meaningful with
-    #: ``parallel``.
-    parallel_threads: int = 0
     #: Which registered emitter lowers the scheduled loops
     #: (:mod:`repro.backends`): ``"python"`` (the default) or ``"c"``
     #: (native shared-object kernels via cffi).  Constructs a non-
@@ -101,7 +95,7 @@ class CodegenOptions:
 
     @classmethod
     def from_flags(cls, *, vectorize: bool = False, parallel: bool = False,
-                   parallel_threads: int = 0, inplace: bool = False,
+                   inplace: bool = False,
                    bounds_checks: bool = False,
                    collision_checks: bool = False,
                    empties_check: bool = False,
@@ -121,12 +115,6 @@ class CodegenOptions:
                 "views, but in-place code generation mutates the input "
                 "buffer; drop one of the two"
             )
-        if parallel_threads and not parallel:
-            raise CodegenError(
-                "--parallel-threads only makes sense with --parallel"
-            )
-        if parallel_threads < 0:
-            raise CodegenError("--parallel-threads must be >= 0")
         if tile is not None:
             if tile != "auto" and (
                 isinstance(tile, bool) or not isinstance(tile, int)
@@ -152,15 +140,13 @@ class CodegenOptions:
                 )
             # The native tier lowers pure scheduled loops; every knob
             # that changes the *runtime shape* of the generated python
-            # (numpy views, thread pools, check instrumentation) is a
-            # loud conflict, not a silent downgrade.
+            # (numpy views, check instrumentation) is a loud conflict,
+            # not a silent downgrade.
             for flag, why in (
                 ("vectorize" if vectorize else "", "numpy-slice "
                  "emission is a python-emitter transform"),
-                ("parallel" if parallel else "", "the thread-pool/"
-                 "wavefront backend emits python slice code"),
-                ("parallel-threads" if parallel_threads else "",
-                 "thread chunking emits python slice code"),
+                ("parallel" if parallel else "", "the wavefront/"
+                 "dep-free backend emits python slice code"),
                 ("bounds-checks" if bounds_checks else "", "runtime "
                  "check instrumentation has no native lowering"),
                 ("collision-checks" if collision_checks else "",
@@ -175,8 +161,8 @@ class CodegenOptions:
                         "python backend supports every flag)"
                     )
         if backend == "python" and tile is None and not any(
-            (vectorize, parallel, parallel_threads, bounds_checks,
-             collision_checks, empties_check)
+            (vectorize, parallel, bounds_checks, collision_checks,
+             empties_check)
         ):
             return None
         return cls(
@@ -185,7 +171,6 @@ class CodegenOptions:
             empties_check=empties_check,
             vectorize=vectorize,
             parallel=parallel,
-            parallel_threads=parallel_threads,
             backend=backend,
             tile=tile,
         )
@@ -269,13 +254,11 @@ class _Emitter:
         self.vectorized_loops = []
         # Parallel-backend state (paper §10 executed): the clause plan
         # driving wavefront/dep-free emission, a human-readable log of
-        # every decision (copied into the report), the loop groups the
-        # backend actually took over, and a guard against re-entering
-        # the backend inside an already-chunked loop body.
+        # every decision (copied into the report), and the loop groups
+        # the backend actually took over.
         self.parallel_plan = None
         self.parallel_log: List[str] = []
         self.parallelized_loops: List[Tuple[str, ...]] = []
-        self._in_parallel_region = False
         # Lines emitted after the input-array flattening but before
         # the bounds (the in-place emitters bind the output buffer
         # here, since bigupd-style bounds come *from* that buffer).

@@ -11,8 +11,8 @@ before the scan's verdict is trusted.  Then:
 * **verification passes** — the *fast path*: every per-write check is
   elided (the properties hold wholesale, so collisions, bounds
   violations, and empties are impossible), and with
-  ``options.parallel`` the existing dep-free backend may chunk the
-  scatter across the thread pool;
+  ``options.parallel`` the existing dep-free backend may slice the
+  scatter;
 * **verification fails** — the *fallback path*: the same loops replay
   with bounds + collision + definedness checks compiled in and every
   indirect dimension wrapped in an exact-int guard, so a bad index
@@ -64,10 +64,8 @@ def emit_guarded(
 
     # Fast path: no checks; the user's parallel request rides along
     # (the dep-free backend only engages on checkless emission).
-    fast = _Emitter(comp, CodegenOptions(
-        parallel=options.parallel,
-        parallel_threads=options.parallel_threads,
-    ), params)
+    fast = _Emitter(comp, CodegenOptions(parallel=options.parallel),
+                    params)
     fast.vector_edges = tuple(edges)
     fast.parallel_plan = parallel_plan
     if parallel_log is not None:

@@ -13,10 +13,9 @@ executed code, under ``CodegenOptions(parallel=True)``:
   numpy's vector unit standing in for the Cray/i860 the paper had in
   mind;
 * **dep-free** — a loop carrying no dependence executes all instances
-  at once: as a whole-dimension strided-slice assignment (reusing the
-  §10 vectorizer) when the values translate, else chunked across a
-  thread pool (``parallel_threads >= 2``) with contiguous balanced
-  chunks;
+  at once, as a whole-dimension strided-slice assignment (reusing the
+  §10 vectorizer) when the values translate; else the scalar loop is
+  kept (logged), because Python threads run its instances no faster;
 * **sequential fallback** — anything else falls through to the scalar
   schedule, and the decision (with its reason) is recorded on the
   emitter's ``parallel_log`` for the compilation :class:`Report`.
@@ -52,7 +51,7 @@ def emit_parallel_loop(emitter, item: ScheduledLoop, locals_) -> bool:
     the scalar schedule; the caller then emits it sequentially.
     """
     plan = emitter.parallel_plan
-    if plan is None or emitter._in_parallel_region:
+    if plan is None:
         return False
     options = emitter.options
     if (options.bounds_checks or options.collision_checks
@@ -322,7 +321,7 @@ class _WaveExprGen:
 
 
 # ----------------------------------------------------------------------
-# Dep-free emission: whole-dimension slices, or thread-pool chunks.
+# Dep-free emission: whole-dimension slices, or the scalar loop.
 
 
 def _clauses_under(item: ScheduledLoop):
@@ -375,46 +374,10 @@ def _try_dep_free(emitter, item: ScheduledLoop, locals_) -> bool:
         )
         emitter.parallelized_loops.append((item.loop.var,))
         return True
-    threads = emitter.options.parallel_threads
-    if threads >= 2 and item.direction != "backward" \
-            and item.loop.step > 0:
-        _emit_chunked(emitter, item, locals_, threads)
-        emitter.parallel_log.append(
-            f"loop {item.loop.var} ({labels}): dep-free — chunked "
-            f"across {threads} pool threads"
-        )
-        emitter.parallelized_loops.append((item.loop.var,))
-        return True
     _log_once(
         emitter,
         f"loop {item.loop.var} ({labels}): dep-free but not slice-"
-        "translatable; scalar loop kept (set parallel_threads>=2 to "
-        "chunk it across a thread pool)",
+        "translatable; scalar loop kept",
     )
     return False
 
-
-def _emit_chunked(emitter, item: ScheduledLoop, locals_, threads: int):
-    loop = item.loop
-    writer = emitter.body
-    start = emitter.emit_expr(loop.start, locals_)
-    stop = emitter.emit_expr(loop.stop, locals_)
-    fn = emitter.fresh("pbody")
-    lo = emitter.fresh("plo")
-    hi = emitter.fresh("phi")
-    writer.line(f"def {fn}({lo}, {hi}):")
-    with writer.block():
-        writer.line(
-            f"for {loop.var} in range({lo}, {hi} + 1, {loop.step}):"
-        )
-        with writer.block():
-            emitter._in_parallel_region = True
-            try:
-                emitter.emit_items(
-                    item.body, locals_ | {loop.var, lo, hi}
-                )
-            finally:
-                emitter._in_parallel_region = False
-    writer.line(
-        f"_par_chunks({fn}, {start}, {stop}, {loop.step}, {threads})"
-    )

@@ -9,7 +9,6 @@ them — and so benchmarks can price exactly what the elision buys
 
 from __future__ import annotations
 
-import atexit
 from typing import Any, List, Sequence
 
 from repro.obs.trace import count_runtime
@@ -193,107 +192,6 @@ def make_slice(start: int, stride: int, count: int) -> slice:
     if stride < 0 and stop < 0:
         stop = None
     return slice(start, stop, stride)
-
-
-#: Process-wide executor shared by every parallel loop execution
-#: (building and tearing down a pool per nest costs more than the
-#: chunks themselves for small meshes).  Grown lazily: when a loop
-#: asks for more workers than the pool was built with, a larger pool
-#: replaces it and the old one drains its in-flight chunks.
-_PAR_POOL = None
-_PAR_POOL_WORKERS = 0
-_PAR_POOL_LOCK = None
-
-#: When set, ``par_chunks`` runs every request serially and never
-#: touches the shared executor.  Distributed sweep workers
-#: (``repro.dist.pool``) set this after forking: the blocks already
-#: occupy the cores, and the forked copy of a thread pool has no live
-#: threads (its inherited locks are in an unknown state), so nested
-#: thread parallelism inside a worker would oversubscribe at best and
-#: deadlock at worst.
-FORCE_SERIAL_CHUNKS = False
-
-
-def _shared_pool(workers: int):
-    """The shared executor, sized to the max ``workers`` seen so far."""
-    global _PAR_POOL, _PAR_POOL_WORKERS, _PAR_POOL_LOCK
-    if _PAR_POOL_LOCK is None:
-        from threading import Lock
-
-        _PAR_POOL_LOCK = Lock()
-    with _PAR_POOL_LOCK:
-        if _PAR_POOL is None or workers > _PAR_POOL_WORKERS:
-            from concurrent.futures import ThreadPoolExecutor
-
-            old = _PAR_POOL
-            _PAR_POOL = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-par"
-            )
-            _PAR_POOL_WORKERS = workers
-            if old is not None:
-                old.shutdown(wait=False)
-        return _PAR_POOL
-
-
-@atexit.register
-def _shutdown_pool() -> None:
-    """Tear down the shared executor at interpreter exit.
-
-    Worker threads are non-daemonic, so without this hook an
-    interpreter shutdown blocks on whatever chunk bodies are still
-    queued; cancelling pending futures bounds the wait to the chunks
-    already running.  Also callable from tests (idempotent — the pool
-    is rebuilt lazily on the next ``par_chunks``).
-    """
-    global _PAR_POOL, _PAR_POOL_WORKERS
-    pool, _PAR_POOL = _PAR_POOL, None
-    _PAR_POOL_WORKERS = 0
-    if pool is not None:
-        pool.shutdown(wait=False, cancel_futures=True)
-
-
-def par_chunks(body, start: int, stop: int, step: int,
-               workers: int) -> None:
-    """Run ``body(lo, hi)`` over contiguous chunks of an inclusive range.
-
-    The parallel backend's thread-pool fallback for dependence-free
-    loops that resist slice translation: the index range
-    ``start, start+step, ..., stop`` is split into up to ``workers``
-    balanced contiguous chunks and each chunk's ``body(lo, hi)`` runs
-    on a shared process-wide pool thread (``body`` iterates
-    ``range(lo, hi+1, step)`` itself).  Exceptions propagate after all
-    chunks finish.
-    """
-    if step <= 0:
-        raise ValueError("par_chunks requires a positive step")
-    total = (stop - start) // step + 1
-    if total <= 0:
-        return
-    if FORCE_SERIAL_CHUNKS and workers > 1:
-        count_runtime("par_chunks.forced_serial")
-        workers = 1
-    workers = max(1, min(workers, total))
-    if workers == 1:
-        count_runtime("par_chunks.serial")
-        body(start, start + (total - 1) * step)
-        return
-    count_runtime("par_chunks.dispatched")
-    count_runtime("par_chunks.chunks", workers)
-    base, extra = divmod(total, workers)
-    chunks = []
-    first = 0
-    for index in range(workers):
-        count = base + (1 if index < extra else 0)
-        if count == 0:
-            continue
-        lo = start + first * step
-        hi = start + (first + count - 1) * step
-        chunks.append((lo, hi))
-        first += count
-    pool = _shared_pool(len(chunks))
-    futures = [pool.submit(body, lo, hi) for lo, hi in chunks]
-    for future in futures:
-        future.result()
 
 
 class VerifyStats:

@@ -2,8 +2,8 @@
 
 The program driver (:mod:`repro.program.run`) executes ``iterate``/
 ``converge`` bindings as whole-array sweeps.  This module decides, at
-compile time, whether those sweeps can be *block-partitioned* across a
-process pool (:mod:`repro.dist`) and how:
+compile time, whether a double-buffer sweep can be *block-partitioned*
+across a process pool (:mod:`repro.dist`) and how:
 
 * **dep-free** — no read of the sweep array carries a partition-axis
   offset: blocks run fully independently, one barrier per sweep.
@@ -12,15 +12,13 @@ process pool (:mod:`repro.dist`) and how:
   within a sweep because the previous sweep's array is complete in
   shared memory; the per-neighbour halo widths are recorded and
   accounted (``dist.halo.cells``).
-* **wavefront** — the §9 in-place sweep (SOR): blocks cannot run a
-  whole sweep independently because north/west reads see *new* values.
-  The mesh is split into column blocks x row chunks and executed in
-  skewed stages ``stage = block + chunk`` with a barrier per stage, the
-  classic software pipeline over the paper's §10 hyperplane.
 
 Everything that does not fit is a *reasoned fallback*: the binding runs
 single-process and the reason lands in ``ProgramReport.fallbacks``
-(prefix ``dist``) and the ``dist`` explain area.
+(prefix ``dist``) and the ``dist`` explain area.  An in-place (§9)
+sweep is one: it mutates one buffer, so no row block can run without
+its neighbours' new values, and the in-process driver (one native call
+on C) runs it.
 
 Double-buffer sweeps have three row placements, pavings of one row
 space that differ only in their row blocks and read rule, planned by
@@ -31,40 +29,15 @@ and out-of-core row tiles (:func:`plan_outofcore`).
 
 Legality
 --------
-For **double-buffer** sweeps the argument is locality-free: every read
-of the sweep array resolves against the previous sweep's buffer, which
-is complete in shared memory once the sweep barrier passes, so any
-partition of the *writes* is legal as long as (a) each cell is written
-by exactly one block (write subscripts on the partition axis are
-``var + const`` or ``const``, so clamping the loop window / guarding
-the constant row partitions the writes exactly) and (b) the step is
-provably total (unwritten cells would otherwise leak the sweep-before-
-last buffer, which the single-process path never exposes).
-
-For **wavefront** sweeps all reads and writes go through one buffer.
-With ``stage(cell) = block(col) + chunk(row)`` and a barrier between
-stages, the staged execution is a permutation of the single-process
-statement order; it computes bit-identical results iff every
-(write W, read R) pair on the sweep buffer keeps its relative order.
-Writes/reads in the *same* stage run in the original nest order
-(identical rectangle, identical scan), so only cross-stage pairs
-matter.  A read at constant offset ``(p, q)`` from its clause's write
-targets a cell whose stage differs by ``sign``: if ``p <= 0`` and
-``q <= 0`` the source stage is never later, if ``p >= 0`` and
-``q >= 0`` never earlier; mixed signs are indeterminate and rejected.
-It remains to check *cross-clause* order: for a read in clause ``k``
-at offset ``(p, q)``, any clause ``k'`` writing into
-``region(k) + (p, q)`` must satisfy ``k' <= k`` in statement order
-when ``(p, q) <= 0`` (the staged schedule may move that write earlier)
-and ``k' >= k`` when ``(p, q) >= 0`` (the staged schedule may move it
-later) — checked on the concrete write rectangles.  Offset ``(0, 0)``
-reads are always safe (same cell, same stage, local order = global
-order).  Finally, a clause carrying a nonzero-offset read must be
-scheduled *forward*: stage numbers ascend with the forward scan, so
-only then does "earlier stage" coincide with "earlier in the original
-scan" for its within-clause pairs.  Zero-offset and read-free clauses
-may scan in either direction (and under double buffering direction
-never matters at all).
+The argument is locality-free: every read of the sweep array resolves
+against the previous sweep's buffer, which is complete in shared
+memory once the sweep barrier passes, so any partition of the
+*writes* is legal as long as (a) each cell is written by exactly one
+block (write subscripts on the partition axis are ``var + const`` or
+``const``, so clamping the loop window / guarding the constant row
+partitions the writes exactly) and (b) the step is provably total
+(unwritten cells would otherwise leak the sweep-before-last buffer,
+which the single-process path never exposes).
 """
 
 from __future__ import annotations
@@ -94,18 +67,16 @@ class DistReject(Exception):
 
 @dataclass
 class LoopClamp:
-    """One loop whose bounds become per-rectangle environment values.
+    """One loop whose bounds become per-block environment values.
 
     The kernel's loop runs ``range(_env[env_start], _env[env_stop]+1)``;
-    the worker computes, per rectangle window ``[wlo, whi]`` on
-    ``axis``: ``start = max(lo, wlo - offset)``,
-    ``stop = min(hi, whi - offset)`` (the clause writes
-    ``var + offset`` on that axis).
+    the executor computes, per row window ``[wlo, whi]`` on axis 0:
+    ``start = max(lo, wlo - offset)``, ``stop = min(hi, whi - offset)``
+    (the clause writes row ``var + offset``).
     """
 
     env_start: str
     env_stop: str
-    axis: int
     offset: int
     lo: int
     hi: int
@@ -117,11 +88,11 @@ class DistKernel:
 
     source: str
     entry: str = "_build"
-    #: Loop-bound stand-ins the worker fills per rectangle.
+    #: Loop-bound stand-ins the executor fills per row window.
     clamps: Tuple[LoopClamp, ...] = ()
-    #: Axes ``a`` for which the kernel reads ``_dga{a}_s``/``_dga{a}_e``
-    #: membership-guard bounds (constant-subscript clauses).
-    guard_axes: Tuple[int, ...] = ()
+    #: Whether the kernel reads the ``_dga0_s``/``_dga0_e``
+    #: membership-guard bounds (clauses writing a constant row).
+    guard_rows: bool = False
     #: Environment names the kernel fetches (beyond the stand-ins).
     env_names: Tuple[str, ...] = ()
     #: Innermost loops (by variable) that hold a row-window clause and
@@ -134,10 +105,8 @@ class DistBindingPlan:
     """How one iterate binding distributes over ``workers`` blocks."""
 
     name: str
-    #: 'dep-free' | 'stencil' | 'wavefront'
+    #: 'dep-free' | 'stencil'
     kind: str
-    #: Sweep mode this plan was built for: 'double' | 'inplace'.
-    mode: str
     workers: int
     rank: int
     #: Concrete bounds ((lo0, ...), (hi0, ...)).
@@ -145,24 +114,15 @@ class DistBindingPlan:
     high: Tuple[int, ...]
     #: The step function's parameter (the sweep array's env name).
     param: str
-    #: Double mode: per-worker write windows (lo, hi) on axis 0
-    #: (empty windows are (1, 0)-style lo > hi).
+    #: Per-block write windows (lo, hi) on axis 0 (empty windows are
+    #: (1, 0)-style lo > hi).
     row_blocks: Tuple[Tuple[int, int], ...] = ()
-    #: Wavefront: per-worker column windows on axis 1.
-    col_blocks: Tuple[Tuple[int, int], ...] = ()
-    #: Wavefront: row-chunk windows on axis 0 (pipeline stages).
-    chunks: Tuple[Tuple[int, int], ...] = ()
     #: Halo widths on the partition axis (toward lower/higher indices).
     halo_lo: int = 0
     halo_hi: int = 0
-    #: Wavefront: halo widths on the chunk axis.
-    chunk_halo_lo: int = 0
-    chunk_halo_hi: int = 0
     #: Cells crossing internal block boundaries per sweep (accounting;
     #: correctness never depends on it — the buffer is shared).
     halo_cells_per_sweep: int = 0
-    #: Wavefront: stages per sweep (= blocks + chunks - 1).
-    stages: int = 0
     kernel: Optional[DistKernel] = None
     #: Positive planning decisions, for the report's dist area.
     notes: List[str] = field(default_factory=list)
@@ -196,14 +156,13 @@ def _read_dims(node: ast.Index) -> List[ast.Node]:
     return list(idx.items) if isinstance(idx, ast.TupleExpr) else [idx]
 
 
-def _flatten_schedule(items, out, directions):
-    """Clause statement order + per-loop directions, schedule order."""
+def _scheduled_clauses(items):
+    """Every clause the schedule places, in statement order."""
     for item in items:
         if isinstance(item, ScheduledClause):
-            out.append(item.clause)
+            yield item.clause
         elif isinstance(item, ScheduledLoop):
-            directions[id(item.loop)] = item.direction
-            _flatten_schedule(item.body, out, directions)
+            yield from _scheduled_clauses(item.body)
 
 
 def split_windows(lo: int, hi: int, parts: int) -> List[Tuple[int, int]]:
@@ -381,8 +340,8 @@ def _read_offset(clause, read_node, write_cols, params, array,
 
     Returns a tuple of ints, or ``None`` for a *broadcast* read (the
     offset is not constant — e.g. a fixed boundary row read from every
-    block).  Broadcast reads are legal in double mode (the source
-    buffer is complete and shared) but reject wavefront staging.
+    block).  Broadcast reads are legal wherever the whole source
+    buffer is resident (see :func:`_row_split`).
     """
     dims = _read_dims(read_node)
     if len(dims) != rank:
@@ -421,41 +380,16 @@ def _read_offset(clause, read_node, write_cols, params, array,
     return tuple(offsets)
 
 
-def _clause_region(clause, rank: int, params) -> List[Tuple[int, int]]:
-    """The clause's concrete write rectangle, per axis (inclusive)."""
-    region = []
-    for axis in range(rank):
-        write = _axis_write(clause, axis, params)
-        if write.const is not None:
-            region.append((write.const, write.const))
-            continue
-        loop = _clause_loop(clause, write.var)
-        lo = _const_eval(loop.start, params)
-        hi = _const_eval(loop.stop, params)
-        region.append((lo + write.offset, hi + write.offset))
-    return region
-
-
-def _regions_intersect(a, b) -> bool:
-    return all(alo <= bhi and blo <= ahi
-               for (alo, ahi), (blo, bhi) in zip(a, b))
-
-
-def _shift_region(region, offsets):
-    return [(lo + d, hi + d) for (lo, hi), d in zip(region, offsets)]
-
-
 # ----------------------------------------------------------------------
 # The planner proper.
 
 
 def _common_checks(report, params):
-    """Structural checks shared by every block/tile partitioning.
+    """Structural checks shared by every row placement.
 
     Raises :class:`DistReject` unless the step has static bounds, a
     complete static schedule, affine unit-stride writes and provably
-    float values.  Returns ``(low, high, rank, order, clause_pos,
-    directions)``.
+    float values.  Returns ``(low, high, rank)``.
     """
     comp = report.comp
     if comp is None or comp.bounds is None:
@@ -464,13 +398,10 @@ def _common_checks(report, params):
         raise DistReject("step has no static schedule")
     low = tuple(dim[0] for dim in comp.bounds.dims)
     high = tuple(dim[1] for dim in comp.bounds.dims)
-    rank = comp.rank
 
-    order: List = []
-    directions: Dict[int, str] = {}
-    _flatten_schedule(report.schedule.items, order, directions)
-    clause_pos = {id(clause): k for k, clause in enumerate(order)}
-    if len(clause_pos) != len(comp.clauses):
+    placed = {id(clause)
+              for clause in _scheduled_clauses(report.schedule.items)}
+    if len(placed) != len(comp.clauses):
         raise DistReject("schedule does not place every clause exactly "
                          "once")
 
@@ -490,7 +421,7 @@ def _common_checks(report, params):
                     f"{clause.label}: loop {loop.var!r} strides by "
                     f"{loop.step}"
                 )
-    return low, high, rank, order, clause_pos, directions
+    return low, high, comp.rank
 
 
 def plan_distribution(
@@ -503,14 +434,15 @@ def plan_distribution(
     *,
     kernel,
 ) -> DistBindingPlan:
-    """Build a :class:`DistBindingPlan` for one iterate binding.
+    """Split one iterate binding's rows into ``workers`` dist blocks.
 
     ``report`` is the step function's single-definition
     :class:`~repro.core.pipeline.Report`; ``mode`` the driver mode the
     program compiler picked (``'double'``/``'inplace'``); ``kernel``
     the binding's shared double-kernel builder (:func:`double_kernel`).
-    Raises :class:`DistReject` with the reason when the binding must
-    stay single-process.
+    Every block reads the shared previous-sweep buffer, so broadcast
+    reads are served.  Raises :class:`DistReject` with the reason when
+    the binding must stay single-process.
     """
     if _np is None:
         raise DistReject("numpy is unavailable — shared float64 "
@@ -520,24 +452,30 @@ def plan_distribution(
             f"workers={workers} — a single block is the single-process "
             "path; distribution skipped"
         )
-    if mode == "double":
-        return _plan_double(name, report, param, params, workers,
-                            kernel)
-    if mode == "inplace":
-        low, high, rank, order, clause_pos, directions = \
-            _common_checks(report, params)
-        return _plan_wavefront(name, report, param, params, workers,
-                               low, high, rank, order, clause_pos,
-                               directions)
-    raise DistReject(f"unknown iterate mode {mode!r}")
-
-
-def _sweep_reads(comp, param):
-    """Names whose reads resolve against the sweep buffer."""
-    names = {param}
-    if comp.name:
-        names.add(comp.name)
-    return names
+    plan, broadcast, _ = _row_plan(
+        name, report, mode, param, params, kernel, workers, "block",
+        "buffer", False,
+        lambda low, high, tail, halo: split_windows(low[0], high[0],
+                                                    workers))
+    low, high, kind = plan.low, plan.high, plan.kind
+    plan.notes.append(
+        f"{name}: {kind} — axis 0 split into {workers} row block(s) "
+        f"of ~{(high[0] - low[0] + 1 + workers - 1) // workers} row(s)"
+    )
+    if kind == "stencil":
+        plan.notes.append(
+            f"{name}: halo widths -{plan.halo_lo}/+{plan.halo_hi} "
+            f"row(s); {plan.halo_cells_per_sweep} halo cell(s) cross "
+            "block boundaries per sweep (served from the shared "
+            "previous-sweep buffer)"
+        )
+    if broadcast:
+        plan.notes.append(
+            f"{name}: {broadcast} broadcast read(s) (non-constant "
+            "offset) served from the shared buffer without halo "
+            "accounting"
+        )
+    return plan
 
 
 def _row_split(report, param, params, low, high, unit: str,
@@ -630,23 +568,42 @@ def double_kernel(report, params):
     return functools.cache(lambda: build_double_kernel(report, params))
 
 
-def _row_plan(name, report, param, params, kernel, workers, unit,
+def _row_plan(name, report, mode, param, params, kernel, workers, unit,
               storage, window_only, blocks):
     """The row placement of a double-buffer sweep, every placement's.
 
-    ``blocks(low, high, tail, halo)`` gives the axis-0 row blocks and
-    ``window_only`` the read rule (see :func:`_row_split`); ``kernel``
-    is the binding's :func:`double_kernel` builder.  Returns ``(plan,
-    broadcast, tail)``.
+    The rules every placement shares: the sweep is double-buffered (an
+    in-place sweep mutates the one buffer its rows read, so they
+    cannot run apart), the step passes the structural checks and the
+    row split (``window_only`` is its read rule, see
+    :func:`_row_split`), and no clause holds a :func:`float_trap`,
+    because where the list path raises, as the oracle does, float64
+    buffers give inf or NaN.  ``blocks(low, high, tail, halo)`` gives
+    the axis-0 row blocks; ``kernel``, the binding's
+    :func:`double_kernel` builder, runs only once every rule passed.
+    Returns ``(plan, broadcast, tail)``.
     """
-    low, high, rank, _, _, _ = _common_checks(report, params)
+    if mode != "double":
+        raise DistReject(
+            f"needs double-buffer sweeps — the {mode!r} sweep mutates "
+            f"one buffer, so its row {unit}s cannot run independently"
+        )
+    low, high, rank = _common_checks(report, params)
     kind, halo_lo, halo_hi, tail, broadcast = _row_split(
         report, param, params, low, high, unit, storage, window_only)
+    for clause in report.comp.clauses:
+        for node in (clause.value, *clause.guards, *clause.lets):
+            trap = float_trap(node)
+            if trap:
+                raise DistReject(
+                    f"{clause.label}: {trap} — the list path raises "
+                    "where float64 buffers give inf or NaN"
+                )
     row_blocks = tuple(blocks(low, high, tail, halo_lo + halo_hi))
     internal = sum(1 for a, b in zip(row_blocks, row_blocks[1:])
                    if a[1] >= a[0] and b[1] >= b[0])
     plan = DistBindingPlan(
-        name=name, kind=kind, mode="double", workers=workers,
+        name=name, kind=kind, workers=workers,
         rank=rank, low=low, high=high, param=param,
         row_blocks=row_blocks, halo_lo=halo_lo, halo_hi=halo_hi,
         halo_cells_per_sweep=internal * (halo_lo + halo_hi) * tail,
@@ -669,62 +626,25 @@ def plan_block(
     spanning axis 0, swept by the same vectorized block kernel the
     dist and out-of-core placements run, on two float64 buffers
     (:func:`repro.program.run._sweep_block`).  The whole mesh is
-    resident, so broadcast reads are served.  No clause may hold a
-    :func:`float_trap`: where the list path raises, as the oracle
-    does, float64 buffers would return inf or NaN.  The block kernel
-    must vectorize every innermost loop that holds a row-window
-    clause: a scalar loop indexing float64 buffers is slower than the
-    list path, which keeps such a step.  Raises :class:`DistReject`
-    with the reason otherwise.
+    resident, so broadcast reads are served.  The block kernel must
+    vectorize every innermost loop that holds a row-window clause: a
+    scalar loop indexing float64 buffers is slower than the list path,
+    which keeps such a step.  Raises :class:`DistReject` with the
+    reason otherwise, or when a rule of :func:`_row_plan` fails.
     """
     if _np is None:
         raise DistReject("numpy is unavailable — the block kernel "
                          "sweeps float64 buffers")
     plan, _, _ = _row_plan(
-        name, report, param, params, kernel, 1, "block", "buffer",
-        False, lambda low, high, tail, halo: [(low[0], high[0])])
-    for clause in report.comp.clauses:
-        for node in (clause.value, *clause.guards, *clause.lets):
-            trap = float_trap(node)
-            if trap:
-                raise DistReject(
-                    f"{clause.label}: {trap} — the list path raises "
-                    "where float64 buffers give inf or NaN"
-                )
+        name, report, "double", param, params, kernel, 1, "block",
+        "buffer", False,
+        lambda low, high, tail, halo: [(low[0], high[0])])
     scalar = plan.kernel.scalar_loops
     if scalar:
         raise DistReject(
             "the block kernel leaves loop(s) " + ", ".join(scalar)
             + " scalar, and scalar access to float64 buffers is "
             "slower than the list path"
-        )
-    return plan
-
-
-def _plan_double(name, report, param, params, workers,
-                 kernel) -> DistBindingPlan:
-    plan, broadcast, _ = _row_plan(
-        name, report, param, params, kernel, workers, "block",
-        "buffer", False,
-        lambda low, high, tail, halo: split_windows(low[0], high[0],
-                                                    workers))
-    low, high, kind = plan.low, plan.high, plan.kind
-    plan.notes.append(
-        f"{name}: {kind} — axis 0 split into {workers} row block(s) "
-        f"of ~{(high[0] - low[0] + 1 + workers - 1) // workers} row(s)"
-    )
-    if kind == "stencil":
-        plan.notes.append(
-            f"{name}: halo widths -{plan.halo_lo}/+{plan.halo_hi} "
-            f"row(s); {plan.halo_cells_per_sweep} halo cell(s) cross "
-            "block boundaries per sweep (served from the shared "
-            "previous-sweep buffer)"
-        )
-    if broadcast:
-        plan.notes.append(
-            f"{name}: {broadcast} broadcast read(s) (non-constant "
-            "offset) served from the shared buffer without halo "
-            "accounting"
         )
     return plan
 
@@ -777,12 +697,7 @@ def plan_outofcore(
     if _np is None:
         raise DistReject("numpy is unavailable — tile streaming "
                          "needs it")
-    if mode != "double":
-        raise DistReject(
-            f"out-of-core streaming needs double-buffer sweeps — the "
-            f"{mode!r} sweep mutates one buffer whose tiles cannot "
-            "stream independently"
-        )
+
     def tiles(low, high, tail, halo):
         tile_rows = _ooc_tile_rows(tile, tail, halo)
         rows = high[0] - low[0] + 1
@@ -790,8 +705,8 @@ def plan_outofcore(
                  min(high[0], low[0] + (k + 1) * tile_rows - 1))
                 for k in range(max(1, -(-rows // tile_rows)))]
 
-    plan, _, tail = _row_plan(name, report, param, params, kernel, 1,
-                              "tile", "file", True, tiles)
+    plan, _, tail = _row_plan(name, report, mode, param, params,
+                              kernel, 1, "tile", "file", True, tiles)
     halo = plan.halo_lo + plan.halo_hi
     tile_rows = _ooc_tile_rows(tile, tail, halo)
     window_bytes = (tile_rows + halo) * tail * 8
@@ -807,128 +722,4 @@ def plan_outofcore(
             f"row(s); {plan.halo_cells_per_sweep} halo cell(s) re-read "
             "from the previous-sweep file per sweep"
         )
-    return plan
-
-
-def _plan_wavefront(name, report, param, params, workers, low, high,
-                    rank, order, clause_pos,
-                    directions) -> DistBindingPlan:
-    comp = report.comp
-    if report.strategy != "inplace":
-        raise DistReject(
-            f"step strategy is {report.strategy!r} — wavefront "
-            "staging re-emits the clean-split in-place schedule"
-        )
-    if rank != 2:
-        raise DistReject(
-            f"wavefront staging needs a rank-2 mesh, step is rank "
-            f"{rank}"
-        )
-    plan_obj = report.inplace_plan
-    if plan_obj is None or plan_obj.mode != "split":
-        raise DistReject(
-            "in-place plan is not a clean split — whole-copy sweeps "
-            "snapshot the full buffer per sweep"
-        )
-    if plan_obj.snapshots or plan_obj.hoisted:
-        raise DistReject(
-            "in-place plan needs snapshot/hoisted temporaries"
-        )
-
-    sweep_names = _sweep_reads(comp, param)
-    regions = {id(c): _clause_region(c, rank, params)
-               for c in comp.clauses}
-    halo0 = halo1 = 0
-    for clause in comp.clauses:
-        write_cols = [_axis_write(clause, a, params)
-                      for a in range(rank)]
-        pos = clause_pos[id(clause)]
-        for read in clause.reads:
-            if read.array not in sweep_names:
-                continue
-            off = _read_offset(clause, read.node, write_cols, params,
-                               read.array, rank)
-            if off is None:
-                raise DistReject(
-                    f"{clause.label}: broadcast read of "
-                    f"{read.array!r} — staged execution cannot order "
-                    "a non-constant-offset read"
-                )
-            p, q = off
-            if p * q < 0:
-                raise DistReject(
-                    f"{clause.label}: read offset ({p}, {q}) mixes "
-                    "signs — its source stage is indeterminate"
-                )
-            halo0 = max(halo0, abs(p))
-            halo1 = max(halo1, abs(q))
-            if (p, q) == (0, 0):
-                # Same cell, same instance: scan direction and stage
-                # placement cannot change what the read observes.
-                continue
-            # The stage numbering ascends with the forward scan, so a
-            # backward-scheduled loop in a clause that reads at a
-            # nonzero offset would observe new values where the
-            # original scan observed old ones (or vice versa).
-            # Zero-offset clauses scan in any direction.
-            for loop in clause.loops:
-                if directions.get(id(loop), "forward") != "forward":
-                    raise DistReject(
-                        f"{clause.label}: loop {loop.var!r} is "
-                        f"scheduled backward but the clause reads "
-                        f"{read.array!r} at offset ({p}, {q}) — stage "
-                        "order matches only the forward scan"
-                    )
-            shifted = _shift_region(regions[id(clause)], off)
-            for other in comp.clauses:
-                if other is clause:
-                    continue
-                other_pos = clause_pos[id(other)]
-                if not _regions_intersect(regions[id(other)], shifted):
-                    continue
-                if p <= 0 and q <= 0 and other_pos > pos:
-                    raise DistReject(
-                        f"{clause.label}: reads cells that "
-                        f"{other.label} (later in statement order) "
-                        "writes — staging would move that write "
-                        "earlier"
-                    )
-                if p >= 0 and q >= 0 and other_pos < pos:
-                    raise DistReject(
-                        f"{clause.label}: reads old values of cells "
-                        f"that {other.label} (earlier in statement "
-                        "order) writes — staging would move that "
-                        "write later"
-                    )
-
-    col_blocks = split_windows(low[1], high[1], workers)
-    rows = high[0] - low[0] + 1
-    cols = high[1] - low[1] + 1
-    chunks_n = max(1, min(workers, rows))
-    chunks = split_windows(low[0], high[0], chunks_n)
-    stages = workers + chunks_n - 1
-    halo_cells = ((workers - 1) * 2 * halo1 * rows
-                  + (chunks_n - 1) * 2 * halo0 * cols)
-
-    plan = DistBindingPlan(
-        name=name, kind="wavefront", mode="inplace", workers=workers,
-        rank=rank, low=low, high=high, param=param,
-        col_blocks=tuple(col_blocks), chunks=tuple(chunks),
-        halo_lo=halo1, halo_hi=halo1,
-        chunk_halo_lo=halo0, chunk_halo_hi=halo0,
-        halo_cells_per_sweep=halo_cells, stages=stages,
-    )
-    plan.notes.append(
-        f"{name}: wavefront — {workers} column block(s) x {chunks_n} "
-        f"row chunk(s), {stages} skewed stage(s) per sweep "
-        "(stage = block + chunk)"
-    )
-    plan.notes.append(
-        f"{name}: stencil halo -{halo0}/+{halo0} row(s), "
-        f"-{halo1}/+{halo1} col(s); {halo_cells} boundary cell(s) "
-        "handed off per sweep"
-    )
-    from repro.dist.kernel import build_wavefront_kernel
-
-    plan.kernel = build_wavefront_kernel(report, params)
     return plan

@@ -182,7 +182,7 @@ def _nest_extents(clause: SVClause) -> Optional[Tuple[int, ...]]:
 
 #: Plan kinds, in decreasing order of extracted parallelism.
 WAVEFRONT = "wavefront"      # every loop carried: anti-diagonal sweeps
-DEP_FREE = "dep-free"        # no self dependence: slice or thread-chunk
+DEP_FREE = "dep-free"        # no self dependence: whole-dimension slices
 SEQUENTIAL = "sequential"    # no profile applies: scalar schedule
 
 

@@ -722,8 +722,7 @@ def _parallel(st: _State) -> None:
             report.parallel.append(entry.describe())
     report.notes.append(
         "parallel backend requested (paper §10 executed): wavefront "
-        "nests sweep anti-diagonals, dep-free loops run as slices or "
-        "thread chunks"
+        "nests sweep anti-diagonals, dep-free loops run as slices"
     )
 
 

@@ -1,30 +1,30 @@
-"""Block-kernel emission for distributed sweeps.
+"""Block-kernel emission for row-partitioned sweeps.
 
 The single-process emitters (:mod:`repro.codegen.emit`) already
 produce exactly the loop bodies we want — and bit-identity of the
-distributed path rides on *not* duplicating them.  So this module
+block placements rides on *not* duplicating them.  So this module
 re-emits the step function's analysis artifacts with two surgical
-changes and a couple of asserted source post-edits:
+changes and a few asserted source post-edits:
 
-1. **Loop clamping.**  Every loop that drives a partitioned write axis
+1. **Loop clamping.**  Every loop that drives the row (axis 0) write
    gets its ``start``/``stop`` ASTs replaced by free variables
    (``_dw{n}_s``/``_dw{n}_e``).  The expression generator renders free
    variables as environment fetches, so the *same* scalar and vector
-   emission paths produce kernels whose windows the worker picks per
-   rectangle at run time.
-2. **Membership guards.**  Clauses writing a *constant* index on a
-   partitioned axis (boundary rows/columns) get guards
-   ``_dga{a}_s <= c <= _dga{a}_e`` appended, so each rectangle executes
-   only the constant-index clauses it owns.  Guarded clauses are
-   automatically excluded from the §10 vector path and run scalar.
+   emission paths produce kernels whose row windows the executor
+   picks per block at run time.
+2. **Membership guards.**  Clauses writing a *constant* row (boundary
+   rows) get guards ``_dga0_s <= c <= _dga0_e`` appended, so each
+   block executes only the constant-row clauses it owns.  Guarded
+   clauses are automatically excluded from the §10 vector path and
+   run scalar.
 
 The artifacts are deep-copied **together** (one pickle round trip) so
-the identity links between clauses, schedule items, dependence edges
-and in-place read plans survive; the originals are never mutated.
+the identity links between clauses, schedule items and dependence
+edges survive; the originals are never mutated.
 
-Double-buffer kernels additionally swap the output allocation for a
-destination view (``_env['.dst']``) and drop the materializing return.
-One such kernel, emitted once per binding, serves all three row-block
+The kernel also swaps the output allocation for a destination view
+(``_env['.dst']``) and drops the materializing return.  One such
+kernel, emitted once per binding, serves all three row-block
 placements: the in-memory driver (:mod:`repro.program.run`) sweeps it
 as one block spanning axis 0 over two float64 buffers, dist workers
 write straight into the shared full-size buffer, and the out-of-core
@@ -38,7 +38,7 @@ one-block placement refuses such a kernel.
 
 The module also holds what *running* a block kernel needs, the same
 for every placement whatever holds the block's bytes: the
-compiled-kernel cache (:func:`kernel_fn`), the per-rectangle loop
+compiled-kernel cache (:func:`kernel_fn`), the per-block loop
 windows (:func:`window_env`), the bounds a block reads through
 (:func:`row_bounds`), one double-buffer sweep of one block
 (:func:`block_sweep`), and the runtime admission check every
@@ -62,7 +62,7 @@ except ImportError:  # pragma: no cover - numpy ships with the toolchain
     _np = None
 
 from repro.codegen.compile import compile_source
-from repro.codegen.emit import CodegenOptions, emit_inplace, emit_thunkless
+from repro.codegen.emit import CodegenOptions, emit_thunkless
 from repro.codegen.support import FlatArray
 from repro.core.distplan import (
     DistKernel,
@@ -79,65 +79,62 @@ from repro.runtime.bounds import Bounds
 _ENV_FETCH = re.compile(r"_env(?:\.pop)?\[?\(?['\"]([^'\"]+)['\"]")
 
 
-def _clamp_axes(comp, axes: Tuple[int, ...], params):
-    """Mutate ``comp``'s clauses for per-rectangle windows.
+def _clamp_rows(comp, params):
+    """Mutate ``comp``'s clauses for per-block row windows.
 
-    Returns ``(clamps, guard_axes)``.  Loops shared between clauses are
-    clamped once; conflicting demands (same loop, different axis or
-    write offset) reject distribution.
+    Returns ``(clamps, guard_rows)``.  Loops shared between clauses are
+    clamped once; conflicting demands (same loop, different row
+    offset) reject the block placements.
     """
     clamps: List[LoopClamp] = []
     by_loop: Dict[int, LoopClamp] = {}
-    guard_axes = set()
+    guard_rows = False
     for clause in comp.clauses:
-        for axis in axes:
-            write = _axis_write(clause, axis, params)
-            if write.const is not None:
-                guard_axes.add(axis)
-                clause.guards.append(ast.BinOp(
-                    op="<=",
-                    left=ast.Var(name=f"_dga{axis}_s"),
-                    right=ast.Lit(value=write.const),
-                ))
-                clause.guards.append(ast.BinOp(
-                    op="<=",
-                    left=ast.Lit(value=write.const),
-                    right=ast.Var(name=f"_dga{axis}_e"),
-                ))
-                continue
-            loop = _clause_loop(clause, write.var)
-            seen = by_loop.get(id(loop))
-            if seen is not None:
-                if (seen.axis, seen.offset) != (axis, write.offset):
-                    raise DistReject(
-                        f"{clause.label}: loop {loop.var!r} is shared "
-                        "by clauses demanding different windows "
-                        f"(axis {seen.axis} offset {seen.offset} vs "
-                        f"axis {axis} offset {write.offset})"
-                    )
-                continue
-            lo = _const_eval(loop.start, params)
-            hi = _const_eval(loop.stop, params)
-            index = len(clamps)
-            clamp = LoopClamp(
-                env_start=f"_dw{index}_s", env_stop=f"_dw{index}_e",
-                axis=axis, offset=write.offset, lo=lo, hi=hi,
-            )
-            loop.start = ast.Var(name=clamp.env_start)
-            loop.stop = ast.Var(name=clamp.env_stop)
-            by_loop[id(loop)] = clamp
-            clamps.append(clamp)
-    return tuple(clamps), tuple(sorted(guard_axes))
+        write = _axis_write(clause, 0, params)
+        if write.const is not None:
+            guard_rows = True
+            clause.guards.append(ast.BinOp(
+                op="<=",
+                left=ast.Var(name="_dga0_s"),
+                right=ast.Lit(value=write.const),
+            ))
+            clause.guards.append(ast.BinOp(
+                op="<=",
+                left=ast.Lit(value=write.const),
+                right=ast.Var(name="_dga0_e"),
+            ))
+            continue
+        loop = _clause_loop(clause, write.var)
+        seen = by_loop.get(id(loop))
+        if seen is not None:
+            if seen.offset != write.offset:
+                raise DistReject(
+                    f"{clause.label}: loop {loop.var!r} is shared by "
+                    "clauses writing different axis-0 offsets "
+                    f"({seen.offset} vs {write.offset})"
+                )
+            continue
+        index = len(clamps)
+        clamp = LoopClamp(
+            env_start=f"_dw{index}_s", env_stop=f"_dw{index}_e",
+            offset=write.offset,
+            lo=_const_eval(loop.start, params),
+            hi=_const_eval(loop.stop, params),
+        )
+        loop.start = ast.Var(name=clamp.env_start)
+        loop.stop = ast.Var(name=clamp.env_stop)
+        by_loop[id(loop)] = clamp
+        clamps.append(clamp)
+    return tuple(clamps), guard_rows
 
 
-def _internal_names(clamps, guard_axes) -> set:
+def _internal_names(clamps, guard_rows: bool) -> set:
     names = set()
     for clamp in clamps:
         names.add(clamp.env_start)
         names.add(clamp.env_stop)
-    for axis in guard_axes:
-        names.add(f"_dga{axis}_s")
-        names.add(f"_dga{axis}_e")
+    if guard_rows:
+        names.update(("_dga0_s", "_dga0_e"))
     return names
 
 
@@ -187,7 +184,7 @@ def build_double_kernel(report, params) -> DistKernel:
     comp, schedule, edges = pickle.loads(
         pickle.dumps((report.comp, report.schedule, report.edges))
     )
-    clamps, guard_axes = _clamp_axes(comp, (0,), params)
+    clamps, guard_rows = _clamp_rows(comp, params)
     rows = {id(clause) for clause in comp.clauses
             if _axis_write(clause, 0, params).const is not None}
     vectorized: List = []
@@ -205,34 +202,11 @@ def build_double_kernel(report, params) -> DistKernel:
     return DistKernel(
         source=source,
         clamps=clamps,
-        guard_axes=guard_axes,
+        guard_rows=guard_rows,
         env_names=_env_names(source, _internal_names(clamps,
-                                                     guard_axes)),
+                                                     guard_rows)),
         scalar_loops=tuple(_scalar_loops(
             schedule.items, {id(loop) for loop in vectorized}, rows)),
-    )
-
-
-def build_wavefront_kernel(report, params) -> DistKernel:
-    """Rectangle kernel for a staged in-place (clean-split) sweep.
-
-    Both axes are clamped: axis 0 windows select the row chunk, axis 1
-    windows the column block.  The kernel mutates the shared buffer it
-    is handed (the in-place preamble flattens the env array) and its
-    return value is discarded.
-    """
-    comp, schedule, plan = pickle.loads(
-        pickle.dumps((report.comp, report.schedule, report.inplace_plan))
-    )
-    clamps, guard_axes = _clamp_axes(comp, (0, 1), params)
-    source = emit_inplace(comp, schedule, plan, CodegenOptions(),
-                          params)
-    return DistKernel(
-        source=source,
-        clamps=clamps,
-        guard_axes=guard_axes,
-        env_names=_env_names(source, _internal_names(clamps,
-                                                     guard_axes)),
     )
 
 
@@ -276,20 +250,18 @@ def as_f64(cells):
     return _np.asarray(cells, dtype=_np.float64)
 
 
-def window_env(env: Dict, kernel: DistKernel,
-               windows: Dict[int, tuple]) -> None:
-    """Fill the kernel's clamp/guard stand-ins for one rectangle.
+def window_env(env: Dict, kernel: DistKernel, rows: tuple) -> None:
+    """Fill the kernel's clamp/guard stand-ins for one block.
 
-    ``windows`` maps axis -> inclusive (lo, hi) ownership window.
+    ``rows`` is the block's inclusive (lo, hi) row window on axis 0.
     """
+    wlo, whi = rows
     for clamp in kernel.clamps:
-        wlo, whi = windows[clamp.axis]
         env[clamp.env_start] = max(clamp.lo, wlo - clamp.offset)
         env[clamp.env_stop] = min(clamp.hi, whi - clamp.offset)
-    for axis in kernel.guard_axes:
-        wlo, whi = windows[axis]
-        env[f"_dga{axis}_s"] = wlo
-        env[f"_dga{axis}_e"] = whi
+    if kernel.guard_rows:
+        env["_dga0_s"] = wlo
+        env["_dga0_e"] = whi
 
 
 def block_sweep(build, env_base: Dict, param: str, bounds: Bounds,

@@ -16,13 +16,8 @@ pool broken, and the next distributed call builds a fresh pool.  The
 caller falls back to the single-process sweep path, so a pool failure
 costs time, never correctness.
 
-The atexit hook tears the pool down alongside
-``repro.codegen.support``'s shared thread pool; both hooks are
-idempotent, non-blocking (bounded joins, then terminate) and
-order-independent, so draining one can never deadlock the other.
-Workers force ``par_chunks`` serial (and drop the inherited thread
-pool) first thing after the fork — a forked copy of a thread pool has
-no threads, and its inherited locks are in an unknown state.
+The atexit hook tears the pools down; it is idempotent and
+non-blocking (bounded joins, then terminate).
 """
 
 from __future__ import annotations
@@ -53,17 +48,6 @@ def fork_available() -> bool:
 
 
 def _worker_main(index: int, parties: int, conn, barrier) -> None:
-    # Inside a worker: nested thread-pool parallelism would oversubscribe
-    # the machine (blocks already occupy the cores), and the forked copy
-    # of the parent's executor has no live threads — drop it and force
-    # par_chunks serial before any kernel runs.
-    from repro.codegen import support
-
-    support.FORCE_SERIAL_CHUNKS = True
-    support._PAR_POOL = None
-    support._PAR_POOL_WORKERS = 0
-    support._PAR_POOL_LOCK = None
-
     from repro.dist.run import run_worker_job
 
     while True:

@@ -1,6 +1,8 @@
 """Driving distributed sweeps: parent entry + worker loops.
 
-The parent side (:func:`run_dist_iterate`) is called by
+Dist runs double-buffer sweeps only: each worker sweeps one row block
+of the binding's block kernel from one shared float64 buffer into the
+other.  The parent side (:func:`run_dist_iterate`) is called by
 ``repro.program.run._run_iterate`` once a binding's
 :class:`~repro.core.distplan.DistBindingPlan` is in hand and the
 iteration control has been evaluated.  It checks shared memory and
@@ -22,10 +24,10 @@ oracle sees) is bit-identical to the single-process driver's.  What
 stays here is where the bytes live (shared segments) and how the
 blocks synchronise.
 
-Synchronization invariants (all modes):
+Synchronization invariants:
 
-* one barrier after every sweep's writes (double) or after every stage
-  (wavefront), so no block reads a neighbour's cells early;
+* one barrier after every sweep's writes, so no block reads a
+  neighbour's cells before they are complete;
 * in ``until`` mode, the reduction's barriers and then one extra
   barrier after every block has read the reduced maximum, so a fast
   block cannot overwrite the reduction vector (or the source buffer)
@@ -38,11 +40,6 @@ from __future__ import annotations
 import math
 import os
 from typing import Dict, List
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
 
 from repro.codegen import support
 from repro.codegen.support import FlatArray
@@ -99,7 +96,6 @@ def run_dist_iterate(plan, dist_plan, env: Dict, kind: str, control,
 
     size = current.bounds.size()
     job = {
-        "mode": dp.mode,
         "kind": kind,
         "control": control,
         "cap": iterate.CONVERGE_CAP,
@@ -111,29 +107,19 @@ def run_dist_iterate(plan, dist_plan, env: Dict, kind: str, control,
         "env": payload,
         "trace": runtime_tracing_enabled(),
         "row_blocks": dp.row_blocks,
-        "col_blocks": dp.col_blocks,
-        "chunks": dp.chunks,
     }
 
     buffers = []
     try:
-        if dp.mode == "double":
-            src = exchange.SharedDoubles.create(size)
-            dst = exchange.SharedDoubles.create(size)
-            reduce_buf = exchange.SharedDoubles.create(dp.workers)
-            buffers = [src, dst, reduce_buf]
-            support.alloc_buffer(size)
-            support.alloc_buffer(size)
-            src.array[:] = current.cells
-            job["shm"] = {"a": src.name, "b": dst.name,
-                          "r": reduce_buf.name}
-        else:
-            mesh = exchange.SharedDoubles.create(size)
-            reduce_buf = exchange.SharedDoubles.create(dp.workers)
-            buffers = [mesh, reduce_buf]
-            support.alloc_buffer(size)
-            mesh.array[:] = current.cells
-            job["shm"] = {"u": mesh.name, "r": reduce_buf.name}
+        src = exchange.SharedDoubles.create(size)
+        dst = exchange.SharedDoubles.create(size)
+        reduce_buf = exchange.SharedDoubles.create(dp.workers)
+        buffers = [src, dst, reduce_buf]
+        support.alloc_buffer(size)
+        support.alloc_buffer(size)
+        src.array[:] = current.cells
+        job["shm"] = {"a": src.name, "b": dst.name,
+                      "r": reduce_buf.name}
 
         pool = get_pool(dp.workers)
         try:
@@ -146,14 +132,9 @@ def run_dist_iterate(plan, dist_plan, env: Dict, kind: str, control,
         count_runtime("dist.blocks", dp.workers)
         count_runtime("dist.halo.cells",
                       dp.halo_cells_per_sweep * sweeps)
-        if dp.kind == "wavefront":
-            count_runtime("dist.wavefront.stages", dp.stages * sweeps)
-        finish_sweeps(dp.mode, sweeps, replies[0]["converged"], control)
+        finish_sweeps("double", sweeps, replies[0]["converged"], control)
 
-        if dp.mode == "double":
-            final = dst if sweeps % 2 else src
-        else:
-            final = mesh
+        final = dst if sweeps % 2 else src
         return FlatArray(current.bounds, final.array.tolist())
     finally:
         for shared in buffers:
@@ -187,8 +168,7 @@ def run_worker_job(index: int, parties: int, barrier, job: Dict):
     def wait():
         barrier.wait(BARRIER_TIMEOUT)
 
-    worker = _worker_double if job["mode"] == "double" else _worker_wavefront
-    sweeps, converged = worker(index, parties, wait, job)
+    sweeps, converged = _worker_sweeps(index, parties, wait, job)
     return {
         "sweeps": sweeps,
         "converged": converged,
@@ -198,17 +178,7 @@ def run_worker_job(index: int, parties: int, barrier, job: Dict):
     }
 
 
-def _agree(reduce_buf, index, parties, wait, local: float) -> float:
-    """Every block's shared maximum; the wait after it keeps a fast
-    block from reusing the vector while a slow one still reads it."""
-    reduce_buf.array[index] = local
-    biggest = exchange.tree_reduce_max(reduce_buf.array, index, parties,
-                                       wait)
-    wait()
-    return biggest
-
-
-def _worker_double(index, parties, wait, job):
+def _worker_sweeps(index, parties, wait, job):
     size = job["size"]
     shm = job["shm"]
     buf_a = exchange.SharedDoubles.attach(shm["a"], size)
@@ -224,7 +194,7 @@ def _worker_double(index, parties, wait, job):
         window = slice((wlo - low[0]) * tail, (whi - low[0] + 1) * tail)
 
         env_base = dict(job["env"])
-        window_env(env_base, job["kernel"], {0: (wlo, whi)})
+        window_env(env_base, job["kernel"], (wlo, whi))
 
         def sweep(number, fold):
             src, dst = ((buf_a, buf_b) if number % 2 == 0
@@ -237,60 +207,17 @@ def _worker_double(index, parties, wait, job):
             if not fold:
                 wait()
                 return None
-            return _agree(reduce_buf, index, parties, wait, local)
+            # Every block's shared maximum; the wait after it keeps a
+            # fast block from reusing the vector while a slow one
+            # still reads it.
+            reduce_buf.array[index] = local
+            biggest = exchange.tree_reduce_max(reduce_buf.array, index,
+                                               parties, wait)
+            wait()
+            return biggest
 
         return run_sweeps(job["kind"], job["control"], sweep, job["cap"])
     finally:
         buf_a.destroy()
         buf_b.destroy()
-        reduce_buf.destroy()
-
-
-def _worker_wavefront(index, parties, wait, job):
-    size = job["size"]
-    shm = job["shm"]
-    mesh = exchange.SharedDoubles.attach(shm["u"], size)
-    reduce_buf = exchange.SharedDoubles.attach(shm["r"], parties)
-    try:
-        kernel = job["kernel"]
-        build = kernel_fn(kernel)
-        low, high = job["low"], job["high"]
-        bounds = row_bounds(low, high)
-        rows = high[0] - low[0] + 1
-        cols = high[1] - low[1] + 1
-        grid = mesh.array.reshape(rows, cols)
-        clo, chi = job["col_blocks"][index]
-        chunks = job["chunks"]
-        slab = grid[:, clo - low[1]:chi - low[1] + 1]
-        stages = parties + len(chunks) - 1
-        shadow = _np.empty_like(slab) if job["kind"] == "until" else None
-
-        def run_stage(chunk_index):
-            rlo, rhi = chunks[chunk_index]
-            if rhi < rlo or chi < clo:
-                return
-            env = dict(job["env"])
-            window_env(env, kernel, {0: (rlo, rhi), 1: (clo, chi)})
-            env[job["param"]] = FlatArray(bounds, mesh.array)
-            build(env)
-
-        def sweep(number, fold):
-            if fold:
-                shadow[:] = slab
-            for stage in range(stages):
-                chunk_index = stage - index
-                if 0 <= chunk_index < len(chunks):
-                    run_stage(chunk_index)
-                wait()
-            count_runtime("dist.worker.sweeps")
-            if not fold:
-                return None
-            local = 0.0
-            if slab.size:
-                local = float(_np.max(_np.abs(slab - shadow)))
-            return _agree(reduce_buf, index, parties, wait, local)
-
-        return run_sweeps(job["kind"], job["control"], sweep, job["cap"])
-    finally:
-        mesh.destroy()
         reduce_buf.destroy()

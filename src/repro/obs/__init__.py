@@ -6,7 +6,7 @@ Three zero-dependency layers, threaded through every subsystem:
   and attributes.  The pipeline records one :class:`Trace` per
   compile; ``Report.timings`` is now a view derived from it (the
   root span is the authoritative ``total``).  Runtime-side counters
-  (allocations, par_chunks dispatches, convergence sweeps) are gated
+  (allocations, convergence sweeps, block and tile runs) are gated
   behind ``REPRO_TRACE=1`` so the hot paths pay nothing by default.
 * :mod:`repro.obs.explain` — the decision-trace renderer behind
   ``repro.compile(..., explain=True)`` and ``python -m repro

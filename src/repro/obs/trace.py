@@ -12,8 +12,8 @@ Two instrumentation surfaces with different cost budgets:
   this layer is always on.
 
 * **Runtime counters.**  Generated code and the program driver run in
-  tight loops, so their counters (buffer allocations, ``par_chunks``
-  dispatches, convergence sweeps) are gated behind the ``REPRO_TRACE``
+  tight loops, so their counters (buffer allocations, convergence
+  sweeps, block and tile runs) are gated behind the ``REPRO_TRACE``
   environment variable: one module-global boolean test when disabled,
   nothing else.  Benchmarks flip the gate with
   :func:`refresh_runtime_tracing` after setting the variable.
@@ -301,7 +301,7 @@ def annotate(key: str, value) -> None:
 
 
 # ----------------------------------------------------------------------
-# Runtime counters (generated code, par_chunks, convergence sweeps).
+# Runtime counters (generated code, convergence sweeps, placements).
 # Gated behind REPRO_TRACE so disabled tracing costs one boolean test.
 
 

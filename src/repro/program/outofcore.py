@@ -168,7 +168,7 @@ def run_ooc_iterate(plan, ooc_plan, env: Dict, kind: str, control,
             ".dst": dst,
             ".dst_row0": t0,
         }
-        window_env(tile_env, kernel, {0: (t0, t1)})
+        window_env(tile_env, kernel, (t0, t1))
         old = win[(t0 - w0) * tail:(t1 - w0 + 1) * tail]
         units.append(((w0 - low[0]) * row_bytes, win, tile_env,
                       (t0 - low[0]) * row_bytes, dst, old))

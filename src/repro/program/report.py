@@ -104,8 +104,8 @@ class ProgramReport:
     fallbacks: List[str] = field(default_factory=list)
     #: Convergence-driver decisions (mode chosen per iterate binding).
     iterate: List[str] = field(default_factory=list)
-    #: Distribution-planner decisions (block counts, halo widths,
-    #: wavefront stages) for bindings that distribute; the reasons
+    #: Distribution-planner decisions (block counts, halo widths) for
+    #: bindings that distribute; the reasons
     #: bindings *don't* distribute live in :attr:`fallbacks` with a
     #: ``dist`` prefix.
     dist: List[str] = field(default_factory=list)

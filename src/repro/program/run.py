@@ -453,7 +453,7 @@ def _sweep_block(block, env: Dict, kind: str, control,
     env_base = admit(block, env, kind, control, seed, as_f64)
     if env_base is None:
         return None
-    window_env(env_base, block.kernel, {0: block.row_blocks[0]})
+    window_env(env_base, block.kernel, block.row_blocks[0])
     build = kernel_fn(block.kernel)
     size = len(seed.cells)
     buffers = (_np.array(seed.cells, dtype=_np.float64),

@@ -75,7 +75,12 @@ from repro.lang.parser import parse_expr
 #:     (IteratePlan grew ``block``; DistKernel ``scalar_loops``) unless
 #:     a clause may raise where numpy would not, and a C-lowered step
 #:     or a planned out-of-core placement plans no dist blocks.
-PIPELINE_SALT = "repro-pipeline/12"
+#: /13: the thread-chunk path is gone: generated python modules stop
+#:     importing its helper and ``CodegenOptions`` lost its thread
+#:     count; dist plans lost the wavefront fields (``DistKernel``
+#:     guards rows by a flag); a float trap refuses the dist and
+#:     out-of-core placements too.
+PIPELINE_SALT = "repro-pipeline/13"
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Covers the registry API (register/get/names/availability), the
 ``lower()`` dispatch policy (default short-circuit, loud unknown
-names, reasoned fallbacks), the full pairwise ``from_flags`` conflict
-matrix for ``backend=``, and the shared thread pool's atexit hook.
+names, reasoned fallbacks), and the full pairwise ``from_flags``
+conflict matrix for ``backend=``.
 """
 
 import itertools
@@ -159,20 +159,14 @@ class TestLowerDispatch:
 # of backend= with the other flags).
 
 #: Flags that conflict with a non-python backend, as from_flags
-#: kwargs.  ``parallel-threads`` implies ``parallel``, so the error
-#: reports the enabling flag first.
+#: kwargs.
 _CONFLICTING = {
     "vectorize": {"vectorize": True},
     "parallel": {"parallel": True},
-    "parallel-threads": {"parallel": True, "parallel_threads": 4},
     "bounds-checks": {"bounds_checks": True},
     "collision-checks": {"collision_checks": True},
     "empties-check": {"empties_check": True},
 }
-
-#: The flag name each combination's error message reports.
-_REPORTED = {flag: ("parallel" if flag == "parallel-threads" else flag)
-             for flag in _CONFLICTING}
 
 
 class TestFromFlagsBackend:
@@ -201,7 +195,7 @@ class TestFromFlagsBackend:
         message = str(err.value)
         # The error must be actionable: name both sides and the fix.
         assert "--backend c" in message
-        assert f"--{_REPORTED[flag]}" in message
+        assert f"--{flag}" in message
         assert "drop one of the two" in message
 
     @pytest.mark.parametrize("flag", sorted(_CONFLICTING))
@@ -233,45 +227,3 @@ class TestFromFlagsBackend:
         options = CodegenOptions.from_flags(**kwargs)
         assert options is not None
         assert options.backend == "python"
-
-
-# ----------------------------------------------------------------------
-# The shared par_chunks pool's atexit hook (satellite).
-
-
-class TestPoolShutdown:
-    def test_shutdown_hook_drains_and_is_idempotent(self):
-        from repro.codegen import support
-
-        hits = []
-        support.par_chunks(lambda lo, hi: hits.append((lo, hi)),
-                           1, 8, 1, workers=2)
-        assert support._PAR_POOL is not None
-        support._shutdown_pool()
-        assert support._PAR_POOL is None
-        assert support._PAR_POOL_WORKERS == 0
-        support._shutdown_pool()  # idempotent
-        # The pool is rebuilt lazily on the next parallel dispatch.
-        hits.clear()
-        support.par_chunks(lambda lo, hi: hits.append((lo, hi)),
-                           1, 8, 1, workers=2)
-        assert sorted(hits) == [(1, 4), (5, 8)]
-        assert support._PAR_POOL is not None
-
-    def test_interpreter_exit_is_clean_after_pool_use(self):
-        """A process that used the shared pool exits promptly (rc 0)."""
-        import subprocess
-        import sys
-
-        script = (
-            "from repro.codegen.support import par_chunks\n"
-            "out = []\n"
-            "par_chunks(lambda lo, hi: out.append((lo, hi)),"
-            " 1, 100, 1, workers=4)\n"
-            "assert len(out) == 4\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr

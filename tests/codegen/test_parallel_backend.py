@@ -6,8 +6,8 @@ Three codegen paths hang off ``CodegenOptions(parallel=True)``:
   hyperplane (1,1) becomes one strided slice assignment per
   anti-diagonal;
 * **dep-free** — clauses with no loop-carried dependence become
-  whole-dimension slice assignments, or thread-pool chunks when the
-  body resists slice translation (``parallel_threads >= 2``);
+  whole-dimension slice assignments; a body that resists slice
+  translation keeps its scalar loop, logged;
 * **sequential fallback** — everything else keeps the scalar schedule
   and the reason is recorded in ``report.parallel``.
 
@@ -15,14 +15,11 @@ Results must be *bit-identical* to the scalar schedule (numpy float64
 elementwise ops associate exactly like the emitted Python scalars).
 """
 
-import threading
-
 import pytest
 
 import repro
 from repro import CodegenOptions, FlatArray, kernels
 from repro.codegen.emit import CodegenError
-from repro.codegen.support import par_chunks
 from repro.core.parallel import (
     DEP_FREE,
     SEQUENTIAL,
@@ -38,12 +35,10 @@ ENV_SOR = {
 }
 
 
-def compile_pair(src, params, env, threads=0):
+def compile_pair(src, params, env):
     """Compile with and without the backend; assert identical output."""
-    par = repro.compile(
-        src, params=params,
-        options=CodegenOptions(parallel=True, parallel_threads=threads),
-    )
+    par = repro.compile(src, params=params,
+                        options=CodegenOptions(parallel=True))
     seq = repro.compile(src, params=params)
     assert par(env).to_list() == seq(env).to_list()
     return par
@@ -139,24 +134,17 @@ class TestDepFree:
         par = compile_pair(kernels.SQUARES, {"n": 40}, {"n": 40})
         assert any("dep-free" in line for line in par.report.parallel)
 
-    def test_matmul_chunked_across_threads(self):
-        n = 10
+    def test_unchunkable_scalar_loop_logs_hint(self):
+        n = 6
         x = FlatArray.from_list(((1, 1), (n, n)),
                                 [float(k) for k in range(n * n)])
         y = FlatArray.from_list(((1, 1), (n, n)),
                                 [float(k) * 0.5 for k in range(n * n)])
         par = compile_pair(kernels.MATMUL, {"n": n},
-                           {"n": n, "x": x, "y": y}, threads=2)
-        assert "_par_chunks(" in par.source
-        assert any("chunked across 2 pool threads" in line
-                   for line in par.report.parallel)
-
-    def test_unchunkable_scalar_loop_logs_hint(self):
-        par = repro.compile(kernels.MATMUL, params={"n": 6},
-                            options=CodegenOptions(parallel=True))
-        assert any("parallel_threads" in line
-                   for line in par.report.parallel)
-        assert "_par_chunks(" not in par.source
+                           {"n": n, "x": x, "y": y})
+        assert ("loop i (clause 1): dep-free but not slice-translatable; "
+                "scalar loop kept" in par.report.parallel)
+        assert not any("thread" in line for line in par.report.parallel)
 
 
 class TestSequentialFallback:
@@ -183,21 +171,12 @@ class TestOptionConflicts:
         assert CodegenOptions.from_flags() is None
 
     def test_from_flags_parallel(self):
-        options = CodegenOptions.from_flags(parallel=True,
-                                            parallel_threads=4)
-        assert options.parallel and options.parallel_threads == 4
+        options = CodegenOptions.from_flags(parallel=True)
+        assert options.parallel
 
     def test_from_flags_rejects_parallel_inplace(self):
         with pytest.raises(CodegenError, match="--inplace"):
             CodegenOptions.from_flags(parallel=True, inplace=True)
-
-    def test_from_flags_rejects_orphan_threads(self):
-        with pytest.raises(CodegenError, match="--parallel-threads"):
-            CodegenOptions.from_flags(parallel_threads=2)
-
-    def test_from_flags_rejects_negative_threads(self):
-        with pytest.raises(CodegenError, match=">= 0"):
-            CodegenOptions.from_flags(parallel=True, parallel_threads=-1)
 
     def test_from_flags_accepts_vectorize_inplace(self):
         # The vectorize/inplace conflict is diagnosed later, per-loop,
@@ -214,66 +193,6 @@ class TestOptionConflicts:
         with pytest.raises(CompileError, match="in-place"):
             _drive("inplace", kernels.JACOBI, params={"m": 8},
                    options=CodegenOptions(parallel=True), old_array="u")
-
-
-class TestParChunks:
-    def test_covers_range_in_chunks(self):
-        seen = []
-        par_chunks(lambda lo, hi: seen.append((lo, hi)), 1, 10, 1, 3)
-        assert sorted(seen) == [(1, 4), (5, 7), (8, 10)]
-
-    def test_single_worker_runs_whole_range(self):
-        seen = []
-        par_chunks(lambda lo, hi: seen.append((lo, hi)), 2, 8, 2, 1)
-        assert seen == [(2, 8)]
-
-    def test_empty_range_is_noop(self):
-        par_chunks(lambda lo, hi: (_ for _ in ()).throw(AssertionError),
-                   5, 4, 1, 2)
-
-    def test_exceptions_propagate(self):
-        def boom(lo, hi):
-            raise ValueError("inside chunk")
-
-        with pytest.raises(ValueError, match="inside chunk"):
-            par_chunks(boom, 1, 10, 1, 4)
-
-    def test_rejects_nonpositive_step(self):
-        with pytest.raises(ValueError):
-            par_chunks(lambda lo, hi: None, 1, 10, 0, 2)
-
-    def test_shared_pool_is_reused_across_calls(self):
-        # One process-wide executor serves every parallel loop; a
-        # second dispatch at the same width must not build a new pool.
-        from repro.codegen import support
-
-        par_chunks(lambda lo, hi: None, 1, 100, 1, 3)
-        pool = support._PAR_POOL
-        assert pool is not None
-        par_chunks(lambda lo, hi: None, 1, 100, 1, 3)
-        assert support._PAR_POOL is pool
-        # Narrower requests reuse the wide pool too.
-        par_chunks(lambda lo, hi: None, 1, 100, 1, 2)
-        assert support._PAR_POOL is pool
-
-    def test_shared_pool_grows_to_max_workers_seen(self):
-        from repro.codegen import support
-
-        par_chunks(lambda lo, hi: None, 1, 100, 1, 2)
-        before = support._PAR_POOL_WORKERS
-        wider = before + 2
-        par_chunks(lambda lo, hi: None, 1, 100, 1, wider)
-        assert support._PAR_POOL_WORKERS == wider
-        # The grown pool still runs every chunk.
-        seen = []
-        lock = threading.Lock()
-
-        def body(lo, hi):
-            with lock:
-                seen.append((lo, hi))
-
-        par_chunks(body, 1, 100, 1, wider)
-        assert sum(hi - lo + 1 for lo, hi in seen) == 100
 
 
 class TestVectorizeInteraction:

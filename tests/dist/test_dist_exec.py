@@ -12,7 +12,7 @@ import pytest
 import repro
 from repro.codegen.support import ALLOC_STATS
 from repro.dist.pool import fork_available, shutdown_pools
-from repro.kernels import PROGRAM_JACOBI, PROGRAM_JACOBI_STEPS, PROGRAM_SOR
+from repro.kernels import PROGRAM_JACOBI, PROGRAM_JACOBI_STEPS
 from repro.obs.trace import (
     refresh_runtime_tracing,
     reset_runtime_counters,
@@ -136,31 +136,6 @@ class TestJacobiSteps:
                                      dist=True, workers=2)
         assert (dist(steps=9).to_list()
                 == single(steps=9).to_list())
-
-
-class TestSORWavefront:
-    PARAMS = {"m": 9, "k": 11, "omega": 1.2}
-
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_identical_to_single_process(self, traced, workers):
-        single, expect = _run(PROGRAM_SOR, self.PARAMS)
-        reset_runtime_counters()
-        dist, got = _run(PROGRAM_SOR, self.PARAMS,
-                         dist=True, workers=workers)
-        counters = dict(runtime_counters())
-        plan = dist.steps[-1].iterate.dist
-        assert plan is not None and plan.kind == "wavefront"
-        assert got.to_list() == expect.to_list()
-        assert _sweeps(counters, "inplace") == self.PARAMS["k"]
-        assert (counters["dist.wavefront.stages"]
-                == plan.stages * self.PARAMS["k"])
-
-    def test_identical_to_oracle(self):
-        oracle = repro.run_program(
-            PROGRAM_SOR, bindings=dict(self.PARAMS), deep=False
-        )
-        _, got = _run(PROGRAM_SOR, self.PARAMS, dist=True, workers=2)
-        assert got.to_list() == oracle.to_list()
 
 
 #: A double-mode rank-2 step over an *external* seed: the ±1 row

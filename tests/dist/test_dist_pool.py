@@ -1,16 +1,14 @@
 """The distributed pool's failure containment and runtime support.
 
 Worker crashes must break the barrier (not hang peers), mark the pool
-broken, and leave the next call a fresh pool; ``par_chunks`` must run
-serial inside workers; the shared segments and tree reduction must
-behave standalone.
+broken, and leave the next call a fresh pool; the shared segments and
+tree reduction must behave standalone.
 """
 
 import threading
 
 import pytest
 
-from repro.codegen import support
 from repro.dist import exchange
 from repro.dist.pool import (
     DistPool,
@@ -81,67 +79,17 @@ class TestTreeReduceMax:
             shared.destroy()
 
 
-class TestForcedSerialChunks:
-    def test_force_serial_never_touches_the_pool(self, monkeypatch):
-        monkeypatch.setattr(support, "FORCE_SERIAL_CHUNKS", True)
-        monkeypatch.setattr(support, "_PAR_POOL", None)
-        seen = []
-        support.par_chunks(lambda lo, hi: seen.append((lo, hi)),
-                           1, 10, 1, workers=4)
-        # One serial chunk covering the whole range; no executor built.
-        assert seen == [(1, 10)]
-        assert support._PAR_POOL is None
-
-    def test_flag_off_still_parallelizes(self):
-        seen = []
-        lock = threading.Lock()
-
-        def body(lo, hi):
-            with lock:
-                seen.append((lo, hi))
-
-        support.par_chunks(body, 1, 8, 1, workers=2)
-        assert sorted(seen) == [(1, 4), (5, 8)]
-
-    def test_workers_set_the_flag_after_fork(self):
-        # Forked workers run with par_chunks forced serial — probe the
-        # worker-side state through a real pool.
-        import multiprocessing as mp
-
-        ctx = mp.get_context("fork")
-        parent, child = ctx.Pipe()
-
-        def probe(conn):
-            from repro.codegen import support as worker_support
-            from repro.dist.pool import _worker_main  # noqa: F401
-
-            # _worker_main sets the flag on entry; emulate its prologue
-            # exactly the way the pool target does.
-            worker_support.FORCE_SERIAL_CHUNKS = True
-            conn.send(worker_support.FORCE_SERIAL_CHUNKS)
-            conn.close()
-
-        proc = ctx.Process(target=probe, args=(child,))
-        proc.start()
-        child.close()
-        assert parent.recv() is True
-        proc.join(10)
-
-
 class TestPoolFailureContainment:
     def test_bad_job_breaks_and_rebuilds(self):
         pool = get_pool(2)
         with pytest.raises(DistPoolError):
             # A job no worker understands: raises inside the worker,
             # which aborts the barrier and reports the traceback.
-            pool.run({"mode": "double", "kind": "steps", "control": 1,
-                      "kernel": "this is not python",
-                      "entry": "_build", "clamps": [],
-                      "guard_axes": (), "param": "u",
+            pool.run({"kind": "steps", "control": 1,
+                      "kernel": "this is not python", "param": "u",
                       "low": (1,), "high": (2,), "size": 2,
                       "env": {}, "trace": False,
                       "row_blocks": ((1, 1), (2, 2)),
-                      "col_blocks": (), "chunks": (),
                       "shm": {"a": "missing", "b": "missing",
                               "r": "missing"}})
         assert pool.broken
@@ -154,25 +102,13 @@ class TestPoolFailureContainment:
         pool = DistPool(2)
         pool.shutdown()
         with pytest.raises(DistPoolError):
-            pool.run({"mode": "double"})
+            pool.run({"kind": "steps"})
 
     def test_shutdown_pools_is_idempotent(self):
         get_pool(2)
         shutdown_pools()
         shutdown_pools()  # second call: nothing left, no error
-
-    def test_atexit_hooks_coexist(self):
-        # Satellite: draining the dist pool and the par_chunks thread
-        # pool must not deadlock, in either order.
-        support.par_chunks(lambda lo, hi: None, 1, 4, 1, workers=2)
-        get_pool(2)
-        shutdown_pools()
-        support._shutdown_pool()
-        # Both rebuild lazily afterwards.
-        seen = []
-        support.par_chunks(lambda lo, hi: seen.append((lo, hi)),
-                           1, 4, 1, workers=2)
-        assert len(seen) == 2
+        # The pool rebuilds lazily afterwards.
         pool = get_pool(2)
         assert pool.alive()
         shutdown_pools()

@@ -18,7 +18,7 @@ from repro.core.distplan import (
     value_provably_float,
 )
 from repro.dist.kernel import float_cells
-from repro.kernels import PROGRAM_JACOBI, PROGRAM_JACOBI_STEPS, PROGRAM_SOR
+from repro.kernels import PROGRAM_JACOBI, PROGRAM_JACOBI_STEPS
 from repro.lang.parser import parse_expr
 
 
@@ -175,22 +175,10 @@ class TestPlannerVerdicts:
         plan = _iterate_plan(prog).dist
         assert plan is not None
         assert plan.kind == "stencil"
-        assert plan.mode == "double"
+        assert _iterate_plan(prog).mode == "double"
         assert (plan.halo_lo, plan.halo_hi) == (1, 1)
         assert plan.row_blocks == ((1, 4), (5, 8))
         assert plan.kernel is not None and plan.kernel.source
-
-    def test_sor_is_wavefront(self):
-        prog = repro.compile_program(
-            PROGRAM_SOR, params={"m": 8, "k": 3, "omega": 1.2},
-            dist=True, workers=2,
-        )
-        plan = _iterate_plan(prog).dist
-        assert plan is not None
-        assert plan.kind == "wavefront"
-        assert plan.mode == "inplace"
-        # stage = block + chunk: blocks + chunks - 1 stages per sweep.
-        assert plan.stages == len(plan.col_blocks) + len(plan.chunks) - 1
 
     def test_non_divisible_rows(self):
         prog = repro.compile_program(
@@ -215,8 +203,7 @@ class TestPlannerVerdicts:
 
     def test_tiny_mesh_inplace_backward_interior_is_rejected(self):
         # At m=3 the step's single interior cell lets §9 pick true
-        # in-place sweeps, and its backward-scheduled interior loop
-        # (with nonzero-offset reads) must reject wavefront staging.
+        # in-place sweeps, which no row block can run.
         prog = repro.compile_program(
             PROGRAM_JACOBI_STEPS, params={"m": 3, "k": 2},
             dist=True, workers=2,
@@ -224,8 +211,9 @@ class TestPlannerVerdicts:
         step = _iterate_plan(prog)
         if step.mode == "inplace":
             assert step.dist is None
-            assert any("scheduled backward" in f
-                       for f in _dist_fallbacks(prog))
+            assert "dist 'main': needs double-buffer sweeps — the " \
+                "'inplace' sweep mutates one buffer, so its row blocks " \
+                "cannot run independently" in _dist_fallbacks(prog)
 
     def test_workers_one_is_reasoned_skip(self):
         prog = repro.compile_program(
@@ -266,9 +254,14 @@ class TestPlannerVerdicts:
 # Reasoned rejections.
 
 
+#: A double-buffered step (the ±1 reads reject in-place sweeps) whose
+#: interior cells are ints.
 INT_VALUED = """
 u0 = array (1,m) [ i := 1.0 * i | i <- [1..m] ];
-step u = letrec a = array (1,m) [ i := 1 | i <- [1..m] ] in a;
+step u = letrec a = array (1,m)
+   ([ 1 := u!1 ] ++ [ m := u!m ] ++
+    [ i := if u!(i-1) < u!(i+1) then 1 else 2 | i <- [2..m-1] ])
+  in a;
 main = iterate step u0 k
 """
 
@@ -313,7 +306,8 @@ class TestRejections:
         )
         info = prog.report.binding("main")
         step = _iterate_plan(prog)
-        with pytest.raises(DistReject, match="unknown iterate mode"):
+        with pytest.raises(DistReject,
+                           match="needs double-buffer sweeps"):
             plan_distribution("main", info.report, "mystery",
                               step.param, params={"m": 6}, workers=2,
                               kernel=double_kernel(info.report,

@@ -249,9 +249,9 @@ class TestRuntimeRefusals:
 
     def test_admit_refuses_an_empty_mesh(self):
         empty = FlatArray.from_list(((1, 1), (4, 0)), [])
-        plan = DistBindingPlan(name="main", kind="dep-free",
-                               mode="double", workers=1, rank=2,
-                               low=(1, 1), high=(4, 0), param="u")
+        plan = DistBindingPlan(name="main", kind="dep-free", workers=1,
+                               rank=2, low=(1, 1), high=(4, 0),
+                               param="u")
         assert admit(plan, {}, "steps", 3, empty, list) is None
 
 
@@ -319,27 +319,41 @@ main = iterate step u0 k
          "'sqrt' of an argument that is not a non-negative literal "
          "or an abs"),
     ], ids=["zero-divisor", "negative-sqrt"])
+    @pytest.mark.parametrize("placement, kwargs", [
+        ("block", {}),
+        ("ooc", {"ooc": True}),
+        ("dist", {"dist": True, "workers": 2}),
+    ], ids=["one-block", "ooc", "dist"])
     def test_float_trap_raises_the_oracles_error(self, head, interior,
-                                                  error, trap):
+                                                  error, trap, placement,
+                                                  kwargs):
         # Cell (3,3) divides by, or takes the root of, exactly 0.0 - 2.0
         # + 0.0: Python raises, float64 buffers would give inf or NaN.
+        # One rule refuses every row placement, each with its reason.
         u0 = seed()
         u0.cells[(2 - 1) * M + (3 - 1)] = -2.0
         params = {"m": M, "k": 1, "tol": 1e-6}
         source = jacobi(interior, head)
         with pytest.raises(error) as oracle:
             repro.run_program(source, bindings=dict(params, u0=u0))
-        program = compile_program(source, params=params)
+        program = compile_program(source, params=params, **kwargs)
         (plan,) = [s.iterate for s in program.steps if s.iterate]
-        assert plan.block is None
-        assert (f"one-block placement refused (clause 5: {trap} — the "
-                "list path raises where float64 buffers give inf or "
-                "NaN); list path" in self._line(program))
+        assert getattr(plan, placement) is None
+        reason = (f"clause 5: {trap} — the list path raises where "
+                  "float64 buffers give inf or NaN")
+        assert (f"one-block placement refused ({reason}); list path"
+                in self._line(program))
+        if placement != "block":
+            assert f"{placement} 'main': {reason}" \
+                in program.report.fallbacks
         reset_runtime_counters()
         with pytest.raises(error) as got:
             program(dict(params, u0=u0))
         assert str(got.value) == str(oracle.value)
-        assert BLOCK not in runtime_counters()
+        counters = runtime_counters()
+        assert BLOCK not in counters
+        assert not [name for name in counters
+                    if name.startswith(("dist.", "ooc."))]
 
 
 class TestAdmittedEdgeCases:

@@ -6,7 +6,7 @@ the sweep cap and fails the same way at every mesh size — the scalar
 ``max_abs_diff`` loop serves meshes of at most 64 cells, numpy larger
 ones — and in every placement: the in-memory one block (python), the
 in-memory driver on C, the native C sweep loop, out-of-core tiles,
-dist blocks and wavefronts, and the lazy oracle.  Every compiled
+dist blocks, and the lazy oracle.  Every compiled
 placement also counts the same sweeps — the cap — under
 ``iterate.sweeps.<mode>``.
 
@@ -132,6 +132,4 @@ def test_diverging_sor_fails_the_same_in_the_native_loop(m):
         placements.append(
             ("c", {"options": CodegenOptions(backend="c")},
              "native_sweeps"))
-    if fork_available():
-        placements.append(("dist", {"dist": True, "workers": 2}, "dist"))
     _fails_like_everyone(SOR, m, placements)

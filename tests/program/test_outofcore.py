@@ -11,6 +11,7 @@ I/O failure raises; it never falls back to the in-memory sweeps.
 import errno
 import os
 import random
+from array import array
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.backends.native import toolchain_status
 from repro.codegen.emit import CodegenOptions
 from repro.codegen.support import FlatArray
 from repro.kernels import PROGRAM_JACOBI, PROGRAM_JACOBI_STEPS, PROGRAM_SOR
+from repro.obs.explain import explain_report
 from repro.obs.trace import (
     refresh_runtime_tracing,
     reset_runtime_counters,
@@ -43,6 +45,11 @@ def traced(monkeypatch):
     yield
     monkeypatch.delenv("REPRO_TRACE", raising=False)
     refresh_runtime_tracing()
+
+
+def bits(result) -> bytes:
+    """The float64 bits of a result (bit identity, not ``==``)."""
+    return array("d", result.to_list()).tobytes()
 
 
 def identical(got, want):
@@ -117,19 +124,35 @@ class TestResidentBound:
 
 
 class TestOocFallbacks:
-    def test_sor_inplace_sweeps_fall_back_with_reason(self):
-        # SOR's sweep mutates one buffer; its tiles cannot stream
-        # independently, so ooc falls back — loudly and correctly.
-        ooc = compile_program(PROGRAM_SOR,
-                              params={"m": 8, "k": 5, "omega": 1.25},
-                              ooc=True)
-        reasons = [f for f in ooc.report.fallbacks
-                   if f.startswith("ooc 'main'")]
-        assert reasons
-        assert "double-buffer" in reasons[0]
-        plain = compile_program(PROGRAM_SOR,
-                                params={"m": 8, "k": 5, "omega": 1.25})
-        identical(ooc({}), plain({}))
+    @pytest.mark.parametrize("placement, area, kwargs", [
+        ("ooc", "tile", {"ooc": True}),
+        ("dist", "dist", {"dist": True, "workers": 2}),
+    ], ids=["ooc", "dist"])
+    def test_sor_inplace_sweeps_fall_back_with_reason(self, traced,
+                                                      placement, area,
+                                                      kwargs):
+        # SOR's sweep mutates one buffer, so no row placement can split
+        # it: tiles and dist blocks both fall back to the in-process
+        # driver — loudly and correctly.
+        params = {"m": 8, "k": 5, "omega": 1.25}
+        placed = compile_program(PROGRAM_SOR, params=params, **kwargs)
+        (plan,) = [s.iterate for s in placed.steps if s.iterate]
+        assert getattr(plan, placement) is None
+        (reason,) = [f for f in placed.report.fallbacks
+                     if f.startswith(f"{placement} 'main': ")]
+        assert ": needs double-buffer sweeps — the 'inplace' sweep " \
+            "mutates one buffer" in reason
+        assert reason in [d.reason for d in
+                          explain_report(placed.report).by_area(area)]
+        got = placed({})
+        counters = dict(runtime_counters())
+        reset_runtime_counters()
+        want = compile_program(PROGRAM_SOR, params=params)({})
+        assert bits(got) == bits(want)
+        assert counters["iterate.sweeps.inplace"] == params["k"]
+        assert counters == runtime_counters()
+        assert not [name for name in counters
+                    if name.startswith(("dist.", "ooc."))]
 
     def test_one_shot_bindings_report_nothing_to_stream(self):
         src = "a = array (1,4) [ i := 2.0 | i <- [1..4] ]; main = a"

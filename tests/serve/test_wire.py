@@ -87,6 +87,12 @@ class TestValidation:
         with pytest.raises(WireError, match="unknown option"):
             options_from_wire({"warp_speed": 9})
 
+    def test_removed_thread_option_is_named(self):
+        with pytest.raises(WireError,
+                           match=r"unknown option\(s\): parallel_threads"):
+            CompileRequest.from_wire(
+                {"src": SRC, "options": {"parallel_threads": 2}})
+
 
 class TestEnvelopes:
     def test_encode_decode(self):

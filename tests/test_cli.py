@@ -177,21 +177,25 @@ class TestParallelFlag:
         assert capsys.readouterr().out == plain
 
     def test_parallel_threads_flag(self, tmp_path, capsys):
+        # The thread-chunk path is gone, and its flag with it.
         from repro.kernels import MATMUL
 
         path = tmp_path / "matmul.hs"
         path.write_text(MATMUL)
-        assert main(
-            ["compile", str(path), "-p", "n=6", "--parallel",
-             "--parallel-threads", "2"]
-        ) == 0
-        assert "chunked across 2 pool threads" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc_info:
+            main(["compile", str(path), "-p", "n=6", "--parallel",
+                  "--parallel-threads", "2"])
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments: --parallel-threads" \
+            in capsys.readouterr().err
 
-    def test_threads_without_parallel_rejected(self, squares_file):
+    def test_threads_without_parallel_rejected(self, squares_file,
+                                               capsys):
         with pytest.raises(SystemExit) as exc_info:
             main(["compile", squares_file, "-p", "n=4",
                   "--parallel-threads", "2"])
-        assert "--parallel-threads" in str(exc_info.value)
+        assert exc_info.value.code == 2
+        assert "--parallel-threads" in capsys.readouterr().err
 
     def test_parallel_with_inplace_rejected(self, tmp_path):
         from repro.kernels import JACOBI
