@@ -236,6 +236,13 @@ def _tile_flag(args):
         raise SystemExit("--tile must be 'auto' or an integer >= 1")
 
 
+def _dist_workers(args) -> int:
+    """``--dist-workers`` -> a worker count (0 disables)."""
+    if args.dist_workers < 0:
+        raise SystemExit("--dist-workers needs a non-negative count")
+    return args.dist_workers
+
+
 def _program_command(args, binds, params) -> int:
     """``analyze``/``compile``/``run``/``oracle`` on a whole program."""
     from repro.program import ProgramError
@@ -273,9 +280,7 @@ def _program_command(args, binds, params) -> int:
         )
     except CodegenError as exc:
         raise SystemExit(str(exc)) from exc
-    dist_workers = getattr(args, "dist_workers", 0) or 0
-    if dist_workers < 0:
-        raise SystemExit("--dist-workers needs a non-negative count")
+    dist_workers = _dist_workers(args)
     try:
         program = repro.compile_program(
             binds, params=params, options=options,
@@ -318,6 +323,7 @@ def _explain_command(args, tree, params) -> int:
     """``explain``: the decision trace for a definition or program."""
     from repro.obs.explain import explain
 
+    dist_workers = _dist_workers(args)
     try:
         options = CodegenOptions.from_flags(
             vectorize=args.vectorize,
@@ -338,6 +344,7 @@ def _explain_command(args, tree, params) -> int:
             force_strategy=(None if args.strategy == "auto"
                             else args.strategy),
             ooc=bool(getattr(args, "ooc", False)),
+            dist=bool(dist_workers), workers=dist_workers,
         )
     except CompileError as exc:
         raise SystemExit(f"compile error: {exc}") from exc
@@ -495,25 +502,19 @@ def main(argv=None) -> int:
 
     kind, tree = classify_source(source)
 
+    if kind != "program":
+        for flag, value in (("--iterate", args.iterate),
+                            ("--dist-workers", args.dist_workers),
+                            ("--ooc", args.ooc)):
+            if value:
+                raise SystemExit(
+                    f"{flag} only applies to multi-binding programs "
+                    "(this source is a single definition)"
+                )
     if args.command == "explain":
         return _explain_command(args, tree, params)
     if kind == "program":
         return _program_command(args, tree, params)
-    if args.iterate:
-        raise SystemExit(
-            "--iterate only applies to multi-binding programs (this "
-            "source is a single definition)"
-        )
-    if getattr(args, "dist_workers", 0):
-        raise SystemExit(
-            "--dist-workers only applies to multi-binding programs "
-            "(this source is a single definition)"
-        )
-    if getattr(args, "ooc", False):
-        raise SystemExit(
-            "--ooc only applies to multi-binding programs (this "
-            "source is a single definition)"
-        )
 
     if args.command == "analyze":
         try:

@@ -220,6 +220,22 @@ def _is_gather(node: ast.Index) -> bool:
     )
 
 
+def input_prologue(name: str, rank: int) -> List[str]:
+    """Lines binding input ``name``'s flat cells, lows and extents.
+
+    ``lows`` is the bounds' own tuple, so a call builds none of the
+    per-dimension tuples that ``Bounds.dims`` would.
+    """
+    lows = ", ".join(f"_lo_{name}_{position}" for position in range(rank))
+    return [
+        f"_b_{name}, _arr_{name} = flatten_input(_env[{name!r}])",
+        f"{lows}{',' if rank == 1 else ''} = _b_{name}.lows",
+    ] + [
+        f"_ex_{name}_{position} = _b_{name}.extent({position})"
+        for position in range(rank)
+    ]
+
+
 def _gather_subscript(dims: List[str]) -> str:
     """The source-level subscript value handed to ``read_gather``."""
     if len(dims) == 1:
@@ -247,11 +263,16 @@ class _Emitter:
         # name ('min', 'max'), or ('env', fname) for a user combiner.
         self.accumulate = None
         # Vectorization state (paper §10): the dependence edges used to
-        # qualify loops, input arrays needing numpy views, and the
-        # loops actually vectorized (for reports and tests).
+        # qualify loops, input arrays needing numpy views, buffers
+        # ('out' or an input) needing N-D views, and the loops
+        # actually vectorized (for reports and tests).
         self.vector_edges = ()
         self.vector_arrays = set()
+        self.nd_views = set()
         self.vectorized_loops = []
+        # The row-block kernel form (repro.dist.kernel): the output is
+        # the '.dst' view, its bounds are literals, and nothing returns.
+        self.block = False
         # Parallel-backend state (paper §10 executed): the clause plan
         # driving wavefront/dep-free emission, a human-readable log of
         # every decision (copied into the report), and the loop groups
@@ -320,6 +341,29 @@ class _Emitter:
         self.counter += 1
         return f"_{stem}{self.counter}"
 
+    def _nd_view(self, key: str, flat: str) -> str:
+        """An N-D view of a flat buffer: a reshape, never a copy."""
+        rank = self.comp.rank if key == "out" else self.arrays[key]
+        extents = [f"_ex_{key}_{position}" for position in range(rank)]
+        if key == "out" and self.block:
+            extents[0] = "-1"  # a tile holds fewer rows than the array
+        return f"_nd_{key} = {flat}.reshape({', '.join(extents)})"
+
+    def vector_views(self) -> List[str]:
+        """Prologue lines binding the numpy views vector statements read."""
+        lines = []
+        for name in sorted(self.vector_arrays):
+            lines.append(
+                f"_nparr_{name} = _np.asarray(_arr_{name}, dtype=float)")
+            if name in self.nd_views:
+                lines.append(self._nd_view(name, f"_nparr_{name}"))
+        return lines
+
+    def out_views(self) -> List[str]:
+        """Lines binding the output's N-D view, after ``_out``."""
+        return [self._nd_view("out", "_out")] if "out" in self.nd_views \
+            else []
+
     # ------------------------------------------------------------------
     # Preamble / postamble.
 
@@ -334,19 +378,8 @@ class _Emitter:
             for name in sorted(self.gen.used_env):
                 writer.line(f"_v_{name} = _env[{name!r}]")
             for name in sorted(self.arrays):
-                rank = self.arrays[name]
-                writer.line(
-                    f"_b_{name}, _arr_{name} = flatten_input(_env[{name!r}])"
-                )
-                for position in range(rank):
-                    writer.line(
-                        f"_lo_{name}_{position} = "
-                        f"_b_{name}.dims[{position}][0]"
-                    )
-                    writer.line(
-                        f"_ex_{name}_{position} = "
-                        f"_b_{name}.extent({position})"
-                    )
+                for line in input_prologue(name, self.arrays[name]):
+                    writer.line(line)
             for line in self.preamble_lines:
                 writer.line(line)
             self._emit_bounds(writer)
@@ -362,6 +395,15 @@ class _Emitter:
         return writer.source()
 
     def _emit_bounds(self, writer: _Writer):
+        if self.block:
+            # Static bounds; stores count axis-0 rows from the tile's
+            # first row when the caller passes one.
+            for position, (low, high) in enumerate(self.comp.bounds.dims):
+                first = (f"_env.get('.dst_row0', {low})" if position == 0
+                         else low)
+                writer.line(f"_lo_out_{position} = {first}")
+                writer.line(f"_ex_out_{position} = {max(0, high - low + 1)}")
+            return
         if self.comp.bounds_ast is None:
             # bigupd-style: bounds come from the input array (the
             # in-place preamble binds _bb before this runs).
@@ -674,19 +716,25 @@ def emit_thunkless(
     indirect_guard_dims: Optional[Dict[int, Dict[int, str]]] = None,
     tiling=None,
     vector_log: Optional[List] = None,
+    block: bool = False,
 ) -> str:
     """Thunkless scheduled loops into a fresh buffer.
 
-    With ``options.vectorize`` set, qualifying innermost loops become
+    With ``options.vectorize`` set, qualifying loop nests become
     numpy slice assignments (§10); ``edges`` supplies the dependence
-    edges used to prove a loop carries nothing, and the loops taken
-    are appended to ``vector_log`` when given.  With
+    edges used to prove a nest carries nothing, and the loops taken
+    are appended to ``vector_log`` when given.  ``block`` emits the
+    row-block kernel form (:func:`repro.dist.kernel
+    .build_double_kernel`): stores go to ``_env['.dst']``, counting
+    axis-0 rows from ``_env['.dst_row0']`` when given, and the kernel
+    returns ``None``.  With
     ``options.parallel`` set, ``parallel_plan`` (a
     :class:`~repro.core.parallel.ParallelPlan`) drives wavefront and
     dep-free emission, and the backend's decisions are appended to
     ``parallel_log`` when given.
     """
     emitter = _Emitter(comp, options or CodegenOptions(), params)
+    emitter.block = block
     emitter.vector_edges = tuple(edges)
     emitter.parallel_plan = parallel_plan
     if parallel_log is not None:
@@ -699,9 +747,13 @@ def emit_thunkless(
         emitter.emit_tiled(schedule.items, tiling)
     else:
         emitter.emit_items(schedule.items, set())
-    if emitter.options.vectorize or emitter.options.parallel:
-        zeros = "_out = _np.zeros(_size)"
-        out_init = ["_alloc(_size)", zeros]
+    if block:
+        out_init = (emitter.vector_views() + ["_out = _env['.dst']"]
+                    + emitter.out_views())
+        result = "return None"
+    elif emitter.options.vectorize or emitter.options.parallel:
+        out_init = (["_alloc(_size)"] + emitter.vector_views()
+                    + ["_out = _np.zeros(_size)"] + emitter.out_views())
         result = "return FlatArray(_b, _out.tolist())"
     else:
         # The program driver (repro.program) threads dead buffers back
@@ -709,7 +761,6 @@ def emit_thunkless(
         # language identifier, so the key cannot collide); a fresh
         # allocation is taken — and counted — only when no right-sized
         # buffer was handed in.
-        zeros = None
         out_init = [
             "_out = _env.pop('.reuse', None)",
             "if _out is None or len(_out) != _size:",
@@ -717,14 +768,7 @@ def emit_thunkless(
             "    _out = [None] * _size",
         ]
         result = "return FlatArray(_b, _out)"
-    source = emitter.assemble(result, out_init)
-    if emitter.vector_arrays:
-        views = "\n    ".join(
-            f"_nparr_{name} = _np.asarray(_arr_{name}, dtype=float)"
-            for name in sorted(emitter.vector_arrays)
-        )
-        source = source.replace(zeros, views + "\n    " + zeros)
-    return source
+    return emitter.assemble(result, out_init)
 
 
 def emit_accum(

@@ -35,7 +35,9 @@ from typing import Dict, List, Optional
 from repro.comprehension.loopir import ArrayComp
 from repro.core.schedule import Schedule
 from repro.core.subscripts_indirect import GuardPlan
-from repro.codegen.emit import _HEADER, CodegenOptions, _Emitter, _Writer
+from repro.codegen.emit import (
+    _HEADER, CodegenOptions, _Emitter, _Writer, input_prologue,
+)
 from repro.lang import ast
 
 
@@ -100,17 +102,8 @@ def emit_guarded(
         arrays = dict(slow.arrays)
         arrays.update(fast.arrays)
         for name in sorted(arrays):
-            writer.line(
-                f"_b_{name}, _arr_{name} = flatten_input(_env[{name!r}])"
-            )
-            for position in range(arrays[name]):
-                writer.line(
-                    f"_lo_{name}_{position} = "
-                    f"_b_{name}.dims[{position}][0]"
-                )
-                writer.line(
-                    f"_ex_{name}_{position} = _b_{name}.extent({position})"
-                )
+            for line in input_prologue(name, arrays[name]):
+                writer.line(line)
         fast._emit_bounds(writer)
 
         # --- The guard. ---
@@ -143,13 +136,9 @@ def emit_guarded(
             if accum:
                 return ["_alloc(_size)", f"_out = [{init_src}] * _size"]
             if emitter.options.vectorize or emitter.vectorized_loops:
-                views = [
-                    f"_nparr_{name} = _np.asarray(_arr_{name}, "
-                    "dtype=float)"
-                    for name in sorted(emitter.vector_arrays)
-                ]
-                return views + ["_alloc(_size)",
-                                "_out = _np.zeros(_size)"]
+                return emitter.vector_views() + [
+                    "_alloc(_size)", "_out = _np.zeros(_size)"
+                ] + emitter.out_views()
             return [
                 "_out = _env.pop('.reuse', None)",
                 "if _out is None or len(_out) != _size:",

@@ -29,16 +29,20 @@ any enabled check disables the backend for the whole unit (logged).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.core.affine import NonAffineError, affine_from_ast
+from repro.core.distplan import float_trap
 from repro.core.parallel import DEP_FREE, WAVEFRONT
 from repro.core.schedule import ScheduledClause, ScheduledLoop
 from repro.codegen.vectorize import (
-    _NUMPY_INTRINSICS,
-    _VECTOR_BINOPS,
     NotVectorizable,
+    _VectorExprGen,
+    affine,
+    carried_at,
+    dims_of,
     emit_vector_loop,
+    log_once,
     substitute_var,
 )
 from repro.lang import ast
@@ -56,7 +60,7 @@ def emit_parallel_loop(emitter, item: ScheduledLoop, locals_) -> bool:
     options = emitter.options
     if (options.bounds_checks or options.collision_checks
             or options.empties_check):
-        _log_once(
+        log_once(
             emitter,
             "parallel backend disabled: runtime checks need per-store "
             "bookkeeping that slice assignment cannot maintain",
@@ -65,11 +69,6 @@ def emit_parallel_loop(emitter, item: ScheduledLoop, locals_) -> bool:
     if _try_wavefront(emitter, item, locals_):
         return True
     return _try_dep_free(emitter, item, locals_)
-
-
-def _log_once(emitter, message: str) -> None:
-    if message not in emitter.parallel_log:
-        emitter.parallel_log.append(message)
 
 
 # ----------------------------------------------------------------------
@@ -101,7 +100,7 @@ def _try_wavefront(emitter, item: ScheduledLoop, locals_) -> bool:
     outer_loop, inner_loop = item.loop, inner.loop
 
     def fallback(reason: str) -> bool:
-        _log_once(
+        log_once(
             emitter,
             f"{clause.label}: wavefront planned but fell back to the "
             f"scalar schedule ({reason})",
@@ -112,14 +111,15 @@ def _try_wavefront(emitter, item: ScheduledLoop, locals_) -> bool:
         return fallback("non-unit loop step")
     if clause.guards or clause.lets:
         return fallback("guards or lets in the clause")
+    if (trap := float_trap(clause.value)):  # numpy gives inf or NaN
+        return fallback(trap)
     if clause.subscripts is None:
         return fallback("non-affine write subscript")
 
     oi, oj = outer_loop.var, inner_loop.var
     # The write must be exactly (i + c0, j + c1): each diagonal then
     # occupies one strided slice of the flat buffer.
-    sub = clause.subscript_ast
-    dims = sub.items if isinstance(sub, ast.TupleExpr) else [sub]
+    dims = dims_of(clause.subscript_ast)
     if len(dims) != 2:
         return fallback("write rank is not 2")
     try:
@@ -141,26 +141,20 @@ def _try_wavefront(emitter, item: ScheduledLoop, locals_) -> bool:
 
     writer = emitter.body
     probe = len(writer.lines)
-    a0 = emitter.fresh("wi0")
-    a1 = emitter.fresh("wi1")
-    b0 = emitter.fresh("wj0")
-    b1 = emitter.fresh("wj1")
-    t = emitter.fresh("wt")
-    lo = emitter.fresh("wlo")
-    hi = emitter.fresh("whi")
-    count = emitter.fresh("wk")
-    seq = emitter.fresh("wseq")
+    a0, a1, b0, b1, t, lo, hi, count, seq = (
+        emitter.fresh(stem) for stem in
+        ("wi0", "wi1", "wj0", "wj1", "wt", "wlo", "whi", "wk", "wseq"))
     try:
         writer.line(f"{a0} = {emitter.emit_expr(outer_loop.start, locals_)}")
         writer.line(f"{a1} = {emitter.emit_expr(outer_loop.stop, locals_)}")
         writer.line(f"{b0} = {emitter.emit_expr(inner_loop.start, locals_)}")
         writer.line(f"{b1} = {emitter.emit_expr(inner_loop.stop, locals_)}")
         body_locals = locals_ | {a0, a1, b0, b1, t, lo, hi, count}
-        slices = _DiagSliceBuilder(emitter, oi, oj, t, lo, count,
+        slices = _DiagSliceBuilder(emitter, oi, oj, t, lo, seq, count,
                                    body_locals)
-        gen = _WaveExprGen(emitter, slices, seq, body_locals)
-        target = slices.slice_for("out", dims)
-        value = gen.emit(clause.value)
+        target = slices.index("out", dims, "write")
+        value = _VectorExprGen(emitter, slices, body_locals).emit(
+            clause.value)
         writer.line(f"if {a0} <= {a1} and {b0} <= {b1}:")
         with writer.block():
             # Anti-diagonal sweep: t = i + j.  On each diagonal the
@@ -173,11 +167,11 @@ def _try_wavefront(emitter, item: ScheduledLoop, locals_) -> bool:
                 writer.line(f"{lo} = max({a0}, {t} - {b1})")
                 writer.line(f"{hi} = min({a1}, {t} - {b0})")
                 writer.line(f"{count} = {hi} - {lo} + 1")
-                if gen.sequence_needed:
+                if slices.seq_needed:
                     writer.line(
                         f"{seq} = _np.arange({lo}, {hi} + 1)"
                     )
-                writer.line(f"_out[{target}] = {value}")
+                writer.line(f"{target} = {value}")
         emitter.parallel_log.append(
             f"{clause.label}: wavefront h=(1,1) over loops "
             f"({oi}, {oj}) — one slice assignment per anti-diagonal "
@@ -196,18 +190,30 @@ class _DiagSliceBuilder:
     On the diagonal, ``j = t - i`` with ``i`` running ``lo..hi``; an
     affine subscript dimension with coefficients ``ci`` on ``i`` and
     ``cj`` on ``j`` moves by ``ci - cj`` per unit of ``i``, scaled by
-    the dimension's row stride in the flat buffer.
+    the dimension's row stride in the flat buffer.  Self reads come
+    from earlier diagonals (h . d > 0 for every distance), all fully
+    stored before a slice assignment's right-hand side is evaluated.
     """
 
     def __init__(self, emitter, outer_var, inner_var, t_name, lo_name,
-                 count_name, locals_):
+                 seq_name, count_name, locals_):
         self.emitter = emitter
         self.outer_var = outer_var
         self.inner_var = inner_var
         self.t_name = t_name
         self.lo_name = lo_name
+        self.seq_name = seq_name
         self.count_name = count_name
         self.locals = locals_
+        self.seq_needed = False
+
+    def var(self, name: str):
+        if name not in (self.outer_var, self.inner_var):
+            return None
+        self.seq_needed = True
+        if name == self.outer_var:
+            return self.seq_name
+        return f"({self.t_name} - {self.seq_name})"
 
     def _at_diag_start(self, dim: ast.Node) -> ast.Node:
         # i -> lo, j -> (t - lo): the reference's position at the
@@ -220,13 +226,24 @@ class _DiagSliceBuilder:
         )
 
     def diag_coeff(self, dim: ast.Node) -> int:
-        try:
-            affine = affine_from_ast(dim, {})
-        except NonAffineError as exc:
-            raise NotVectorizable(str(exc)) from exc
-        return affine.coeff(self.outer_var) - affine.coeff(self.inner_var)
+        form = affine(dim)
+        return form.coeff(self.outer_var) - form.coeff(self.inner_var)
 
-    def slice_for(self, key: str, dims: List[ast.Node]) -> str:
+    def moves(self, dims) -> bool:
+        return any(self.diag_coeff(dim) for dim in dims)
+
+    def scalar_read(self, node: ast.Index) -> str:
+        """A read constant along the diagonal: numpy broadcasts it."""
+        idx = node.idx
+        if isinstance(idx, ast.TupleExpr):
+            idx = ast.TupleExpr(items=[self._at_diag_start(dim)
+                                       for dim in idx.items])
+        else:
+            idx = self._at_diag_start(idx)
+        return self.emitter.emit_expr(ast.Index(arr=node.arr, idx=idx),
+                                      self.locals)
+
+    def index(self, key: str, dims: List[ast.Node], what: str) -> str:
         base_terms = []
         stride_terms = []
         for position, dim in enumerate(dims):
@@ -242,82 +259,11 @@ class _DiagSliceBuilder:
             if coeff:
                 stride_terms.append(f"({coeff}){row}")
         if not stride_terms:
-            raise NotVectorizable("subscript constant along the diagonal")
+            raise NotVectorizable(f"{what} constant along the diagonal")
         start = " + ".join(base_terms)
         stride = " + ".join(stride_terms)
-        return f"_vslice({start}, {stride}, {self.count_name})"
-
-
-class _WaveExprGen:
-    """Translate a clause value into a per-diagonal numpy expression."""
-
-    def __init__(self, emitter, slices: _DiagSliceBuilder, seq_name,
-                 locals_):
-        self.emitter = emitter
-        self.slices = slices
-        self.seq_name = seq_name
-        self.locals = locals_
-        self.sequence_needed = False
-
-    def emit(self, node: ast.Node) -> str:
-        if isinstance(node, ast.Lit):
-            if isinstance(node.value, bool):
-                raise NotVectorizable("boolean literal in vector value")
-            return repr(node.value)
-        if isinstance(node, ast.Var):
-            if node.name == self.slices.outer_var:
-                self.sequence_needed = True
-                return self.seq_name
-            if node.name == self.slices.inner_var:
-                self.sequence_needed = True
-                return f"({self.slices.t_name} - {self.seq_name})"
-            return self.emitter.gen.clone_with(self.locals).var(node.name)
-        if isinstance(node, ast.UnOp) and node.op == "-":
-            return f"(-{self.emit(node.operand)})"
-        if isinstance(node, ast.BinOp):
-            op = _VECTOR_BINOPS.get(node.op)
-            if op is None:
-                raise NotVectorizable(f"operator {node.op!r}")
-            return f"({self.emit(node.left)} {op} {self.emit(node.right)})"
-        if isinstance(node, ast.Index):
-            return self.read(node)
-        if isinstance(node, ast.App):
-            if isinstance(node.fn, ast.Var):
-                fn = _NUMPY_INTRINSICS.get(node.fn.name)
-                if fn is not None and len(node.args) == 1:
-                    return f"{fn}({self.emit(node.args[0])})"
-            raise NotVectorizable("function call in vector value")
-        raise NotVectorizable(f"{type(node).__name__} in vector value")
-
-    def read(self, node: ast.Index) -> str:
-        if not isinstance(node.arr, ast.Var):
-            raise NotVectorizable("computed array in vector value")
-        name = node.arr.name
-        dims = (
-            node.idx.items
-            if isinstance(node.idx, ast.TupleExpr)
-            else [node.idx]
-        )
-        if all(self.slices.diag_coeff(dim) == 0 for dim in dims):
-            # Constant along the diagonal: one scalar, numpy broadcasts.
-            scalar = ast.Index(
-                arr=node.arr,
-                idx=self.slices._at_diag_start(node.idx)
-                if not isinstance(node.idx, ast.TupleExpr)
-                else ast.TupleExpr(items=[
-                    self.slices._at_diag_start(dim) for dim in dims
-                ]),
-            )
-            return self.emitter.emit_expr(scalar, self.locals)
-        comp = self.emitter.comp
-        if comp.name and name == comp.name:
-            # Self reads come from earlier diagonals (h . d > 0 for
-            # every distance), all fully stored before this slice
-            # assignment's right-hand side is evaluated.
-            return f"_out[{self.slices.slice_for('out', dims)}]"
-        self.emitter.arrays[name] = len(dims)
-        self.emitter.vector_arrays.add(name)
-        return f"_nparr_{name}[{self.slices.slice_for(name, dims)}]"
+        buffer = "_out" if key == "out" else f"_nparr_{key}"
+        return f"{buffer}[_vslice({start}, {stride}, {self.count_name})]"
 
 
 # ----------------------------------------------------------------------
@@ -332,37 +278,17 @@ def _clauses_under(item: ScheduledLoop):
             yield from _clauses_under(child)
 
 
-def _loop_dep_free(emitter, item: ScheduledLoop) -> Optional[List]:
-    """The loop's clauses when chunking it is safe, else ``None``.
-
-    Safe means: every clause under the loop is planned dep-free, and
-    no dependence edge between two of them is carried at this loop's
-    level (instances of the loop are then mutually independent).
-    """
+def _try_dep_free(emitter, item: ScheduledLoop, locals_) -> bool:
+    """Slice a loop whose clauses are all planned dep-free and whose
+    instances are mutually independent (nothing carried at its level)."""
     clauses = list(_clauses_under(item))
-    if not clauses:
-        return None
     for clause in clauses:
         entry = emitter.parallel_plan.for_clause(clause)
-        if entry is None or entry.kind != DEP_FREE:
-            return None
-        if item.loop not in clause.loops:
-            return None
-    level = clauses[0].loops.index(item.loop)
-    inside = set(id(c) for c in clauses)
-    for edge in emitter.vector_edges or ():
-        if id(edge.src) in inside and id(edge.dst) in inside:
-            if "*" in edge.direction:
-                return None
-            if len(edge.direction) > level and \
-                    edge.direction[level] != "=":
-                return None
-    return clauses
-
-
-def _try_dep_free(emitter, item: ScheduledLoop, locals_) -> bool:
-    clauses = _loop_dep_free(emitter, item)
-    if clauses is None:
+        if entry is None or entry.kind != DEP_FREE \
+                or item.loop not in clause.loops:
+            return False
+    if not clauses or carried_at(emitter.vector_edges, clauses,
+                                 [item.loop]):
         return False
     labels = ", ".join(c.label for c in clauses)
     # Whole-dimension slice assignment first (the strongest form: every
@@ -374,7 +300,7 @@ def _try_dep_free(emitter, item: ScheduledLoop, locals_) -> bool:
         )
         emitter.parallelized_loops.append((item.loop.var,))
         return True
-    _log_once(
+    log_once(
         emitter,
         f"loop {item.loop.var} ({labels}): dep-free but not slice-"
         "translatable; scalar loop kept",

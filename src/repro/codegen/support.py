@@ -188,6 +188,10 @@ def make_slice(start: int, stride: int, count: int) -> slice:
     """
     if count <= 0:
         return slice(0, 0)
+    if count == 1:
+        # One cell, whatever the stride: a diagonal reference whose
+        # per-dimension strides cancel (an extent-1 axis) has stride 0.
+        return slice(start, start + 1)
     stop = start + stride * count
     if stride < 0 and stop < 0:
         stop = None

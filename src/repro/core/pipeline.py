@@ -87,8 +87,9 @@ class Report:
     inplace_plan: Optional[InPlacePlan] = None
     vectorizable: List[str] = field(default_factory=list)
     parallelism: List = field(default_factory=list)
-    #: Parallel-backend decisions (one line per clause/loop): what the
-    #: wavefront/dep-free emitters did and why anything fell back.
+    #: §10 emitter decisions (one line per clause/loop): what the
+    #: wavefront/dep-free emitters did and why anything fell back, and
+    #: why the vectorizer refused a nest or a clause's float trap.
     parallel: List[str] = field(default_factory=list)
     #: Backend-dispatch log: one line per skip or reasoned fallback
     #: (unavailable toolchain, unsupported construct) recorded by

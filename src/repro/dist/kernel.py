@@ -1,10 +1,10 @@
 """Block-kernel emission for row-partitioned sweeps.
 
-The single-process emitters (:mod:`repro.codegen.emit`) already
-produce exactly the loop bodies we want — and bit-identity of the
+The single-process emitter (:mod:`repro.codegen.emit`) already
+produces exactly the loop bodies we want — and bit-identity of the
 block placements rides on *not* duplicating them.  So this module
-re-emits the step function's analysis artifacts with two surgical
-changes and a few asserted source post-edits:
+re-emits the step function's analysis artifacts, in the emitter's
+block form, with two surgical changes:
 
 1. **Loop clamping.**  Every loop that drives the row (axis 0) write
    gets its ``start``/``stop`` ASTs replaced by free variables
@@ -14,16 +14,16 @@ changes and a few asserted source post-edits:
    picks per block at run time.
 2. **Membership guards.**  Clauses writing a *constant* row (boundary
    rows) get guards ``_dga0_s <= c <= _dga0_e`` appended, so each
-   block executes only the constant-row clauses it owns.  Guarded
-   clauses are automatically excluded from the §10 vector path and
-   run scalar.
+   block executes only the constant-row clauses it owns.  The guards
+   use no loop variable, so the §10 path hoists each into one ``if``
+   around its row's vector statement.
 
 The artifacts are deep-copied **together** (one pickle round trip) so
 the identity links between clauses, schedule items and dependence
 edges survive; the originals are never mutated.
 
-The kernel also swaps the output allocation for a destination view
-(``_env['.dst']``) and drops the materializing return.  One such
+The block form writes into a destination view (``_env['.dst']``),
+reads its output bounds as literals and returns nothing.  One such
 kernel, emitted once per binding, serves all three row-block
 placements: the in-memory driver (:mod:`repro.program.run`) sweeps it
 as one block spanning axis 0 over two float64 buffers, dist workers
@@ -76,7 +76,7 @@ from repro.core.schedule import ScheduledClause, ScheduledLoop
 from repro.lang import ast
 from repro.runtime.bounds import Bounds
 
-_ENV_FETCH = re.compile(r"_env(?:\.pop)?\[?\(?['\"]([^'\"]+)['\"]")
+_ENV_FETCH = re.compile(r"_env\[['\"]([^'\"]+)['\"]")
 
 
 def _clamp_rows(comp, params):
@@ -141,18 +141,8 @@ def _internal_names(clamps, guard_rows: bool) -> set:
 def _env_names(source: str, internal: set) -> Tuple[str, ...]:
     found = set(_ENV_FETCH.findall(source))
     found -= internal
-    found -= {".dst", ".dst_row0", ".reuse"}
+    found -= {".dst"}
     return tuple(sorted(found))
-
-
-def _edit(source: str, old: str, new: str) -> str:
-    count = source.count(old)
-    if count != 1:
-        raise DistReject(
-            f"kernel post-edit expected exactly one occurrence of "
-            f"{old!r}, found {count} — emitter layout changed"
-        )
-    return source.replace(old, new)
 
 
 def _scalar_loops(items, vectorized, rows) -> List[str]:
@@ -177,9 +167,9 @@ def build_double_kernel(report, params) -> DistKernel:
 
     The kernel reads the previous sweep's array from the environment
     as usual and writes into the destination view handed in as
-    ``_env['.dst']`` — no allocation, no materializing return.  Linear
-    stores count axis-0 rows from ``_env['.dst_row0']`` when given (a
-    row tile's own buffer), else from the array's first row.
+    ``_env['.dst']`` — no allocation, no materializing return.  Stores
+    count axis-0 rows from ``_env['.dst_row0']`` when given (a row
+    tile's own buffer), else from the array's first row.
     """
     comp, schedule, edges = pickle.loads(
         pickle.dumps((report.comp, report.schedule, report.edges))
@@ -190,15 +180,8 @@ def build_double_kernel(report, params) -> DistKernel:
     vectorized: List = []
     source = emit_thunkless(
         comp, schedule, CodegenOptions(vectorize=True), params,
-        edges=edges, vector_log=vectorized,
+        edges=edges, vector_log=vectorized, block=True,
     )
-    source = _edit(source, "_out = _np.zeros(_size)",
-                   "_out = _env.pop('.dst')")
-    source = _edit(source, "_lo_out_0 = _b.dims[0][0]",
-                   "_lo_out_0 = _env.pop('.dst_row0', _b.dims[0][0])")
-    source = _edit(source, "\n    _alloc(_size)\n", "\n")
-    source = _edit(source, "return FlatArray(_b, _out.tolist())",
-                   "return None")
     return DistKernel(
         source=source,
         clamps=clamps,

@@ -381,8 +381,13 @@ def explain_report(report, prefix: str = "") -> Explanation:
 
 def explain(src, *, params=None, options=None, old_array=None,
             strategy: str = "auto", force_strategy=None,
-            ooc: bool = False) -> Explanation:
+            ooc: bool = False, dist: bool = False,
+            workers: int = 0) -> Explanation:
     """Compile ``src`` and return its decision trace.
+
+    A program compiles with the placements ``ooc``, ``dist`` and
+    ``workers`` as :func:`repro.program.compile.compile_program` takes
+    them, so the trace names the placements that ``run`` would use.
 
     A static rejection (certain write collision, unschedulable
     in-place update) is part of the story, not an error: the
@@ -396,7 +401,7 @@ def explain(src, *, params=None, options=None, old_array=None,
     kind, src = classify_source(src)
     if kind == "program":
         program = compile_program(src, params=params, options=options,
-                                  ooc=ooc)
+                                  ooc=ooc, dist=dist, workers=workers)
         return explain_program_report(program.report)
 
     try:

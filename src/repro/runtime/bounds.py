@@ -54,6 +54,11 @@ class Bounds:
         return len(self._lo)
 
     @property
+    def lows(self) -> Tuple[int, ...]:
+        """The low corner as a tuple (for 1-D bounds too), not a copy."""
+        return self._lo
+
+    @property
     def dims(self) -> Tuple[Tuple[int, int], ...]:
         """Per-dimension ``(low, high)`` pairs."""
         return tuple(zip(self._lo, self._hi))

@@ -80,7 +80,12 @@ from repro.lang.parser import parse_expr
 #:     count; dist plans lost the wavefront fields (``DistKernel``
 #:     guards rows by a flag); a float trap refuses the dist and
 #:     out-of-core placements too.
-PIPELINE_SALT = "repro-pipeline/13"
+#: /14: §10 vectorization takes whole perfect nests (one rank-k slice
+#:     assignment per clause on N-D views) and hoists nest-invariant
+#:     guards; a float trap keeps a clause off every vector path; the
+#:     block kernel is emitted in block form (literal output bounds,
+#:     input lows read without ``Bounds.dims``).
+PIPELINE_SALT = "repro-pipeline/14"
 
 
 # ----------------------------------------------------------------------

@@ -78,19 +78,25 @@ class TestVectorizedKernels:
         m = 6
         compiled = repro.compile(src, strategy="array", params={"m": m},
                                  options=VEC)
-        # The outer i loop stays scalar, the inner j loop vectorizes.
-        assert "for i in range" in compiled.source
-        assert "_vslice(" in compiled.source
+        # The whole (i, j) nest is one rank-2 slice assignment on N-D
+        # views of the flat buffers: no loop is left.
+        assert "for " not in compiled.source
+        assert "_nd_out[_vslice(" in compiled.source
+        assert "_nd_u = _nparr_u.reshape(_ex_u_0, _ex_u_1)" \
+            in compiled.source
         u = FlatArray.from_list(((1, 1), (m, m)),
                                 floats(range(m * m)))
         out = compiled({"u": u})
         assert out.to_list() == [2.0 * v for v in range(m * m)]
 
     def test_intrinsics_vectorize(self):
-        src = "letrec a = array (1,n) [ i := sqrt (x!i) | i <- [1..n] ] in a"
+        # The root of an ``abs`` cannot raise, so it vectorizes (a bare
+        # ``sqrt (x!i)`` is a float trap: see TestFloatTraps).
+        src = ("letrec a = array (1,n) [ i := sqrt (abs (x!i)) "
+               "| i <- [1..n] ] in a")
         compiled = repro.compile(src, strategy="array", params={"n": 5},
                                  options=VEC)
-        assert "_np.sqrt" in compiled.source
+        assert "_np.sqrt(_np.abs(" in compiled.source
         x = FlatArray.from_list((1, 5), [1.0, 4.0, 9.0, 16.0, 25.0])
         assert compiled({"x": x}).to_list() == [1.0, 2.0, 3.0, 4.0, 5.0]
 

@@ -141,6 +141,44 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "dist" in out
 
+    def test_explain_prints_the_dist_lines_run_prints(
+            self, jacobi_program_file, capsys):
+        args = [jacobi_program_file, "-p", "m=8", "-p", "tol=1e-3",
+                "--dist-workers", "2"]
+        assert main(["run"] + args) == 0
+        planned = [line[len("dist: "):] for line in
+                   capsys.readouterr().out.splitlines()
+                   if line.startswith("dist: ")]
+        assert planned and planned[0].startswith("main: stencil")
+        assert main(["explain"] + args) == 0
+        explained = capsys.readouterr().out.splitlines()
+        for line in planned:
+            assert f"  planner: accepted — {line}" in explained
+
+    def test_explain_names_the_dist_fallback(self, tmp_path, capsys):
+        path = tmp_path / "sor.hs"
+        path.write_text(kernels.PROGRAM_SOR)
+        assert main(["explain", str(path), "-p", "m=8", "-p", "k=3",
+                     "-p", "omega=1.5", "--dist-workers", "2"]) == 0
+        out = capsys.readouterr().out
+        assert ("program: rejected — dist 'main': needs double-buffer "
+                "sweeps — the 'inplace' sweep mutates one buffer, so its "
+                "row blocks cannot run independently") in out
+
+    @pytest.mark.parametrize("flag", [["--dist-workers", "2"], ["--ooc"]])
+    def test_explain_rejects_program_flags_on_a_definition(
+            self, tmp_path, flag):
+        path = tmp_path / "jacobi.hs"
+        path.write_text(kernels.JACOBI)
+        with pytest.raises(SystemExit,
+                           match=f"{flag[0]} only applies to multi-binding"):
+            main(["explain", str(path), "-p", "m=6"] + flag)
+
+    def test_explain_rejects_a_negative_count(self, jacobi_program_file):
+        with pytest.raises(SystemExit, match="non-negative"):
+            main(["explain", jacobi_program_file, "-p", "m=8",
+                  "-p", "tol=1e-3", "--dist-workers", "-2"])
+
     def test_negative_count_rejected(self, jacobi_program_file):
         with pytest.raises(SystemExit, match="non-negative"):
             main(["run", jacobi_program_file, "-p", "m=8",
