@@ -6,7 +6,7 @@ time, so soundness costs *something* on every call.  The question is
 how little.  Three ways to run it:
 
 * **guarded** — the subscript-property kernel: one O(n) verifier scan
-  over ``p``, then the unchecked parallel-eligible fast path (no
+  over ``p``, then the unchecked vectorize-eligible fast path (no
   per-write bounds/collision/definedness checks);
 * **checked** — the pre-pass behavior for unproven indirect writes:
   thunkless loops carrying the full per-store check battery;

@@ -13,7 +13,7 @@ oracle
     Evaluate with the lazy reference interpreter instead.
 explain
     Print the decision trace: why each schedule / in-place /
-    vectorize / parallel / reuse decision was taken or rejected
+    vectorize / reuse decision was taken or rejected
     (``--json`` for the machine form).
 serve
     Run the HTTP compile service (``repro.serve``): POST wire-schema
@@ -274,7 +274,6 @@ def _program_command(args, binds, params) -> int:
     try:
         options = CodegenOptions.from_flags(
             vectorize=args.vectorize,
-            parallel=args.parallel,
             backend=args.backend,
             tile=_tile_flag(args),
         )
@@ -327,8 +326,6 @@ def _explain_command(args, tree, params) -> int:
     try:
         options = CodegenOptions.from_flags(
             vectorize=args.vectorize,
-            parallel=args.parallel,
-            inplace=bool(args.inplace),
             backend=args.backend,
             tile=_tile_flag(args),
         )
@@ -380,11 +377,8 @@ def main(argv=None) -> int:
                         default="auto")
     parser.add_argument("--vectorize", action="store_true",
                         help="emit numpy slices for dependence-free "
-                             "innermost loops")
-    parser.add_argument("--parallel", action="store_true",
-                        help="run the parallel backend: hyperplane "
-                             "wavefront sweeps and dep-free slice "
-                             "loops")
+                             "loop nests and one slice per "
+                             "anti-diagonal for hyperplane wavefronts")
     parser.add_argument("--inplace", metavar="OLD_ARRAY",
                         help="compile for in-place update of OLD_ARRAY")
     parser.add_argument("--backend", default="python",
@@ -401,10 +395,12 @@ def main(argv=None) -> int:
                         help="override a program's iteration control: "
                              "tol=FLOAT or steps=INT (programs only)")
     parser.add_argument("--tile", default=None, metavar="N|auto",
-                        help="cache-block the scheduled loops: an "
+                        help="cache-block the C backend's loops: an "
                              "explicit edge length or 'auto' for the "
-                             "cache-model size (tiling-ineligible "
-                             "nests fall back with a reasoned note)")
+                             "cache-model size (python loops and "
+                             "tiling-ineligible nests fall back with a "
+                             "reasoned note); with --ooc, the rows "
+                             "per streamed tile")
     parser.add_argument("--ooc", action="store_true",
                         help="stream iterate/converge sweeps through "
                              "row tiles kept in spill files (resident "
@@ -533,8 +529,6 @@ def main(argv=None) -> int:
     try:
         options = CodegenOptions.from_flags(
             vectorize=args.vectorize,
-            parallel=args.parallel,
-            inplace=bool(args.inplace),
             backend=args.backend,
             tile=_tile_flag(args),
         )

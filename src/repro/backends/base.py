@@ -78,8 +78,7 @@ class LoweringJob:
     #: An accepted :class:`~repro.core.tiling.TilePlan` when the
     #: pipeline decided to cache-block this nest (``thunkless`` and
     #: ``inplace`` modes only); ``None`` or a rejected plan means emit
-    #: the ordinary loops.  Both the python emitter and the C backend
-    #: honour it.
+    #: the ordinary loops.  Only the C backend blocks loops.
     tiling: object = None
 
     def indirect_guard_dims(self) -> Optional[Dict]:

@@ -51,6 +51,7 @@ import re
 from typing import Dict, List, Optional
 
 from repro.backends.base import Backend, BackendUnsupported, LoweringJob
+from repro.codegen.emit import input_prologue
 from repro.codegen.exprs import CodegenError, ExprGen
 from repro.comprehension.loopir import SVClause
 from repro.core.schedule import ScheduledClause
@@ -551,10 +552,10 @@ class _CEmitter:
                 self.emit_loop(item, scope)
 
     def emit_tiled(self, items, tiling) -> None:
-        """Blocked emission of a perfect chain (mirrors the python
-        emitter's ``emit_tiled``): tile loops outermost, clamped point
-        loops inside, bounds hoisted once (the plan proved the nest
-        rectangular and forward with unit stride)."""
+        """Blocked emission of a perfect chain (the only lowering of a
+        :class:`~repro.core.tiling.TilePlan`): tile loops outermost,
+        clamped point loops inside, bounds hoisted once (the plan
+        proved the nest rectangular and forward with unit stride)."""
         loops = []
         while not all(isinstance(item, ScheduledClause) for item in items):
             loops.append(items[0])
@@ -693,7 +694,6 @@ class CBackend(Backend):
         options = job.options
         for flag, why in (
             ("vectorize", "numpy slice emission is python-only"),
-            ("parallel", "the wavefront/slice backend is python-only"),
             ("bounds_checks", "runtime bounds checks are not lowered"),
             ("collision_checks",
              "runtime collision checks are not lowered"),
@@ -869,20 +869,8 @@ class CBackend(Backend):
         for name in env_names:
             body.append(f"_v_{name} = _env[{name!r}]")
         for name in sorted(emitter.arrays):
-            rank = emitter.arrays[name]
-            body.append(
-                f"_b_{name}, _raw_{name} = flatten_input(_env[{name!r}])"
-            )
-            body.append(f"_np_{name} = _as_f64(_raw_{name})")
-            for position in range(rank):
-                body.append(
-                    f"_lo_{name}_{position} = "
-                    f"_b_{name}.dims[{position}][0]"
-                )
-                body.append(
-                    f"_ex_{name}_{position} = "
-                    f"_b_{name}.extent({position})"
-                )
+            body += input_prologue(name, emitter.arrays[name])
+            body.append(f"_np_{name} = _as_f64(_arr_{name})")
         if job.mode == "inplace":
             body.append(
                 f"_bb, _cells = flatten_input(_env[{emitter.old_array!r}])"
@@ -932,10 +920,10 @@ class CBackend(Backend):
                 "_swept = 0",
             ]
         if tiling is not None and comp.rank == len(tiling.sizes):
-            # Tile count for obs parity with the python emitter; native
-            # code cannot bump python counters, so the wrapper models
-            # the grid from the output bounds (tiled loops span the
-            # output dims whenever rank == depth).
+            # The ``tile.count`` counter: native code cannot bump
+            # python counters, so the wrapper models the grid from the
+            # output bounds (tiled loops span the output dims whenever
+            # rank == depth).
             grid = " * ".join(
                 f"(-(-_b.extent({axis}) // {size}))"
                 for axis, size in enumerate(tiling.sizes)

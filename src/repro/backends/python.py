@@ -2,10 +2,11 @@
 
 This is the "everything works here" tier the dispatcher falls back to:
 all four lowering modes, every :class:`~repro.codegen.emit.
-CodegenOptions` knob (checks, vectorize, parallel), thunked arrays,
-and §9 node-splitting temporaries.  The module is a thin adapter — the
-actual emitters stay in :mod:`repro.codegen.emit`, which remains the
-backend-neutral lowering layer's reference implementation.
+CodegenOptions` knob but ``tile`` (checks, vectorize), thunked
+arrays, and §9 node-splitting temporaries.  The module is a thin
+adapter — the actual emitters stay in :mod:`repro.codegen.emit`,
+which remains the backend-neutral lowering layer's reference
+implementation.
 """
 
 from __future__ import annotations
@@ -31,14 +32,12 @@ class PythonBackend(Backend):
                 edges=job.edges, parallel_plan=job.parallel_plan,
                 parallel_log=job.parallel_log,
                 indirect_guard_dims=job.indirect_guard_dims(),
-                tiling=job.tiling,
             )
         if job.mode == "thunked":
             return emit_thunked(job.comp, job.options, job.params)
         if job.mode == "inplace":
             return emit_inplace(
                 job.comp, job.schedule, job.plan, job.options, job.params,
-                tiling=job.tiling,
                 indirect_guard_dims=job.indirect_guard_dims(),
             )
         if job.mode == "accum":

@@ -70,32 +70,29 @@ class CodegenOptions:
     bounds_checks: bool = False
     collision_checks: bool = False
     empties_check: bool = False
-    #: Emit dependence-free innermost loops as numpy slice operations
-    #: (paper §10).  The result buffer becomes float64.
+    #: Emit loop nests as numpy slice operations (paper §10):
+    #: dependence-free nests as whole-nest slice assignments, and
+    #: rank-2 nests the §10 profile plans as (1,1) wavefronts as one
+    #: slice assignment per anti-diagonal.  The result buffer becomes
+    #: float64.  Any runtime check keeps the unit scalar.
     vectorize: bool = False
-    #: Run the parallel backend (paper §10): hyperplane wavefront
-    #: nests become per-anti-diagonal slice assignments, dependence-
-    #: free loops whole-dimension slices.  The result buffer becomes
-    #: float64.  Incompatible with in-place code generation (the
-    #: backend needs immutable input views).
-    parallel: bool = False
     #: Which registered emitter lowers the scheduled loops
     #: (:mod:`repro.backends`): ``"python"`` (the default) or ``"c"``
     #: (native shared-object kernels via cffi).  Constructs a non-
     #: python backend cannot lower fall back to the python emitter
     #: with a reasoned ``Report.backend`` entry.
     backend: str = "python"
-    #: Cache-block the scheduled loops (ROADMAP item 5): ``None``
-    #: (off), ``"auto"`` (cache-model tile edge), or an int edge
-    #: applied to every tiled axis.  Legality is decided per nest by
-    #: :mod:`repro.core.tiling`; non-conforming nests fall back
-    #: untiled with a reasoned ``Report.tiling`` entry.  Supported by
-    #: both the python emitter and the C backend.
+    #: Cache-block the scheduled loops of a C kernel: ``None`` (off),
+    #: ``"auto"`` (cache-model tile edge), or an int edge applied to
+    #: every tiled axis.  Legality is decided per nest by
+    #: :mod:`repro.core.tiling`; python loops are never blocked, so a
+    #: python unit, or a nest the legality pass refuses, runs untiled
+    #: with a reasoned ``Report.tiling`` entry.  An out-of-core
+    #: program also takes an int ``tile`` as its rows per tile.
     tile: object = None
 
     @classmethod
-    def from_flags(cls, *, vectorize: bool = False, parallel: bool = False,
-                   inplace: bool = False,
+    def from_flags(cls, *, vectorize: bool = False,
                    bounds_checks: bool = False,
                    collision_checks: bool = False,
                    empties_check: bool = False,
@@ -108,28 +105,12 @@ class CodegenOptions:
         pipeline keeps choosing runtime checks from its own analysis
         (auto-options only apply when no options object is passed).
         """
-        if parallel and inplace:
+        if tile is not None and tile != "auto" and (
+            isinstance(tile, bool) or not isinstance(tile, int) or tile < 1
+        ):
             raise CodegenError(
-                "--parallel cannot be combined with --inplace: the "
-                "parallel backend reads inputs through immutable numpy "
-                "views, but in-place code generation mutates the input "
-                "buffer; drop one of the two"
+                f"--tile must be 'auto' or an integer >= 1, got {tile!r}"
             )
-        if tile is not None:
-            if tile != "auto" and (
-                isinstance(tile, bool) or not isinstance(tile, int)
-                or tile < 1
-            ):
-                raise CodegenError(
-                    f"--tile must be 'auto' or an integer >= 1, "
-                    f"got {tile!r}"
-                )
-            if vectorize or parallel:
-                raise CodegenError(
-                    "--tile cannot be combined with --vectorize/"
-                    "--parallel: those backends restructure the loops "
-                    "themselves; drop one of the two"
-                )
         if backend != "python":
             from repro.backends import backend_names
 
@@ -145,8 +126,6 @@ class CodegenOptions:
             for flag, why in (
                 ("vectorize" if vectorize else "", "numpy-slice "
                  "emission is a python-emitter transform"),
-                ("parallel" if parallel else "", "the wavefront/"
-                 "dep-free backend emits python slice code"),
                 ("bounds-checks" if bounds_checks else "", "runtime "
                  "check instrumentation has no native lowering"),
                 ("collision-checks" if collision_checks else "",
@@ -161,8 +140,7 @@ class CodegenOptions:
                         "python backend supports every flag)"
                     )
         if backend == "python" and tile is None and not any(
-            (vectorize, parallel, bounds_checks, collision_checks,
-             empties_check)
+            (vectorize, bounds_checks, collision_checks, empties_check)
         ):
             return None
         return cls(
@@ -170,10 +148,15 @@ class CodegenOptions:
             collision_checks=collision_checks,
             empties_check=empties_check,
             vectorize=vectorize,
-            parallel=parallel,
             backend=backend,
             tile=tile,
         )
+
+    @property
+    def checked(self) -> bool:
+        """Whether any runtime check is compiled in."""
+        return (self.bounds_checks or self.collision_checks
+                or self.empties_check)
 
 
 class _Writer:
@@ -265,7 +248,10 @@ class _Emitter:
         # Vectorization state (paper §10): the dependence edges used to
         # qualify loops, input arrays needing numpy views, buffers
         # ('out' or an input) needing N-D views, and the loops
-        # actually vectorized (for reports and tests).
+        # actually vectorized (for reports and tests).  Any runtime
+        # check keeps the unit scalar: slice assignment cannot do the
+        # per-store bookkeeping.
+        self.vectorize = options.vectorize and not options.checked
         self.vector_edges = ()
         self.vector_arrays = set()
         self.nd_views = set()
@@ -273,13 +259,11 @@ class _Emitter:
         # The row-block kernel form (repro.dist.kernel): the output is
         # the '.dst' view, its bounds are literals, and nothing returns.
         self.block = False
-        # Parallel-backend state (paper §10 executed): the clause plan
-        # driving wavefront/dep-free emission, a human-readable log of
-        # every decision (copied into the report), and the loop groups
-        # the backend actually took over.
+        # The §10 clause plan naming the wavefront nests, and the
+        # human-readable log of every vectorizer decision (copied into
+        # the report's ``parallel`` lines).
         self.parallel_plan = None
         self.parallel_log: List[str] = []
-        self.parallelized_loops: List[Tuple[str, ...]] = []
         # Lines emitted after the input-array flattening but before
         # the bounds (the in-place emitters bind the output buffer
         # here, since bigupd-style bounds come *from* that buffer).
@@ -433,67 +417,9 @@ class _Emitter:
             else:
                 self.emit_loop(item, locals_, snapshots or [], hoists or [])
 
-    def emit_tiled(self, items, tiling):
-        """Blocked emission of a perfect chain (``plan_tiling`` ok).
-
-        Tile loops for every axis run outermost in lexicographic
-        order; clamped point loops inside preserve the original point
-        order within each tile.  Bounds are hoisted once (legal: the
-        plan proved the nest rectangular).
-        """
-        loops: List[ScheduledLoop] = []
-        while not all(isinstance(item, ScheduledClause) for item in items):
-            loops.append(items[0])
-            items = items[0].body
-        clauses = list(items)
-        writer = self.body
-        depth = len(loops)
-        for level, scheduled in enumerate(loops):
-            start = self.emit_expr(scheduled.loop.start, set())
-            stop = self.emit_expr(scheduled.loop.stop, set())
-            writer.line(f"_ts{level} = {start}")
-            writer.line(f"_te{level} = {stop}")
-        base_indent = writer.indent
-        for level, size in enumerate(tiling.sizes):
-            writer.line(
-                f"for _t{level} in range(_ts{level}, _te{level} + 1, "
-                f"{size}):"
-            )
-            writer.indent += 1
-            writer.line(
-                f"_t{level}e = min(_te{level}, _t{level} + {size - 1})"
-            )
-        writer.line("_count_runtime('tile.count')")
-        if tiling.halo:
-            if depth == 1:
-                skirt = str(tiling.halo)
-            else:
-                edges = " + ".join(
-                    f"(_t{level}e - _t{level} + 1)"
-                    for level in range(depth)
-                )
-                skirt = f"{tiling.halo} * ({edges})"
-            writer.line(f"_count_runtime('tile.halo.cells', {skirt})")
-        locals_: Set[str] = set()
-        for level, scheduled in enumerate(loops):
-            writer.line(
-                f"for {scheduled.loop.var} in range(_t{level}, "
-                f"_t{level}e + 1):"
-            )
-            writer.indent += 1
-            locals_.add(scheduled.loop.var)
-        for item in clauses:
-            self.emit_clause(item.clause, locals_)
-        writer.indent = base_indent
-
     def emit_loop(self, item: ScheduledLoop, locals_: Set[str],
                   snapshots: List[SnapshotSpec],
                   hoists: List[Tuple[SVClause, ReadPlan]]):
-        if self.options.parallel and not snapshots and not hoists:
-            from repro.codegen.parallel import emit_parallel_loop
-
-            if emit_parallel_loop(self, item, locals_):
-                return
         if self.options.vectorize and not snapshots and not hoists:
             from repro.codegen.vectorize import emit_vector_loop
 
@@ -714,7 +640,6 @@ def emit_thunkless(
     parallel_plan=None,
     parallel_log: Optional[List[str]] = None,
     indirect_guard_dims: Optional[Dict[int, Dict[int, str]]] = None,
-    tiling=None,
     vector_log: Optional[List] = None,
     block: bool = False,
 ) -> str:
@@ -722,16 +647,14 @@ def emit_thunkless(
 
     With ``options.vectorize`` set, qualifying loop nests become
     numpy slice assignments (§10); ``edges`` supplies the dependence
-    edges used to prove a nest carries nothing, and the loops taken
-    are appended to ``vector_log`` when given.  ``block`` emits the
-    row-block kernel form (:func:`repro.dist.kernel
-    .build_double_kernel`): stores go to ``_env['.dst']``, counting
-    axis-0 rows from ``_env['.dst_row0']`` when given, and the kernel
-    returns ``None``.  With
-    ``options.parallel`` set, ``parallel_plan`` (a
-    :class:`~repro.core.parallel.ParallelPlan`) drives wavefront and
-    dep-free emission, and the backend's decisions are appended to
-    ``parallel_log`` when given.
+    edges used to prove a nest carries nothing, ``parallel_plan`` (a
+    :class:`~repro.core.parallel.ParallelPlan`) names the nests to
+    sweep as (1,1) wavefronts, the vectorizer's decisions are appended
+    to ``parallel_log`` and the loops taken to ``vector_log`` when
+    given.  ``block`` emits the row-block kernel form
+    (:func:`repro.dist.kernel.build_double_kernel`): stores go to
+    ``_env['.dst']``, counting axis-0 rows from ``_env['.dst_row0']``
+    when given, and the kernel returns ``None``.
     """
     emitter = _Emitter(comp, options or CodegenOptions(), params)
     emitter.block = block
@@ -743,15 +666,12 @@ def emit_thunkless(
         emitter.vectorized_loops = vector_log
     if indirect_guard_dims:
         emitter.indirect_guard_dims = dict(indirect_guard_dims)
-    if tiling is not None and tiling.ok:
-        emitter.emit_tiled(schedule.items, tiling)
-    else:
-        emitter.emit_items(schedule.items, set())
+    emitter.emit_items(schedule.items, set())
     if block:
         out_init = (emitter.vector_views() + ["_out = _env['.dst']"]
                     + emitter.out_views())
         result = "return None"
-    elif emitter.options.vectorize or emitter.options.parallel:
+    elif emitter.vectorize:
         out_init = (["_alloc(_size)"] + emitter.vector_views()
                     + ["_out = _np.zeros(_size)"] + emitter.out_views())
         result = "return FlatArray(_b, _out.tolist())"
@@ -807,7 +727,6 @@ def emit_inplace(
     plan: InPlacePlan,
     options: Optional[CodegenOptions] = None,
     params: Optional[Dict[str, int]] = None,
-    tiling=None,
     indirect_guard_dims: Optional[Dict[int, Dict[int, str]]] = None,
 ) -> str:
     """In-place loops over the dead input array's buffer (§9).
@@ -819,17 +738,6 @@ def emit_inplace(
     unverified index arrays in exact-int guards, as for
     :func:`emit_thunkless`.
     """
-    if options is not None and options.parallel:
-        # Same loud-conflict rule as vectorize-vs-inplace below, but
-        # checkable up front: the parallel backend reads through
-        # immutable numpy views of the inputs, and the input buffer
-        # here is the one being mutated.
-        raise CodegenError(
-            "in-place code generation cannot run the parallel backend: "
-            "wavefront/dep-free slices read immutable numpy views, but "
-            "the input buffer is mutated in place; drop parallel or "
-            "compile monolithically"
-        )
     emitter = _Emitter(comp, options or CodegenOptions(), params)
     if indirect_guard_dims:
         emitter.indirect_guard_dims = dict(indirect_guard_dims)
@@ -886,13 +794,8 @@ def emit_inplace(
     # reads only use a temp after its assignment is placed.
     emitter.hoist_map.clear()
 
-    if tiling is not None and tiling.ok:
-        # plan_tiling only accepts in-place nests free of snapshot
-        # rings and hoists, so the tiled chain needs no read plans.
-        emitter.emit_tiled(schedule.items, tiling)
-    else:
-        emitter.emit_items(schedule.items, set(),
-                           snapshots=plan.snapshots, hoists=hoists)
+    emitter.emit_items(schedule.items, set(),
+                       snapshots=plan.snapshots, hoists=hoists)
     if emitter.vectorized_loops:
         # The §10 vector path reads arrays through numpy views of
         # freshly flattened inputs; in-place codegen has no such views

@@ -11,8 +11,7 @@ before the scan's verdict is trusted.  Then:
 * **verification passes** — the *fast path*: every per-write check is
   elided (the properties hold wholesale, so collisions, bounds
   violations, and empties are impossible), and with
-  ``options.parallel`` the existing dep-free backend may slice the
-  scatter;
+  ``options.vectorize`` the vectorizer may slice the scatter's loops;
 * **verification fails** — the *fallback path*: the same loops replay
   with bounds + collision + definedness checks compiled in and every
   indirect dimension wrapped in an exact-int guard, so a bad index
@@ -64,10 +63,10 @@ def emit_guarded(
     options = options or CodegenOptions()
     accum = guard.mode == "accum"
 
-    # Fast path: no checks; the user's parallel request rides along
-    # (the dep-free backend only engages on checkless emission).
-    fast = _Emitter(comp, CodegenOptions(parallel=options.parallel),
-                    params)
+    # Fast path: no checks, so the user's vectorize request rides
+    # along; accumulated stores combine, which no slice assignment does.
+    fast = _Emitter(comp, CodegenOptions(
+        vectorize=options.vectorize and not accum), params)
     fast.vector_edges = tuple(edges)
     fast.parallel_plan = parallel_plan
     if parallel_log is not None:
@@ -135,7 +134,7 @@ def emit_guarded(
         def out_init(emitter):
             if accum:
                 return ["_alloc(_size)", f"_out = [{init_src}] * _size"]
-            if emitter.options.vectorize or emitter.vectorized_loops:
+            if emitter.vectorized_loops:
                 return emitter.vector_views() + [
                     "_alloc(_size)", "_out = _np.zeros(_size)"
                 ] + emitter.out_views()
@@ -147,8 +146,7 @@ def emit_guarded(
             ]
 
         def result(emitter):
-            if not accum and (emitter.options.vectorize
-                              or emitter.vectorized_loops):
+            if emitter.vectorized_loops:
                 return "return FlatArray(_b, _out.tolist())"
             return "return FlatArray(_b, _out)"
 

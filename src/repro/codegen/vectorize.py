@@ -1,30 +1,45 @@
-"""Vectorization of dependence-free loop nests (paper §10).
+"""Vectorization of loop nests (paper §10).
 
 The paper closes by noting that the same dependence information
 enables *vectorization*: loops with no loop-carried dependences can
-execute all instances at once.  For the thunkless emitter, a scheduled
-perfect nest of k loops whose innermost body holds only clauses
-becomes one rank-k slice assignment per clause (the "vector
-instruction" of the paper's Cray/i860 discussion) when
+execute all instances at once, and the hyperplane method runs a nest
+whose every loop carries a dependence as a sequence of independent
+wavefronts.  Under ``CodegenOptions(vectorize=True)`` the thunkless
+emitter lowers a scheduled loop nest one of two ways, tried in order:
 
-* no dependence among its clauses is carried at any of its levels
-  (:func:`carried_at`);
-* every clause has an affine write, no ``let``s, and guards that use
-  no nest variable: each becomes one ``if`` around its clause's
-  statement, run only when the nest is non-empty;
-* with k > 1, each subscript dimension of every read and write is
-  affine in at most one nest variable, in nest order, so a reference
-  is per-axis slices of an N-D view of its flat buffer (k = 1 keeps
-  one strided slice of the flat buffer, which admits diagonals too);
-* values are vector-translatable (arithmetic, the intrinsics below
-  and array reads; no conditionals, whose lazy semantics numpy's
-  eager ``where`` would break), and neither values nor hoisted guards
-  hold a :func:`~repro.core.distplan.float_trap`: where Python raises
-  on a zero divisor or the root of a negative, numpy gives inf or NaN.
+* **wavefront** — a perfect rank-2 nest whose clause the §10 profile
+  plans as a ``(1,1)`` hyperplane (:mod:`repro.core.parallel`; the
+  paper's own wavefront and Gauss-Seidel/SOR, Livermore Kernel 23)
+  becomes a sweep over anti-diagonals ``t = i + j``: the instances on
+  one diagonal are mutually independent, so each diagonal is *one*
+  strided-slice assignment on the flat output buffer — O(n) steps for
+  O(n^2) work;
+* **whole nest** — a scheduled perfect nest of k loops whose innermost
+  body holds only clauses becomes one rank-k slice assignment per
+  clause (the "vector instruction" of the paper's Cray/i860
+  discussion) when
+
+  * no dependence among its clauses is carried at any of its levels
+    (:func:`carried_at`);
+  * every clause has an affine write, no ``let``s, and guards that use
+    no nest variable: each becomes one ``if`` around its clause's
+    statement, run only when the nest is non-empty;
+  * with k > 1, each subscript dimension of every read and write is
+    affine in at most one nest variable, in nest order, so a reference
+    is per-axis slices of an N-D view of its flat buffer (k = 1 keeps
+    one strided slice of the flat buffer, which admits diagonals too).
+
+Both need vector-translatable values (arithmetic, the intrinsics below
+and array reads; no conditionals, whose lazy semantics numpy's eager
+``where`` would break), and neither values nor hoisted guards may hold
+a :func:`~repro.core.distplan.float_trap`: where Python raises on a
+zero divisor or the root of a negative, numpy gives inf or NaN.
 
 A refused nest is tried one level down (its outer loop stays scalar),
-down to the per-row form; the refusal of a nest of two or more loops,
-and every float trap, is logged on the emitter's decision log.
+down to the per-row form; a wavefront that falls back, the refusal of
+a nest of two or more loops, and every float trap are logged on the
+emitter's decision log.  Any runtime check keeps the whole unit
+scalar, logged: slice assignment cannot do per-store bookkeeping.
 
 A vector clause must compute the same bits as the scalar emitter, the
 C tier and the oracle, which all call libm through ``math.*``.  So only
@@ -42,6 +57,7 @@ from typing import List, Optional
 
 from repro.core.affine import NonAffineError, affine_from_ast
 from repro.core.distplan import float_trap
+from repro.core.parallel import WAVEFRONT
 from repro.core.schedule import ScheduledClause, ScheduledLoop
 from repro.lang import ast
 
@@ -260,7 +276,7 @@ class _VectorExprGen:
     """Translate a clause value into a numpy vector expression.
 
     ``slices`` places the references: a nest's :class:`_SliceBuilder`
-    or the parallel backend's anti-diagonal slices.
+    or a wavefront's :class:`_DiagSliceBuilder`.
     """
 
     def __init__(self, emitter, slices, locals_):
@@ -310,13 +326,34 @@ class _VectorExprGen:
         return self.slices.index(name, dims, f"read of {name!r}")
 
 
+def _probe(emitter):
+    """The emitter state a refused attempt restores."""
+    return (len(emitter.body.lines), emitter.counter, dict(emitter.arrays),
+            set(emitter.vector_arrays), set(emitter.nd_views))
+
+
+def _restore(emitter, probe, names: bool = True) -> None:
+    del emitter.body.lines[probe[0]:]
+    if names:
+        emitter.counter = probe[1]
+    emitter.arrays, emitter.vector_arrays, emitter.nd_views = probe[2:]
+
+
 def emit_vector_loop(emitter, item: ScheduledLoop, locals_) -> bool:
     """Try to emit the perfect nest rooted at ``item`` as slice
-    assignments; False on fallback.
+    assignments: a planned wavefront first, then the whole nest;
+    False on fallback.
 
     Emits nothing on failure (the caller then produces the scalar
     loop, and so tries its body one level down).
     """
+    if not emitter.vectorize:
+        log_once(emitter, "vectorize disabled: runtime checks need "
+                 "per-store bookkeeping that slice assignment cannot "
+                 "maintain, so the unit stays scalar")
+        return False
+    if _try_wavefront(emitter, item, locals_):
+        return True
     nest = [item]
     while len(nest[-1].body) == 1 and isinstance(nest[-1].body[0],
                                                  ScheduledLoop):
@@ -327,8 +364,7 @@ def emit_vector_loop(emitter, item: ScheduledLoop, locals_) -> bool:
     clauses = [child.clause for child in body]
     loops = [scheduled.loop for scheduled in nest]
     writer = emitter.body
-    probe = (len(writer.lines), emitter.counter, dict(emitter.arrays),
-             set(emitter.vector_arrays), set(emitter.nd_views))
+    probe = _probe(emitter)
     try:
         _screen(emitter, clauses, loops)
         slices = _SliceBuilder(emitter, loops, locals_)
@@ -351,14 +387,209 @@ def emit_vector_loop(emitter, item: ScheduledLoop, locals_) -> bool:
         emitter.vectorized_loops.extend(loops)
         return True
     except NotVectorizable as exc:
-        del writer.lines[probe[0]:]
-        emitter.arrays, emitter.vector_arrays, emitter.nd_views = probe[2:]
+        # A refused nest draws no names: its per-row fallback emits
+        # exactly what a lone inner loop would.
+        _restore(emitter, probe, names=len(loops) > 1)
         if len(loops) > 1:
-            # A refused nest draws no names: its per-row fallback
-            # emits exactly what a lone inner loop would.
-            emitter.counter = probe[1]
             labels = ", ".join(c.label for c in clauses)
             log_once(emitter, f"loops {', '.join(s.var for s in loops)} "
                      f"({labels}): no rank-{len(loops)} slices ({exc}); "
                      f"loop {loops[0].var} stays scalar")
         return False
+
+
+# ----------------------------------------------------------------------
+# Wavefront emission (hyperplane h = (1,1) over a rank-2 nest).
+
+
+def _wavefront_clause(emitter, item: ScheduledLoop):
+    """The single clause of a wavefront-planned perfect 2-nest, or None."""
+    if emitter.parallel_plan is None:
+        return None
+    if len(item.body) != 1 or not isinstance(item.body[0], ScheduledLoop):
+        return None
+    inner = item.body[0]
+    if len(inner.body) != 1 or not isinstance(inner.body[0],
+                                              ScheduledClause):
+        return None
+    clause = inner.body[0].clause
+    entry = emitter.parallel_plan.for_clause(clause)
+    if entry is None or entry.kind != WAVEFRONT:
+        return None
+    if tuple(clause.loops) != (item.loop, inner.loop):
+        return None
+    return inner, clause, entry
+
+
+def _try_wavefront(emitter, item: ScheduledLoop, locals_) -> bool:
+    found = _wavefront_clause(emitter, item)
+    if found is None:
+        return False
+    inner, clause, entry = found
+    outer_loop, inner_loop = item.loop, inner.loop
+
+    def fallback(reason: str) -> bool:
+        log_once(
+            emitter,
+            f"{clause.label}: wavefront planned but fell back to the "
+            f"scalar schedule ({reason})",
+        )
+        return False
+
+    if outer_loop.step != 1 or inner_loop.step != 1:
+        return fallback("non-unit loop step")
+    if clause.guards or clause.lets:
+        return fallback("guards or lets in the clause")
+    if (trap := float_trap(clause.value)):  # numpy gives inf or NaN
+        return fallback(trap)
+    if clause.subscripts is None:
+        return fallback("non-affine write subscript")
+
+    oi, oj = outer_loop.var, inner_loop.var
+    # The write must be exactly (i + c0, j + c1): each diagonal then
+    # occupies one strided slice of the flat buffer.
+    dims = dims_of(clause.subscript_ast)
+    if len(dims) != 2:
+        return fallback("write rank is not 2")
+    try:
+        w0 = affine_from_ast(dims[0], {})
+        w1 = affine_from_ast(dims[1], {})
+    except NonAffineError:
+        return fallback("non-affine write subscript")
+    if (w0.coeff(oi), w0.coeff(oj)) != (1, 0) or \
+            (w1.coeff(oi), w1.coeff(oj)) != (0, 1):
+        return fallback("write subscript is not (i+c, j+c)")
+    # Rectangular nest: the inner bounds must not involve the outer
+    # variable, so both bound pairs hoist above the diagonal sweep.
+    for bound in (inner_loop.start, inner_loop.stop):
+        try:
+            if affine_from_ast(bound, {}).coeff(oi):
+                return fallback("inner bounds depend on the outer loop")
+        except NonAffineError:
+            return fallback("non-affine inner loop bounds")
+
+    writer = emitter.body
+    probe = _probe(emitter)
+    a0, a1, b0, b1, t, lo, hi, count, seq = (
+        emitter.fresh(stem) for stem in
+        ("wi0", "wi1", "wj0", "wj1", "wt", "wlo", "whi", "wk", "wseq"))
+    try:
+        writer.line(f"{a0} = {emitter.emit_expr(outer_loop.start, locals_)}")
+        writer.line(f"{a1} = {emitter.emit_expr(outer_loop.stop, locals_)}")
+        writer.line(f"{b0} = {emitter.emit_expr(inner_loop.start, locals_)}")
+        writer.line(f"{b1} = {emitter.emit_expr(inner_loop.stop, locals_)}")
+        body_locals = locals_ | {a0, a1, b0, b1, t, lo, hi, count}
+        slices = _DiagSliceBuilder(emitter, oi, oj, t, lo, seq, count,
+                                   body_locals)
+        target = slices.index("out", dims, "write")
+        value = _VectorExprGen(emitter, slices, body_locals).emit(
+            clause.value)
+        writer.line(f"if {a0} <= {a1} and {b0} <= {b1}:")
+        with writer.block():
+            # Anti-diagonal sweep: t = i + j.  On each diagonal the
+            # feasible i-range is the overlap of [a0,a1] with
+            # [t-b1, t-b0]; non-empty for every t in the sweep.
+            writer.line(
+                f"for {t} in range({a0} + {b0}, {a1} + {b1} + 1):"
+            )
+            with writer.block():
+                writer.line(f"{lo} = max({a0}, {t} - {b1})")
+                writer.line(f"{hi} = min({a1}, {t} - {b0})")
+                writer.line(f"{count} = {hi} - {lo} + 1")
+                if slices.seq_needed:
+                    writer.line(
+                        f"{seq} = _np.arange({lo}, {hi} + 1)"
+                    )
+                writer.line(f"{target} = {value}")
+        emitter.parallel_log.append(
+            f"{clause.label}: wavefront h=(1,1) over loops "
+            f"({oi}, {oj}) — one slice assignment per anti-diagonal "
+            f"({entry.profile.steps} steps / {entry.profile.work} work)"
+        )
+        emitter.vectorized_loops.extend((outer_loop, inner_loop))
+        return True
+    except NotVectorizable as exc:
+        _restore(emitter, probe)
+        return fallback(str(exc))
+
+
+class _DiagSliceBuilder:
+    """Strided slices along one anti-diagonal ``t = i + j``.
+
+    On the diagonal, ``j = t - i`` with ``i`` running ``lo..hi``; an
+    affine subscript dimension with coefficients ``ci`` on ``i`` and
+    ``cj`` on ``j`` moves by ``ci - cj`` per unit of ``i``, scaled by
+    the dimension's row stride in the flat buffer.  Self reads come
+    from earlier diagonals (h . d > 0 for every distance), all fully
+    stored before a slice assignment's right-hand side is evaluated.
+    """
+
+    def __init__(self, emitter, outer_var, inner_var, t_name, lo_name,
+                 seq_name, count_name, locals_):
+        self.emitter = emitter
+        self.outer_var = outer_var
+        self.inner_var = inner_var
+        self.t_name = t_name
+        self.lo_name = lo_name
+        self.seq_name = seq_name
+        self.count_name = count_name
+        self.locals = locals_
+        self.seq_needed = False
+
+    def var(self, name: str):
+        if name not in (self.outer_var, self.inner_var):
+            return None
+        self.seq_needed = True
+        if name == self.outer_var:
+            return self.seq_name
+        return f"({self.t_name} - {self.seq_name})"
+
+    def _at_diag_start(self, dim: ast.Node) -> ast.Node:
+        # i -> lo, j -> (t - lo): the reference's position at the
+        # first instance of this diagonal.
+        node = substitute_var(dim, self.outer_var, ast.Var(self.lo_name))
+        return substitute_var(
+            node, self.inner_var,
+            ast.BinOp(op="-", left=ast.Var(self.t_name),
+                      right=ast.Var(self.lo_name)),
+        )
+
+    def diag_coeff(self, dim: ast.Node) -> int:
+        form = affine(dim)
+        return form.coeff(self.outer_var) - form.coeff(self.inner_var)
+
+    def moves(self, dims) -> bool:
+        return any(self.diag_coeff(dim) for dim in dims)
+
+    def scalar_read(self, node: ast.Index) -> str:
+        """A read constant along the diagonal: numpy broadcasts it."""
+        idx = node.idx
+        if isinstance(idx, ast.TupleExpr):
+            idx = ast.TupleExpr(items=[self._at_diag_start(dim)
+                                       for dim in idx.items])
+        else:
+            idx = self._at_diag_start(idx)
+        return self.emitter.emit_expr(ast.Index(arr=node.arr, idx=idx),
+                                      self.locals)
+
+    def index(self, key: str, dims: List[ast.Node], what: str) -> str:
+        base_terms = []
+        stride_terms = []
+        for position, dim in enumerate(dims):
+            coeff = self.diag_coeff(dim)
+            base = self.emitter.emit_expr(
+                self._at_diag_start(dim), self.locals
+            )
+            row = "".join(
+                f" * _ex_{key}_{inner}"
+                for inner in range(position + 1, len(dims))
+            )
+            base_terms.append(f"(({base}) - _lo_{key}_{position}){row}")
+            if coeff:
+                stride_terms.append(f"({coeff}){row}")
+        if not stride_terms:
+            raise NotVectorizable(f"{what} constant along the diagonal")
+        start = " + ".join(base_terms)
+        stride = " + ".join(stride_terms)
+        buffer = "_out" if key == "out" else f"_nparr_{key}"
+        return f"{buffer}[_vslice({start}, {stride}, {self.count_name})]"

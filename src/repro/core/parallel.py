@@ -7,7 +7,8 @@ loop-carried dependences."  Vectorization is in
 :mod:`repro.codegen.vectorize`; this module adds the classic
 *hyperplane method* for nests where **every** loop carries a
 dependence — the paper's own wavefront recurrence being the canonical
-case.
+case — and :func:`plan_parallelism`, which names the nests the
+vectorizer sweeps as wavefronts.
 
 For a perfect nest whose self dependences have constant distance
 vectors ``d`` (source to sink, lexicographically positive), a
@@ -178,7 +179,7 @@ def _nest_extents(clause: SVClause) -> Optional[Tuple[int, ...]]:
 
 
 # ----------------------------------------------------------------------
-# Profile -> executable plan (the parallel backend's decision layer).
+# Profile -> executable plan (the vectorizer's wavefront decisions).
 
 #: Plan kinds, in decreasing order of extracted parallelism.
 WAVEFRONT = "wavefront"      # every loop carried: anti-diagonal sweeps
@@ -242,12 +243,12 @@ def plan_parallelism(
 ) -> ParallelPlan:
     """Turn analytic profiles into an executable plan.
 
-    The mapping is conservative: a clause is planned for the wavefront
-    backend only when the hyperplane is the ``(1,1)`` anti-diagonal of
-    a rank-2 nest (the paper's own wavefront and Livermore-23 shape)
-    and the critical path is genuinely shorter than the work; dep-free
-    nests go to the slice/chunk backend; everything else stays on the
-    sequential schedule with the reason recorded.
+    The mapping is conservative: a clause is planned as a wavefront
+    only when the hyperplane is the ``(1,1)`` anti-diagonal of a
+    rank-2 nest (the paper's own wavefront and Livermore-23 shape) and
+    the critical path is genuinely shorter than the work; dep-free
+    nests are left to the vectorizer's whole-nest slices; everything
+    else stays on the sequential schedule with the reason recorded.
 
     ``subscripts`` (a :class:`~repro.core.subscripts_indirect.
     SubscriptReport`, optional) enriches the recorded reason for

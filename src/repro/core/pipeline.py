@@ -14,8 +14,8 @@ passes over one :class:`_State` (see :data:`PASSES`):
 4. guard planning and runtime checks, tiling, and code generation
    through one :class:`~repro.backends.base.LoweringJob`: thunkless
    loops when the schedule is safe, the thunked fallback otherwise —
-   optionally vectorized (§10) or run through the parallel backend
-   (§10: hyperplane wavefronts and dependence-free loops).
+   optionally vectorized (§10: dependence-free nests as slices,
+   hyperplane wavefronts as anti-diagonal sweeps).
 
 ``strategy`` selects the compilation mode — ``"array"`` (monolithic),
 ``"inplace"`` (the §9 storage-reuse path: anti edges against the dead
@@ -24,12 +24,12 @@ surface form), ``"accum"`` (accumulated arrays) — or ``"auto"``, which
 detects the mode from the source's shape.  A strategy is a tuple of
 passes: the shared ones above plus a few of its own (its front end,
 the accumArray combiner and schedule, interchange, the
-thunkless/thunked/guarded choice, the in-place plan, the parallel
+thunkless/thunked/guarded choice, the in-place plan, the wavefront
 plan).  :func:`analyze` runs the analysis prefix of the same list.
 
 All modes return a :class:`~repro.codegen.compile.CompiledComp` whose
 ``report`` records every decision (dependence edges, schedule, checks,
-fallbacks, vectorizable loops, parallel-backend decisions) — the
+fallbacks, vectorizable loops, vectorizer decisions) — the
 compile-time side of each experiment in EXPERIMENTS.md.
 """
 
@@ -87,9 +87,10 @@ class Report:
     inplace_plan: Optional[InPlacePlan] = None
     vectorizable: List[str] = field(default_factory=list)
     parallelism: List = field(default_factory=list)
-    #: §10 emitter decisions (one line per clause/loop): what the
-    #: wavefront/dep-free emitters did and why anything fell back, and
-    #: why the vectorizer refused a nest or a clause's float trap.
+    #: §10 vectorizer decisions (one line per clause/loop): the
+    #: clauses the profile leaves sequential, the wavefronts swept and
+    #: why one fell back, and why a nest or a clause's float trap was
+    #: refused.
     parallel: List[str] = field(default_factory=list)
     #: Backend-dispatch log: one line per skip or reasoned fallback
     #: (unavailable toolchain, unsupported construct) recorded by
@@ -103,8 +104,9 @@ class Report:
     #: ``None`` until the subscripts pass runs.
     subscripts: Optional[object] = None
     #: Cache-blocking decision (:class:`~repro.core.tiling.TilePlan`):
-    #: an accepted plan or a reasoned ``ok=False`` rejection.  ``None``
-    #: when tiling was never requested for this definition.
+    #: the plan the C kernel ran, or a reasoned ``ok=False`` rejection
+    #: (python loops are never blocked).  ``None`` when tiling was
+    #: never requested for this definition.
     tiling: Optional[object] = None
     notes: List[str] = field(default_factory=list)
     #: Wall-clock seconds per pipeline pass (parse, build, dependence,
@@ -192,16 +194,14 @@ def _vectorizable_loops(comp: ArrayComp, edges: List[DepEdge]) -> List[str]:
 def _guard_compatible(options: Optional[CodegenOptions]) -> bool:
     """Whether user options leave room for a guarded dual schedule.
 
-    Explicitly requested runtime checks, vectorization, or a
-    non-python backend all pin the emission shape; the guarded kernel
-    only replaces the *auto-chosen* checked path (``parallel`` rides
-    along — the fast path is where it can actually engage).
+    Explicitly requested runtime checks or a non-python backend pin
+    the emission shape; the guarded kernel only replaces the
+    *auto-chosen* checked path (``vectorize`` rides along — the fast
+    path is where it can actually engage).
     """
     if options is None:
         return True
-    return not (options.bounds_checks or options.collision_checks
-                or options.empties_check or options.vectorize
-                or options.backend != "python")
+    return not (options.checked or options.backend != "python")
 
 
 def _unproven_guard_dims(
@@ -578,7 +578,7 @@ def _guard(st: _State) -> None:
     """Indirect writes: when the schedule is safe but collision/empties
     stay inconclusive *only* because an index array's properties are
     runtime-verifiable, plan the guarded dual-schedule kernel — an
-    O(n) verifier picks the unchecked (optionally parallel) fast path
+    O(n) verifier picks the unchecked (optionally vectorized) fast path
     or the fully checked serial fallback at call time."""
     report = st.report
     sub = report.subscripts
@@ -671,17 +671,20 @@ def _accum_notes(st: _State) -> None:
     report.strategy = "accumulate"
     report.notes += [f"combiner: {kind}" + (f" ({op})" if op else ""),
                      st.fold_note]
-    if st.options.parallel:
-        report.notes.append(
-            "parallel backend inapplicable: accumulated arrays "
-            "combine element-wise in schedule order"
-        )
+
+
+#: Why a python unit asked for tiles runs untiled.
+_PYTHON_UNTILED = (
+    "only the C backend blocks loops: python loops are "
+    "interpreter-bound, not memory-bound, so they run untiled (an "
+    "out-of-core program takes tile= as its rows per tile)"
+)
 
 
 def _tiling(st: _State) -> None:
     tile = getattr(st.options, "tile", None)
-    if tile is None:
-        return
+    if tile is None or st.options.backend == "python":
+        return  # python units: _codegen records the fallback
     from repro.core.tiling import plan_tiling
 
     report = st.report
@@ -694,37 +697,27 @@ def _tiling(st: _State) -> None:
     with span("tiling"):
         report.tiling = plan_tiling(
             report.schedule, live, mode=st.lowering, tile=tile,
-            inplace_plan=plan, options=st.options,
+            inplace_plan=plan,
         )
-    if report.tiling.ok:
-        report.notes.append(f"tiled: {report.tiling.summary()}")
-    else:
-        report.notes.append(f"tile fallback: {report.tiling.note}")
 
 
-def _parallel(st: _State) -> None:
-    if not st.options.parallel:
+def _wavefront_plan(st: _State) -> None:
+    """Under ``vectorize``, the §10 plan of the nests the vectorizer
+    sweeps as (1,1) wavefronts; clauses it leaves sequential are
+    logged with the reason."""
+    if not st.options.vectorize \
+            or st.lowering not in ("thunkless", "guarded"):
         return
+    from repro.core.parallel import SEQUENTIAL, plan_parallelism
+
     report = st.report
-    if st.lowering not in ("thunkless", "guarded"):
-        report.notes.append(
-            "parallel backend inapplicable: the thunked fallback has no "
-            "static schedule to parallelize"
-        )
-        return
-    from repro.core.parallel import plan_parallelism
-
     st.parallel_plan = plan_parallelism(
         report.comp, report.edges, report.parallelism,
         subscripts=report.subscripts,
     )
     for entry in st.parallel_plan.clauses:
-        if entry.kind == "sequential":
+        if entry.kind == SEQUENTIAL:
             report.parallel.append(entry.describe())
-    report.notes.append(
-        "parallel backend requested (paper §10 executed): wavefront "
-        "nests sweep anti-diagonals, dep-free loops run as slices"
-    )
 
 
 def _codegen(st: _State) -> None:
@@ -750,13 +743,26 @@ def _codegen(st: _State) -> None:
             st.source = lower(job, report)
     except CodegenError as exc:
         raise CompileError(f"cannot generate code: {exc}") from exc
+    if getattr(st.options, "tile", None) is None:
+        return
+    # Only C kernels run tile loops; the note names what ran.
+    tiling = report.tiling
+    if report.backend_used == "python" and (tiling is None or tiling.ok):
+        from repro.core.tiling import TilePlan
+
+        tiling = report.tiling = TilePlan(ok=False, note=(
+            f"{report.backend[-1]}, which blocks no loops"
+            if report.backend else _PYTHON_UNTILED))
+    report.notes.append(f"tiled: {tiling.summary()}" if tiling.ok
+                        else f"tile fallback: {tiling.note}")
 
 
 def _vectorize_note(st: _State) -> None:
     if st.lowering == "thunkless" and st.options.vectorize:
         st.report.notes.append(
-            "vectorization requested (paper §10): qualifying innermost "
-            "loops emitted as numpy slices"
+            "vectorization requested (paper §10): qualifying loop nests "
+            "emitted as numpy slices, planned wavefronts as one slice "
+            "per anti-diagonal"
         )
 
 
@@ -778,7 +784,7 @@ _INPLACE_TAIL = (_build, _subscripts, _collisions, _reject_certain,
 PASSES = {
     "array": _ANALYSIS + (
         _interchange, _reject_certain, _guard, _checks, _choose, _tiling,
-        _parallel, _codegen, _vectorize_note, _exec,
+        _wavefront_plan, _codegen, _vectorize_note, _exec,
     ),
     "inplace": (_parse_pass, _front_array) + _INPLACE_TAIL,
     "bigupd": (_parse_pass, _front_bigupd) + _INPLACE_TAIL,
@@ -894,8 +900,8 @@ def compile(
         Size parameters the analyses may fold into trip counts.
     options:
         :class:`~repro.codegen.emit.CodegenOptions` (checks,
-        ``vectorize``, ``parallel``); ``None`` lets the pipeline pick
-        runtime checks from its own analysis.
+        ``vectorize``, ``backend``, ``tile``); ``None`` lets the
+        pipeline pick runtime checks from its own analysis.
     old_array:
         The input array overwritten by the ``"inplace"`` strategy.
     force_strategy:
@@ -910,7 +916,7 @@ def compile(
         Attach the decision trace (an
         :class:`~repro.obs.explain.Explanation`) to the result's
         ``explanation`` attribute — *why* each schedule/in-place/
-        vectorize/parallel decision was taken or rejected.
+        vectorize decision was taken or rejected.
     dist / workers:
         Program sources only: plan block-partitioned convergence
         sweeps over ``workers`` processes
@@ -1019,14 +1025,6 @@ def _compile_dispatch(
         raise CompileError(
             "force_strategy= (thunkless/thunked) only applies to "
             f"strategy 'array' (resolved strategy here: {resolved!r})"
-        )
-    if options is not None and options.parallel \
-            and resolved in ("inplace", "bigupd"):
-        raise CompileError(
-            "the parallel backend cannot target in-place updates "
-            f"(strategy {resolved!r}): wavefront/dep-free slices read "
-            "immutable numpy views, but the input buffer is mutated "
-            "in place; drop parallel or compile monolithically"
         )
 
     if cached:

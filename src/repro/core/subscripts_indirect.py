@@ -29,8 +29,8 @@ Otherwise the property is **runtime-verifiable**: codegen emits a
 guarded kernel whose O(n) verifier (:func:`repro.codegen.support.
 verify_subscripts`) checks int-ness, bounds, and (when needed)
 duplicates over the index array at call time, picking the unchecked
-parallel-scatter schedule on success and the fully checked serial
-fallback otherwise.  Verification over the *whole* index array is
+fast path (vectorized under ``vectorize``) on success and the fully
+checked serial fallback otherwise.  Verification over the *whole* index array is
 deliberately conservative: it can only send valid-but-exotic inputs
 (duplicates outside the read range) down the slower checked path,
 never change a result.

@@ -1,4 +1,4 @@
-"""Cache-blocked tiling of scheduled loop nests (ROADMAP item 5).
+"""Cache-blocked tiling of scheduled loop nests for the C backend.
 
 The scheduled loop IR produced by :mod:`repro.core.schedule` executes
 each array's loops in dependence-legal order, but streams the whole
@@ -32,19 +32,22 @@ through ``Report.tiling`` and the ``tile`` explain area):
   (triangular nests are not blocked in v1);
 * no snapshot rings or hoisted temporaries (their ring/temp protocol
   encodes the original iteration order);
-* scalar emission only — the vectorize/parallel backends already
-  restructure the nest themselves;
 * no accumulated arrays (re-associating float accumulation would break
   bit-identity with the oracle).
 
+Only C kernels run tile loops: python loops are interpreter-bound, not
+memory-bound, so blocking them never paid (EXPERIMENTS.md, E26).  The
+pipeline plans tiles for C units only, and turns an accepted plan into
+a reasoned fallback when the C backend hands the unit to the python
+emitter (:func:`repro.core.pipeline._codegen`).
+
 Tile sizes come from a small cache model (target: half of a
 conservative L2 share divided across the arrays a point touches), or
-from an explicit ``tile=N`` / ``REPRO_TILE=N`` override.
+from an explicit ``tile=N``.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -56,12 +59,6 @@ from repro.obs.trace import count
 #: Conservative per-core L2 working-set target, in bytes.  Half is
 #: left for the output tile and incidental traffic.
 L2_TARGET_BYTES = 1 << 20
-
-#: Environment override for the tile edge (an int, applied to every
-#: tiled axis).  Consulted only when tiling is already requested via
-#: ``CodegenOptions.tile``; a debugging knob, not coherent with warm
-#: compile caches.
-TILE_ENV = "REPRO_TILE"
 
 
 class TileReject(Exception):
@@ -86,7 +83,7 @@ class TilePlan:
     #: all lexicographically non-negative; tile order must stay
     #: lexicographic).
     kind: str = "rect"
-    #: Where the sizes came from: ``explicit`` / ``env`` / ``auto``.
+    #: Where the sizes came from: ``explicit`` or ``auto``.
     source: str = "auto"
     #: Modeled halo skirt read per tile boundary cell, summed over
     #: axes (0 for pointwise nests).  Obs estimate only.
@@ -242,8 +239,7 @@ def _auto_sizes(depth: int, arrays_touched: int,
 
 
 def plan_tiling(schedule: Schedule, edges, *, mode: str,
-                tile, inplace_plan=None,
-                options=None) -> TilePlan:
+                tile, inplace_plan=None) -> TilePlan:
     """Decide whether — and how — to tile one scheduled nest.
 
     ``tile`` is the user spec (``"auto"`` or an int; ``None`` never
@@ -251,23 +247,18 @@ def plan_tiling(schedule: Schedule, edges, *, mode: str,
     carrying the rejection reason; never raises.
     """
     try:
+        spec = _normalize_spec(tile)
+        if spec is None:
+            raise TileReject("tiling not requested")
         if mode == "accum":
             raise TileReject(
                 "accumulated arrays fold colliding stores in source "
                 "order; tiling would re-associate the float combine"
             )
-        spec = _normalize_spec(tile)
-        if spec is None:
-            raise TileReject("tiling not requested")
         if mode not in ("thunkless", "inplace"):
             raise TileReject(
                 f"{mode} compilation reorders or suspends stores; "
                 "only thunkless and in-place nests are tiled"
-            )
-        if options is not None and (options.vectorize or options.parallel):
-            raise TileReject(
-                "vectorize/parallel backends restructure the nest "
-                "themselves; tiling applies to scalar loops only"
             )
         if inplace_plan is not None:
             if inplace_plan.snapshots:
@@ -289,19 +280,7 @@ def plan_tiling(schedule: Schedule, edges, *, mode: str,
         arrays_touched = len({
             read.array for clause in clauses for read in clause.reads
         })
-        override = os.environ.get(TILE_ENV)
-        if override:
-            try:
-                explicit = int(override)
-            except ValueError:
-                raise TileReject(
-                    f"{TILE_ENV}={override!r} is not an integer"
-                )
-            if explicit < 1:
-                raise TileReject(f"{TILE_ENV} must be >= 1")
-            sizes = (explicit,) * depth
-            source = "env"
-        elif spec == "auto":
+        if spec == "auto":
             sizes = _auto_sizes(depth, arrays_touched, halos)
             source = "auto"
         else:

@@ -31,7 +31,7 @@ in a
 
 #: Float wavefront (the §10 hyperplane showcase): same dependence
 #: pattern as :data:`WAVEFRONT`, but with float borders and a convex
-#: stencil so values stay bounded at any size — the parallel backend's
+#: stencil so values stay bounded at any size — the vectorizer's
 #: anti-diagonal sweep is bit-identical to the scalar schedule here.
 WAVEFRONT_F = """
 letrec* a = array ((1,1),(n,n))
@@ -186,7 +186,7 @@ in a
 #: Monolithic form of one SOR sweep (fresh output array, borders
 #: copied through): same arithmetic as :data:`SOR`, no storage reuse.
 #: The interior clause carries dependences at both loop levels, so
-#: the parallel backend runs it as a hyperplane (1,1) wavefront.
+#: ``vectorize`` runs it as a hyperplane (1,1) wavefront.
 SOR_MONOLITHIC = """
 letrec a = array ((1,1),(m,m))
    ([ (1,j) := u!(1,j) | j <- [1..m] ] ++
@@ -238,7 +238,7 @@ array (1,n)
 #: Permutation scatter: ``p`` is opaque at compile time, so the
 #: compiler emits the guarded dual-schedule kernel — an O(n) runtime
 #: verifier proves ``p`` injective and in bounds, then the scatter
-#: runs unchecked (and dep-free parallel when requested); a bad ``p``
+#: runs unchecked (and vectorized when requested); a bad ``p``
 #: replays the loop with full bounds/collision/definedness checks.
 PERMUTATION_SCATTER = """
 letrec* a = array (1,n) [ (p!i) := b!i | i <- [1..n] ] in a

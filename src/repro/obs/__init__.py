@@ -10,7 +10,7 @@ Three zero-dependency layers, threaded through every subsystem:
   behind ``REPRO_TRACE=1`` so the hot paths pay nothing by default.
 * :mod:`repro.obs.explain` — the decision-trace renderer behind
   ``repro.compile(..., explain=True)`` and ``python -m repro
-  explain``: *why* each schedule/in-place/vectorize/parallel/reuse
+  explain``: *why* each schedule/in-place/vectorize/reuse
   decision was taken or rejected, human-readable or ``--json``.
 * :mod:`repro.obs.bench` — normalized ``BENCH_<host>.json`` emission
   for the benchmark harness plus the ``bench-check`` regression gate

@@ -1,7 +1,7 @@
 """Decision-trace rendering: *why* the compiler did what it did.
 
 The pipeline already records every decision — schedule failures,
-in-place plans, parallel-backend clause verdicts, program-level reuse
+in-place plans, §10 wavefront verdicts, program-level reuse
 fallbacks — but scattered across :class:`~repro.core.pipeline.Report`
 and :class:`~repro.program.report.ProgramReport` fields.  This module
 normalizes them into one flat list of :class:`Decision` entries
@@ -350,11 +350,11 @@ def explain_program_report(report) -> Explanation:
     for entry in report.iterate:
         verdict = ACCEPTED if "in-place sweeps" in entry else INFO
         out.add("iterate", "driver", verdict, entry)
-    for entry in getattr(report, "dist", ()) or ():
-        # Out-of-core notes ride the same plan list but render under
-        # the tile area (the tile is the partition unit).
-        area = "tile" if "out-of-core" in entry else "dist"
-        out.add(area, "planner", ACCEPTED, entry)
+    for entry in report.dist:
+        out.add("dist", "planner", ACCEPTED, entry)
+    for entry in report.ooc:
+        # The tile is the out-of-core partition unit.
+        out.add("tile", "planner", ACCEPTED, entry)
     for note in report.notes:
         out.add("note", "program", INFO, note)
     for info in report.bindings:

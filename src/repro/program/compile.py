@@ -298,16 +298,6 @@ def _sweep_driver(report, native: bool) -> str:
             f"python: {why})")
 
 
-def _superseded(options) -> str:
-    """The requested step options the block kernel runs instead of."""
-    names = [name for name in ("vectorize", "parallel")
-             if getattr(options, name, False)]
-    tile = getattr(options, "tile", None)
-    if tile is not None:
-        names.append(f"tile={tile}")
-    return f" (superseding {', '.join(names)})" if names else ""
-
-
 def _index_array_names(binds: Sequence[ast.Binding]) -> Set[str]:
     """Names whose *cells* become subscripts somewhere in the program.
 
@@ -569,6 +559,13 @@ class _CompileState:
         self.last = last
         self.protected = protected
         self.params = params
+        #: Out-of-core rows per tile.  On python that is all ``tile=``
+        #: means, so the bindings compile without it; a C binding
+        #: still blocks its loops by it.
+        self.tile = getattr(options, "tile", None)
+        if ooc and self.tile is not None \
+                and getattr(options, "backend", "python") == "python":
+            options = _dc_replace(options, tile=None)
         self.options = options
         self.report = report
         self.dist = dist
@@ -885,31 +882,10 @@ class _CompileState:
         else:
             block, placement = self._one_block(name, compiled.report,
                                                param, on_c, kernel)
-            self.report.iterate.append(
-                f"{name}: double-buffer sweeps (in-place rejected: "
-                f"{why_not_inplace}); {placement}, buffer recycling "
-                + ("on" if reuse_buffers else "off")
-            )
             self.report.fallbacks.append(
                 f"iterate {name!r}: in-place sweeps rejected — "
                 + why_not_inplace
             )
-        if seed_dead and (mode == "inplace" or reuse_buffers):
-            seed_bounds = self.produced.get(spec.seed)
-            cells = seed_bounds.size() if seed_bounds is not None else 0
-            self.report.reuse_edges.append(ReuseEdge(
-                consumer=name, producer=spec.seed, via="iterate-seed",
-                cells=cells,
-            ))
-            self.report.elided.append(
-                f"iterate {name!r}: seed {spec.seed!r}'s buffer joins "
-                + ("the sweep rotation (initial copy elided)"
-                   if block is None else
-                   "the list path's sweep rotation (initial copy "
-                   "elided; the one block copies it into float64)")
-            )
-            self.consumed.add(spec.seed)
-
         self.produced[name] = bounds
         self._info(name=name, kind="iterate",
                    strategy=compiled.report.strategy,
@@ -930,9 +906,7 @@ class _CompileState:
                 "environment",
                 lambda: plan_outofcore(
                     name, compiled.report, mode, param,
-                    params=self.params,
-                    tile=getattr(self.options, "tile", None),
-                    kernel=kernel,
+                    params=self.params, tile=self.tile, kernel=kernel,
                 ),
             )
             if plan.ooc is not None and on_c:
@@ -958,6 +932,42 @@ class _CompileState:
                     kernel=kernel,
                 ),
             )
+        # Named once the placements are decided: out-of-core streaming
+        # runs first, then dist, then the one block, and all three
+        # admit the same float seeds.
+        copier = "the one block" if block is not None else None
+        if plan.ooc is not None:
+            copier = "the out-of-core placement"
+            placement = ("out-of-core placement: float seeds stream row "
+                         "tiles through the vectorized block kernel (see "
+                         "the ooc lines); other seeds run the list path")
+        elif plan.dist is not None:
+            copier = "the dist placement"
+            placement = ("dist placement: float seeds run the vectorized "
+                         f"block kernel in row blocks over {self.workers} "
+                         "worker(s) (see the dist lines); other seeds run "
+                         "the list path")
+        if mode == "double":
+            self.report.iterate.append(
+                f"{name}: double-buffer sweeps (in-place rejected: "
+                f"{why_not_inplace}); {placement}, buffer recycling "
+                + ("on" if reuse_buffers else "off")
+            )
+        if seed_dead and (mode == "inplace" or reuse_buffers):
+            seed_bounds = self.produced.get(spec.seed)
+            cells = seed_bounds.size() if seed_bounds is not None else 0
+            self.report.reuse_edges.append(ReuseEdge(
+                consumer=name, producer=spec.seed, via="iterate-seed",
+                cells=cells,
+            ))
+            self.report.elided.append(
+                f"iterate {name!r}: seed {spec.seed!r}'s buffer joins "
+                + ("the sweep rotation (initial copy elided)"
+                   if copier is None else
+                   "the list path's sweep rotation (initial copy "
+                   f"elided; {copier} copies it into float64)")
+            )
+            self.consumed.add(spec.seed)
         return ProgramStep(name=name, kind="iterate", iterate=plan)
 
     def _one_block(self, name, report, param, on_c: bool, kernel):
@@ -976,10 +986,11 @@ class _CompileState:
                 "environment")
         except (DistReject, CodegenError) as exc:
             return None, f"one-block placement refused ({exc}); list path"
+        superseded = " (superseding vectorize)" \
+            if getattr(self.options, "vectorize", False) else ""
         return block, ("one-block placement: float seeds run the "
                        "vectorized block kernel on two float64 buffers"
-                       + _superseded(self.options)
-                       + "; other seeds run the list path")
+                       f"{superseded}; other seeds run the list path")
 
     def _closure_free(self, placed, param, no_closures: str):
         """``placed``, unless its kernel calls a program function.
@@ -1006,11 +1017,12 @@ class _CompileState:
         ``plan()`` builds it (dist row blocks, or out-of-core row
         tiles).  A step that calls a program function cannot run as a
         block kernel either way — ``no_closures`` says why for this
-        placement.  Rejection is *compile-time* information: the reason
-        lands in ``report.fallbacks`` (``prefix`` names the placement;
-        ``dist`` surfaces in the ``dist`` explain area, ``ooc`` in the
-        ``tile`` one) and the binding runs the ordinary in-memory
-        sweeps.
+        placement.  The plan's notes land in the report list named by
+        ``prefix`` (``dist`` or ``ooc``).  Rejection is *compile-time*
+        information: the reason lands in ``report.fallbacks``
+        (``prefix`` names the placement; ``dist`` surfaces in the
+        ``dist`` explain area, ``ooc`` in the ``tile`` one) and the
+        binding runs the ordinary in-memory sweeps.
         """
         from repro.core.distplan import DistReject
 
@@ -1019,7 +1031,7 @@ class _CompileState:
         except (DistReject, CodegenError) as exc:
             self.report.fallbacks.append(f"{prefix} {name!r}: {exc}")
             return None
-        self.report.dist.extend(placed.notes)
+        getattr(self.report, prefix).extend(placed.notes)
         count(f"program.{prefix}.bindings")
         return placed
 
@@ -1060,6 +1072,6 @@ class _CompileState:
         reuse_buffers = (
             mono.report.strategy == "thunkless"
             and not mono.report.empties.checks_needed
-            and not (opts is not None and (opts.vectorize or opts.parallel))
+            and not getattr(opts, "vectorize", False)
         )
         return mono, "double", reuse_buffers, why

@@ -109,6 +109,9 @@ class ProgramReport:
     #: bindings *don't* distribute live in :attr:`fallbacks` with a
     #: ``dist`` prefix.
     dist: List[str] = field(default_factory=list)
+    #: Out-of-core planner decisions (row tiles, resident window, halo
+    #: re-reads), with the rejections under an ``ooc`` fallback prefix.
+    ooc: List[str] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
     #: Wall-clock seconds per program pass (consumed by the service
     #: metrics like the single-definition Report.timings).  Derived
@@ -146,6 +149,8 @@ class ProgramReport:
             lines.append(f"iterate: {entry}")
         for entry in self.dist:
             lines.append(f"dist: {entry}")
+        for entry in self.ooc:
+            lines.append(f"ooc: {entry}")
         for entry in self.fallbacks:
             lines.append(f"fallback: {entry}")
         for note in self.notes:

@@ -85,7 +85,13 @@ from repro.lang.parser import parse_expr
 #:     guards; a float trap keeps a clause off every vector path; the
 #:     block kernel is emitted in block form (literal output bounds,
 #:     input lows read without ``Bounds.dims``).
-PIPELINE_SALT = "repro-pipeline/14"
+#: /15: ``parallel`` folded into ``vectorize`` (the vectorizer sweeps
+#:     planned (1,1) wavefronts, takes the guarded kernel's fast path
+#:     and keeps any checked unit scalar), python loops are never
+#:     blocked (``tile=`` on python is a reasoned fallback, or the
+#:     out-of-core rows), the C wrapper binds input lows through
+#:     ``Bounds.lows``, and ProgramReport grew an ``ooc`` list.
+PIPELINE_SALT = "repro-pipeline/15"
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,7 @@ from repro.backends import _REGISTRY
 from repro.codegen.emit import CodegenOptions
 from repro.codegen.exprs import CodegenError
 from repro.core.pipeline import Report
-from repro.kernels import SQUARES
+from repro.kernels import JACOBI, SQUARES
 from repro.obs.trace import Trace, tracing
 
 
@@ -162,7 +162,6 @@ class TestLowerDispatch:
 #: kwargs.
 _CONFLICTING = {
     "vectorize": {"vectorize": True},
-    "parallel": {"parallel": True},
     "bounds-checks": {"bounds_checks": True},
     "collision-checks": {"collision_checks": True},
     "empties-check": {"empties_check": True},
@@ -178,11 +177,13 @@ class TestFromFlagsBackend:
         options = CodegenOptions.from_flags(backend="c")
         assert options is not None
         assert options.backend == "c"
-        assert not options.vectorize and not options.parallel
+        assert not options.vectorize
 
     def test_backend_c_with_inplace_is_allowed(self):
-        options = CodegenOptions.from_flags(backend="c", inplace=True)
-        assert options is not None and options.backend == "c"
+        options = CodegenOptions.from_flags(backend="c")
+        compiled = repro.compile(JACOBI, old_array="u", params={"m": 8},
+                                 options=options)
+        assert compiled.report.strategy == "inplace"
 
     def test_unknown_backend_name_is_loud(self):
         with pytest.raises(CodegenError, match="unknown backend"):

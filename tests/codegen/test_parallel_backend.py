@@ -1,12 +1,12 @@
-"""The parallel execution backend (§10 hyperplanes, executed).
+"""§10 hyperplanes, executed by ``CodegenOptions(vectorize=True)``.
 
-Three codegen paths hang off ``CodegenOptions(parallel=True)``:
+The vectorizer lowers a scheduled nest one of three ways:
 
 * **wavefront** — a fully dependence-carried rank-2 nest with legal
   hyperplane (1,1) becomes one strided slice assignment per
   anti-diagonal;
 * **dep-free** — clauses with no loop-carried dependence become
-  whole-dimension slice assignments; a body that resists slice
+  whole-nest slice assignments; a body that resists slice
   translation keeps its scalar loop, logged;
 * **sequential fallback** — everything else keeps the scalar schedule
   and the reason is recorded in ``report.parallel``.
@@ -19,7 +19,6 @@ import pytest
 
 import repro
 from repro import CodegenOptions, FlatArray, kernels
-from repro.codegen.emit import CodegenError
 from repro.core.parallel import (
     DEP_FREE,
     SEQUENTIAL,
@@ -35,10 +34,12 @@ ENV_SOR = {
 }
 
 
+VEC = CodegenOptions(vectorize=True)
+
+
 def compile_pair(src, params, env):
-    """Compile with and without the backend; assert identical output."""
-    par = repro.compile(src, params=params,
-                        options=CodegenOptions(parallel=True))
+    """Compile with and without vectorize; assert identical output."""
+    par = repro.compile(src, params=params, options=VEC)
     seq = repro.compile(src, params=params)
     assert par(env).to_list() == seq(env).to_list()
     return par
@@ -101,7 +102,7 @@ class TestWavefront:
     def test_wavefront_matches_lazy_oracle(self):
         n = 16
         par = repro.compile(kernels.WAVEFRONT_F, params={"n": n},
-                            options=CodegenOptions(parallel=True))
+                            options=VEC)
         lazy = repro.evaluate(kernels.WAVEFRONT_F, bindings={"n": n},
                               deep=False)
         vals = [lazy.at((i, j)) for i in range(1, n + 1)
@@ -121,10 +122,13 @@ class TestWavefront:
     def test_checks_disable_backend(self):
         par = repro.compile(
             kernels.SOR_MONOLITHIC, params={"m": M},
-            options=CodegenOptions(parallel=True, bounds_checks=True),
+            options=CodegenOptions(vectorize=True, bounds_checks=True),
         )
         assert "_vslice(" not in par.source
-        assert any("disabled" in line for line in par.report.parallel)
+        assert "_np.zeros" not in par.source
+        assert ("vectorize disabled: runtime checks need per-store "
+                "bookkeeping that slice assignment cannot maintain, so "
+                "the unit stays scalar") in par.report.parallel
         seq = repro.compile(kernels.SOR_MONOLITHIC, params={"m": M})
         assert par(ENV_SOR).to_list() == seq(ENV_SOR).to_list()
 
@@ -132,7 +136,8 @@ class TestWavefront:
 class TestDepFree:
     def test_squares_sliced(self):
         par = compile_pair(kernels.SQUARES, {"n": 40}, {"n": 40})
-        assert any("dep-free" in line for line in par.report.parallel)
+        assert "_vslice(" in par.source and "for i in" not in par.source
+        assert par.report.parallel == []
 
     def test_unchunkable_scalar_loop_logs_hint(self):
         n = 6
@@ -142,9 +147,10 @@ class TestDepFree:
                                 [float(k) * 0.5 for k in range(n * n)])
         par = compile_pair(kernels.MATMUL, {"n": n},
                            {"n": n, "x": x, "y": y})
-        assert ("loop i (clause 1): dep-free but not slice-translatable; "
-                "scalar loop kept" in par.report.parallel)
-        assert not any("thread" in line for line in par.report.parallel)
+        assert ("loops i, j (clause 1): no rank-2 slices (function call "
+                "in vector value); loop i stays scalar"
+                in par.report.parallel)
+        assert "for i in range" in par.source
 
 
 class TestSequentialFallback:
@@ -161,9 +167,31 @@ class TestSequentialFallback:
 
     def test_summary_carries_decisions(self):
         par = repro.compile(kernels.FORWARD_RECURRENCE,
-                            params={"n": 10},
-                            options=CodegenOptions(parallel=True))
+                            params={"n": 10}, options=VEC)
         assert "parallel: " in par.report.summary()
+
+    def test_refused_wavefront_leaves_no_trace(self, monkeypatch):
+        # ``exp`` is not libm-exact in numpy, so the planned wavefront
+        # refuses the clause after drawing its names; the module must
+        # be the one the vectorizer emits when no wavefront is tried.
+        from repro.codegen import vectorize
+
+        src = """
+        letrec* a = array ((1,1),(n,n))
+          ([ (1,j) := 1.0 | j <- [1..n] ] ++
+           [ (i,1) := 1.0 | i <- [2..n] ] ++
+           [ (i,j) := exp (0.01 * (a!(i-1,j) + a!(i,j-1)))
+             | i <- [2..n], j <- [2..n] ])
+        in a
+        """
+        par = compile_pair(src, {"n": 6}, {"n": 6})
+        assert ("clause 3: wavefront planned but fell back to the scalar "
+                "schedule (function call in vector value)"
+                in par.report.parallel)
+        monkeypatch.setattr(vectorize, "_try_wavefront",
+                            lambda *args: False)
+        untried = repro.compile(src, params={"n": 6}, options=VEC)
+        assert par.source == untried.source
 
 
 class TestOptionConflicts:
@@ -171,45 +199,34 @@ class TestOptionConflicts:
         assert CodegenOptions.from_flags() is None
 
     def test_from_flags_parallel(self):
-        options = CodegenOptions.from_flags(parallel=True)
-        assert options.parallel
-
-    def test_from_flags_rejects_parallel_inplace(self):
-        with pytest.raises(CodegenError, match="--inplace"):
-            CodegenOptions.from_flags(parallel=True, inplace=True)
+        # ``vectorize`` runs the wavefronts: there is no second knob.
+        assert "parallel" not in CodegenOptions.__dataclass_fields__
+        with pytest.raises(TypeError, match="parallel"):
+            CodegenOptions.from_flags(parallel=True)
 
     def test_from_flags_accepts_vectorize_inplace(self):
         # The vectorize/inplace conflict is diagnosed later, per-loop,
         # inside the in-place emitter (some in-place nests vectorize).
-        options = CodegenOptions.from_flags(vectorize=True, inplace=True)
-        assert options.vectorize
+        options = CodegenOptions.from_flags(vectorize=True)
+        compiled = repro.compile(kernels.SWAP, old_array="a",
+                                 params={"m": 5, "n": 7, "i": 2, "k": 4},
+                                 options=options)
+        assert compiled.report.strategy == "inplace"
 
     def test_inplace_emitter_rejects_parallel(self):
-        # The facade rejects this combination up front (see
-        # tests/test_facade.py); the emitter's own guard is the
-        # defence for direct callers.
+        # The in-place emitter plans no wavefront, and refuses a
+        # vectorized loop: its reads would see the buffer it mutates.
         from repro.core.pipeline import CompileError, _drive
 
-        with pytest.raises(CompileError, match="in-place"):
-            _drive("inplace", kernels.JACOBI, params={"m": 8},
-                   options=CodegenOptions(parallel=True), old_array="u")
+        with pytest.raises(CompileError, match="in-place code generation "
+                           "cannot vectorize loop"):
+            _drive("inplace", kernels.SOR, params={"m": 8},
+                   options=VEC, old_array="u")
 
 
 class TestVectorizeInteraction:
-    def test_parallel_supersedes_vectorize_on_dep_free(self):
-        par = repro.compile(
-            kernels.SQUARES, params={"n": 30},
-            options=CodegenOptions(parallel=True, vectorize=True),
-        )
-        vec = repro.compile(kernels.SQUARES, params={"n": 30},
-                            options=CodegenOptions(vectorize=True))
-        assert par({"n": 30}).to_list() == vec({"n": 30}).to_list()
-
     def test_fingerprints_differ_between_backends(self):
-        base = repro.fingerprint(kernels.SQUARES, params={"n": 30},
-                                 options=CodegenOptions(vectorize=True))
-        par = repro.fingerprint(
-            kernels.SQUARES, params={"n": 30},
-            options=CodegenOptions(parallel=True),
-        )
-        assert base != par
+        base = repro.fingerprint(kernels.SQUARES, params={"n": 30})
+        vec = repro.fingerprint(kernels.SQUARES, params={"n": 30},
+                                options=VEC)
+        assert base != vec

@@ -33,10 +33,14 @@ class TestVectorizedKernels:
 
         compiled = repro.compile(WAVEFRONT, strategy="array", params={"n": 9},
                                  options=VEC)
-        # The border loops vectorize; the interior (carried deps) must
-        # remain a scalar loop.
+        # The border loops vectorize; the interior carries a
+        # dependence on both loops, so it stays a scalar loop — over
+        # the anti-diagonals of its (1,1) wavefront, one slice each.
         assert "_vslice(" in compiled.source
-        assert "for j in range" in compiled.source
+        assert "for j in range" not in compiled.source
+        assert "for _wt" in compiled.source
+        assert any(line.startswith("clause 3: wavefront h=(1,1)")
+                   for line in compiled.report.parallel)
         want = ref_wavefront(9)
         assert compiled({"n": 9}).to_list() == floats(
             want[i][j] for i in range(1, 10) for j in range(1, 10)
@@ -171,6 +175,50 @@ class TestFallbacks:
 
         compiled = repro.compile(SQUARES, strategy="array", params={"n": 5})
         assert "_np.zeros" not in compiled.source
+
+
+class TestRequestedChecks:
+    """``vectorize`` runs every runtime check it is asked for: a checked
+    unit stays scalar, so each store does its bookkeeping."""
+
+    CHECKS = ("bounds_checks", "collision_checks", "empties_check")
+
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_checked_squares_run_every_check(self, check):
+        from repro.codegen.support import CHECK_STATS
+        from repro.kernels import SQUARES
+
+        counts = []
+        for vectorize in (False, True):
+            compiled = repro.compile(
+                SQUARES, params={"n": 5},
+                options=CodegenOptions(vectorize=vectorize,
+                                       **{check: True}))
+            CHECK_STATS.reset()
+            out = compiled({"n": 5})
+            assert out.to_list() == [i * i for i in range(1, 6)]
+            counts.append((CHECK_STATS.bounds_checks,
+                           CHECK_STATS.collision_checks,
+                           CHECK_STATS.empty_checks))
+        assert counts[0] == counts[1] != (0, 0, 0)
+        assert ("vectorize disabled: runtime checks need per-store "
+                "bookkeeping that slice assignment cannot maintain, so "
+                "the unit stays scalar") in compiled.report.parallel
+
+    def test_a_colliding_scatter_raises_like_the_oracle(self):
+        from repro.kernels import PERMUTATION_SCATTER
+        from repro.runtime.errors import WriteCollisionError
+
+        env = {"n": 4, "p": FlatArray.from_list((1, 4), [1, 1, 3, 4]),
+               "b": FlatArray.from_list((1, 4), [10.0, 20.0, 30.0, 40.0])}
+        with pytest.raises(WriteCollisionError):
+            evaluate(PERMUTATION_SCATTER, bindings=env).to_list()
+        for options in (None, VEC):
+            compiled = repro.compile(PERMUTATION_SCATTER,
+                                     params={"n": 4}, options=options)
+            assert compiled.report.strategy == "guarded"
+            with pytest.raises(WriteCollisionError):
+                compiled(env)
 
 
 @settings(max_examples=60, deadline=None)

@@ -30,7 +30,7 @@ def test_explain_sor_monolithic(source_file, capsys):
 
 def test_explain_wavefront_parallel(source_file, capsys):
     code = main(["explain", source_file(WAVEFRONT_F),
-                 "-p", "n=8", "--parallel"])
+                 "-p", "n=8", "--vectorize"])
     out = capsys.readouterr().out
     assert code == 0
     assert "wavefront h=" in out

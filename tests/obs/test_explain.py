@@ -114,7 +114,7 @@ class TestMonolithicAndWavefront:
 
     def test_wavefront_parallel_accepted(self):
         ex = explain(WAVEFRONT_F, params={"n": 8},
-                     options=repro.CodegenOptions(parallel=True))
+                     options=repro.CodegenOptions(vectorize=True))
         accepted = [d for d in ex.by_area("parallel")
                     if d.verdict == ACCEPTED]
         assert any("wavefront h=" in d.reason for d in accepted)
@@ -227,14 +227,16 @@ class TestDoubleBufferDriverGolden:
             "; other seeds run the list path, buffer recycling on")
 
     @pytest.mark.parametrize("options, superseded, recycling", [
-        (CodegenOptions(vectorize=True), "vectorize", "off"),
-        (CodegenOptions(tile=4), "tile=4", "on"),
+        (CodegenOptions(vectorize=True), " (superseding vectorize)",
+         "off"),
+        # tile= blocks no python loop, so the block supersedes nothing.
+        (CodegenOptions(tile=4), "", "on"),
     ], ids=["vectorize", "tile"])
     def test_superseded_options_are_named(self, options, superseded,
                                           recycling):
         assert self._line(options) == self.PREFIX + self.BLOCK + (
-            f" (superseding {superseded}); other seeds run the list "
-            f"path, buffer recycling {recycling}")
+            f"{superseded}; other seeds run the list path, buffer "
+            f"recycling {recycling}")
 
     @TestIterateDriverGolden.needs_cc
     def test_c_step_refuses_the_block(self):
@@ -264,11 +266,12 @@ BACKWARD = ("letrec* a = array (1,8) [ i := "
 
 
 class TestTileArea:
-    def _options(self, tile):
-        from repro.codegen.emit import CodegenOptions
+    """Tiles are C loops; the python emitter blocks none."""
 
-        return CodegenOptions(tile=tile)
+    def _options(self, tile, backend="c"):
+        return CodegenOptions(tile=tile, backend=backend)
 
+    @TestIterateDriverGolden.needs_cc
     def test_accepted_stencil_names_sizes_and_kind(self):
         src = ("array (1,16) [ i := if i == 1 || i == 16 then b!i "
                "else (b!(i-1) + b!(i+1)) / 2.0 | i <- [1..16] ]")
@@ -291,6 +294,15 @@ class TestTileArea:
     def test_untiled_compile_has_no_tile_area(self):
         ex = explain(BACKWARD)
         assert not ex.by_area("tile")
+
+    def test_python_unit_gets_one_reasoned_fallback(self):
+        ex = explain(BACKWARD, options=self._options(4, "python"))
+        assert [str(d) for d in ex.by_area("tile")] == [
+            "[tile] cache blocking: fallback — untiled loops emitted: "
+            "only the C backend blocks loops: python loops are "
+            "interpreter-bound, not memory-bound, so they run untiled "
+            "(an out-of-core program takes tile= as its rows per tile)"
+        ]
 
     def test_program_rejection_reaches_tile_area(self):
         from repro.kernels import PROGRAM_SOR

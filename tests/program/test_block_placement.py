@@ -422,3 +422,54 @@ class TestAdmittedEdgeCases:
         with pytest.raises(InterpError):
             repro.run_program(source, bindings=dict(params, u0=seed()))
 
+
+
+class TestReportNamesThePlacementThatRan:
+    """The ``iterate`` line names the placement the counters show, and
+    ``tile=`` appears only where it applied: the out-of-core plan."""
+
+    PREFIX = ("main: double-buffer sweeps (in-place rejected: split plan "
+              "needs snapshot/hoisted temporaries, re-allocated every "
+              "sweep); ")
+
+    def test_dist_placement(self):
+        from repro.kernels import PROGRAM_JACOBI
+
+        params = {"m": 8, "tol": 1e-3}
+        program, got, counters = run_block(PROGRAM_JACOBI, params, {},
+                                           dist=True, workers=2)
+        assert program.report.iterate == [self.PREFIX + (
+            "dist placement: float seeds run the vectorized block kernel "
+            "in row blocks over 2 worker(s) (see the dist lines); other "
+            "seeds run the list path, buffer recycling on")]
+        assert counters["dist.blocks"] == 2 and BLOCK not in counters
+        assert any("the dist placement copies it into float64" in line
+                   for line in program.report.elided)
+        assert bits(got) == bits(repro.run_program(PROGRAM_JACOBI,
+                                                   bindings=params))
+
+    def test_out_of_core_placement_owns_the_tile(self):
+        from repro.kernels import PROGRAM_JACOBI_STEPS
+
+        params = {"m": 64, "k": 5}
+        program, got, counters = run_block(
+            PROGRAM_JACOBI_STEPS, params, {}, ooc=True,
+            options=CodegenOptions(tile=16))
+        report = program.report
+        assert report.iterate == [self.PREFIX + (
+            "out-of-core placement: float seeds stream row tiles through "
+            "the vectorized block kernel (see the ooc lines); other seeds "
+            "run the list path, buffer recycling on")]
+        assert counters["ooc.tiles"] == 20 and BLOCK not in counters
+        assert report.dist == []
+        assert report.ooc[0] == (
+            "main: out-of-core stencil — 64 row(s) stream as 4 tile(s) "
+            "of <= 16 row(s); resident window ~9216 byte(s)")
+        summary = report.summary().splitlines()
+        assert [line for line in summary if "16" in line] == [
+            "ooc: " + report.ooc[0]]
+        assert not any(line.startswith(("dist:", "fallback: tile"))
+                       for line in summary)
+        assert "superseding" not in report.summary()
+        assert bits(got) == bits(repro.run_program(PROGRAM_JACOBI_STEPS,
+                                                   bindings=params))

@@ -278,9 +278,8 @@ class TestFloatTraps:
 
     SOURCE = "array (1,n) [ i := 1.0 / (u!i - 2.0) | i <- [1..n] ]"
 
-    @pytest.mark.parametrize("options", [
-        CodegenOptions(vectorize=True), CodegenOptions(parallel=True)],
-        ids=["vectorize", "parallel"])
+    @pytest.mark.parametrize("options", [CodegenOptions(vectorize=True)],
+                             ids=["vectorize"])
     def test_zero_divisor_raises_like_the_oracle(self, options):
         u = FlatArray.from_list((1, 4), [1.0, 2.0, 3.0, 4.0])
         compiled = repro.compile(self.SOURCE, params={"n": 4},

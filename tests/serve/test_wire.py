@@ -93,6 +93,16 @@ class TestValidation:
             CompileRequest.from_wire(
                 {"src": SRC, "options": {"parallel_threads": 2}})
 
+    def test_removed_parallel_option_is_named(self):
+        # ``vectorize`` runs the wavefronts; ``parallel`` is gone.
+        with pytest.raises(WireError,
+                           match=r"unknown option\(s\): parallel$"):
+            CompileRequest.from_wire(
+                {"src": SRC, "options": {"parallel": True}})
+        request = CompileRequest.from_wire(
+            {"src": SRC, "options": {"vectorize": True}})
+        assert request.options.vectorize
+
 
 class TestEnvelopes:
     def test_encode_decode(self):

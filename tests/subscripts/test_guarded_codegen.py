@@ -105,7 +105,7 @@ class TestGuardedScatter:
     def test_parallel_rides_the_fast_path(self):
         compiled = repro.compile(
             SCATTER,
-            options=CodegenOptions(parallel=True),
+            options=CodegenOptions(vectorize=True),
         )
         assert compiled.report.strategy == "guarded"
         p = arr([3, 1, 4, 2, 8, 6, 5, 7])
@@ -236,4 +236,4 @@ class TestReporting:
     def test_fingerprint_salt_bumped(self):
         from repro.service.fingerprint import PIPELINE_SALT
 
-        assert PIPELINE_SALT == "repro-pipeline/14"
+        assert PIPELINE_SALT == "repro-pipeline/15"

@@ -154,18 +154,19 @@ class TestParallelFlag:
         return str(path)
 
     def test_compile_parallel_emits_wavefront(self, sor_file, capsys):
+        # The (1,1) wavefront is a vectorize lowering.
         assert main(
             ["compile", sor_file, "-p", "m=12", "-p", "omega=1.5",
-             "--parallel"]
+             "--vectorize"]
         ) == 0
         out = capsys.readouterr().out
         assert "parallel: clause 5: wavefront h=(1,1)" in out
         assert "_vslice(" in out
 
     def test_run_parallel_matches_plain(self, tmp_path, capsys):
-        # Float kernel: the numpy backends compute in float64, so an
+        # Float kernel: the numpy lowering computes in float64, so an
         # integer kernel would print 1.0 where the scalar loops print
-        # 1 (same rule as --vectorize).
+        # 1.
         from repro.kernels import WAVEFRONT_F
 
         path = tmp_path / "wavefront_f.hs"
@@ -173,7 +174,7 @@ class TestParallelFlag:
         main(["run", str(path), "-p", "n=5"])
         plain = capsys.readouterr().out
         assert main(["run", str(path), "-p", "n=5",
-                     "--parallel"]) == 0
+                     "--vectorize"]) == 0
         assert capsys.readouterr().out == plain
 
     def test_parallel_threads_flag(self, tmp_path, capsys):
@@ -183,7 +184,7 @@ class TestParallelFlag:
         path = tmp_path / "matmul.hs"
         path.write_text(MATMUL)
         with pytest.raises(SystemExit) as exc_info:
-            main(["compile", str(path), "-p", "n=6", "--parallel",
+            main(["compile", str(path), "-p", "n=6",
                   "--parallel-threads", "2"])
         assert exc_info.value.code == 2
         assert "unrecognized arguments: --parallel-threads" \
@@ -197,15 +198,20 @@ class TestParallelFlag:
         assert exc_info.value.code == 2
         assert "--parallel-threads" in capsys.readouterr().err
 
-    def test_parallel_with_inplace_rejected(self, tmp_path):
+    def test_parallel_with_inplace_rejected(self, tmp_path, capsys):
+        # --parallel is gone (--vectorize runs the wavefronts), so
+        # argparse rejects it with or without --inplace.
         from repro.kernels import JACOBI
 
         path = tmp_path / "jacobi.hs"
         path.write_text(JACOBI)
-        with pytest.raises(SystemExit) as exc_info:
-            main(["compile", str(path), "-p", "m=8",
-                  "--inplace", "u", "--parallel"])
-        assert "--inplace" in str(exc_info.value)
+        for extra in (["--inplace", "u"], []):
+            with pytest.raises(SystemExit) as exc_info:
+                main(["compile", str(path), "-p", "m=8", *extra,
+                      "--parallel"])
+            assert exc_info.value.code == 2
+            assert "unrecognized arguments: --parallel" \
+                in capsys.readouterr().err
 
 
 class TestCacheFlag:

@@ -11,7 +11,7 @@ rejected.
 import pytest
 
 import repro
-from repro import CodegenOptions, CompileError, FlatArray, kernels
+from repro import CompileError, FlatArray, kernels
 from repro.core.pipeline import STRATEGIES, detect_strategy
 from repro.service.fingerprint import fingerprint
 
@@ -85,17 +85,6 @@ class TestValidation:
         with pytest.raises(CompileError, match="force_strategy"):
             repro.compile(BIGUPD, strategy="bigupd",
                           force_strategy="thunked")
-
-    def test_parallel_rejected_for_inplace(self):
-        with pytest.raises(CompileError, match="parallel"):
-            repro.compile(kernels.JACOBI, strategy="inplace",
-                          old_array="u", params={"m": 8},
-                          options=CodegenOptions(parallel=True))
-
-    def test_parallel_rejected_for_bigupd(self):
-        with pytest.raises(CompileError, match="parallel"):
-            repro.compile(BIGUPD, params={"n": 4},
-                          options=CodegenOptions(parallel=True))
 
     def test_unknown_force_strategy(self):
         # Rejected by the facade, before any pass runs.
