@@ -1,11 +1,11 @@
-"""E23 — serving under contention: worker pool + sharded cache vs.
+"""E23 — serving under contention: worker pool + per-service cache vs.
 the global-lock baseline.
 
 Not a paper artifact but the serving claim for the reproduction
 itself (see ROADMAP / EXPERIMENTS.md): 16 concurrent clients mixing
 warm hits (~85%) with cold compiles are served by the production
 configuration — a process pool of compile workers, each owning a
-sharded memory tier over a shared disk tier — at a multiple of the
+memory tier over a shared disk tier — at a multiple of the
 throughput of the pre-redesign architecture, where one global lock
 serialized every request through a single in-process cache.
 
@@ -16,13 +16,14 @@ hardware:
   Python, so only worker *processes* overlap them — the bound is
   asserted on machines with >= 4 CPUs (GitHub runners qualify) and
   reported, not asserted, elsewhere.
-* **No-penalty sharding** (asserted everywhere): replacing the global
-  lock with per-shard locks must never cost throughput, even on one
-  core where the GIL forbids any speedup.
+* **No-penalty locking** (asserted everywhere): the service's own
+  locks (the memory tier's and the in-flight table's, neither held
+  across a build) in place of one global lock must never cost
+  throughput, even on one core where the GIL forbids any speedup.
 
 Also asserted, per the redesign's contract: responses under
 contention are bit-identical to direct ``CompileService`` calls, and
-zero requests error.  The timed record is the in-process sharded
+zero requests error.  The timed record is the in-process
 mixed workload (stable across hardware); client-observed p50/p99 go
 into the BENCH json ``extra_info`` so ``bench-check`` gates the run
 against the committed baseline.
@@ -33,6 +34,7 @@ client; same assertions).
 
 import gc
 import os
+import statistics
 import threading
 import time
 from threading import Lock
@@ -51,12 +53,15 @@ HIT_RATE = 0.85
 RATIO_HIT_RATE = 0.3
 SEED = 1990
 
+#: Alternating global-lock/service pairs for the no-penalty ratio.
+LOCK_PAIRS = 7
+
 #: Worker processes for the pool run (capped by the machine).
 POOL_WORKERS = max(2, min(4, os.cpu_count() or 1))
 
 
 class GlobalLockService(CompileService):
-    """The pre-sharding architecture: one lock around the request path.
+    """The pre-redesign architecture: one lock around the request path.
 
     Models the seed's cache, where the memory tier's single lock —
     held across lookup *and* build by the in-flight table — serialized
@@ -64,7 +69,6 @@ class GlobalLockService(CompileService):
     """
 
     def __init__(self, **kwargs):
-        kwargs.setdefault("shards", 1)
         super().__init__(**kwargs)
         self._global = Lock()
 
@@ -177,7 +181,7 @@ def run_global_lock_baseline(warm, plans):
 
 
 def test_e23_pool_beats_global_lock(tmp_path):
-    """The headline ratio: worker pool + sharded/disk tiers vs. the
+    """The headline ratio: worker pool + memory/disk tiers vs. the
     serialized in-process baseline, same traffic.  Runs the colder
     heavy mix — parallelizable compile work front and center."""
     warm, plans = make_mix(hit_rate=RATIO_HIT_RATE, heavy_cold=True)
@@ -220,11 +224,13 @@ def test_e23_pool_beats_global_lock(tmp_path):
     # gate-on-environment pattern).
 
 
-def test_e23_sharding_never_costs_throughput():
-    """Per-shard locks replace the global lock with no penalty, even
-    where the GIL forbids any speedup (one core: ratio ~= 1.0)."""
+def test_e23_service_locks_never_cost_throughput():
+    """The service's own locks replace the global lock with no
+    penalty, even where the GIL forbids any speedup (one core: ratio
+    ~= 1.0).  The ratio is the median over alternating pairs of arms:
+    one arm is ~0.1 s on two cores (less in fast mode), so a single
+    pair reads a host hiccup as readily as the locks."""
     warm, plans = make_mix()
-    total = CLIENTS * REQUESTS_PER_CLIENT
 
     def timed(service):
         prewarm(service, warm)
@@ -234,29 +240,35 @@ def test_e23_sharding_never_costs_throughput():
         gc.collect()
         return drive(service_submit(service), warm, plans)[0]
 
-    locked_s = timed(GlobalLockService(capacity=512))
-    sharded_s = timed(CompileService(capacity=512, shards=8))
+    ratios = []
+    for pair in range(LOCK_PAIRS):
+        arms = [GlobalLockService(capacity=512), CompileService(capacity=512)]
+        if pair % 2:
+            arms.reverse()
+        times = {type(arm): timed(arm) for arm in arms}
+        ratios.append(times[GlobalLockService] / times[CompileService])
 
-    ratio = (total / sharded_s) / (total / locked_s)
-    print(f"\nE23: sharded/global-lock in-process ratio {ratio:.2f}x")
+    ratio = statistics.median(ratios)
+    print(f"\nE23: service/global-lock in-process ratio {ratio:.2f}x "
+          f"(median of {LOCK_PAIRS} pairs: "
+          + " ".join(f"{r:.2f}" for r in ratios) + ")")
     assert ratio >= 0.75, (
-        f"sharding cost throughput: {ratio:.2f}x the global-lock "
+        f"the service's locks cost throughput: {ratio:.2f}x the global-lock "
         "baseline on identical traffic"
     )
 
 
 def test_e23_responses_bit_identical_to_direct():
-    """Serving through the concurrent sharded path changes
-    scheduling, never artifacts: every response matches a direct
-    compile."""
+    """Serving through the concurrent path changes scheduling, never
+    artifacts: every response matches a direct compile."""
     warm, plans = make_mix()
-    sharded = CompileService(capacity=512, shards=8)
-    prewarm(sharded, warm)
-    drive(service_submit(sharded), warm, plans)
+    served_by = CompileService(capacity=512)
+    prewarm(served_by, warm)
+    drive(service_submit(served_by), warm, plans)
 
-    direct = CompileService(shards=1)
+    direct = CompileService()
     for request in warm:
-        served = sharded.submit(request)
+        served = served_by.submit(request)
         fresh = direct.submit(request)
         assert served.fingerprint == fresh.fingerprint
         served_c, fresh_c = served.compiled, fresh.compiled
@@ -268,14 +280,14 @@ def test_e23_responses_bit_identical_to_direct():
 
 @pytest.mark.benchmark(group="E23-serve")
 def test_e23_mixed_contention_throughput(benchmark):
-    """The timed record: the 16-client mixed workload on the sharded
+    """The timed record: the 16-client mixed workload on the
     in-process service (stable across hardware), client-observed
     quantiles in extra_info."""
     warm, plans = make_mix()
 
     def workload():
         # a fresh service per round keeps the cold set genuinely cold
-        service = CompileService(capacity=512, shards=8)
+        service = CompileService(capacity=512)
         prewarm(service, warm)
         return drive(service_submit(service), warm, plans)
 

@@ -152,7 +152,6 @@ def _serve_command(args) -> int:
         queue_limit=args.queue_limit,
         timeout_s=args.timeout,
         capacity=args.capacity,
-        shards=args.shards,
         disk_dir=_cache_dir(args.cache),
     ))
 
@@ -437,8 +436,6 @@ def main(argv=None) -> int:
     serve_group.add_argument("--timeout", type=float, default=30.0,
                              metavar="SECONDS",
                              help="per-request compile budget")
-    serve_group.add_argument("--shards", type=int, default=8,
-                             help="memory-tier shard count")
     serve_group.add_argument("--capacity", type=int, default=512,
                              help="memory-tier LRU capacity")
     serve_group.add_argument("--url", default=None,

@@ -14,48 +14,24 @@ from typing import Any, List, Sequence
 from repro.obs.trace import count_runtime
 from repro.runtime.bounds import Bounds
 from repro.runtime.errors import (
-    BoundsError,
     IndexTypeError,
     UndefinedElementError,
     WriteCollisionError,
 )
+from repro.runtime.incremental import Counters
 
 
-class CheckStats:
+class CheckStats(Counters):
     """Counters of run-time checks executed by generated code."""
 
     __slots__ = ("bounds_checks", "collision_checks", "empty_checks")
-
-    def __init__(self):
-        self.reset()
-
-    def reset(self):
-        """Zero all counters."""
-        self.bounds_checks = 0
-        self.collision_checks = 0
-        self.empty_checks = 0
-
-    def snapshot(self):
-        """The counters as a dict."""
-        return {
-            "bounds_checks": self.bounds_checks,
-            "collision_checks": self.collision_checks,
-            "empty_checks": self.empty_checks,
-        }
-
-    def __repr__(self):
-        return (
-            f"CheckStats(bounds={self.bounds_checks}, "
-            f"collision={self.collision_checks}, "
-            f"empty={self.empty_checks})"
-        )
 
 
 #: Global check statistics; benchmarks reset before a run.
 CHECK_STATS = CheckStats()
 
 
-class AllocStats:
+class AllocStats(Counters):
     """Counters of result-buffer allocations made by generated code.
 
     The program driver (``repro.program``) elides allocations by
@@ -64,27 +40,6 @@ class AllocStats:
     """
 
     __slots__ = ("arrays_allocated", "cells_allocated")
-
-    def __init__(self):
-        self.reset()
-
-    def reset(self):
-        """Zero all counters."""
-        self.arrays_allocated = 0
-        self.cells_allocated = 0
-
-    def snapshot(self):
-        """The counters as a dict."""
-        return {
-            "arrays_allocated": self.arrays_allocated,
-            "cells_allocated": self.cells_allocated,
-        }
-
-    def __repr__(self):
-        return (
-            f"AllocStats(arrays={self.arrays_allocated}, "
-            f"cells={self.cells_allocated})"
-        )
 
 
 #: Global allocation statistics; benchmarks reset before a run.
@@ -198,7 +153,7 @@ def make_slice(start: int, stride: int, count: int) -> slice:
     return slice(start, stop, stride)
 
 
-class VerifyStats:
+class VerifyStats(Counters):
     """Counters for the subscript-property runtime verifier.
 
     Separate from :data:`CHECK_STATS`: a verification is one O(n) scan
@@ -208,32 +163,6 @@ class VerifyStats:
 
     __slots__ = ("verifications", "cells_scanned", "fast_path",
                  "fallbacks")
-
-    def __init__(self):
-        self.reset()
-
-    def reset(self):
-        """Zero all counters."""
-        self.verifications = 0
-        self.cells_scanned = 0
-        self.fast_path = 0
-        self.fallbacks = 0
-
-    def snapshot(self):
-        """The counters as a dict."""
-        return {
-            "verifications": self.verifications,
-            "cells_scanned": self.cells_scanned,
-            "fast_path": self.fast_path,
-            "fallbacks": self.fallbacks,
-        }
-
-    def __repr__(self):
-        return (
-            f"VerifyStats(verifications={self.verifications}, "
-            f"cells={self.cells_scanned}, fast={self.fast_path}, "
-            f"fallbacks={self.fallbacks})"
-        )
 
 
 #: Global verifier statistics; benchmarks reset before a run.
@@ -308,13 +237,6 @@ def read_gather(bounds: Bounds, cells, subscript):
     """
     count_runtime("gather.reads.checked")
     return cells[bounds.index(subscript)]
-
-
-def check_bounds(linear: int, size: int, subscript) -> None:
-    """Runtime bounds check (counted)."""
-    CHECK_STATS.bounds_checks += 1
-    if not 0 <= linear < size:
-        raise BoundsError(subscript, "array bounds")
 
 
 def check_collision(defined: List[bool], linear: int, subscript) -> None:

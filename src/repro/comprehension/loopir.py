@@ -157,17 +157,3 @@ class ArrayComp:
             f"bounds={self.bounds!r})"
         )
 
-
-def loop_path(clause: SVClause) -> Tuple[LoopNest, ...]:
-    """The loop nests surrounding a clause, outermost first."""
-    return clause.loops
-
-
-def common_prefix_length(first: SVClause, second: SVClause) -> int:
-    """Number of loops shared (by identity) by two clauses."""
-    count = 0
-    for mine, theirs in zip(first.loops, second.loops):
-        if mine is not theirs:
-            break
-        count += 1
-    return count

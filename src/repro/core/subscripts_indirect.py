@@ -43,7 +43,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.comprehension.loopir import ArrayComp, SVClause
 from repro.core.affine import Affine, NonAffineError, affine_from_ast
-from repro.core.subscripts import Reference
 from repro.lang import ast
 
 #: Property provenance.
@@ -331,34 +330,6 @@ def decompose_write(
             return None
         out.append(write)
     return out
-
-
-def reduced_reference(
-    clause: SVClause, comp: ArrayComp, injective: frozenset,
-    params=None, writes: Optional[List[IndirectWrite]] = None,
-) -> Optional[Reference]:
-    """The clause's write as a reference with indirect dims *reduced*.
-
-    For a dimension ``idx!inner`` with ``idx`` injective, two
-    instances write the same element only if their inner subscripts
-    coincide — so the inner affine stands in for the dimension and the
-    ordinary §6/§7 tests apply.  Returns ``None`` when some indirect
-    dimension's array is not in ``injective`` (or the inner subscript
-    is opaque): no sound reduction exists then.
-    """
-    decomposed = decompose_write(clause, comp, params, writes)
-    if decomposed is None:
-        return None
-    subscript = []
-    for entry in decomposed:
-        if isinstance(entry, IndirectWrite):
-            if entry.index_array not in injective:
-                return None
-            subscript.append(entry.inner)
-        else:
-            subscript.append(entry)
-    return Reference(comp.name or "", tuple(subscript),
-                     clause.loop_infos, is_write=True, clause=clause)
 
 
 # ----------------------------------------------------------------------

@@ -29,7 +29,6 @@ from repro.runtime.errors import (
 )
 from repro.runtime.force import force_elements, letrec_star
 from repro.runtime.incremental import (
-    CopyStats,
     RefCountedArray,
     TrailerArray,
     bigupd,
@@ -44,7 +43,6 @@ __all__ = [
     "BlackHoleError",
     "Bounds",
     "BoundsError",
-    "CopyStats",
     "NonStrictArray",
     "RefCountedArray",
     "StrictArray",

@@ -30,7 +30,36 @@ from typing import Any, Iterable, List, Tuple
 from repro.runtime.bounds import Bounds, Subscript
 
 
-class CopyStats:
+class Counters:
+    """Base of the runtime counters classes: one int per slot.
+
+    A kind subclasses it with its counter names as ``__slots__``.
+    Slots keep an increment (``STATS.updates += 1``, also in generated
+    code) as fast as a plain attribute's, and a misspelt counter
+    raises :class:`AttributeError`.
+    """
+
+    __slots__ = ()
+
+    def __init__(self):
+        self.reset()
+
+    def reset(self):
+        """Zero all counters."""
+        for name in self.__slots__:
+            setattr(self, name, 0)
+
+    def snapshot(self):
+        """The counters as a dict."""
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value}"
+                           for name, value in self.snapshot().items())
+        return f"{type(self).__name__}({fields})"
+
+
+class CopyStats(Counters):
     """Counters of array-copy traffic.
 
     Attributes
@@ -45,29 +74,6 @@ class CopyStats:
     """
 
     __slots__ = ("arrays_copied", "cells_copied", "updates")
-
-    def __init__(self):
-        self.reset()
-
-    def reset(self):
-        """Zero all counters."""
-        self.arrays_copied = 0
-        self.cells_copied = 0
-        self.updates = 0
-
-    def snapshot(self):
-        """Return the counters as a dict."""
-        return {
-            "arrays_copied": self.arrays_copied,
-            "cells_copied": self.cells_copied,
-            "updates": self.updates,
-        }
-
-    def __repr__(self):
-        return (
-            f"CopyStats(arrays_copied={self.arrays_copied}, "
-            f"cells_copied={self.cells_copied}, updates={self.updates})"
-        )
 
 
 #: Global copy statistics; benchmarks reset before a run.

@@ -11,9 +11,10 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.runtime.errors import BlackHoleError
+from repro.runtime.incremental import Counters
 
 
-class ThunkStats:
+class ThunkStats(Counters):
     """Counters for thunk traffic, used by the E10 benchmark.
 
     Attributes
@@ -27,25 +28,6 @@ class ThunkStats:
     """
 
     __slots__ = ("created", "forced", "hits")
-
-    def __init__(self):
-        self.reset()
-
-    def reset(self):
-        """Zero all counters."""
-        self.created = 0
-        self.forced = 0
-        self.hits = 0
-
-    def snapshot(self):
-        """Return the counters as a dict (for reports)."""
-        return {"created": self.created, "forced": self.forced, "hits": self.hits}
-
-    def __repr__(self):
-        return (
-            f"ThunkStats(created={self.created}, forced={self.forced}, "
-            f"hits={self.hits})"
-        )
 
 
 #: Global thunk statistics. Benchmarks reset this before a run.

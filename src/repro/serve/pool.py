@@ -4,7 +4,7 @@ Two execution modes behind one ``submit_wire`` surface:
 
 * ``workers > 0`` — a :class:`~concurrent.futures.ProcessPoolExecutor`
   of compile workers.  Each worker process owns a full
-  :class:`~repro.service.CompileService` (sharded memory tier plus the
+  :class:`~repro.service.CompileService` (its own memory tier plus the
   *shared* disk tier), so a source compiled by one worker is a disk
   hit for every other worker and for future server restarts.  Requests
   and results cross the process boundary in the versioned wire form
@@ -48,18 +48,18 @@ CRASH_EXIT = 13
 _WORKER_SERVICE = None
 
 
-def _init_worker(disk_dir, capacity: int, shards: int, salt: str) -> None:
+def _init_worker(disk_dir, capacity: int, salt: str) -> None:
     global _WORKER_SERVICE
     from repro.service import CompileService
 
     _WORKER_SERVICE = CompileService(
-        capacity=capacity, disk_dir=disk_dir, shards=shards, salt=salt,
+        capacity=capacity, disk_dir=disk_dir, salt=salt,
     )
 
 
 def _worker_submit(wire_request: Dict) -> Dict:
     if _WORKER_SERVICE is None:  # belt and braces; initializer sets it
-        _init_worker(None, 256, 8, PIPELINE_SALT)
+        _init_worker(None, 256, PIPELINE_SALT)
     token = os.environ.get(CRASH_ENV)
     if token and token in str(wire_request.get("src", "")):
         os._exit(CRASH_EXIT)
@@ -69,7 +69,7 @@ def _worker_submit(wire_request: Dict) -> Dict:
 
 def _worker_stats(_: object = None) -> Dict:
     if _WORKER_SERVICE is None:
-        _init_worker(None, 256, 8, PIPELINE_SALT)
+        _init_worker(None, 256, PIPELINE_SALT)
     return _WORKER_SERVICE.stats()
 
 
@@ -84,7 +84,6 @@ class CompilePool:
         workers: int = 0,
         *,
         capacity: int = 512,
-        shards: int = 8,
         disk_dir=None,
         salt: str = PIPELINE_SALT,
         service=None,
@@ -93,7 +92,6 @@ class CompilePool:
             raise ValueError("workers must be >= 0")
         self.workers = workers
         self.capacity = capacity
-        self.shards = shards
         self.disk_dir = disk_dir
         self.salt = salt
         self.restarts = 0
@@ -111,7 +109,7 @@ class CompilePool:
 
                 self.service = CompileService(
                     capacity=self.capacity, disk_dir=self.disk_dir,
-                    shards=self.shards, salt=self.salt,
+                    salt=self.salt,
                 )
             width = max(4, min(32, (os.cpu_count() or 2) * 4))
             self._executor = ThreadPoolExecutor(
@@ -121,8 +119,7 @@ class CompilePool:
             self._executor = ProcessPoolExecutor(
                 max_workers=self.workers,
                 initializer=_init_worker,
-                initargs=(self.disk_dir, self.capacity, self.shards,
-                          self.salt),
+                initargs=(self.disk_dir, self.capacity, self.salt),
             )
 
     # ------------------------------------------------------------------

@@ -88,8 +88,6 @@ class ServeConfig:
     timeout_s: float = 30.0
     #: Memory-tier capacity per service (per worker in pool mode).
     capacity: int = 512
-    #: Memory-tier/in-flight shard count.
-    shards: int = 8
     #: Shared persistent tier; ``None`` disables it.
     disk_dir: Optional[str] = None
     #: Largest accepted request body.
@@ -171,7 +169,7 @@ class CompileServer:
         config = self.config
         self.pool = CompilePool(
             config.workers, capacity=config.capacity,
-            shards=config.shards, disk_dir=config.disk_dir,
+            disk_dir=config.disk_dir,
             service=self._service,
         )
         self._server = await asyncio.start_server(
@@ -455,7 +453,7 @@ def run_server(config: Optional[ServeConfig] = None) -> int:
         cfg = server.config
         print(
             f"repro compile service on http://{host}:{port} "
-            f"(workers={cfg.workers or 'inline'}, shards={cfg.shards}, "
+            f"(workers={cfg.workers or 'inline'}, "
             f"queue_limit={cfg.queue_limit}, "
             f"timeout={cfg.timeout_s:g}s"
             + (f", disk={cfg.disk_dir}" if cfg.disk_dir else "")

@@ -66,9 +66,7 @@ from repro.service.store import (
     DEFAULT_CACHE_DIR,
     DiskStore,
     MemoryLRU,
-    ShardedLRU,
     TieredStore,
-    shard_index,
 )
 
 __all__ = [
@@ -82,7 +80,6 @@ __all__ = [
     "PIPELINE_SALT",
     "STATS_SCHEMA",
     "ServiceMetrics",
-    "ShardedLRU",
     "TieredStore",
     "WIRE_SCHEMA",
     "WireError",
@@ -97,5 +94,4 @@ __all__ = [
     "render_stats",
     "resolve_cache",
     "service_stats",
-    "shard_index",
 ]

@@ -18,10 +18,9 @@
 * ``submit(CompileRequest(..., warm_only=True))`` — cache warming,
   e.g. at process start from a kernel catalog.
 
-Concurrency: the memory tier is sharded by fingerprint prefix
-(:class:`~repro.service.store.ShardedLRU`) and in-flight coalescing
-is sharded the same way, so requests only serialize against requests
-on the same shard.  The service returns the *same* compiled object
+Concurrency: one lock guards the memory tier and one the in-flight
+table; neither is held across a build, so different requests build
+concurrently.  The service returns the *same* compiled object
 for repeated hits; compiled objects are treated as immutable.
 Mutating a cached object's report would poison later hits — don't.
 """
@@ -42,20 +41,11 @@ from repro.service.fingerprint import PIPELINE_SALT, _options_key
 from repro.service.fingerprint import fingerprint, fingerprint_program
 from repro.service.metrics import ServiceMetrics
 from repro.service.stats import service_stats
-from repro.service.store import (
-    DiskStore,
-    MemoryLRU,
-    ShardedLRU,
-    TieredStore,
-    shard_index,
-)
+from repro.service.store import DiskStore, MemoryLRU, TieredStore
 
 #: Request-memo entries kept per service (see
 #: :meth:`CompileService._resolve`).
 _MEMO_CAP = 4096
-
-#: Default shard count for the memory tier and the in-flight table.
-DEFAULT_SHARDS = 8
 
 
 class CompileService:
@@ -64,8 +54,7 @@ class CompileService:
     Parameters
     ----------
     capacity:
-        Memory-tier LRU capacity (live ``CompiledComp`` objects),
-        summed across shards.
+        Memory-tier LRU capacity (live ``CompiledComp`` objects).
     disk_dir / disk:
         Enable the persistent tier: either a directory, or ``True``
         for the default ``~/.cache/repro`` (override with the
@@ -75,10 +64,6 @@ class CompileService:
     salt:
         Pipeline version salt; requests fingerprinted under a
         different salt never see each other's entries.
-    shards:
-        Memory-tier and in-flight-table shard count (per-shard locks;
-        requests on different shards never contend).  ``1`` restores
-        the single-lock :class:`MemoryLRU`.
     """
 
     def __init__(
@@ -88,26 +73,19 @@ class CompileService:
         disk: bool = False,
         salt: str = PIPELINE_SALT,
         max_workers: Optional[int] = None,
-        shards: int = DEFAULT_SHARDS,
     ):
         disk_store = None
         if disk_dir is not None or disk:
             disk_store = DiskStore(disk_dir, salt=salt)
-        if shards > 1:
-            memory = ShardedLRU(capacity, shards)
-        else:
-            memory = MemoryLRU(capacity)
-        self.store = TieredStore(memory, disk_store)
+        self.store = TieredStore(MemoryLRU(capacity), disk_store)
         self.salt = salt
         self.metrics = ServiceMetrics()
         self.max_workers = max_workers
-        self.shards = getattr(memory, "shard_count", 1)
-        #: Per-shard in-flight tables: requests only serialize against
-        #: the shard their fingerprint lands on.
-        self._flight = [
-            (Lock(), {}) for _ in range(self.shards)
-        ]
+        #: Guards the in-flight table and the request memo; never
+        #: held across a parse or a build.
         self._lock = Lock()
+        #: In-flight builds by fingerprint (identical requests coalesce).
+        self._inflight: Dict[str, Future] = {}
         # Request memo: a request's fields -> (kind, fingerprint), so
         # a repeated request goes to the store without parsing.
         # Renamed or re-formatted variants still meet in the store
@@ -260,7 +238,7 @@ class CompileService:
         return build
 
     def _cached(self, key: str, build, started: float):
-        """Store lookup -> per-shard in-flight dedup -> build -> put.
+        """Store lookup -> in-flight dedup -> build -> put.
 
         Returns ``(compiled, tier)`` — ``tier`` is the store tier that
         served a hit, ``None`` when this call (or an in-flight leader
@@ -268,21 +246,17 @@ class CompileService:
         request's clock, so ``hit_time`` is what the caller waited.
         """
         compiled, tier = self.store.get(key)
-        shard = shard_index(key, self.shards)
         if compiled is not None:
             self.metrics.record_hit(tier, perf_counter() - started)
             _trace_count(f"service.hit.{tier or 'memory'}")
-            _trace_count(f"service.shard.{shard}.hit")
             return compiled, tier
 
-        _trace_count(f"service.shard.{shard}.miss")
-        lock, inflight = self._flight[shard]
-        with lock:
-            future = inflight.get(key)
+        with self._lock:
+            future = self._inflight.get(key)
             leader = future is None
             if leader:
                 future = Future()
-                inflight[key] = future
+                self._inflight[key] = future
         if not leader:
             self.metrics.record_coalesced()
             _trace_count("service.coalesced")
@@ -303,8 +277,8 @@ class CompileService:
             future.set_exception(exc)
             raise
         finally:
-            with lock:
-                inflight.pop(key, None)
+            with self._lock:
+                self._inflight.pop(key, None)
 
     @staticmethod
     def _normalize(req) -> CompileRequest:
@@ -348,8 +322,7 @@ class CompileService:
         mem = store["memory"]
         lines.append(
             f"  memory tier: {mem['entries']}/{mem['capacity']} "
-            f"entries across {mem['shards']} shard(s), "
-            f"{mem['evictions']} eviction(s)"
+            f"entries, {mem['evictions']} eviction(s)"
         )
         disk = store["disk"]
         if disk is not None:

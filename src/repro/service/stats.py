@@ -15,12 +15,11 @@ Before the serve layer there were three ad-hoc ``stats()`` shapes
 Layout (see DESIGN.md for the field-by-field contract)::
 
     {
-      "schema": "repro-stats/1",
+      "schema": "repro-stats/2",
       "requests": { hits, misses, coalesced, errors, hit_rate,
                     tiers, compile_time, hit_time, passes, ... },
       "store": {
-        "memory": { entries, capacity, evictions, hits, misses,
-                    shards, per_shard: [...] },
+        "memory": { entries, capacity, evictions, hits, misses },
         "disk":   { entries, bytes, dir, read_errors, write_errors }
                   | null
       },
@@ -39,7 +38,7 @@ from typing import Dict, Optional
 
 #: Version tag carried by every stats payload.  Bump on incompatible
 #: layout changes; consumers check it before digging in.
-STATS_SCHEMA = "repro-stats/1"
+STATS_SCHEMA = "repro-stats/2"
 
 
 def store_stats(store) -> Dict:
@@ -49,13 +48,9 @@ def store_stats(store) -> Dict:
         "entries": len(memory),
         "capacity": memory.capacity,
         "evictions": memory.evictions,
-        "hits": getattr(memory, "hits", 0),
-        "misses": getattr(memory, "misses", 0),
-        "shards": getattr(memory, "shard_count", 1),
+        "hits": memory.hits,
+        "misses": memory.misses,
     }
-    shard_stats = getattr(memory, "shard_stats", None)
-    if shard_stats is not None:
-        mem["per_shard"] = shard_stats()
     disk: Optional[Dict] = None
     if store.disk is not None:
         entries = list(store.disk.entries())
@@ -135,19 +130,10 @@ def render_stats(stats: Dict) -> str:
     if store:
         mem = store["memory"]
         lines.append(
-            f"  memory tier: {mem['entries']}/{mem['capacity']} entries "
-            f"across {mem['shards']} shard(s), "
+            f"  memory tier: {mem['entries']}/{mem['capacity']} entries, "
             f"{mem['evictions']} eviction(s), "
             f"{mem['hits']} hit(s) / {mem['misses']} miss(es)"
         )
-        per_shard = mem.get("per_shard")
-        if per_shard and any(s["hits"] or s["misses"] for s in per_shard):
-            hot = "  ".join(
-                f"{k}:{s['hits']}/{s['misses']}"
-                for k, s in enumerate(per_shard)
-                if s["hits"] or s["misses"]
-            )
-            lines.append(f"  per-shard hit/miss: {hot}")
         disk = store.get("disk")
         if disk:
             lines.append(

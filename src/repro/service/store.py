@@ -1,15 +1,9 @@
 """Two-tier cache of compiled comprehensions.
 
-The **memory tier** holds live
-:class:`~repro.codegen.compile.CompiledComp` objects — a hit costs one
-dict lookup, no re-``exec``.  It comes in two shapes:
-:class:`MemoryLRU` (one lock, fine for single-threaded callers) and
-:class:`ShardedLRU` (the default inside
-:class:`~repro.service.service.CompileService`), which splits the map
-into :func:`shard_index`-selected shards by fingerprint prefix so
-concurrent requests only contend when they share leading fingerprint
-nibbles.  The **disk tier** (:class:`DiskStore`)
-persists the generated source plus the pickled
+The **memory tier** (:class:`MemoryLRU`) holds live
+:class:`~repro.codegen.compile.CompiledComp` objects behind one lock —
+a hit costs one dict lookup, no re-``exec``.  The **disk tier**
+(:class:`DiskStore`) persists the generated source plus the pickled
 :class:`~repro.core.pipeline.Report` across processes under
 ``~/.cache/repro`` (or a caller-supplied directory); a disk hit
 re-``exec``'s the cached source but never re-runs analysis.
@@ -47,21 +41,6 @@ DEFAULT_CACHE_DIR = Path(
 
 #: On-disk payload layout version (independent of the pipeline salt).
 FORMAT_VERSION = 1
-
-
-def shard_index(fingerprint: str, shards: int) -> int:
-    """Map a fingerprint to a shard by its hex prefix.
-
-    Fingerprints are sha256 hexdigests, so the leading nibbles are
-    uniformly distributed; non-hex keys (never produced by the
-    fingerprinter, but tolerated) fall back to ``hash()``.
-    """
-    if shards <= 1:
-        return 0
-    try:
-        return int(fingerprint[:8], 16) % shards
-    except (ValueError, TypeError):
-        return hash(fingerprint) % shards
 
 
 class MemoryLRU:
@@ -115,94 +94,6 @@ class MemoryLRU:
     def __contains__(self, fingerprint: str) -> bool:
         with self._lock:
             return fingerprint in self._entries
-
-
-class ShardedLRU:
-    """LRU sharded by fingerprint prefix, one lock per shard.
-
-    A drop-in replacement for :class:`MemoryLRU` inside
-    :class:`TieredStore`: same ``get``/``put``/``invalidate``/
-    ``clear``/``keys`` surface, same aggregate ``capacity`` /
-    ``evictions`` accounting.  The difference is contention: the
-    single LRU lock becomes :data:`shards` independent locks, so
-    concurrent requests only serialize when they land on the same
-    shard (same leading fingerprint nibbles), never globally.  Each
-    shard is its own :class:`MemoryLRU` with ``capacity / shards``
-    entries — eviction is per shard, which for uniformly distributed
-    sha256 keys is indistinguishable from global LRU in practice.
-    """
-
-    def __init__(self, capacity: int = 256, shards: int = 8):
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        shards = min(shards, capacity) or 1
-        per_shard = (capacity + shards - 1) // shards
-        self._shards = [MemoryLRU(per_shard) for _ in range(shards)]
-
-    @property
-    def shard_count(self) -> int:
-        return len(self._shards)
-
-    @property
-    def capacity(self) -> int:
-        return sum(shard.capacity for shard in self._shards)
-
-    @property
-    def evictions(self) -> int:
-        return sum(shard.evictions for shard in self._shards)
-
-    @property
-    def hits(self) -> int:
-        return sum(shard.hits for shard in self._shards)
-
-    @property
-    def misses(self) -> int:
-        return sum(shard.misses for shard in self._shards)
-
-    def shard_of(self, fingerprint: str) -> int:
-        return shard_index(fingerprint, len(self._shards))
-
-    def _shard(self, fingerprint: str) -> MemoryLRU:
-        return self._shards[self.shard_of(fingerprint)]
-
-    def get(self, fingerprint: str) -> Optional[CompiledComp]:
-        return self._shard(fingerprint).get(fingerprint)
-
-    def put(self, fingerprint: str, compiled: CompiledComp) -> None:
-        self._shard(fingerprint).put(fingerprint, compiled)
-
-    def invalidate(self, fingerprint: str) -> bool:
-        return self._shard(fingerprint).invalidate(fingerprint)
-
-    def clear(self) -> None:
-        for shard in self._shards:
-            shard.clear()
-
-    def keys(self):
-        """Fingerprints across all shards (shard-major order)."""
-        out = []
-        for shard in self._shards:
-            out.extend(shard.keys())
-        return out
-
-    def shard_stats(self):
-        """Per-shard occupancy and traffic, in shard order."""
-        return [
-            {
-                "entries": len(shard),
-                "capacity": shard.capacity,
-                "hits": shard.hits,
-                "misses": shard.misses,
-                "evictions": shard.evictions,
-            }
-            for shard in self._shards
-        ]
-
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self._shards)
-
-    def __contains__(self, fingerprint: str) -> bool:
-        return fingerprint in self._shard(fingerprint)
 
 
 class DiskStore:

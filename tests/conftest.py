@@ -8,9 +8,23 @@ Registers hypothesis settings profiles when hypothesis is installed:
 
 A profile is only *loaded* when ``HYPOTHESIS_PROFILE`` names it;
 plain local runs keep hypothesis's defaults.
+
+``libcst`` (when installed) is imported here once, with its
+``DeprecationWarning`` ignored: hypothesis imports it lazily while
+reporting a failure, and under ``-W error::DeprecationWarning`` the
+warning its ``mypy_extensions.TypedDict`` use raises would replace the
+falsifying example with an INTERNALERROR.
 """
 
 import os
+import warnings
+
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import libcst  # noqa: F401
+    except ImportError:  # CI does not install it
+        pass
 
 try:
     from hypothesis import HealthCheck, settings

@@ -159,7 +159,8 @@ class TestRoutes:
         assert payload["serve"]["admitted"] == 2
         service = payload["service"]
         assert service["requests"]["hits"] == 1
-        assert service["store"]["memory"]["shards"] >= 1
+        assert payload["schema"] == "repro-stats/2"
+        assert "shards" not in service["store"]["memory"]
 
 
 class SlowService(CompileService):

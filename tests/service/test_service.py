@@ -328,7 +328,12 @@ class TestMetricsRendering:
         service = CompileService()
         compile_one(service, kernels.SQUARES, params={"n": 4})
         compile_one(service, kernels.SQUARES, params={"n": 4})
-        json.dumps(service.stats())  # must not raise
+        stats = service.stats()
+        json.dumps(stats)  # must not raise
+        assert stats["schema"] == "repro-stats/2"
+        assert set(stats["store"]["memory"]) == {
+            "entries", "capacity", "evictions", "hits", "misses",
+        }
 
     def test_summary_mentions_key_numbers(self):
         service = CompileService()
