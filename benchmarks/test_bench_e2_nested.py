@@ -7,8 +7,9 @@ i forward and j backward, clause 3 after the inner loop.
 
 import pytest
 
-import repro
-from repro import analyze, CodegenOptions
+from repro import analyze
+from repro.codegen.compile import CompiledComp
+from repro.codegen.emit import emit_thunkless
 from repro.kernels import EXAMPLE2
 
 EXPECTED_EDGES = {
@@ -33,8 +34,15 @@ def test_e2_analysis(benchmark):
 
 @pytest.mark.benchmark(group="E2-execution")
 def test_e2_execution(benchmark):
-    compiled = repro.compile(EXAMPLE2, strategy="array",
-                             options=CodegenOptions())
+    # Example 2 is partial, as the paper's schematic is: the facade
+    # compiles its empties check, and a call raises on the first
+    # unwritten cell.  The emitter layer, which compiles no checks,
+    # gives the plain loop nest this experiment times.
+    report = analyze(EXAMPLE2)
+    compiled = CompiledComp(
+        emit_thunkless(report.comp, report.schedule, edges=report.edges),
+        report,
+    )
     result = benchmark(compiled, {})
     # Spot-check a value chain: clause 2 feeds clause 3 across i.
     assert result.at(100 * 2 + 51) == result.at(100 * 1 + 2 * 5) + 0

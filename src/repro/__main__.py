@@ -224,15 +224,20 @@ def _serve_stats(cache_dir) -> int:
     return 0
 
 
-def _tile_flag(args):
-    """``--tile`` surface form -> CodegenOptions.tile spec."""
-    raw = getattr(args, "tile", None)
-    if raw is None or raw == "auto":
-        return raw
+def _options(args) -> CodegenOptions:
+    """The CLI flags as :class:`CodegenOptions`; a malformed value
+    exits with the options' own message."""
+    tile = getattr(args, "tile", None)
+    if tile is not None and tile != "auto":
+        try:
+            tile = int(tile)
+        except ValueError:
+            raise SystemExit("--tile must be 'auto' or an integer >= 1")
     try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit("--tile must be 'auto' or an integer >= 1")
+        return CodegenOptions(vectorize=args.vectorize,
+                              backend=args.backend, tile=tile)
+    except CodegenError as exc:
+        raise SystemExit(str(exc)) from exc
 
 
 def _dist_workers(args) -> int:
@@ -270,14 +275,7 @@ def _program_command(args, binds, params) -> int:
         _print_result(result)
         return 0
 
-    try:
-        options = CodegenOptions.from_flags(
-            vectorize=args.vectorize,
-            backend=args.backend,
-            tile=_tile_flag(args),
-        )
-    except CodegenError as exc:
-        raise SystemExit(str(exc)) from exc
+    options = _options(args)
     dist_workers = _dist_workers(args)
     try:
         program = repro.compile_program(
@@ -322,14 +320,7 @@ def _explain_command(args, tree, params) -> int:
     from repro.obs.explain import explain
 
     dist_workers = _dist_workers(args)
-    try:
-        options = CodegenOptions.from_flags(
-            vectorize=args.vectorize,
-            backend=args.backend,
-            tile=_tile_flag(args),
-        )
-    except CodegenError as exc:
-        raise SystemExit(str(exc)) from exc
+    options = _options(args)
     try:
         explanation = explain(
             tree,
@@ -523,14 +514,7 @@ def main(argv=None) -> int:
         print(f"vectorizable inner loops: {report.vectorizable}")
         return 0
 
-    try:
-        options = CodegenOptions.from_flags(
-            vectorize=args.vectorize,
-            backend=args.backend,
-            tile=_tile_flag(args),
-        )
-    except CodegenError as exc:
-        raise SystemExit(str(exc)) from exc
+    options = _options(args)
     try:
         compiled = repro.compile(
             tree,

@@ -122,7 +122,7 @@ def lower(job: LoweringJob, report=None) -> str:
     source, and every skip/fallback appends its reason to
     ``report.backend``.
     """
-    requested = getattr(job.options, "backend", "python") or "python"
+    requested = job.options.backend
     log = getattr(report, "backend", None) if report is not None else None
     if requested != "python":
         backend = get_backend(requested)

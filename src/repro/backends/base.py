@@ -57,6 +57,10 @@ class LoweringJob:
 
     mode: str
     comp: object
+    #: The :class:`~repro.codegen.emit.CodegenOptions` with every
+    #: check the analysis added (a partial comprehension carries
+    #: ``empties_check``, so a backend whose buffers cannot hold an
+    #: undefined cell refuses it as a check).
     options: object
     schedule: object = None
     params: Optional[Dict] = None
@@ -71,10 +75,6 @@ class LoweringJob:
     #: GuardPlan` (verify specs + indirect dimension map).  Other
     #: backends refuse the mode and fall back to python.
     subscripts: object = None
-    #: Set by the pipeline from ``report.empties.checks_needed`` — a
-    #: backend whose result buffers cannot represent *undefined* cells
-    #: (the C tier zero-fills) must refuse partial comprehensions.
-    empties_needed: bool = False
     #: An accepted :class:`~repro.core.tiling.TilePlan` when the
     #: pipeline decided to cache-block this nest (``thunkless`` and
     #: ``inplace`` modes only); ``None`` or a rejected plan means emit

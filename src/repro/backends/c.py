@@ -692,15 +692,19 @@ class CBackend(Backend):
 
     def emit(self, job: LoweringJob) -> str:
         options = job.options
-        for flag, why in (
-            ("vectorize", "numpy slice emission is python-only"),
-            ("bounds_checks", "runtime bounds checks are not lowered"),
-            ("collision_checks",
-             "runtime collision checks are not lowered"),
-            ("empties_check", "runtime empties checks are not lowered"),
-        ):
-            if getattr(options, flag, False):
-                raise BackendUnsupported(f"{flag} requested — {why}")
+        if options.vectorize:
+            raise BackendUnsupported(
+                "vectorize requested — numpy slice emission is python-only"
+            )
+        # A check is on because the options force it or because the
+        # analysis could not discharge it (an unwritten cell of a
+        # partial comprehension, which a C double buffer cannot hold).
+        for flag in ("bounds_checks", "collision_checks", "empties_check"):
+            if getattr(options, flag):
+                raise BackendUnsupported(
+                    f"{flag} on — runtime {flag.split('_')[0]} checks "
+                    "are not lowered"
+                )
         if job.mode == "thunked":
             raise BackendUnsupported(
                 "thunked arrays suspend element values — there is no "
@@ -720,11 +724,6 @@ class CBackend(Backend):
         if job.indirect_guard_dims():
             raise BackendUnsupported(
                 "indirect write subscripts (a!(idx!i)) are not lowered"
-            )
-        if job.mode == "thunkless" and job.empties_needed:
-            raise BackendUnsupported(
-                "comprehension is not provably total — undefined cells "
-                "must stay None, which a C double buffer cannot represent"
             )
         if job.schedule is None or not getattr(job.schedule, "ok", False):
             raise BackendUnsupported("no safe static schedule")

@@ -44,6 +44,7 @@ from threading import Lock
 from typing import Dict, Optional
 
 from repro.obs.trace import count_runtime as _count_runtime
+from repro.runtime.incremental import Counters
 from repro.service.fingerprint import PIPELINE_SALT
 
 #: Flags every kernel is compiled with.  No ``-ffast-math`` and no FP
@@ -60,18 +61,11 @@ CFLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off",
 _CANDIDATE_COMPILERS = ("cc", "gcc", "clang")
 
 
-@dataclass
-class NativeStats:
+class NativeStats(Counters):
     """Process-wide native-tier counters (always on, unlike traces)."""
 
-    cc_invocations: int = 0
-    so_cache_hits: int = 0
-    memo_hits: int = 0
-    kernel_loads: int = 0
-    probe_failures: int = 0
-
-    def snapshot(self) -> Dict[str, int]:
-        return dict(self.__dict__)
+    __slots__ = ("cc_invocations", "so_cache_hits", "memo_hits",
+                 "kernel_loads", "probe_failures")
 
 
 NATIVE_STATS = NativeStats()
@@ -256,13 +250,6 @@ def clear_kernel_memo() -> int:
         dropped = len(_LOADED)
         _LOADED.clear()
         return dropped
-
-
-def reset_native_stats() -> None:
-    """Zero :data:`NATIVE_STATS` (tests)."""
-    global NATIVE_STATS
-    for name in list(NATIVE_STATS.__dict__):
-        setattr(NATIVE_STATS, name, 0)
 
 
 def as_f64(buffer):

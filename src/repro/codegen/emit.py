@@ -59,12 +59,18 @@ except ImportError:  # vector codegen is optional
 '''
 
 
-@dataclass
+@dataclass(frozen=True)
 class CodegenOptions:
-    """Which runtime checks to compile in.
+    """What a compile asks of code generation.
 
-    Analysis normally proves checks unnecessary; forcing them on lets
-    benchmarks measure what the proofs buy (experiment E9).
+    ``options=None`` is the same request as ``CodegenOptions()`` on
+    every path.  The three check fields force a runtime check on even
+    where the analysis proved it unnecessary (benchmarks measure what
+    the proofs buy, experiments E9 and E25).  They never switch a check
+    off: the pipeline adds every check the analysis could not discharge
+    to the options it was given (``Report.checks`` records the result).
+    Frozen and checked at construction: a malformed value raises
+    :class:`CodegenError` here, never later.
     """
 
     bounds_checks: bool = False
@@ -78,79 +84,39 @@ class CodegenOptions:
     vectorize: bool = False
     #: Which registered emitter lowers the scheduled loops
     #: (:mod:`repro.backends`): ``"python"`` (the default) or ``"c"``
-    #: (native shared-object kernels via cffi).  Constructs a non-
-    #: python backend cannot lower fall back to the python emitter
-    #: with a reasoned ``Report.backend`` entry.
+    #: (native shared-object kernels via cffi).  The backend picks the
+    #: emitter only, never the checks or the lowering mode.  A job a
+    #: non-python backend cannot lower (vectorize, a runtime check, a
+    #: guarded or accumulated store, ...) gets the python emitter's
+    #: module for the same request, with a reasoned ``Report.backend``
+    #: entry.  An unknown name is the registry's error at lowering.
     backend: str = "python"
     #: Cache-block the scheduled loops of a C kernel: ``None`` (off),
-    #: ``"auto"`` (cache-model tile edge), or an int edge applied to
-    #: every tiled axis.  Legality is decided per nest by
+    #: ``"auto"`` (cache-model tile edge), or an int edge >= 1 applied
+    #: to every tiled axis.  Legality is decided per nest by
     #: :mod:`repro.core.tiling`; python loops are never blocked, so a
     #: python unit, or a nest the legality pass refuses, runs untiled
     #: with a reasoned ``Report.tiling`` entry.  An out-of-core
     #: program also takes an int ``tile`` as its rows per tile.
     tile: object = None
 
-    @classmethod
-    def from_flags(cls, *, vectorize: bool = False,
-                   bounds_checks: bool = False,
-                   collision_checks: bool = False,
-                   empties_check: bool = False,
-                   backend: str = "python",
-                   tile=None) -> "Optional[CodegenOptions]":
-        """Validated options from CLI-style flags — the one place that
-        rejects conflicting combinations.
-
-        Returns ``None`` when every flag is at its default, so the
-        pipeline keeps choosing runtime checks from its own analysis
-        (auto-options only apply when no options object is passed).
-        """
+    def __post_init__(self):
+        for name in ("bounds_checks", "collision_checks", "empties_check",
+                     "vectorize"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise CodegenError(f"{name} must be a bool, got {value!r}")
+        if not isinstance(self.backend, str):
+            raise CodegenError(
+                f"backend must be a backend name, got {self.backend!r}"
+            )
+        tile = self.tile
         if tile is not None and tile != "auto" and (
             isinstance(tile, bool) or not isinstance(tile, int) or tile < 1
         ):
             raise CodegenError(
-                f"--tile must be 'auto' or an integer >= 1, got {tile!r}"
+                f"tile must be None, 'auto' or an integer >= 1, got {tile!r}"
             )
-        if backend != "python":
-            from repro.backends import backend_names
-
-            if backend not in backend_names():
-                raise CodegenError(
-                    f"unknown backend {backend!r}; registered backends: "
-                    + ", ".join(sorted(backend_names()))
-                )
-            # The native tier lowers pure scheduled loops; every knob
-            # that changes the *runtime shape* of the generated python
-            # (numpy views, check instrumentation) is a loud conflict,
-            # not a silent downgrade.
-            for flag, why in (
-                ("vectorize" if vectorize else "", "numpy-slice "
-                 "emission is a python-emitter transform"),
-                ("bounds-checks" if bounds_checks else "", "runtime "
-                 "check instrumentation has no native lowering"),
-                ("collision-checks" if collision_checks else "",
-                 "runtime check instrumentation has no native lowering"),
-                ("empties-check" if empties_check else "", "runtime "
-                 "check instrumentation has no native lowering"),
-            ):
-                if flag:
-                    raise CodegenError(
-                        f"--backend {backend} cannot be combined with "
-                        f"--{flag}: {why}; drop one of the two (the "
-                        "python backend supports every flag)"
-                    )
-        if backend == "python" and tile is None and not any(
-            (vectorize, bounds_checks, collision_checks, empties_check)
-        ):
-            return None
-        return cls(
-            bounds_checks=bounds_checks,
-            collision_checks=collision_checks,
-            empties_check=empties_check,
-            vectorize=vectorize,
-            backend=backend,
-            tile=tile,
-        )
 
     @property
     def checked(self) -> bool:

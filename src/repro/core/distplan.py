@@ -656,7 +656,7 @@ OOC_TARGET_BYTES = 1 << 24
 
 def _ooc_tile_rows(tile, tail: int, halo: int) -> int:
     """Rows per streamed tile: explicit ``tile=`` int, else budgeted."""
-    if isinstance(tile, int) and not isinstance(tile, bool) and tile >= 1:
+    if isinstance(tile, int):
         return tile
     per_row = 16 * max(1, tail)  # window row + dst row, 8 bytes each
     return max(1, OOC_TARGET_BYTES // per_row - halo)

@@ -66,9 +66,15 @@ class FusionPlan:
 
 
 def wrap_binding(bind: ast.Binding) -> ast.Node:
-    """Array binding -> analyzable expression (same convention as the
-    program compiler: bare ``array b e`` becomes ``letrec* name = ...
-    in name`` so self-reads classify as flow dependences)."""
+    """Array-shaped binding -> compilable expression.
+
+    A bare ``array b e`` is wrapped as ``letrec* name = array b e in
+    name`` so reads of the binding's own name classify as *flow*
+    dependences (a recursive array), not external inputs.  An
+    expression that is already a ``let`` is used as-is — wrapping it
+    again would shadow the inner comprehension's name and misread its
+    self-references.
+    """
     expr = bind.expr
     if isinstance(expr, ast.Let):
         return expr

@@ -35,7 +35,7 @@ compile-time side of each experiment in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from repro.backends import LoweringJob, lower
@@ -191,19 +191,6 @@ def _vectorizable_loops(comp: ArrayComp, edges: List[DepEdge]) -> List[str]:
     return out
 
 
-def _guard_compatible(options: Optional[CodegenOptions]) -> bool:
-    """Whether user options leave room for a guarded dual schedule.
-
-    Explicitly requested runtime checks or a non-python backend pin
-    the emission shape; the guarded kernel only replaces the
-    *auto-chosen* checked path (``vectorize`` rides along — the fast
-    path is where it can actually engage).
-    """
-    if options is None:
-        return True
-    return not (options.checked or options.backend != "python")
-
-
 def _unproven_guard_dims(
     sub_report, need_injective: bool = True
 ) -> Dict[int, Dict[int, str]]:
@@ -328,6 +315,8 @@ class _State:
     strategy: str
     src: object
     params: Optional[Dict[str, int]] = None
+    #: ``None`` is normalized to ``CodegenOptions()`` here, once; no
+    #: pass branches on it.
     options: Optional[CodegenOptions] = None
     force_strategy: Optional[str] = None
     old_array: Optional[str] = None
@@ -356,6 +345,9 @@ class _State:
     parallel_plan: object = None
     source: str = ""
     compiled: Optional[CompiledComp] = None
+
+    def __post_init__(self):
+        self.options = self.options or CodegenOptions()
 
 
 # ----------------------------------------------------------------------
@@ -528,7 +520,7 @@ def _interchange(st: _State) -> None:
     does not, so the vectorizer finds a dependence-free innermost
     loop.  Monolithic semantics make any loop permutation meaning-
     preserving; only the analysis must be redone."""
-    if st.options is None or not st.options.vectorize:
+    if not st.options.vectorize:
         return
     from repro.core.interchange import interchange, plan_interchanges
 
@@ -586,9 +578,12 @@ def _guard(st: _State) -> None:
         return
     stores = _STORES[st.strategy]
     st.unproven = _unproven_guard_dims(sub, stores.monolithic)
+    # Forced checks pin the checked emission shape; the guarded kernel
+    # replaces only the checks the analysis asks for (``vectorize``
+    # rides along: its fast path is where a vector slice can engage).
     if not (stores.guarded and report.schedule.ok
             and st.force_strategy is None
-            and _guard_compatible(st.options)):
+            and not st.options.checked):
         return
     from repro.core.subscripts_indirect import plan_guard
 
@@ -616,33 +611,32 @@ def _guard(st: _State) -> None:
 
 
 def _checks(st: _State) -> None:
-    """Runtime checks the analyses could not discharge (only when the
-    caller passed no options): collisions and empties for monolithic
-    arrays; and bounds + exact-int checks on stores through an
-    unverified index array, which can hold out-of-range or non-int
-    values that unchecked stores would wrap silently or crash on."""
+    """The checks the options force on, plus every runtime check the
+    analyses could not discharge: collisions and empties for monolithic
+    arrays without a guarded kernel; and bounds + exact-int checks on
+    stores through an unverified index array, which can hold
+    out-of-range or non-int values that unchecked stores would wrap
+    silently or crash on."""
     report = st.report
-    options = st.options
-    if options is None:
-        options = CodegenOptions()
-        stores = _STORES[st.strategy]
-        if st.guard is None and stores.monolithic:
-            options.collision_checks = report.collision.checks_needed
-            options.empties_check = report.empties.checks_needed
-            if options.collision_checks:
-                report.notes.append(
-                    "runtime collision checks compiled (analysis "
-                    "inconclusive)"
-                )
-            if options.empties_check:
-                report.notes.append(
-                    "runtime empties check compiled (analysis "
-                    "inconclusive)"
-                )
-        if st.unproven and st.guard is None:
-            options.bounds_checks = True
-            report.notes.append(stores.checked_note)
-    report.checks = st.options = options
+    stores = _STORES[st.strategy]
+    needed = {}
+    if st.guard is None and stores.monolithic:
+        if report.collision.checks_needed:
+            needed["collision_checks"] = True
+            report.notes.append(
+                "runtime collision checks compiled (analysis inconclusive)"
+            )
+        if report.empties.checks_needed:
+            needed["empties_check"] = True
+            report.notes.append(
+                "runtime empties check compiled (analysis inconclusive)"
+            )
+    if st.unproven and st.guard is None:
+        needed["bounds_checks"] = True
+        report.notes.append(stores.checked_note)
+    if needed:
+        st.options = replace(st.options, **needed)
+    report.checks = st.options
 
 
 def _choose(st: _State) -> None:
@@ -682,7 +676,7 @@ _PYTHON_UNTILED = (
 
 
 def _tiling(st: _State) -> None:
-    tile = getattr(st.options, "tile", None)
+    tile = st.options.tile
     if tile is None or st.options.backend == "python":
         return  # python units: _codegen records the fallback
     from repro.core.tiling import plan_tiling
@@ -736,14 +730,14 @@ def _codegen(st: _State) -> None:
         parallel_plan=st.parallel_plan, parallel_log=report.parallel,
         plan=report.inplace_plan, old_array=st.old_array,
         combine=st.combine, init_ast=st.init_ast, subscripts=guard,
-        empties_needed=report.empties.checks_needed, tiling=report.tiling,
+        tiling=report.tiling,
     )
     try:
         with span("codegen"):
             st.source = lower(job, report)
     except CodegenError as exc:
         raise CompileError(f"cannot generate code: {exc}") from exc
-    if getattr(st.options, "tile", None) is None:
+    if st.options.tile is None:
         return
     # Only C kernels run tile loops; the note names what ran.
     tiling = report.tiling
@@ -900,8 +894,9 @@ def compile(
         Size parameters the analyses may fold into trip counts.
     options:
         :class:`~repro.codegen.emit.CodegenOptions` (checks,
-        ``vectorize``, ``backend``, ``tile``); ``None`` lets the
-        pipeline pick runtime checks from its own analysis.
+        ``vectorize``, ``backend``, ``tile``); ``None`` is
+        ``CodegenOptions()``.  The pipeline adds every runtime check
+        its analysis could not discharge to the options given.
     old_array:
         The input array overwritten by the ``"inplace"`` strategy.
     force_strategy:

@@ -99,17 +99,6 @@ class TilePlan:
         return f"{self.kind} tiles [{dims}] ({self.source}), halo {self.halo}"
 
 
-def _normalize_spec(tile) -> object:
-    """Validate a user tile spec: ``None`` / ``"auto"`` / int >= 1."""
-    if tile is None or tile == "auto":
-        return tile
-    if isinstance(tile, bool) or not isinstance(tile, int):
-        raise TileReject(f"tile spec must be an int or 'auto', got {tile!r}")
-    if tile < 1:
-        raise TileReject(f"tile size must be >= 1, got {tile}")
-    return tile
-
-
 def _perfect_chain(schedule: Schedule):
     """The nest as (loops outermost-first, innermost clauses).
 
@@ -242,14 +231,12 @@ def plan_tiling(schedule: Schedule, edges, *, mode: str,
                 tile, inplace_plan=None) -> TilePlan:
     """Decide whether — and how — to tile one scheduled nest.
 
-    ``tile`` is the user spec (``"auto"`` or an int; ``None`` never
-    reaches here).  Returns an ``ok`` plan, or an ``ok=False`` plan
-    carrying the rejection reason; never raises.
+    ``tile`` is the user spec (``"auto"`` or an int >= 1, as
+    :class:`~repro.codegen.emit.CodegenOptions` guarantees).  Returns
+    an ``ok`` plan, or an ``ok=False`` plan carrying the rejection
+    reason; never raises.
     """
     try:
-        spec = _normalize_spec(tile)
-        if spec is None:
-            raise TileReject("tiling not requested")
         if mode == "accum":
             raise TileReject(
                 "accumulated arrays fold colliding stores in source "
@@ -280,11 +267,11 @@ def plan_tiling(schedule: Schedule, edges, *, mode: str,
         arrays_touched = len({
             read.array for clause in clauses for read in clause.reads
         })
-        if spec == "auto":
+        if tile == "auto":
             sizes = _auto_sizes(depth, arrays_touched, halos)
             source = "auto"
         else:
-            sizes = (spec,) * depth
+            sizes = (tile,) * depth
             source = "explicit"
         count("tile.planned")
         return TilePlan(

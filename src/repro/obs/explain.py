@@ -129,11 +129,10 @@ def _explain_checks(out: Explanation, report, prefix: str) -> None:
     from repro.core.collisions import CERTAIN, NONE
 
     checks = report.checks
-    unchecked = _UNCHECKED.get(
-        report.strategy,
-        ("the options request no runtime collision checks",
-         "the options request no definedness sweep"),
-    )
+    # Only the strategies in _UNCHECKED leave a needed check out: a
+    # thunkless or thunked unit compiles every check its analysis needs.
+    unchecked = _UNCHECKED.get(report.strategy) if checks is not None \
+        else (_NOT_COMPILED, _NOT_COMPILED)
     collision = report.collision
     if collision is not None:
         compiled = checks is not None and checks.collision_checks
@@ -156,8 +155,7 @@ def _explain_checks(out: Explanation, report, prefix: str) -> None:
         else:
             out.add("checks", prefix + "collisions", FALLBACK,
                     "analysis inconclusive; no runtime collision checks "
-                    "compiled: " + (unchecked[0] if checks is not None
-                                    else _NOT_COMPILED))
+                    "compiled: " + unchecked[0])
     empties = report.empties
     if empties is not None:
         compiled = checks is not None and checks.empties_check
@@ -173,8 +171,7 @@ def _explain_checks(out: Explanation, report, prefix: str) -> None:
         else:
             out.add("checks", prefix + "empties", FALLBACK,
                     "totality not proven; no definedness sweep "
-                    "compiled: " + (unchecked[1] if checks is not None
-                                    else _NOT_COMPILED))
+                    "compiled: " + unchecked[1])
 
 
 def _explain_subscripts(out: Explanation, report, prefix: str) -> None:
@@ -328,6 +325,8 @@ def _fallback_area(text: str) -> str:
         return "tile"
     if text.startswith("subscript"):
         return "subscript"
+    if text.startswith("backend"):
+        return "backend"
     return "reuse"
 
 

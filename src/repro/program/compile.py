@@ -28,10 +28,11 @@ from __future__ import annotations
 from dataclasses import replace as _dc_replace
 from typing import Dict, List, Optional, Sequence, Set
 
-from repro.codegen.emit import CodegenError
+from repro.codegen.emit import CodegenError, CodegenOptions
 from repro.comprehension.build import BuildError, find_array_comp
 from repro.core import pipeline
 from repro.core.dependence import dependence_memo
+from repro.core.fusion import wrap_binding
 from repro.core.liveness import (
     ProgramCycleError,
     dependence_graph,
@@ -128,7 +129,7 @@ def compile_program(
         stored on the result (the runtime environment inherits them).
     options:
         :class:`~repro.codegen.emit.CodegenOptions` applied to every
-        compiled binding.
+        compiled binding; ``None`` is ``CodegenOptions()``.
     cache:
         Route through the compile service (``True``, a directory path,
         or a :class:`~repro.service.service.CompileService`).
@@ -164,6 +165,7 @@ def compile_program(
         workers = os.cpu_count() or 1
     if not dist:
         workers = 0
+    options = options or CodegenOptions()
     if cache is not None and cache is not False:
         from repro.service.api import CompileRequest
         from repro.service.service import resolve_cache
@@ -225,7 +227,7 @@ def _compile_program_traced(src, params, options, result, fuse=True,
     protected = _protected_names(result, schedule, kinds, extras, by_name)
 
     report = ProgramReport(order=list(schedule), result=result)
-    requested_backend = getattr(options, "backend", "python") or "python"
+    requested_backend = options.backend
     if requested_backend != "python":
         report.notes.append(
             f"backend {requested_backend!r} requested: each compiled "
@@ -395,25 +397,6 @@ def _protected_names(result, schedule, kinds, extras, by_name) -> Set[str]:
     return protected
 
 
-def _wrap(bind: ast.Binding) -> ast.Node:
-    """Array-shaped binding -> compilable expression.
-
-    A bare ``array b e`` is wrapped as ``letrec* name = array b e in
-    name`` so reads of the binding's own name classify as *flow*
-    dependences (a recursive array), not external inputs.  An
-    expression that is already a ``let`` is used as-is — wrapping it
-    again would shadow the inner comprehension's name and misread its
-    self-references.
-    """
-    expr = bind.expr
-    if isinstance(expr, ast.Let):
-        return expr
-    inner = ast.Binding(name=bind.name, params=[], expr=expr,
-                        pos=expr.pos)
-    return ast.Let(kind="letrec*", binds=[inner],
-                   body=ast.Var(bind.name, pos=expr.pos), pos=expr.pos)
-
-
 # ----------------------------------------------------------------------
 # Cross-binding loop fusion (dependence-driven deforestation).
 
@@ -562,9 +545,8 @@ class _CompileState:
         #: Out-of-core rows per tile.  On python that is all ``tile=``
         #: means, so the bindings compile without it; a C binding
         #: still blocks its loops by it.
-        self.tile = getattr(options, "tile", None)
-        if ooc and self.tile is not None \
-                and getattr(options, "backend", "python") == "python":
+        self.tile = options.tile
+        if ooc and self.tile is not None and options.backend == "python":
             options = _dc_replace(options, tile=None)
         self.options = options
         self.report = report
@@ -691,7 +673,7 @@ class _CompileState:
         consumer's (python-emitted) scatter or gather.
         """
         options = self.options
-        requested = getattr(options, "backend", "python") or "python"
+        requested = options.backend
         if requested != "python" and name in self.index_users:
             self.report.fallbacks.append(
                 f"backend {name!r}: stays on python — its cells "
@@ -703,7 +685,7 @@ class _CompileState:
         return options
 
     def _compile_array(self, name: str, bind: ast.Binding) -> ProgramStep:
-        wrapped = _wrap(bind)
+        wrapped = wrap_binding(bind)
         options = self._binding_options(name)
         mono = pipeline.compile(wrapped, strategy="array",
                                 params=self.params, options=options,
@@ -737,10 +719,8 @@ class _CompileState:
                    detail="monolithic array definition")
         return ProgramStep(name=name, kind="array", compiled=mono)
 
-    def _try_reuse(self, name: str, wrapped, bounds, options=None):
+    def _try_reuse(self, name: str, wrapped, bounds, options):
         """First dead producer whose storage this binding can take."""
-        if options is None:
-            options = self.options
         fallbacks = self.report.fallbacks
         for cand in self.graph[name]:
             if self.kinds.get(cand) in ("function", "scalar", None):
@@ -987,7 +967,7 @@ class _CompileState:
         except (DistReject, CodegenError) as exc:
             return None, f"one-block placement refused ({exc}); list path"
         superseded = " (superseding vectorize)" \
-            if getattr(self.options, "vectorize", False) else ""
+            if self.options.vectorize else ""
         return block, ("one-block placement: float seeds run the "
                        "vectorized block kernel on two float64 buffers"
                        f"{superseded}; other seeds run the list path")
@@ -1068,10 +1048,9 @@ class _CompileState:
                 return inplace, "inplace", False, ""
         mono = pipeline.compile(body, strategy="array",
                                 params=self.params, options=self.options)
-        opts = self.options
         reuse_buffers = (
             mono.report.strategy == "thunkless"
             and not mono.report.empties.checks_needed
-            and not getattr(opts, "vectorize", False)
+            and not self.options.vectorize
         )
         return mono, "double", reuse_buffers, why

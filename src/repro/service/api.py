@@ -81,7 +81,8 @@ class CompileRequest:
     #: Program requests only: plan block-partitioned convergence
     #: sweeps (:mod:`repro.core.distplan`) over ``workers`` processes.
     dist: bool = False
-    #: Block count for ``dist`` (0 = caller resolves to cpu count).
+    #: Block count for ``dist``; ``0`` takes the machine's CPU count,
+    #: and the planner refuses fewer than two workers with a reason.
     workers: int = 0
     #: Program requests only: plan out-of-core streaming sweeps
     #: (:mod:`repro.program.outofcore`; ``options.tile`` sets the rows
@@ -231,8 +232,6 @@ def options_to_wire(options) -> Optional[Dict]:
     """``CodegenOptions`` -> plain dict of non-default fields."""
     if options is None:
         return None
-    if isinstance(options, dict):
-        return dict(options)
     out = {}
     for f in dataclasses.fields(options):
         value = getattr(options, f.name)
@@ -242,12 +241,16 @@ def options_to_wire(options) -> Optional[Dict]:
 
 
 def options_from_wire(payload):
-    """Plain dict -> ``CodegenOptions`` (``None`` passes through)."""
+    """Plain dict -> ``CodegenOptions`` (``None`` passes through).
+
+    A malformed value is the options' own :class:`CodegenError`,
+    re-raised as a :class:`WireError` (HTTP 400).
+    """
     if payload is None:
         return None
     if not isinstance(payload, dict):
         raise WireError("options must be an object of option -> value")
-    from repro.codegen.emit import CodegenOptions
+    from repro.codegen.emit import CodegenError, CodegenOptions
 
     known = {f.name for f in dataclasses.fields(CodegenOptions)}
     unknown = set(payload) - known
@@ -255,7 +258,10 @@ def options_from_wire(payload):
         raise WireError(
             f"unknown option(s): {', '.join(sorted(unknown))}"
         )
-    return CodegenOptions(**payload)
+    try:
+        return CodegenOptions(**payload)
+    except CodegenError as exc:
+        raise WireError(f"bad option value: {exc}") from exc
 
 
 # ----------------------------------------------------------------------

@@ -14,8 +14,8 @@ cache key.  It is computed over:
   functions) are kept verbatim: renaming *those* changes meaning;
 * the size ``params`` (they reach trip counts, bounds, and emitted
   constants);
-* the :class:`~repro.codegen.emit.CodegenOptions` (or ``"auto"`` when
-  the pipeline chooses the checks itself);
+* the :class:`~repro.codegen.emit.CodegenOptions` (``None`` keys as
+  ``CodegenOptions()``, the same request);
 * the forced strategy, the compilation mode (monolithic / in-place /
   bigupd), and the old-array name for in-place requests;
 * a **pipeline version salt** — bump :data:`PIPELINE_SALT` whenever a
@@ -30,6 +30,7 @@ import dataclasses
 import hashlib
 from typing import Dict, List, Mapping, Optional
 
+from repro.codegen.emit import CodegenOptions
 from repro.comprehension.build import (
     BuildError,
     build_array_comp,
@@ -91,7 +92,10 @@ from repro.lang.parser import parse_expr
 #:     blocked (``tile=`` on python is a reasoned fallback, or the
 #:     out-of-core rows), the C wrapper binds input lows through
 #:     ``Bounds.lows``, and ProgramReport grew an ``ooc`` list.
-PIPELINE_SALT = "repro-pipeline/15"
+#: /16: every options object gets the checks the analysis asks for
+#:     (``None`` is ``CodegenOptions()``), and a non-python backend
+#:     plans the same guarded kernel and checks as python.
+PIPELINE_SALT = "repro-pipeline/16"
 
 
 # ----------------------------------------------------------------------
@@ -271,8 +275,7 @@ def canonical_comp(comp: ArrayComp) -> str:
 
 
 def _options_key(options) -> str:
-    if options is None:
-        return "auto"
+    options = options or CodegenOptions()
     return repr(sorted(dataclasses.asdict(options).items()))
 
 

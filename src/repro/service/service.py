@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.obs.trace import count as _trace_count
 from repro.program.compile import classify_source
 from repro.service.api import CompileRequest, CompileResult
-from repro.service.fingerprint import PIPELINE_SALT, _options_key
+from repro.service.fingerprint import PIPELINE_SALT
 from repro.service.fingerprint import fingerprint, fingerprint_program
 from repro.service.metrics import ServiceMetrics
 from repro.service.stats import service_stats
@@ -129,9 +129,10 @@ class CompileService:
         """
         memo_key = None
         if isinstance(request.src, str):
+            # The options object itself: frozen, so it hashes.
             memo_key = (
                 request.src, repr(sorted((request.params or {}).items())),
-                _options_key(request.options), request.strategy,
+                request.options, request.strategy,
                 request.force_strategy, request.old_array, request.kind,
                 request.result, request.fuse, request.dist,
                 request.workers, request.ooc,

@@ -201,13 +201,18 @@ class TestCatalogDifferential:
         )
 
     def test_partial_comprehension_falls_back_with_reason(self):
-        """Partial kernels cannot run (undefined cells raise), but the
-        C backend must refuse them loudly at compile time — a C double
-        buffer cannot represent an undefined cell."""
-        _, c, _ = _compile_pair("example2")
+        """A partial kernel compiles its empties check (an unwritten
+        cell raises, as in the oracle), which the C backend refuses
+        loudly at compile time — a C double buffer cannot represent an
+        undefined cell — with python's module for the same request."""
+        py, c, _ = _compile_pair("example2")
+        assert c.report.checks.empties_check
         assert c.report.backend_used == "python"
-        assert any("not provably total" in line
-                   for line in c.report.backend)
+        assert c.report.backend == [
+            "backend c fell back on thunkless lowering: empties_check on "
+            "— runtime empties checks are not lowered; python emitter used"
+        ]
+        assert c.source == py.source
 
     @pytest.mark.parametrize(
         "name",

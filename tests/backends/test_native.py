@@ -18,7 +18,6 @@ from repro.backends.native import (
     kernel_key,
     load_kernel,
     native_cache_dir,
-    reset_native_stats,
     toolchain_status,
 )
 from repro.codegen.emit import CodegenOptions
@@ -92,7 +91,7 @@ class TestKernelKey:
 @needs_cc
 class TestLoadKernel:
     def test_compile_memo_and_disk_tiers(self, native_dir):
-        reset_native_stats()
+        NATIVE_STATS.reset()
         kernel = load_kernel(_CDEF, _SRC)
         assert kernel.lib.repro_add(2.0, 0.5) == 2.5
         assert NATIVE_STATS.cc_invocations == 1
@@ -143,7 +142,7 @@ class TestWarmServiceCompile:
         monkeypatch.setenv("REPRO_NATIVE_CACHE_DIR",
                            str(tmp_path / "native"))
         clear_kernel_memo()
-        reset_native_stats()
+        NATIVE_STATS.reset()
         disk = tmp_path / "service"
         options = CodegenOptions(backend="c")
 

@@ -2,8 +2,8 @@
 
 Covers the registry API (register/get/names/availability), the
 ``lower()`` dispatch policy (default short-circuit, loud unknown
-names, reasoned fallbacks), and the full pairwise ``from_flags``
-conflict matrix for ``backend=``.
+names, reasoned fallbacks), and the full pairwise conflict matrix of
+``backend=`` against the options the C tier does not lower.
 """
 
 import itertools
@@ -22,6 +22,7 @@ from repro.backends import (
     register_backend,
 )
 from repro.backends import _REGISTRY
+from repro.backends.native import toolchain_status
 from repro.codegen.emit import CodegenOptions
 from repro.codegen.exprs import CodegenError
 from repro.core.pipeline import Report
@@ -155,67 +156,98 @@ class TestLowerDispatch:
 
 
 # ----------------------------------------------------------------------
-# The from_flags conflict matrix (satellite: every pairwise combination
-# of backend= with the other flags).
+# The conflict matrix: backend= against every option the C tier does
+# not lower, one at a time and pairwise.  Construction accepts every
+# combination; the C backend refuses the job with a reason, and the
+# python module it falls back to is the one backend="python" emits.
 
-#: Flags that conflict with a non-python backend, as from_flags
-#: kwargs.
+#: Options the C backend refuses, as CodegenOptions kwargs, with the
+#: reason it names.
 _CONFLICTING = {
-    "vectorize": {"vectorize": True},
-    "bounds-checks": {"bounds_checks": True},
-    "collision-checks": {"collision_checks": True},
-    "empties-check": {"empties_check": True},
+    "vectorize": ({"vectorize": True}, "vectorize requested"),
+    "bounds-checks": ({"bounds_checks": True}, "bounds_checks on"),
+    "collision-checks": ({"collision_checks": True}, "collision_checks on"),
+    "empties-check": ({"empties_check": True}, "empties_check on"),
 }
+#: The order the C backend checks them in.
+_REFUSAL_ORDER = list(_CONFLICTING)
+
+needs_cc = pytest.mark.skipif(
+    toolchain_status() is not None,
+    reason=f"native toolchain unavailable: {toolchain_status()}",
+)
+
+
+def _fields(*flags):
+    out = {}
+    for flag in flags:
+        out.update(_CONFLICTING[flag][0])
+    return out
+
+
+def _compile(options):
+    return repro.compile(SQUARES, params={"n": 4}, options=options)
 
 
 class TestFromFlagsBackend:
-    def test_all_defaults_returns_none(self):
-        assert CodegenOptions.from_flags() is None
-        assert CodegenOptions.from_flags(backend="python") is None
+    """Options as the CLI's ``--backend``, ``--vectorize`` and check
+    flags build them: every combination constructs, and the C backend
+    refuses what it cannot lower with a reason and python's module."""
+
+    def test_all_defaults_are_the_none_request(self):
+        default = _compile(CodegenOptions(backend="python"))
+        auto = _compile(None)
+        assert default.source == auto.source
+        assert default.report.summary() == auto.report.summary()
+        assert repro.fingerprint(SQUARES, {"n": 4}) == repro.fingerprint(
+            SQUARES, {"n": 4}, options=CodegenOptions())
 
     def test_backend_c_alone_is_allowed(self):
-        options = CodegenOptions.from_flags(backend="c")
-        assert options is not None
+        options = CodegenOptions(backend="c")
         assert options.backend == "c"
-        assert not options.vectorize
+        assert not options.vectorize and not options.checked
 
     def test_backend_c_with_inplace_is_allowed(self):
-        options = CodegenOptions.from_flags(backend="c")
         compiled = repro.compile(JACOBI, old_array="u", params={"m": 8},
-                                 options=options)
+                                 options=CodegenOptions(backend="c"))
         assert compiled.report.strategy == "inplace"
 
     def test_unknown_backend_name_is_loud(self):
-        with pytest.raises(CodegenError, match="unknown backend"):
-            CodegenOptions.from_flags(backend="fortran")
+        # Construction takes any name; the registry refuses it.
+        options = CodegenOptions(backend="fortran")
+        with pytest.raises(repro.CompileError,
+                           match="unknown backend 'fortran'"):
+            _compile(options)
 
+    @needs_cc
     @pytest.mark.parametrize("flag", sorted(_CONFLICTING))
     def test_backend_c_conflicts(self, flag):
-        with pytest.raises(CodegenError) as err:
-            CodegenOptions.from_flags(backend="c", **_CONFLICTING[flag])
-        message = str(err.value)
-        # The error must be actionable: name both sides and the fix.
-        assert "--backend c" in message
-        assert f"--{flag}" in message
-        assert "drop one of the two" in message
+        c = _compile(CodegenOptions(backend="c", **_fields(flag)))
+        assert c.report.backend_used == "python"
+        [line] = c.report.backend
+        assert _CONFLICTING[flag][1] in line
+        assert c.source == _compile(CodegenOptions(**_fields(flag))).source
 
     @pytest.mark.parametrize("flag", sorted(_CONFLICTING))
     def test_python_backend_accepts_each_flag(self, flag):
-        options = CodegenOptions.from_flags(backend="python",
-                                            **_CONFLICTING[flag])
-        assert options is not None
-        assert options.backend == "python"
+        compiled = _compile(CodegenOptions(**_fields(flag)))
+        assert compiled.report.backend_used == "python"
+        assert compiled.report.backend == []
 
+    @needs_cc
     @pytest.mark.parametrize(
         "first,second",
         list(itertools.combinations(sorted(_CONFLICTING), 2)),
     )
     def test_pairwise_combinations_still_conflict(self, first, second):
-        """Any flag pair plus backend=c errors on the first conflict."""
-        kwargs = dict(_CONFLICTING[first])
-        kwargs.update(_CONFLICTING[second])
-        with pytest.raises(CodegenError, match="--backend c"):
-            CodegenOptions.from_flags(backend="c", **kwargs)
+        """Any flag pair plus backend=c falls back on the first the C
+        backend checks, with python's module."""
+        fields = _fields(first, second)
+        c = _compile(CodegenOptions(backend="c", **fields))
+        [line] = c.report.backend
+        named = min(first, second, key=_REFUSAL_ORDER.index)
+        assert _CONFLICTING[named][1] in line
+        assert c.source == _compile(CodegenOptions(**fields)).source
 
     @pytest.mark.parametrize(
         "first,second",
@@ -223,8 +255,6 @@ class TestFromFlagsBackend:
     )
     def test_pairwise_combinations_fine_without_backend(self, first,
                                                         second):
-        kwargs = dict(_CONFLICTING[first])
-        kwargs.update(_CONFLICTING[second])
-        options = CodegenOptions.from_flags(**kwargs)
-        assert options is not None
-        assert options.backend == "python"
+        compiled = _compile(CodegenOptions(**_fields(first, second)))
+        assert compiled.report.backend_used == "python"
+        assert compiled.report.backend == []

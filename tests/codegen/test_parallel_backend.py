@@ -195,22 +195,18 @@ class TestSequentialFallback:
 
 
 class TestOptionConflicts:
-    def test_from_flags_all_default_is_none(self):
-        assert CodegenOptions.from_flags() is None
-
-    def test_from_flags_parallel(self):
+    def test_no_parallel_option(self):
         # ``vectorize`` runs the wavefronts: there is no second knob.
         assert "parallel" not in CodegenOptions.__dataclass_fields__
         with pytest.raises(TypeError, match="parallel"):
-            CodegenOptions.from_flags(parallel=True)
+            CodegenOptions(parallel=True)
 
-    def test_from_flags_accepts_vectorize_inplace(self):
+    def test_vectorize_inplace_compiles(self):
         # The vectorize/inplace conflict is diagnosed later, per-loop,
         # inside the in-place emitter (some in-place nests vectorize).
-        options = CodegenOptions.from_flags(vectorize=True)
         compiled = repro.compile(kernels.SWAP, old_array="a",
                                  params={"m": 5, "n": 7, "i": 2, "k": 4},
-                                 options=options)
+                                 options=VEC)
         assert compiled.report.strategy == "inplace"
 
     def test_inplace_emitter_rejects_parallel(self):

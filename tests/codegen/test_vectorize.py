@@ -9,6 +9,7 @@ import repro
 from repro import CodegenOptions, FlatArray, evaluate
 from repro.dist.pool import fork_available
 from repro.program import compile_program
+from repro.runtime.errors import ArrayError
 
 VEC = CodegenOptions(vectorize=True)
 
@@ -227,27 +228,32 @@ class TestRequestedChecks:
     coefficient=st.integers(1, 3),
     offset=st.integers(-2, 2),
     scale=st.floats(-4, 4, allow_nan=False),
+    tight=st.booleans(),
 )
-def test_vectorized_matches_scalar(n, coefficient, offset, scale):
-    """Vector and scalar codegen agree on random affine maps."""
-    size = coefficient * n + max(0, offset)
-    lo = min(coefficient + offset, 1)
+def test_vectorized_matches_scalar(n, coefficient, offset, scale, tight):
+    """Vector and scalar codegen agree with the oracle on random affine
+    maps: on every cell's value, or on the oracle's error type (an
+    unwritten cell of a partial array raises)."""
+    low, high = coefficient + offset, coefficient * n + offset
+    if not tight:
+        low, high = min(low, 1), coefficient * n + max(0, offset) + 2
     src = (
-        f"letrec a = array ({lo},{size + 2}) "
+        f"letrec a = array ({low},{high}) "
         f"[ {coefficient}*i + {offset} := {scale!r} * x!i "
         f"| i <- [1..{n}] ] in a"
     )
     x = FlatArray.from_list((1, n), [float(k * k) for k in range(1, n + 1)])
-    vector = repro.compile(src, strategy="array",
-                           options=CodegenOptions(vectorize=True))
-    scalar = repro.compile(src, strategy="array", options=CodegenOptions())
-    got_vec = vector({"x": x})
-    got_scalar = scalar({"x": x})
-    for sub in got_vec.bounds.range():
-        value = got_scalar.at(sub)
-        if value is None:
-            continue  # unwritten cell: vector buffer holds 0.0
-        assert got_vec.at(sub) == pytest.approx(value)
+    try:
+        want, failure = evaluate(src, {"x": x}).to_list(), None
+    except ArrayError as exc:
+        want, failure = None, type(exc)
+    for options in (CodegenOptions(vectorize=True), CodegenOptions()):
+        compiled = repro.compile(src, strategy="array", options=options)
+        if failure is None:
+            assert compiled({"x": x}).to_list() == pytest.approx(want)
+        else:
+            with pytest.raises(failure):
+                compiled({"x": x})
 
 
 # One Jacobi sweep with a libm call in the interior clause.  At m=24

@@ -168,6 +168,22 @@ class TestProgramGolden:
         subjects = [d.subject for d in ex.decisions]
         assert any(s.startswith("u0: ") for s in subjects)
 
+    def test_program_backend_fallback_in_backend_area(self):
+        # An index array stays on python whatever the backend: the
+        # program-level fallback is a backend decision, not a reuse one.
+        src = """
+        k = array (1,n) [ i := (i * 3) - 6 | i <- [1..n] ];
+        main = accumArray (\\a b -> a + b) 0 (1,m)
+                 [ (k!i) := 1 | i <- [1..n] ]
+        """
+        ex = explain(src, params={"n": 4, "m": 6},
+                     options=CodegenOptions(backend="c"))
+        assert "[backend] program: rejected — backend 'k': stays on " \
+            "python — its cells subscript a later binding" in \
+            "\n".join(lines_for(ex, "backend"))
+        assert not any("backend 'k'" in line
+                       for line in lines_for(ex, "reuse"))
+
 
 class TestIterateDriverGolden:
     """The in-place iterate line says where the sweeps run, and why."""
@@ -202,7 +218,7 @@ class TestIterateDriverGolden:
         assert self._line(options) == self.PREFIX + (
             "sweeps run in the Python driver (the step lowered to "
             "python: backend c fell back on inplace lowering: "
-            "bounds_checks requested — runtime bounds checks are not "
+            "bounds_checks on — runtime bounds checks are not "
             "lowered; python emitter used)")
 
 
@@ -342,6 +358,10 @@ class TestChecksAreaMatchesCompiledChecks:
             "letrec a = array (1,n) [ i := 0 | i <- [1..n-1] ] in a",
             {}, {},
         ),
+        "partial-vectorize": (
+            "letrec a = array (1,n) [ i := 0 | i <- [1..n-1] ] in a",
+            {}, {"options": repro.CodegenOptions(vectorize=True)},
+        ),
     }
 
     def _checks(self, case):
@@ -388,3 +408,8 @@ class TestChecksAreaMatchesCompiledChecks:
             "proven collision-free; runtime checks elided")
         assert reasons["empties"] == (
             "totality not proven; runtime definedness sweep compiled")
+
+    def test_an_options_object_gets_the_sweep_too(self):
+        checks, reasons = self._checks("partial-vectorize")
+        assert checks.empties_check
+        assert reasons == self._checks("partial-auto")[1]

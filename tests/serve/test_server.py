@@ -132,6 +132,12 @@ class TestRoutes:
                                        {"src": SRC, "sorcery": 1})
         assert status == 400 and "sorcery" in payload["reason"]
 
+    def test_malformed_option_value_is_400(self, live):
+        status, payload = live.request(
+            "POST", "/v1/compile",
+            {"src": SRC, "options": {"vectorize": "false", "tile": -3}})
+        assert status == 400 and "vectorize" in payload["reason"]
+
     def test_unknown_route_is_404(self, live):
         status, payload = live.request("GET", "/nope")
         assert status == 404 and payload["error"] == "not-found"

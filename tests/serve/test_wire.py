@@ -103,6 +103,13 @@ class TestValidation:
             {"src": SRC, "options": {"vectorize": True}})
         assert request.options.vectorize
 
+    @pytest.mark.parametrize("options", [
+        {"tile": 0}, {"tile": -3}, {"tile": "big"}, {"tile": True},
+        {"vectorize": "false"}], ids=repr)
+    def test_malformed_option_value_is_a_wire_error(self, options):
+        with pytest.raises(WireError, match="bad option value"):
+            CompileRequest.from_wire({"src": SRC, "options": options})
+
 
 class TestEnvelopes:
     def test_encode_decode(self):

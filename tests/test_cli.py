@@ -254,6 +254,45 @@ class TestCacheFlag:
             main(["compile"])
 
 
+class TestOptionFlags:
+    """The flags build ``CodegenOptions`` directly: a malformed value
+    exits with its message, and a C refusal is a reasoned fallback."""
+
+    @pytest.fixture
+    def example2_file(self, tmp_path):
+        from repro.kernels import EXAMPLE2
+
+        path = tmp_path / "example2.hs"
+        path.write_text(EXAMPLE2)
+        return str(path)
+
+    @pytest.mark.parametrize("tile", ["0", "-3"])
+    def test_bad_tile_exits_with_the_message(self, squares_file, tile):
+        with pytest.raises(SystemExit, match="tile must be None, 'auto' "
+                           "or an integer >= 1"):
+            main(["run", squares_file, "-p", "n=4", f"--tile={tile}"])
+
+    def test_non_integer_tile_exits(self, squares_file):
+        with pytest.raises(SystemExit, match="--tile must be 'auto'"):
+            main(["run", squares_file, "-p", "n=4", "--tile", "big"])
+
+    def test_backend_c_with_vectorize_compiles(self, squares_file,
+                                               capsys):
+        assert main(["compile", squares_file, "-p", "n=4",
+                     "--backend", "c", "--vectorize"]) == 0
+        out = capsys.readouterr().out
+        assert "_vslice(" in out
+        assert "backend c" in out and "python emitter used" in out
+
+    def test_vectorized_partial_array_raises_like_the_oracle(
+            self, example2_file):
+        from repro.runtime.errors import UndefinedElementError
+
+        with pytest.raises(UndefinedElementError,
+                           match="element 1 has no definition"):
+            main(["run", example2_file, "--vectorize"])
+
+
 class TestProgramCommands:
     """Multi-binding programs through the CLI."""
 

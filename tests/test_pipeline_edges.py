@@ -1,5 +1,7 @@
 """Pipeline edge cases: symbolic analysis, error paths, option plumbing."""
 
+import dataclasses
+
 import pytest
 
 import repro
@@ -88,11 +90,12 @@ class TestReportPlumbing:
         assert rebuilt({"n": 4}).to_list() == [1, 4, 9, 16]
 
     def test_options_default_independence(self):
-        # Mutating one CodegenOptions instance must not leak defaults.
+        # Options are frozen: no instance can leak a change into
+        # another, or into the default request.
         first = CodegenOptions()
-        first.bounds_checks = True
-        second = CodegenOptions()
-        assert not second.bounds_checks
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.bounds_checks = True
+        assert not CodegenOptions().bounds_checks
 
     def test_analysis_report_repr_safe(self):
         from repro.kernels import SQUARES
