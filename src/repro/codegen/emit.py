@@ -38,7 +38,6 @@ from repro.runtime.errors import BoundsError
 from repro.runtime.force import force_elements
 from repro.runtime.nonstrict import NonStrictArray
 from repro.runtime import incremental as _incr
-from repro.obs.trace import count_runtime as _count_runtime
 from repro.codegen.support import (
     CHECK_STATS as _CS,
     FlatArray,

@@ -93,8 +93,9 @@ from repro.lang.parser import parse_expr
 #:     out-of-core rows), the C wrapper binds input lows through
 #:     ``Bounds.lows``, and ProgramReport grew an ``ooc`` list.
 #: /16: every options object gets the checks the analysis asks for
-#:     (``None`` is ``CodegenOptions()``), and a non-python backend
-#:     plans the same guarded kernel and checks as python.
+#:     (``None`` is ``CodegenOptions()``), a non-python backend plans
+#:     the same guarded kernel and checks as python, and generated
+#:     python modules no longer import ``count_runtime``.
 PIPELINE_SALT = "repro-pipeline/16"
 
 
