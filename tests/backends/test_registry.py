@@ -194,7 +194,9 @@ class TestFromFlagsBackend:
     flags build them: every combination constructs, and the C backend
     refuses what it cannot lower with a reason and python's module."""
 
-    def test_all_defaults_are_the_none_request(self):
+    def test_all_defaults_returns_none(self):
+        # Every field at its default is the ``None`` request: the same
+        # module, report summary and fingerprint.
         default = _compile(CodegenOptions(backend="python"))
         auto = _compile(None)
         assert default.source == auto.source

@@ -195,6 +195,25 @@ class TestSequentialFallback:
 
 
 class TestOptionConflicts:
+    def test_from_flags_all_default_is_none(self, tmp_path, monkeypatch):
+        # The CLI with no option flag builds ``CodegenOptions()``, which
+        # compiles exactly as ``options=None`` does.
+        from repro import __main__ as cli
+
+        real, built = cli._options, []
+        monkeypatch.setattr(
+            cli, "_options",
+            lambda args: built.append(real(args)) or built[-1])
+        path = tmp_path / "squares.hs"
+        path.write_text(kernels.SQUARES)
+        assert cli.main(["compile", str(path), "-p", "n=6"]) == 0
+        assert built == [CodegenOptions()]
+        default = repro.compile(kernels.SQUARES, params={"n": 6},
+                                options=built[0])
+        auto = repro.compile(kernels.SQUARES, params={"n": 6})
+        assert default.source == auto.source
+        assert default.report.summary() == auto.report.summary()
+
     def test_no_parallel_option(self):
         # ``vectorize`` runs the wavefronts: there is no second knob.
         assert "parallel" not in CodegenOptions.__dataclass_fields__
