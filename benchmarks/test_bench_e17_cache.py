@@ -2,10 +2,10 @@
 
 Not a paper artifact but a scaling claim for the reproduction itself
 (see ROADMAP): the pipeline is deterministic (E17's precondition,
-``tests/test_determinism.py``), so a fingerprint-keyed cache can serve
-repeated compilations without re-running parsing, the §5/§6 dependence
-tests, or §8 scheduling.  A repeated request is answered from the
-service's request memo, so a hit parses nothing whatever its kind.
+``tests/test_determinism.py``), so a cache keyed on the request as sent
+can serve repeated compilations without re-running parsing, the §5/§6
+dependence tests, or §8 scheduling.  The memory tier looks the request
+key up as a tuple, so a hit neither parses nor hashes whatever its kind.
 Asserted shape: a warm hit is at least 10x faster than a cold pipeline
 run for a wavefront definition (with ``kind="definition"`` and with the
 default ``kind="auto"``) and for a whole program

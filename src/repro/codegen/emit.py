@@ -123,6 +123,25 @@ class CodegenOptions:
         return (self.bounds_checks or self.collision_checks
                 or self.empties_check)
 
+    @classmethod
+    def of(cls, options) -> "CodegenOptions":
+        """``options`` itself, or the shared defaults for ``None``.
+
+        Anything else is a :class:`TypeError`: only the wire turns a
+        dict into options (``repro.service.api.options_from_wire``).
+        """
+        if options is None:
+            return _DEFAULT_OPTIONS
+        if not isinstance(options, cls):
+            raise TypeError(
+                "options must be a CodegenOptions or None, got "
+                f"{type(options).__name__} {options!r}"
+            )
+        return options
+
+
+_DEFAULT_OPTIONS = CodegenOptions()
+
 
 class _Writer:
     def __init__(self):

@@ -347,7 +347,7 @@ class _State:
     compiled: Optional[CompiledComp] = None
 
     def __post_init__(self):
-        self.options = self.options or CodegenOptions()
+        self.options = CodegenOptions.of(self.options)
 
 
 # ----------------------------------------------------------------------
@@ -1034,9 +1034,10 @@ def _compile_dispatch(
         from repro.service.api import CompileRequest
         from repro.service.service import resolve_cache
 
-        # The text, not the tree: the service's request memo keys on it.
+        # The request as sent, so it keys like repro.fingerprint of
+        # the same arguments.
         return resolve_cache(cache).submit(CompileRequest(
-            text, params, options, force_strategy, resolved, old_array,
+            text, params, options, force_strategy, strategy, old_array,
             kind="definition",
         )).value()
 

@@ -7,6 +7,8 @@ parenthesized only where precedence requires it.
 
 from __future__ import annotations
 
+from typing import List, Union
+
 from repro.lang import ast
 
 _PREC = {
@@ -31,8 +33,11 @@ _RIGHT = {"||", "&&", "++"}
 _APP_PREC = 10
 
 
-def pretty(node: ast.Node) -> str:
-    """Render ``node`` as concrete syntax."""
+def pretty(node: Union[ast.Node, List[ast.Binding]]) -> str:
+    """Render ``node`` as concrete syntax; a binding list (a parsed
+    program) renders as its ``;``-separated bindings."""
+    if isinstance(node, list):
+        return "; ".join(_pp_binding(bind) for bind in node)
     return _pp(node, 0)
 
 

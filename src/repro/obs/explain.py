@@ -327,6 +327,8 @@ def _fallback_area(text: str) -> str:
         return "subscript"
     if text.startswith("backend"):
         return "backend"
+    if text.startswith("vectorize"):
+        return "vectorize"
     return "reuse"
 
 

@@ -159,13 +159,6 @@ def compile_program(
         array.  Rejected bindings run the in-memory sweeps with the
         reason in ``ProgramReport.fallbacks`` (``ooc`` prefix).
     """
-    if dist and workers <= 0:
-        import os
-
-        workers = os.cpu_count() or 1
-    if not dist:
-        workers = 0
-    options = options or CodegenOptions()
     if cache is not None and cache is not False:
         from repro.service.api import CompileRequest
         from repro.service.service import resolve_cache
@@ -174,6 +167,13 @@ def compile_program(
             src, params, options, kind="program", result=result,
             fuse=fuse, dist=dist, workers=workers, ooc=ooc,
         )).value()
+    if dist and workers <= 0:
+        import os
+
+        workers = os.cpu_count() or 1
+    if not dist:
+        workers = 0
+    options = CodegenOptions.of(options)
 
     with trace_scope("compile-program") as scope, dependence_memo():
         program = _compile_program_traced(src, params, options, result,
@@ -667,21 +667,31 @@ class _CompileState:
     def _binding_options(self, name: str):
         """Per-binding codegen options.
 
-        A binding whose cells subscript a later binding is pinned to
-        the python backend: the C tier computes all-integer kernels in
-        double, and a double cell cannot serve as a list index in the
-        consumer's (python-emitted) scatter or gather.
+        A binding whose cells subscript a later binding keeps integer
+        cells, because a double cell cannot serve as a list index in
+        the consumer's (python-emitted) scatter or gather: it is pinned
+        to the python backend (the C tier computes all-integer kernels
+        in double) and compiled without ``vectorize`` (vectorized
+        cells are float64).
         """
         options = self.options
-        requested = options.backend
-        if requested != "python" and name in self.index_users:
+        if name not in self.index_users:
+            return options
+        if options.backend != "python":
             self.report.fallbacks.append(
                 f"backend {name!r}: stays on python — its cells "
-                f"subscript a later binding, and the {requested} tier "
-                "computes integer kernels in double (a double cannot "
-                "index)"
+                f"subscript a later binding, and the {options.backend} "
+                "tier computes integer kernels in double (a double "
+                "cannot index)"
             )
-            return _dc_replace(options, backend="python")
+            options = _dc_replace(options, backend="python")
+        if options.vectorize:
+            self.report.fallbacks.append(
+                f"vectorize {name!r}: stays scalar — its cells subscript "
+                "a later binding, and vectorized cells are float64 (a "
+                "double cannot index)"
+            )
+            options = _dc_replace(options, vectorize=False)
         return options
 
     def _compile_array(self, name: str, bind: ast.Binding) -> ProgramStep:

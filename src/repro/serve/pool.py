@@ -26,6 +26,7 @@ and submitting a source containing it.
 from __future__ import annotations
 
 import os
+import signal
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from threading import Lock
@@ -50,6 +51,11 @@ _WORKER_SERVICE = None
 
 def _init_worker(disk_dir, capacity: int, salt: str) -> None:
     global _WORKER_SERVICE
+    # A forked worker inherits the server loop's signal wakeup fd and
+    # its no-op SIGTERM handler: a TERM sent to the worker would stop
+    # the server and leave the worker running.
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     from repro.service import CompileService
 
     _WORKER_SERVICE = CompileService(

@@ -275,11 +275,13 @@ class CompileServer:
         self.metrics.admitted += 1
         count_runtime("serve.admitted")
         try:
-            futures = [
-                asyncio.wrap_future(self.pool.submit_wire(req.to_wire()))
-                for req in requests
-            ]
             try:
+                # A pool whose worker died while idle raises from submit.
+                futures = [
+                    asyncio.wrap_future(
+                        self.pool.submit_wire(req.to_wire()))
+                    for req in requests
+                ]
                 results = await asyncio.wait_for(
                     asyncio.gather(*futures), timeout,
                 )
@@ -301,9 +303,8 @@ class CompileServer:
                 return 500, {
                     "error": "worker-crash",
                     "reason": (
-                        "a compile worker died mid-request (crash or "
-                        "kill); the pool was restarted — retry the "
-                        "request"
+                        "a compile worker died (crash or kill); the "
+                        "pool was restarted — retry the request"
                     ),
                 }
         finally:

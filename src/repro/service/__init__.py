@@ -5,9 +5,9 @@ options, strategy) — the determinism tests in
 ``tests/test_determinism.py`` pin this down — so its output can be
 memoized.  This package turns the per-call compiler into a service:
 
-* :mod:`repro.service.fingerprint` — a canonical structural hash of the
-  §6-normalized loop IR, invariant under whitespace and bound-variable
-  renaming, salted with the pipeline version;
+* :mod:`repro.service.fingerprint` — the cache key: the request as
+  sent (source text, params, options and the other request fields)
+  plus the pipeline version salt, and its sha256 fingerprint;
 * :mod:`repro.service.store` — a two-tier cache: in-memory LRU of live
   :class:`~repro.codegen.compile.CompiledComp` objects over an optional
   on-disk store of generated source + pickled reports;
@@ -50,8 +50,6 @@ from repro.service.api import (
 )
 from repro.service.fingerprint import (
     PIPELINE_SALT,
-    canonical_comp,
-    canonical_expr,
     fingerprint,
     fingerprint_program,
 )
@@ -83,8 +81,6 @@ __all__ = [
     "TieredStore",
     "WIRE_SCHEMA",
     "WireError",
-    "canonical_comp",
-    "canonical_expr",
     "decode_requests",
     "default_service",
     "encode_requests",

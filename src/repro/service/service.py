@@ -1,15 +1,15 @@
 """The compile service front end.
 
 :class:`CompileService` memoizes :func:`repro.compile` and
-:func:`repro.compile_program` behind canonical fingerprints (see
-:mod:`repro.service.fingerprint`) and a two-tier store (see
+:func:`repro.compile_program` behind request keys (the request as
+sent, see :mod:`repro.service.fingerprint`) and a two-tier store (see
 :mod:`repro.service.store`).  The entry point is
 :meth:`CompileService.submit`:
 
 * ``submit(CompileRequest(...))`` — one request (definition or
   program, detected from the source); a hit skips the entire pipeline
-  (including the dependence tests, the expensive part per E11), and a
-  repeated request skips the parse too;
+  (including the dependence tests, the expensive part per E11) and
+  the parse, and a miss parses its source once;
 * ``submit([req, req, ...])`` — thread-pool fan-out with per-entry
   isolation (one bad source yields one errored
   :class:`CompileResult`, never a dead batch) and in-flight
@@ -27,29 +27,23 @@ Mutating a cached object's report would poison later hits — don't.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from concurrent.futures import Future, ThreadPoolExecutor
 from threading import Lock
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.obs.trace import count as _trace_count
-from repro.program.compile import classify_source
+from repro.program.compile import CompiledProgram, classify_source
 from repro.service.api import CompileRequest, CompileResult
-from repro.service.fingerprint import PIPELINE_SALT
-from repro.service.fingerprint import fingerprint, fingerprint_program
+from repro.service.fingerprint import PIPELINE_SALT, key_digest, request_key
 from repro.service.metrics import ServiceMetrics
 from repro.service.stats import service_stats
 from repro.service.store import DiskStore, MemoryLRU, TieredStore
 
-#: Request-memo entries kept per service (see
-#: :meth:`CompileService._resolve`).
-_MEMO_CAP = 4096
-
 
 class CompileService:
-    """Fingerprint-keyed compilation cache with a concurrent batch API.
+    """Request-keyed compilation cache with a concurrent batch API.
 
     Parameters
     ----------
@@ -62,8 +56,8 @@ class CompileService:
         tests and libraries should not write to the user's home
         silently.
     salt:
-        Pipeline version salt; requests fingerprinted under a
-        different salt never see each other's entries.
+        Pipeline version salt; requests keyed under a different salt
+        never see each other's entries.
     """
 
     def __init__(
@@ -81,16 +75,10 @@ class CompileService:
         self.salt = salt
         self.metrics = ServiceMetrics()
         self.max_workers = max_workers
-        #: Guards the in-flight table and the request memo; never
-        #: held across a parse or a build.
+        #: Guards the in-flight table; never held across a build.
         self._lock = Lock()
-        #: In-flight builds by fingerprint (identical requests coalesce).
-        self._inflight: Dict[str, Future] = {}
-        # Request memo: a request's fields -> (kind, fingerprint), so
-        # a repeated request goes to the store without parsing.
-        # Renamed or re-formatted variants still meet in the store
-        # through the canonical fingerprint.
-        self._memo: Dict[tuple, Tuple[str, str]] = {}
+        #: In-flight builds by request key (identical requests coalesce).
+        self._inflight: Dict[tuple, Future] = {}
 
     # ------------------------------------------------------------------
     # Fingerprints.
@@ -98,7 +86,7 @@ class CompileService:
     def fingerprint(self, src, params=None, options=None,
                     force_strategy=None, strategy="array",
                     old_array=None) -> str:
-        """The cache key this service would use for a definition."""
+        """The fingerprint this service would report for a definition."""
         return self.fingerprint_request(CompileRequest(
             src, params, options, force_strategy, strategy, old_array,
             kind="definition",
@@ -107,58 +95,15 @@ class CompileService:
     def fingerprint_program(self, src, params=None, options=None,
                             result=None, fuse=True, dist=False,
                             workers=0, ooc=False) -> str:
-        """The cache key this service would use for a whole program."""
+        """The fingerprint this service would report for a program."""
         return self.fingerprint_request(CompileRequest(
             src, params, options, kind="program", result=result,
             fuse=fuse, dist=dist, workers=workers, ooc=ooc,
         ))
 
     def fingerprint_request(self, request: CompileRequest) -> str:
-        """The cache key for a normalized typed request."""
-        return self._resolve(request)[1]
-
-    def _resolve(self, request: CompileRequest):
-        """``(kind, fingerprint, tree)`` of one request.
-
-        A request seen before is answered from the request memo and
-        parses nothing (``tree`` is ``None``).  A new one is parsed
-        once (:func:`~repro.program.compile.classify_source`) and
-        fingerprinted from the tree, which the caller builds from on a
-        store miss.  The memo holds strings only, never a tree, and no
-        failed request.
-        """
-        memo_key = None
-        if isinstance(request.src, str):
-            # The options object itself: frozen, so it hashes.
-            memo_key = (
-                request.src, repr(sorted((request.params or {}).items())),
-                request.options, request.strategy,
-                request.force_strategy, request.old_array, request.kind,
-                request.result, request.fuse, request.dist,
-                request.workers, request.ooc,
-            )
-            known = self._memo.get(memo_key)
-            if known is not None:
-                return known[0], known[1], None
-        kind, tree = classify_source(request.src, request.kind)
-        if kind == "program":
-            key = fingerprint_program(
-                tree, request.params, request.options, request.result,
-                request.fuse, self.salt, request.dist, request.workers,
-                request.ooc,
-            )
-        else:
-            key = fingerprint(
-                tree, request.params, request.options,
-                request.force_strategy, request.strategy,
-                request.old_array, self.salt,
-            )
-        if memo_key is not None:
-            with self._lock:
-                if len(self._memo) >= _MEMO_CAP:
-                    self._memo.clear()
-                self._memo[memo_key] = (kind, key)
-        return kind, key, tree
+        """The fingerprint of a typed request (parses nothing)."""
+        return key_digest(request_key(request, self.salt))
 
     # ------------------------------------------------------------------
     # The typed entry point.
@@ -202,56 +147,32 @@ class CompileService:
         if request.kind == "program":  # even when its parse fails
             out.kind = "program"
         try:
-            out.kind, out.fingerprint, tree = self._resolve(request)
-            if tree is not None:
-                request = dataclasses.replace(request, src=tree)
-            out.compiled, out.tier = self._cached(
-                out.fingerprint, self._builder(request, out.kind), started
-            )
-            out.cached = out.tier is not None
+            key = request_key(request, self.salt)
+            compiled, fingerprint, tier = self.store.get(key)
+            if compiled is None:
+                compiled = self._build(key, fingerprint, request)
+            else:
+                self.metrics.record_hit(tier, perf_counter() - started)
+                _trace_count(f"service.hit.{tier}")
+            out.compiled, out.fingerprint, out.tier = \
+                compiled, fingerprint, tier
+            out.cached = tier is not None
+            if isinstance(compiled, CompiledProgram):
+                out.kind = "program"
         except BaseException as exc:  # per-request isolation
             out.error = exc
             self.metrics.record_error()
         out.elapsed_s = perf_counter() - started
         return out
 
-    def _builder(self, request: CompileRequest, kind: str):
-        if kind == "program":
-            def build():
-                from repro.program.compile import compile_program
+    def _build(self, key: tuple, fingerprint: str,
+               request: CompileRequest):
+        """In-flight dedup -> parse and compile -> put.
 
-                return compile_program(
-                    request.src, params=request.params,
-                    options=request.options, result=request.result,
-                    fuse=request.fuse, dist=request.dist,
-                    workers=request.workers, ooc=request.ooc,
-                )
-        else:
-            def build():
-                from repro.core import pipeline
-
-                return pipeline.compile(
-                    request.src, strategy=request.strategy,
-                    params=request.params, options=request.options,
-                    force_strategy=request.force_strategy,
-                    old_array=request.old_array,
-                )
-        return build
-
-    def _cached(self, key: str, build, started: float):
-        """Store lookup -> in-flight dedup -> build -> put.
-
-        Returns ``(compiled, tier)`` — ``tier`` is the store tier that
-        served a hit, ``None`` when this call (or an in-flight leader
-        it coalesced onto) ran the pipeline.  ``started`` is the
-        request's clock, so ``hit_time`` is what the caller waited.
+        Identical concurrent requests coalesce onto the first one's
+        future; the leader parses the source once and builds from the
+        tree.
         """
-        compiled, tier = self.store.get(key)
-        if compiled is not None:
-            self.metrics.record_hit(tier, perf_counter() - started)
-            _trace_count(f"service.hit.{tier or 'memory'}")
-            return compiled, tier
-
         with self._lock:
             future = self._inflight.get(key)
             leader = future is None
@@ -261,25 +182,47 @@ class CompileService:
         if not leader:
             self.metrics.record_coalesced()
             _trace_count("service.coalesced")
-            return future.result(), None
+            return future.result()
 
         try:
             build_started = perf_counter()
-            compiled = build()
+            compiled = self._compile(request)
             elapsed = perf_counter() - build_started
-            self.store.put(key, compiled)
+            self.store.put(key, fingerprint, compiled)
             self.metrics.record_miss(
                 elapsed, getattr(compiled.report, "timings", None)
             )
             _trace_count("service.miss")
             future.set_result(compiled)
-            return compiled, None
+            return compiled
         except BaseException as exc:
             future.set_exception(exc)
             raise
         finally:
             with self._lock:
                 self._inflight.pop(key, None)
+
+    @staticmethod
+    def _compile(request: CompileRequest):
+        """Parse a request's source once and compile the tree."""
+        kind, tree = classify_source(request.src, request.kind)
+        if kind == "program":
+            from repro.program.compile import compile_program
+
+            return compile_program(
+                tree, params=request.params, options=request.options,
+                result=request.result, fuse=request.fuse,
+                dist=request.dist, workers=request.workers,
+                ooc=request.ooc,
+            )
+        from repro.core import pipeline
+
+        return pipeline.compile(
+            tree, strategy=request.strategy, params=request.params,
+            options=request.options,
+            force_strategy=request.force_strategy,
+            old_array=request.old_array,
+        )
 
     @staticmethod
     def _normalize(req) -> CompileRequest:
@@ -299,13 +242,13 @@ class CompileService:
         """Drop one request's entry from both tiers.
 
         ``src`` is a :class:`CompileRequest`, or the source of one
-        built from the other arguments; either way its kind is found
-        the way :meth:`submit` finds it.
+        built from the other arguments (with ``CompileRequest``'s
+        defaults, so ``kind="auto"``).
         """
         request = src if isinstance(src, CompileRequest) else \
             CompileRequest(src, params, options, force_strategy,
                            strategy, old_array)
-        return self.store.invalidate(self.fingerprint_request(request))
+        return self.store.invalidate(request_key(request, self.salt))
 
     def clear(self) -> None:
         """Drop every entry from both tiers."""

@@ -1,12 +1,15 @@
 """Two-tier cache of compiled comprehensions.
 
 The **memory tier** (:class:`MemoryLRU`) holds live
-:class:`~repro.codegen.compile.CompiledComp` objects behind one lock —
-a hit costs one dict lookup, no re-``exec``.  The **disk tier**
+:class:`~repro.codegen.compile.CompiledComp` objects behind one lock,
+keyed by the request key tuple
+(:func:`~repro.service.fingerprint.request_key`) — a hit costs one
+dict lookup, no digest and no re-``exec``.  The **disk tier**
 (:class:`DiskStore`) persists the generated source plus the pickled
 :class:`~repro.core.pipeline.Report` across processes under
-``~/.cache/repro`` (or a caller-supplied directory); a disk hit
-re-``exec``'s the cached source but never re-runs analysis.
+``~/.cache/repro`` (or a caller-supplied directory), named by the
+key's fingerprint; a disk hit re-``exec``'s the cached source but
+never re-runs analysis.
 
 Robustness rules, in order of importance:
 
@@ -32,7 +35,7 @@ from threading import RLock
 from typing import Iterator, Optional, Tuple
 
 from repro.codegen.compile import CompiledComp
-from repro.service.fingerprint import PIPELINE_SALT
+from repro.service.fingerprint import PIPELINE_SALT, key_digest
 
 #: Where the CLI and ``DiskStore()`` put entries by default.
 DEFAULT_CACHE_DIR = Path(
@@ -44,7 +47,7 @@ FORMAT_VERSION = 1
 
 
 class MemoryLRU:
-    """Thread-safe LRU map of fingerprint -> :class:`CompiledComp`."""
+    """Thread-safe LRU map of a hashable key to an entry."""
 
     def __init__(self, capacity: int = 256):
         if capacity < 1:
@@ -54,36 +57,36 @@ class MemoryLRU:
         self.hits = 0
         self.misses = 0
         self._lock = RLock()
-        self._entries: "OrderedDict[str, CompiledComp]" = OrderedDict()
+        self._entries: OrderedDict = OrderedDict()
 
-    def get(self, fingerprint: str) -> Optional[CompiledComp]:
+    def get(self, key):
         with self._lock:
-            compiled = self._entries.get(fingerprint)
-            if compiled is not None:
-                self._entries.move_to_end(fingerprint)
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
                 self.hits += 1
             else:
                 self.misses += 1
-            return compiled
+            return entry
 
-    def put(self, fingerprint: str, compiled: CompiledComp) -> None:
+    def put(self, key, entry) -> None:
         with self._lock:
-            self._entries[fingerprint] = compiled
-            self._entries.move_to_end(fingerprint)
+            self._entries[key] = entry
+            self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.evictions += 1
 
-    def invalidate(self, fingerprint: str) -> bool:
+    def invalidate(self, key) -> bool:
         with self._lock:
-            return self._entries.pop(fingerprint, None) is not None
+            return self._entries.pop(key, None) is not None
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
 
     def keys(self):
-        """Fingerprints, least- to most-recently used."""
+        """Keys, least- to most-recently used."""
         with self._lock:
             return list(self._entries)
 
@@ -91,9 +94,9 @@ class MemoryLRU:
         with self._lock:
             return len(self._entries)
 
-    def __contains__(self, fingerprint: str) -> bool:
+    def __contains__(self, key) -> bool:
         with self._lock:
-            return fingerprint in self._entries
+            return key in self._entries
 
 
 class DiskStore:
@@ -204,7 +207,13 @@ class DiskStore:
 class TieredStore:
     """Memory LRU over an optional disk store.
 
-    ``get`` returns ``(compiled, tier)`` with ``tier`` one of
+    Entries are looked up by request key
+    (:func:`~repro.service.fingerprint.request_key`).  The memory tier
+    maps the key to ``(compiled, fingerprint)``, so a hit computes no
+    digest; on a memory miss the key's fingerprint
+    (:func:`~repro.service.fingerprint.key_digest`) is computed once,
+    names the disk entry, and is kept with the memory entry.  ``get``
+    returns ``(compiled, fingerprint, tier)`` with ``tier`` one of
     ``"memory"``, ``"disk"`` or ``None``; a disk hit is promoted into
     the memory tier.
     """
@@ -214,26 +223,28 @@ class TieredStore:
         self.memory = memory
         self.disk = disk
 
-    def get(self, fingerprint: str):
-        compiled = self.memory.get(fingerprint)
-        if compiled is not None:
-            return compiled, "memory"
+    def get(self, key: tuple):
+        entry = self.memory.get(key)
+        if entry is not None:
+            return entry[0], entry[1], "memory"
+        fingerprint = key_digest(key)
         if self.disk is not None:
             compiled = self.disk.get(fingerprint)
             if compiled is not None:
-                self.memory.put(fingerprint, compiled)
-                return compiled, "disk"
-        return None, None
+                self.memory.put(key, (compiled, fingerprint))
+                return compiled, fingerprint, "disk"
+        return None, fingerprint, None
 
-    def put(self, fingerprint: str, compiled: CompiledComp) -> None:
-        self.memory.put(fingerprint, compiled)
+    def put(self, key: tuple, fingerprint: str,
+            compiled: CompiledComp) -> None:
+        self.memory.put(key, (compiled, fingerprint))
         if self.disk is not None:
             self.disk.put(fingerprint, compiled)
 
-    def invalidate(self, fingerprint: str) -> bool:
-        hit = self.memory.invalidate(fingerprint)
+    def invalidate(self, key: tuple) -> bool:
+        hit = self.memory.invalidate(key)
         if self.disk is not None:
-            hit = self.disk.invalidate(fingerprint) or hit
+            hit = self.disk.invalidate(key_digest(key)) or hit
         return hit
 
     def clear(self) -> None:

@@ -3,7 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.lang import ast
-from repro.lang.parser import parse_expr
+from repro.lang.parser import parse_expr, parse_program
 from repro.lang.pretty import pretty
 
 
@@ -50,6 +50,15 @@ class TestRoundTrips:
 
         for entry in CATALOG.values():
             roundtrips(entry["source"])
+
+    def test_programs_roundtrip(self):
+        # A binding list renders as a program (the service keys a
+        # parsed program by this text).
+        from repro.kernels import PROGRAM_CATALOG
+
+        for entry in PROGRAM_CATALOG.values():
+            binds = parse_program(entry["source"])
+            assert parse_program(pretty(binds)) == binds
 
     def test_tricky_cases(self):
         for src in [

@@ -184,6 +184,21 @@ class TestProgramGolden:
         assert not any("backend 'k'" in line
                        for line in lines_for(ex, "reuse"))
 
+    def test_program_vectorize_fallback_in_vectorize_area(self):
+        # An index array stays scalar under vectorize: float64 cells
+        # cannot index the consumer.
+        src = """
+        k = array (1,n) [ i := i | i <- [1..n] ];
+        main = accumArray (\\a b -> a + b) 0 (1,m)
+                 [ (k!i) := 1 | i <- [1..n] ]
+        """
+        ex = explain(src, params={"n": 4, "m": 6},
+                     options=CodegenOptions(vectorize=True))
+        assert "[vectorize] program: rejected — vectorize 'k': stays " \
+            "scalar — its cells subscript a later binding" in \
+            "\n".join(lines_for(ex, "vectorize"))
+        assert not any("'k'" in line for line in lines_for(ex, "reuse"))
+
 
 class TestIterateDriverGolden:
     """The in-place iterate line says where the sweeps run, and why."""

@@ -3,11 +3,17 @@
 import asyncio
 import http.client
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import CompileRequest, CompileService, kernels
 from repro.serve import CompileServer, ServeConfig
 from repro.service.stats import STATS_SCHEMA
@@ -19,6 +25,7 @@ class LiveServer:
     """An inline-mode server on a private loop thread, plus a client."""
 
     def __init__(self, config=None, service=None):
+        self.service = service
         self.server = CompileServer(
             config or ServeConfig(port=0), service=service,
         )
@@ -41,6 +48,9 @@ class LiveServer:
         self._loop.close()
 
     def close(self):
+        closed = getattr(self.service, "closed", None)
+        if closed is not None:
+            closed.set()
         self._loop.call_soon_threadsafe(self._stop.set)
         self._thread.join(timeout=30)
 
@@ -175,15 +185,15 @@ class SlowService(CompileService):
     def __init__(self, delay_s):
         super().__init__()
         self.delay_s = delay_s
+        self.closed = threading.Event()
 
-    def _builder(self, request, kind):
-        build = super()._builder(request, kind)
-
-        def slow():
-            time.sleep(self.delay_s)
-            return build()
-
-        return slow
+    def _compile(self, request):
+        # A build a test abandoned (a timeout) ends when its server
+        # closes, without compiling: it must not run into later tests'
+        # parse and pipeline counts.
+        if self.closed.wait(self.delay_s):
+            raise RuntimeError("server closed")
+        return super()._compile(request)
 
 
 class TestAdmission:
@@ -271,3 +281,136 @@ class TestAdmission:
 
 def live_post(server, payload):
     return server.request("POST", "/v1/compile", payload)
+
+
+# ----------------------------------------------------------------------
+# A dead pool worker, under ``python -m repro serve``.
+
+
+def _alive(pid):
+    """Whether ``pid`` runs (a zombie has exited)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def _children(pid):
+    """Live processes whose parent is ``pid``."""
+    found = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid and _alive(int(stat.parent.name)):
+            found.append(int(stat.parent.name))
+    return found
+
+
+def _wait_for(predicate, timeout):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.05)
+    return predicate()
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="needs /proc to find the pool's workers")
+class TestWorkerKills:
+    """A pool worker that dies neither stops nor wedges the server."""
+
+    @pytest.fixture
+    def served(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            repro.__file__)))
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--serve-workers", "1"],
+            env=dict(os.environ, PYTHONPATH=src),
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        )
+        log = []
+        reader = threading.Thread(
+            target=lambda: log.extend(iter(server.stdout.readline, "")),
+            daemon=True,
+        )
+        reader.start()
+        workers = set()
+        try:
+            def banner():
+                return next((line for line in log
+                             if "compile service on http://" in line), None)
+
+            assert _wait_for(banner, 60), f"server never booted: {log}"
+            port = int(banner().split("http://", 1)[1].split()[0]
+                       .rsplit(":", 1)[1])
+
+            def post():
+                conn = http.client.HTTPConnection("127.0.0.1", port,
+                                                  timeout=60)
+                try:
+                    conn.request("POST", "/v1/compile",
+                                 json.dumps({"src": SRC}))
+                    response = conn.getresponse()
+                    return response.status, json.loads(response.read())
+                finally:
+                    conn.close()
+
+            def healthz():
+                conn = http.client.HTTPConnection("127.0.0.1", port,
+                                                  timeout=10)
+                try:
+                    conn.request("GET", "/healthz")
+                    return conn.getresponse().status
+                finally:
+                    conn.close()
+
+            def worker():
+                found = _children(server.pid)
+                workers.update(found)
+                assert len(found) == 1, found
+                return found[0]
+
+            yield server, log, post, healthz, worker
+        finally:
+            if server.poll() is None:
+                server.terminate()
+            try:
+                server.wait(timeout=30)
+            except subprocess.TimeoutExpired:
+                server.kill()
+                server.wait(timeout=30)
+            reader.join(timeout=10)
+            server.stdout.close()
+            left = [pid for pid in workers if _alive(pid)]
+            for pid in left:
+                os.kill(pid, signal.SIGKILL)
+            assert not left, f"pool workers outlived the server: {left}"
+
+    @pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL],
+                             ids=["term", "kill"])
+    def test_server_survives_and_restarts_the_pool(self, served, sig):
+        server, log, post, healthz, worker = served
+        status, payload = post()
+        assert status == 200 and payload["ok"]
+        dead = worker()
+        os.kill(dead, sig)
+        assert _wait_for(lambda: not _alive(dead), 10)
+        time.sleep(0.5)  # a TERM relayed to the server acts by now
+        assert server.poll() is None and healthz() == 200
+        assert not any("shutting down" in line for line in log)
+        status, payload = post()
+        if status != 200:
+            assert status == 500 and payload["error"] == "worker-crash"
+            status, payload = post()
+        assert status == 200 and payload["ok"]
+        assert worker() != dead
+        server.terminate()
+        assert server.wait(timeout=30) == 0
+        assert _wait_for(
+            lambda: any("shutting down" in line for line in log), 10)
+

@@ -1,9 +1,9 @@
-"""Canonical fingerprints: what must collide, what must not."""
+"""Request keys: what must collide, what must not."""
 
-import pytest
-
-from repro import CodegenOptions, kernels
-from repro.service import canonical_comp, canonical_expr, fingerprint
+import repro
+from repro import CodegenOptions, CompileRequest, CompileService, kernels
+from repro.lang import parse_expr, pretty
+from repro.service import fingerprint
 from repro.service.fingerprint import PIPELINE_SALT
 
 #: The wavefront kernel under a consistent renaming of every bound
@@ -21,15 +21,27 @@ in grid
 
 class TestInvariance:
     def test_bound_variable_renaming(self):
-        assert fingerprint(kernels.WAVEFRONT, {"n": 8}) == fingerprint(
+        # A renamed source is another request: its own key, compiled
+        # to its own names.
+        assert fingerprint(kernels.WAVEFRONT, {"n": 8}) != fingerprint(
             WAVEFRONT_RENAMED, {"n": 8}
         )
+        service = CompileService()
+        service.submit(CompileRequest(kernels.WAVEFRONT, {"n": 8}))
+        renamed = service.submit(CompileRequest(WAVEFRONT_RENAMED, {"n": 8}))
+        assert renamed.ok and not renamed.cached
+        assert "loop col: either, forward" in \
+            renamed.compiled.report.summary()
+        assert "for row in" in renamed.compiled.source
 
     def test_whitespace_and_layout(self):
+        # Layout never reaches the IR: its own key, the same module.
         flattened = " ".join(kernels.WAVEFRONT.split())
-        assert fingerprint(kernels.WAVEFRONT, {"n": 8}) == fingerprint(
+        assert fingerprint(kernels.WAVEFRONT, {"n": 8}) != fingerprint(
             flattened, {"n": 8}
         )
+        assert repro.compile(flattened, params={"n": 8}).source == \
+            repro.compile(kernels.WAVEFRONT, params={"n": 8}).source
 
     def test_repeated_calls_stable(self):
         first = fingerprint(kernels.SOR, {"m": 8, "omega": 1})
@@ -37,11 +49,17 @@ class TestInvariance:
         assert first == second
 
     def test_accepts_parsed_ast(self):
-        from repro.lang.parser import parse_expr
-
-        assert fingerprint(
-            parse_expr(kernels.SQUARES), {"n": 5}
-        ) == fingerprint(kernels.SQUARES, {"n": 5})
+        # A tree keys as its pretty rendering and compiles to the
+        # module the text does.
+        tree = parse_expr(kernels.SQUARES)
+        assert fingerprint(tree, {"n": 5}) == fingerprint(pretty(tree),
+                                                          {"n": 5})
+        service = CompileService()
+        built = service.submit(CompileRequest(tree, {"n": 5}))
+        assert built.fingerprint == service.fingerprint_request(
+            CompileRequest(pretty(tree), {"n": 5}))
+        assert built.compiled.source == repro.compile(
+            kernels.SQUARES, params={"n": 5}).source
 
 
 class TestDiscrimination:
@@ -101,37 +119,3 @@ class TestDiscrimination:
         assert base != fingerprint(
             kernels.JACOBI, {"m": 6}, strategy="inplace", old_array="u"
         )
-
-
-class TestCanonicalForms:
-    def test_canonical_expr_alpha_equivalence(self):
-        assert canonical_expr(r"\x -> x + y") == canonical_expr(
-            r"\z -> z + y"
-        )
-        assert canonical_expr(r"\x -> x") != canonical_expr(r"\x -> y")
-
-    def test_canonical_expr_let_kinds_distinguished(self):
-        assert canonical_expr("let a = 1 in a") != canonical_expr(
-            "letrec a = 1 in a"
-        )
-
-    def test_canonical_comp_loop_ids(self):
-        from repro.comprehension.build import (
-            build_array_comp,
-            find_array_comp,
-        )
-        from repro.lang.parser import parse_expr
-
-        name, bounds, pairs = find_array_comp(
-            parse_expr(kernels.WAVEFRONT)
-        )
-        comp = build_array_comp(name, bounds, pairs, {"n": 4})
-        text = canonical_comp(comp)
-        assert "%L0" in text and "%self" in text
-        # No surface identifier from the source leaks through for
-        # bound names.
-        assert "(var a)" not in text
-
-    def test_front_end_errors_propagate(self):
-        with pytest.raises(Exception):
-            fingerprint("letrec* a = array", {"n": 4})

@@ -1,15 +1,18 @@
 """One parse per compile request, and the same artifacts from the tree.
 
-A request's kind, its fingerprint and its build all come from one
-parse; a request the service has already seen is not parsed at all.
-The counts spy on the tokenizer every ``Parser`` runs.
+A request's kind and its build come from one parse; a request the
+service has already seen is not parsed at all, and its fingerprint is
+not hashed again.  The counts spy on the tokenizer every ``Parser``
+runs.
 """
+
+import hashlib
 
 import pytest
 
 import repro
 import repro.lang.parser as parser_mod
-from repro import CompileRequest, CompileService, kernels
+from repro import CodegenOptions, CompileRequest, CompileService, kernels
 from repro.__main__ import main
 from repro.obs.explain import explain
 from repro.program import classify_source
@@ -39,7 +42,43 @@ def tokenized(monkeypatch):
     return read
 
 
+@pytest.fixture
+def digested(monkeypatch):
+    """Count sha256 digests; ``digested()`` reads and resets."""
+    calls = [0]
+    real = hashlib.sha256
+
+    def spy(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hashlib, "sha256", spy)
+
+    def read():
+        seen, calls[0] = calls[0], 0
+        return seen
+
+    return read
+
+
 class TestTokenizerCalls:
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_warm_hit_neither_tokenizes_nor_digests(
+            self, tokenized, digested, tmp_path, kind):
+        src, params = KINDS[kind]
+        service = CompileService(disk_dir=tmp_path)
+        tokenized(), digested()
+        first = service.submit(CompileRequest(src, params))
+        assert first.ok and not first.cached
+        assert tokenized() == 1 and digested() == 1
+        # None and CodegenOptions() are one request.
+        for options in (None, CodegenOptions()):
+            hit = service.submit(
+                CompileRequest(src, dict(params), options=options))
+            assert hit.tier == "memory" and hit.compiled is first.compiled
+            assert hit.fingerprint == first.fingerprint
+        assert tokenized() == 0 and digested() == 0
+
     @pytest.mark.parametrize("explicit", [False, True])
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_service_new_once_repeat_never(self, tokenized, kind,
@@ -120,8 +159,9 @@ CATALOG_PARAMS = {
 
 
 class TestSameArtifacts:
-    """A service miss builds from the tree it fingerprinted; what it
-    emits must equal a compile of the text."""
+    """A service miss builds from the tree it parsed; what it emits
+    must equal a compile of the text, under the fingerprint of the
+    request's own arguments."""
 
     @pytest.mark.parametrize("name", sorted(kernels.CATALOG))
     def test_catalog_definition(self, name):
@@ -131,6 +171,7 @@ class TestSameArtifacts:
         strategy = "inplace" if old else "auto"
         result = CompileService().submit(CompileRequest(
             entry["source"], params, strategy=strategy, old_array=old,
+            kind="definition",
         ))
         assert result.ok and not result.cached, result.error
         direct = repro.compile(entry["source"], params=params,
@@ -144,8 +185,8 @@ class TestSameArtifacts:
     @pytest.mark.parametrize("name", sorted(kernels.PROGRAM_CATALOG))
     def test_catalog_program(self, name):
         entry = kernels.PROGRAM_CATALOG[name]
-        result = CompileService().submit(
-            CompileRequest(entry["source"], entry["params"]))
+        result = CompileService().submit(CompileRequest(
+            entry["source"], entry["params"], kind="program"))
         assert result.ok and result.kind == "program", result.error
         direct = repro.compile_program(entry["source"],
                                        params=entry["params"])

@@ -1,5 +1,6 @@
 """CompileService: accounting, batching, dedup, pipeline wiring."""
 
+import re
 import threading
 import time
 
@@ -76,19 +77,20 @@ class TestAccounting:
         assert (cached({"n": 6}).to_list()
                 == uncached({"n": 6}).to_list())
 
-    def test_renamed_source_hits_same_entry(self, counting_pipeline):
+    def test_renamed_source_gets_its_own_entry(self, counting_pipeline):
+        renamed = re.sub(r"\bj\b", "c",
+                         re.sub(r"\bi\b", "r", kernels.WAVEFRONT))
         service = CompileService()
-        compile_one(
-            service,
-            "letrec* a = array (1,n) [ i := i*i | i <- [1..n] ] in a",
-            params={"n": 4},
-        )
-        compile_one(
-            service,
-            "letrec* sq = array (1,n) [ k := k*k | k <- [1..n] ] in sq",
-            params={"n": 4},
-        )
-        assert counting_pipeline["count"] == 1
+        first = service.submit(CompileRequest(kernels.WAVEFRONT, {"n": 6}))
+        again = service.submit(CompileRequest(renamed, {"n": 6}))
+        assert again.ok and not again.cached
+        assert again.compiled is not first.compiled
+        assert counting_pipeline["count"] == 2
+        direct = repro.compile(renamed, params={"n": 6})
+        assert again.compiled.source == direct.source
+        assert "for r in" in direct.source and "for i in" not in direct.source
+        assert again.compiled.report.summary() == direct.report.summary()
+        assert "loop c: either, forward" in direct.report.summary()
 
     def test_lru_eviction_shows_in_stats(self, counting_pipeline):
         service = CompileService(capacity=1)
@@ -108,8 +110,9 @@ class TestAccounting:
     def test_invalidate_forces_recompile(self, counting_pipeline):
         service = CompileService()
         compile_one(service, kernels.SQUARES, params={"n": 4})
-        assert service.invalidate(kernels.SQUARES,
-                                  params={"n": 4}) is True
+        # The request as sent: its kind is part of the key.
+        assert service.invalidate(CompileRequest(
+            kernels.SQUARES, {"n": 4}, kind="definition")) is True
         compile_one(service, kernels.SQUARES, params={"n": 4})
         assert counting_pipeline["count"] == 2
 
@@ -120,7 +123,7 @@ class TestAccounting:
     ], ids=["definition", "program"])
     def test_invalidate_finds_the_submitted_entry(self, tmp_path, tier,
                                                   src, params):
-        # The request's kind is found the way submit finds it, so a
+        # A positional invalidate builds the request submit got, so a
         # program's entry can be dropped too, positionally or by
         # request, from whichever tier holds it.
         CompileService(disk_dir=tmp_path).submit(
@@ -201,7 +204,7 @@ class TestFailedRequests:
                    for request, *_ in FRONT_END_FAILURES.values()]
         assert not any(result.ok for result in results)
         # A build failure (counted where the build runs) and a repeat
-        # of a front-end failure, which no memo answers.
+        # of a front-end failure, which no entry answers.
         service.submit(CompileRequest(kernels.SQUARES, {"n": 4},
                                       force_strategy="bogus"))
         service.submit(FRONT_END_FAILURES["lex"][0])
@@ -214,8 +217,9 @@ class TestFailedRequests:
 
 class TestHitTime:
     def test_hit_time_is_what_the_caller_waited(self, tmp_path):
-        # Disk hits on a fresh service: every request is new to its
-        # memo, so each one parses and fingerprints before the lookup.
+        # Disk hits on a fresh service: every request misses the
+        # memory tier, so each one computes its fingerprint and reads
+        # the disk before it is answered.
         requests = [
             CompileRequest(kernels.PROGRAM_JACOBI_STEPS, {"m": 6, "k": 2}),
             CompileRequest(kernels.PROGRAM_PIPELINE, {"n": 12}),

@@ -8,6 +8,7 @@ import pytest
 import repro
 from repro import kernels
 from repro.service import DiskStore, MemoryLRU, TieredStore
+from repro.service.fingerprint import key_digest
 from repro.service.store import FORMAT_VERSION
 
 
@@ -135,32 +136,35 @@ class TestDiskStore:
 
 
 class TestTieredStore:
+    """Both tiers take a request key; the disk tier files the entry
+    under the key's digest, which the memory tier keeps with it."""
+
     def test_disk_hit_promotes_to_memory(self, tmp_path, compiled):
-        seeder = DiskStore(tmp_path)
-        key = "a1" + "0" * 62
-        seeder.put(key, compiled)
+        key = ("salt", "a1")
+        DiskStore(tmp_path).put(key_digest(key), compiled)
         tiered = TieredStore(MemoryLRU(4), DiskStore(tmp_path))
-        loaded, tier = tiered.get(key)
+        loaded, fingerprint, tier = tiered.get(key)
         assert tier == "disk" and loaded is not None
-        again, tier = tiered.get(key)
-        assert tier == "memory" and again is loaded
+        assert fingerprint == key_digest(key)
+        assert tiered.get(key) == (loaded, fingerprint, "memory")
 
     def test_put_reaches_both_tiers(self, tmp_path, compiled):
         tiered = TieredStore(MemoryLRU(4), DiskStore(tmp_path))
-        key = "b2" + "0" * 62
-        tiered.put(key, compiled)
-        assert tiered.memory.get(key) is compiled
-        assert tiered.disk.get(key) is not None
+        key = ("salt", "b2")
+        tiered.put(key, key_digest(key), compiled)
+        assert tiered.memory.get(key) == (compiled, key_digest(key))
+        assert tiered.disk.get(key_digest(key)) is not None
 
     def test_memory_only_configuration(self, compiled):
         tiered = TieredStore(MemoryLRU(4))
-        tiered.put("k", compiled)
-        assert tiered.get("k") == (compiled, "memory")
-        assert tiered.get("missing") == (None, None)
+        tiered.put(("k",), "f" * 64, compiled)
+        assert tiered.get(("k",)) == (compiled, "f" * 64, "memory")
+        missing = ("missing",)
+        assert tiered.get(missing) == (None, key_digest(missing), None)
 
     def test_invalidate_both_tiers(self, tmp_path, compiled):
         tiered = TieredStore(MemoryLRU(4), DiskStore(tmp_path))
-        key = "c3" + "0" * 62
-        tiered.put(key, compiled)
+        key = ("salt", "c3")
+        tiered.put(key, key_digest(key), compiled)
         assert tiered.invalidate(key) is True
-        assert tiered.get(key) == (None, None)
+        assert tiered.get(key) == (None, key_digest(key), None)

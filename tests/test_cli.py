@@ -1,5 +1,7 @@
 """The ``python -m repro`` command-line driver."""
 
+import re
+
 import pytest
 
 from repro.__main__ import main
@@ -291,6 +293,37 @@ class TestOptionFlags:
         with pytest.raises(UndefinedElementError,
                            match="element 1 has no definition"):
             main(["run", example2_file, "--vectorize"])
+
+    #: Histograms over an index array ``k``: in bounds, and with
+    #: ``k!1 = -3`` out of the bins.
+    HISTOGRAMS = {
+        "in-bounds": "i",
+        "out-of-bins": "(i*3) - 6",
+    }
+
+    @pytest.mark.parametrize("case", sorted(HISTOGRAMS))
+    def test_vectorized_index_array_runs_like_the_oracle(
+            self, tmp_path, capsys, case):
+        # k keeps integer cells under --vectorize, so main's scatter
+        # gives the oracle's bins or the oracle's BoundsError.
+        path = tmp_path / "hist.hs"
+        path.write_text(
+            f"k = array (1,n) [ i := {self.HISTOGRAMS[case]} "
+            "| i <- [1..n] ];\n"
+            "main = accumArray (\\a b -> a + b) 0 (1,m) "
+            "[ (k!i) := 1 | i <- [1..n] ]\n"
+        )
+        argv = [str(path), "-p", "n=4", "-p", "m=6"]
+        try:
+            main(["oracle"] + argv)
+        except Exception as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                main(["run"] + argv + ["--vectorize"])
+        else:
+            expected = capsys.readouterr().out.splitlines()[-1]
+            assert main(["run"] + argv + ["--vectorize"]) == 0
+            assert capsys.readouterr().out.splitlines()[-1] == expected
+            assert expected == "[1, 1, 1, 1, 0, 0]"
 
 
 class TestProgramCommands:

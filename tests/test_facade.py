@@ -2,8 +2,8 @@
 
 One entry point covers every compilation mode: ``strategy=`` selects
 the pass list, ``"auto"`` detects it from the source.  These tests pin
-(a) the dispatch matrix — auto detection and its cache fingerprint
-resolve to the same strategy — and (b) the facade's argument
+(a) the dispatch matrix — auto detection compiles what the resolved
+strategy does — and (b) the facade's argument
 validation, which is the single place strategy/option conflicts are
 rejected.
 """
@@ -33,9 +33,16 @@ MATRIX = {
 
 
 class TestDispatchMatrix:
-    def test_auto_fingerprint_matches_resolved(self):
-        assert fingerprint(BIGUPD, params={"n": 5}, strategy="auto") \
-            == fingerprint(BIGUPD, params={"n": 5}, strategy="bigupd")
+    def test_auto_compiles_like_resolved(self, tmp_path):
+        # Two requests with two keys, and one module; a cached facade
+        # call is stored under the fingerprint of its own arguments.
+        auto = repro.compile(BIGUPD, params={"n": 5}, cache=str(tmp_path))
+        assert auto.source == repro.compile(
+            BIGUPD, params={"n": 5}, strategy="bigupd").source
+        key = fingerprint(BIGUPD, params={"n": 5}, strategy="auto")
+        assert [path.stem for path in tmp_path.glob("*/*.pkl")] == [key]
+        assert key != fingerprint(BIGUPD, params={"n": 5},
+                                  strategy="bigupd")
 
     def test_strategies_cover_detection(self):
         assert set(STRATEGIES) == {"auto", "array", "inplace",

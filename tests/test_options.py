@@ -123,7 +123,7 @@ class TestOneMeaning:
             <= set(fallbacks)
 
     def test_options_hash_by_value(self):
-        # The service's request memo keys on the options object.
+        # The service's memory tier keys on the options object.
         assert hash(CodegenOptions(vectorize=True)) \
             == hash(CodegenOptions(vectorize=True))
 
@@ -133,6 +133,22 @@ class TestMalformedValues:
     def test_refused_at_construction(self, fields):
         with pytest.raises(CodegenError, match=next(iter(fields))):
             CodegenOptions(**fields)
+
+    def test_a_dict_is_not_options(self):
+        # Only the wire turns a dict into options; every in-process
+        # entry names the type it wants.
+        options = {"vectorize": True}
+        with pytest.raises(TypeError, match="CodegenOptions"):
+            repro.compile(repro.kernels.SQUARES, params={"n": 4},
+                          options=options)
+        with pytest.raises(TypeError, match="CodegenOptions"):
+            repro.compile_program(HISTOGRAM_PROGRAM,
+                                  params=HISTOGRAM_PARAMS, options=options)
+        result = repro.CompileService().submit(repro.CompileRequest(
+            repro.kernels.SQUARES, {"n": 4}, options=options))
+        assert isinstance(result.error, TypeError)
+        assert "CodegenOptions" in str(result.error)
+        assert result.fingerprint is None
 
 
 @needs_cc
