@@ -21,6 +21,7 @@ returns a :class:`~repro.codegen.support.FlatArray`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.comprehension.loopir import ArrayComp, SVClause
@@ -122,6 +123,12 @@ class CodegenOptions:
         """Whether any runtime check is compiled in."""
         return (self.bounds_checks or self.collision_checks
                 or self.empties_check)
+
+    @cached_property
+    def is_default(self) -> bool:
+        """Whether these are ``CodegenOptions()``; computed once per
+        object, since a service cache key asks on every hit."""
+        return self == _DEFAULT_OPTIONS
 
     @classmethod
     def of(cls, options) -> "CodegenOptions":

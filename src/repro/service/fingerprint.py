@@ -7,9 +7,11 @@ text, the size ``params``, the
 ``force_strategy``, ``old_array``, ``kind``, and the program fields
 ``result``, ``fuse``, ``dist``, ``workers`` and ``ooc``, plus
 :data:`PIPELINE_SALT`.  A parsed tree keys by its
-:func:`~repro.lang.pretty.pretty` rendering.  The pipeline is a pure
-function of these fields (``tests/test_determinism.py``), so two
-requests with one key get the same generated source and report.  A
+:func:`~repro.lang.pretty.pretty` rendering, and ``workers`` by the
+count a build uses (``0`` without ``dist``; this host's core count
+for ``dist`` with ``workers <= 0``).  The pipeline is a pure function
+of these fields (``tests/test_determinism.py``), so two requests with
+one key get the same generated source and report.  A
 source that differs only in layout or in the names it binds is another
 request, with its own entry compiled to its own names.
 
@@ -22,6 +24,7 @@ of the key's rendering, names the entry on disk and is the
 from __future__ import annotations
 
 import hashlib
+import os
 from typing import Dict, Optional
 
 from repro.codegen.emit import CodegenOptions
@@ -44,13 +47,17 @@ def request_key(request: CompileRequest,
     :class:`CodegenOptions` or ``None``; anything else is a
     :class:`TypeError` (:meth:`CodegenOptions.of`).  The defaults key
     as ``None`` however they were spelled, so the common request hashes
-    no options object.
+    no options object; ``workers`` keys as
+    :func:`~repro.program.compile.compile_program` resolves it.
     """
     src = request.src
     options = request.options
-    if options is not None and \
-            CodegenOptions.of(options) == CodegenOptions.of(None):
+    if options is not None and CodegenOptions.of(options).is_default:
         options = None
+    workers = 0
+    if request.dist:
+        workers = request.workers if request.workers > 0 else \
+            os.cpu_count() or 1
     return (
         salt,
         src if isinstance(src, str) else pretty(src),
@@ -63,7 +70,7 @@ def request_key(request: CompileRequest,
         request.result,
         request.fuse,
         request.dist,
-        request.workers,
+        workers,
         request.ooc,
     )
 
@@ -79,15 +86,16 @@ def fingerprint(
     params: Optional[Dict] = None,
     options=None,
     force_strategy: Optional[str] = None,
-    strategy: str = "array",
+    strategy: str = "auto",
     old_array: Optional[str] = None,
     salt: str = PIPELINE_SALT,
 ) -> str:
     """The fingerprint of one definition request.
 
-    The arguments are ``repro.compile``'s, so a ``repro.compile(...,
-    cache=...)`` call is stored under the fingerprint of the same
-    arguments.  ``src`` may be source text or a parsed tree.
+    The arguments, and their defaults, are ``repro.compile``'s, so a
+    ``repro.compile(..., cache=...)`` call is stored under the
+    fingerprint of the same arguments.  ``src`` may be source text or
+    a parsed tree.
     """
     return key_digest(request_key(CompileRequest(
         src, params, options, force_strategy, strategy, old_array,

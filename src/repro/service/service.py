@@ -33,10 +33,17 @@ from threading import Lock
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence
 
+from repro.core.pipeline import STRATEGIES
 from repro.obs.trace import count as _trace_count
 from repro.program.compile import CompiledProgram, classify_source
 from repro.service.api import CompileRequest, CompileResult
-from repro.service.fingerprint import PIPELINE_SALT, key_digest, request_key
+from repro.service.fingerprint import (
+    PIPELINE_SALT,
+    fingerprint,
+    fingerprint_program,
+    key_digest,
+    request_key,
+)
 from repro.service.metrics import ServiceMetrics
 from repro.service.stats import service_stats
 from repro.service.store import DiskStore, MemoryLRU, TieredStore
@@ -84,22 +91,20 @@ class CompileService:
     # Fingerprints.
 
     def fingerprint(self, src, params=None, options=None,
-                    force_strategy=None, strategy="array",
+                    force_strategy=None, strategy="auto",
                     old_array=None) -> str:
         """The fingerprint this service would report for a definition."""
-        return self.fingerprint_request(CompileRequest(
-            src, params, options, force_strategy, strategy, old_array,
-            kind="definition",
-        ))
+        return fingerprint(src, params, options, force_strategy,
+                           strategy, old_array, salt=self.salt)
 
     def fingerprint_program(self, src, params=None, options=None,
                             result=None, fuse=True, dist=False,
                             workers=0, ooc=False) -> str:
         """The fingerprint this service would report for a program."""
-        return self.fingerprint_request(CompileRequest(
-            src, params, options, kind="program", result=result,
-            fuse=fuse, dist=dist, workers=workers, ooc=ooc,
-        ))
+        return fingerprint_program(
+            src, params, options, result, fuse, salt=self.salt,
+            dist=dist, workers=workers, ooc=ooc,
+        )
 
     def fingerprint_request(self, request: CompileRequest) -> str:
         """The fingerprint of a typed request (parses nothing)."""
@@ -148,30 +153,31 @@ class CompileService:
             out.kind = "program"
         try:
             key = request_key(request, self.salt)
-            compiled, fingerprint, tier = self.store.get(key)
+            compiled, digest, tier = self.store.get(key)
             if compiled is None:
-                compiled = self._build(key, fingerprint, request)
+                compiled = self._build(key, digest, request, out)
             else:
                 self.metrics.record_hit(tier, perf_counter() - started)
                 _trace_count(f"service.hit.{tier}")
+                if isinstance(compiled, CompiledProgram):
+                    out.kind = "program"
             out.compiled, out.fingerprint, out.tier = \
-                compiled, fingerprint, tier
+                compiled, digest, tier
             out.cached = tier is not None
-            if isinstance(compiled, CompiledProgram):
-                out.kind = "program"
         except BaseException as exc:  # per-request isolation
             out.error = exc
             self.metrics.record_error()
         out.elapsed_s = perf_counter() - started
         return out
 
-    def _build(self, key: tuple, fingerprint: str,
-               request: CompileRequest):
+    def _build(self, key: tuple, digest: str, request: CompileRequest,
+               out: CompileResult):
         """In-flight dedup -> parse and compile -> put.
 
         Identical concurrent requests coalesce onto the first one's
         future; the leader parses the source once and builds from the
-        tree.
+        tree.  ``out.kind`` is set to the kind the source parsed as,
+        also when the build then fails.
         """
         with self._lock:
             future = self._inflight.get(key)
@@ -182,30 +188,35 @@ class CompileService:
         if not leader:
             self.metrics.record_coalesced()
             _trace_count("service.coalesced")
-            return future.result()
+            out.kind, compiled, error = future.result()
+            if error is not None:
+                raise error
+            return compiled
 
         try:
             build_started = perf_counter()
-            compiled = self._compile(request)
+            compiled = self._compile(request, out)
             elapsed = perf_counter() - build_started
-            self.store.put(key, fingerprint, compiled)
+            self.store.put(key, digest, compiled)
             self.metrics.record_miss(
                 elapsed, getattr(compiled.report, "timings", None)
             )
             _trace_count("service.miss")
-            future.set_result(compiled)
+            future.set_result((out.kind, compiled, None))
             return compiled
         except BaseException as exc:
-            future.set_exception(exc)
+            future.set_result((out.kind, None, exc))
             raise
         finally:
             with self._lock:
                 self._inflight.pop(key, None)
 
     @staticmethod
-    def _compile(request: CompileRequest):
-        """Parse a request's source once and compile the tree."""
+    def _compile(request: CompileRequest, out: CompileResult):
+        """Parse a request's source once, note its kind in ``out`` and
+        compile the tree."""
         kind, tree = classify_source(request.src, request.kind)
+        out.kind = kind
         if kind == "program":
             from repro.program.compile import compile_program
 
@@ -237,18 +248,28 @@ class CompileService:
     # ------------------------------------------------------------------
 
     def invalidate(self, src, params=None, options=None,
-                   force_strategy=None, strategy="array",
+                   force_strategy=None, strategy=None,
                    old_array=None) -> bool:
-        """Drop one request's entry from both tiers.
+        """Drop entries from both tiers; whether any was there.
 
-        ``src`` is a :class:`CompileRequest`, or the source of one
-        built from the other arguments (with ``CompileRequest``'s
-        defaults, so ``kind="auto"``).
+        ``src`` is a :class:`CompileRequest`, whose entry is dropped,
+        or a source: then every entry its arguments can name is, the
+        source sent as any ``kind`` and, with ``strategy=None``, under
+        any strategy (a program's keyed with the default program
+        fields).
         """
-        request = src if isinstance(src, CompileRequest) else \
-            CompileRequest(src, params, options, force_strategy,
-                           strategy, old_array)
-        return self.store.invalidate(request_key(request, self.salt))
+        if isinstance(src, CompileRequest):
+            requests = [src]
+        else:
+            requests = [
+                CompileRequest(src, params, options, force_strategy,
+                               each, old_array, kind=kind)
+                for kind in ("auto", "definition", "program")
+                for each in ((strategy,) if strategy else STRATEGIES)
+            ]
+        dropped = [self.store.invalidate(request_key(request, self.salt))
+                   for request in requests]
+        return any(dropped)
 
     def clear(self) -> None:
         """Drop every entry from both tiers."""

@@ -187,13 +187,13 @@ class SlowService(CompileService):
         self.delay_s = delay_s
         self.closed = threading.Event()
 
-    def _compile(self, request):
+    def _compile(self, request, out):
         # A build a test abandoned (a timeout) ends when its server
         # closes, without compiling: it must not run into later tests'
         # parse and pipeline counts.
         if self.closed.wait(self.delay_s):
             raise RuntimeError("server closed")
-        return super()._compile(request)
+        return super()._compile(request, out)
 
 
 class TestAdmission:
@@ -296,17 +296,29 @@ def _alive(pid):
     return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
-def _children(pid):
-    """Live processes whose parent is ``pid``."""
+def _live(field, value):
+    """Live processes whose ``/proc/<pid>/stat`` ``field`` (1: parent,
+    2: process group) is ``value``."""
     found = []
     for stat in Path("/proc").glob("[0-9]*/stat"):
         try:
             fields = stat.read_text().rsplit(")", 1)[1].split()
         except OSError:
             continue
-        if int(fields[1]) == pid and _alive(int(stat.parent.name)):
+        if int(fields[field]) == value and _alive(int(stat.parent.name)):
             found.append(int(stat.parent.name))
     return found
+
+
+def _children(pid):
+    """Live processes whose parent is ``pid``."""
+    return _live(1, pid)
+
+
+def _group(pgid):
+    """Live processes in process group ``pgid``: a server started in
+    its own session, and every worker it forked, wherever reparented."""
+    return _live(2, pgid)
 
 
 def _wait_for(predicate, timeout):
@@ -332,6 +344,7 @@ class TestWorkerKills:
              "--serve-workers", "1"],
             env=dict(os.environ, PYTHONPATH=src),
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            start_new_session=True,
         )
         log = []
         reader = threading.Thread(
@@ -339,7 +352,6 @@ class TestWorkerKills:
             daemon=True,
         )
         reader.start()
-        workers = set()
         try:
             def banner():
                 return next((line for line in log
@@ -371,7 +383,6 @@ class TestWorkerKills:
 
             def worker():
                 found = _children(server.pid)
-                workers.update(found)
                 assert len(found) == 1, found
                 return found[0]
 
@@ -384,11 +395,14 @@ class TestWorkerKills:
             except subprocess.TimeoutExpired:
                 server.kill()
                 server.wait(timeout=30)
-            reader.join(timeout=10)
-            server.stdout.close()
-            left = [pid for pid in workers if _alive(pid)]
+            # A live worker holds the log pipe open: kill leftovers
+            # before the reader is joined and the pipe closed.
+            _wait_for(lambda: not _group(server.pid), 5)
+            left = _group(server.pid)
             for pid in left:
                 os.kill(pid, signal.SIGKILL)
+            reader.join(timeout=10)
+            server.stdout.close()
             assert not left, f"pool workers outlived the server: {left}"
 
     @pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL],
@@ -414,3 +428,23 @@ class TestWorkerKills:
         assert _wait_for(
             lambda: any("shutting down" in line for line in log), 10)
 
+    @pytest.mark.parametrize("worker_first", [False, True],
+                             ids=["server-first", "worker-first"])
+    def test_term_to_server_and_worker_leaves_no_process(self, served,
+                                                        worker_first):
+        # One TERM each, sent together (as ``pkill -f`` does): the
+        # server shuts down cleanly and no worker outlives it.
+        server, log, post, healthz, worker = served
+        status, payload = post()
+        assert status == 200 and payload["ok"]
+        pids = [server.pid, worker()]
+        for pid in (pids[::-1] if worker_first else pids):
+            try:
+                os.kill(pid, signal.SIGTERM)
+            except ProcessLookupError:  # the shutdown reaped it first
+                pass
+        assert server.wait(timeout=30) == 0
+        assert _wait_for(
+            lambda: any("shutting down" in line for line in log), 10)
+        assert _wait_for(lambda: not _group(server.pid), 5), \
+            _group(server.pid)

@@ -1,9 +1,11 @@
 """Request keys: what must collide, what must not."""
 
+import os
+
 import repro
 from repro import CodegenOptions, CompileRequest, CompileService, kernels
 from repro.lang import parse_expr, pretty
-from repro.service import fingerprint
+from repro.service import fingerprint, fingerprint_program
 from repro.service.fingerprint import PIPELINE_SALT
 
 #: The wavefront kernel under a consistent renaming of every bound
@@ -113,6 +115,22 @@ class TestDiscrimination:
         assert base != fingerprint(
             kernels.WAVEFRONT, {"n": 8}, salt=PIPELINE_SALT + "-next"
         )
+
+    def test_workers_key_as_the_build_uses_them(self):
+        # Without dist a build uses no workers; with dist and
+        # workers <= 0 it uses this host's cores.
+        src = kernels.PROGRAM_JACOBI_STEPS
+        assert fingerprint_program(src, workers=4) == \
+            fingerprint_program(src)
+        assert fingerprint_program(src, dist=True) == fingerprint_program(
+            src, dist=True, workers=os.cpu_count() or 1)
+        assert fingerprint_program(src, dist=True, workers=2) != \
+            fingerprint_program(src, dist=True, workers=3)
+        service = CompileService()
+        params = {"m": 6, "k": 2}
+        first = service.submit(CompileRequest(src, params, workers=4))
+        again = service.submit(CompileRequest(src, params))
+        assert again.cached and again.compiled is first.compiled
 
     def test_mode_and_old_array_distinguish(self):
         base = fingerprint(kernels.JACOBI, {"m": 6})

@@ -110,11 +110,26 @@ class TestAccounting:
     def test_invalidate_forces_recompile(self, counting_pipeline):
         service = CompileService()
         compile_one(service, kernels.SQUARES, params={"n": 4})
-        # The request as sent: its kind is part of the key.
-        assert service.invalidate(CompileRequest(
-            kernels.SQUARES, {"n": 4}, kind="definition")) is True
+        assert service.invalidate(kernels.SQUARES,
+                                  params={"n": 4}) is True
         compile_one(service, kernels.SQUARES, params={"n": 4})
         assert counting_pipeline["count"] == 2
+
+    @pytest.mark.parametrize("src, params", [
+        (kernels.SQUARES, {"n": 4}),
+        (kernels.PROGRAM_JACOBI_STEPS, {"m": 6, "k": 2}),
+    ], ids=["definition", "program"])
+    def test_invalidate_drops_a_cached_facade_entry(self, src, params):
+        # repro.compile(..., cache=) stores a definition as kind
+        # "definition" with strategy "auto", and a program as kind
+        # "program"; the positional form names either entry.
+        service = CompileService()
+        first = repro.compile(src, params=params, cache=service)
+        assert repro.compile(src, params=params, cache=service) is first
+        assert service.invalidate(src, params) is True
+        assert service.invalidate(src, params) is False
+        assert repro.compile(src, params=params, cache=service) \
+            is not first
 
     @pytest.mark.parametrize("tier", ["memory", "disk"])
     @pytest.mark.parametrize("src, params", [
@@ -161,9 +176,10 @@ class TestAccounting:
         assert "disk tier" in reborn.summary()
 
 
-#: Requests that fail before the store lookup, with the error type,
-#: message and result kind each must keep.
-FRONT_END_FAILURES = {
+#: Failing requests, with the error type, message and result kind
+#: each must keep.  All but "program build" fail before the store
+#: lookup; it parses as a program and fails to build.
+FAILURES = {
     "lex": (CompileRequest(
         "array (1,n) [ i := i $ 2 | i <- [1..n] ]", {"n": 4}),
         "LexError", "1:22: unexpected character '$'", "definition"),
@@ -186,30 +202,53 @@ FRONT_END_FAILURES = {
     "neither": (CompileRequest("a = 1; 2 +"),
                 "ParseError", "1:3: unexpected input after expression "
                 "(found '=')", "definition"),
+    "program build": (CompileRequest(
+        kernels.PROGRAM_JACOBI_STEPS, {"m": 6, "k": 2}, result="nosuch"),
+        "CompileError", "result binding 'nosuch' is not defined; the "
+        "program defines 'u0', 'step', 'main'", "program"),
 }
 
 
 class TestFailedRequests:
-    @pytest.mark.parametrize("case", sorted(FRONT_END_FAILURES))
+    @pytest.mark.parametrize("case", sorted(FAILURES))
     def test_error_keeps_type_message_and_kind(self, case):
-        request, error, message, kind = FRONT_END_FAILURES[case]
+        request, error, message, kind = FAILURES[case]
         result = CompileService().submit(request)
         assert type(result.error).__name__ == error
         assert str(result.error) == message
         assert result.kind == kind and result.fingerprint is None
 
+    def test_coalesced_failure_reports_the_parsed_kind(self,
+                                                       monkeypatch):
+        import repro.program.compile as program_mod
+
+        real = program_mod.compile_program
+
+        def slow(*args, **kwargs):
+            time.sleep(0.3)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(program_mod, "compile_program", slow)
+        service = CompileService()
+        results = service.submit([FAILURES["program build"][0]] * 2,
+                                 max_workers=2)
+        assert service.stats()["requests"]["coalesced"] == 1
+        assert [type(result.error).__name__ for result in results] \
+            == ["CompileError"] * 2
+        assert [result.kind for result in results] == ["program"] * 2
+
     def test_every_failed_request_is_counted_once(self):
         service = CompileService()
         results = [service.submit(request)
-                   for request, *_ in FRONT_END_FAILURES.values()]
+                   for request, *_ in FAILURES.values()]
         assert not any(result.ok for result in results)
         # A build failure (counted where the build runs) and a repeat
         # of a front-end failure, which no entry answers.
         service.submit(CompileRequest(kernels.SQUARES, {"n": 4},
                                       force_strategy="bogus"))
-        service.submit(FRONT_END_FAILURES["lex"][0])
+        service.submit(FAILURES["lex"][0])
         stats = service.stats()["requests"]
-        assert stats["errors"] == len(FRONT_END_FAILURES) + 2
+        assert stats["errors"] == len(FAILURES) + 2
         # requests and hit_rate count hits, misses and coalesced
         # requests; a failed build records no miss.
         assert stats["requests"] == 0 and stats["hit_rate"] == 0.0

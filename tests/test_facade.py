@@ -35,12 +35,15 @@ MATRIX = {
 class TestDispatchMatrix:
     def test_auto_compiles_like_resolved(self, tmp_path):
         # Two requests with two keys, and one module; a cached facade
-        # call is stored under the fingerprint of its own arguments.
+        # call is stored under the fingerprint of its own arguments,
+        # defaults included.
         auto = repro.compile(BIGUPD, params={"n": 5}, cache=str(tmp_path))
         assert auto.source == repro.compile(
             BIGUPD, params={"n": 5}, strategy="bigupd").source
-        key = fingerprint(BIGUPD, params={"n": 5}, strategy="auto")
+        key = fingerprint(BIGUPD, params={"n": 5})
         assert [path.stem for path in tmp_path.glob("*/*.pkl")] == [key]
+        assert key == fingerprint(BIGUPD, params={"n": 5},
+                                  strategy="auto")
         assert key != fingerprint(BIGUPD, params={"n": 5},
                                   strategy="bigupd")
 

@@ -123,9 +123,13 @@ class TestOneMeaning:
             <= set(fallbacks)
 
     def test_options_hash_by_value(self):
-        # The service's memory tier keys on the options object.
+        # The service's memory tier keys on the options object, and
+        # keys the defaults, by their cached flag, as None.
         assert hash(CodegenOptions(vectorize=True)) \
             == hash(CodegenOptions(vectorize=True))
+        default = CodegenOptions()
+        assert default.is_default and CodegenOptions.of(None).is_default
+        assert not dataclasses.replace(default, vectorize=True).is_default
 
 
 class TestMalformedValues:
