@@ -802,7 +802,7 @@ def _drive(
     """Run ``strategy``'s passes inside one ``compile`` trace scope."""
     st = _State(strategy, src, params, options, force_strategy,
                 old_array, index_comps)
-    with trace_scope("compile") as scope:
+    with trace_scope("compile") as scope, dependence_memo():
         for step in PASSES[strategy]:
             step(st)
     st.report.trace = scope
@@ -905,8 +905,10 @@ def compile(
     cache:
         Route through the compile service: ``True`` for the shared
         in-memory service, a directory path for a persistent cache, or
-        a :class:`~repro.service.service.CompileService`.  Covers
-        every strategy.
+        a :class:`~repro.service.service.CompileService`.  The request
+        is submitted as given: a hit parses nothing, and a miss is
+        parsed and built by the service, through :func:`build` like an
+        uncached call.
     explain:
         Attach the decision trace (an
         :class:`~repro.obs.explain.Explanation`) to the result's
@@ -932,13 +934,27 @@ def compile(
         runtime verifier is skipped.  The program compiler threads
         this automatically; single-definition callers rarely need it.
     """
-    with dependence_memo():
-        compiled = _compile_dispatch(
-            src, strategy=strategy, params=params, options=options,
-            old_array=old_array, force_strategy=force_strategy,
-            cache=cache, dist=dist, workers=workers, ooc=ooc,
-            index_comps=index_comps,
-        )
+    from repro.service.api import CompileRequest
+
+    request = CompileRequest(src, params, options, force_strategy,
+                             strategy, old_array, dist=dist,
+                             workers=workers, ooc=ooc)
+    if cache is not None and cache is not False:
+        if index_comps:
+            # Loop IR does not key a cache entry; the program compiler
+            # (the only real producer of index_comps) never caches.
+            raise CompileError(
+                "index_comps= cannot be combined with cache= (compiled "
+                "loop IR does not key a cache entry); drop one"
+            )
+        from repro.service.service import resolve_cache
+
+        compiled = resolve_cache(cache).submit(request).value()
+    else:
+        from repro.program.compile import classify_source
+
+        kind, tree = classify_source(src)
+        compiled = build(kind, tree, request, index_comps)
     if explain:
         from repro.obs.explain import explain_report
 
@@ -946,66 +962,74 @@ def compile(
     return compiled
 
 
-def _compile_dispatch(
-    src,
-    *,
-    strategy: str,
-    params: Optional[Dict[str, int]],
-    options: Optional[CodegenOptions],
-    old_array: Optional[str],
-    force_strategy: Optional[str],
-    cache,
-    dist: bool = False,
-    workers: int = 0,
-    ooc: bool = False,
-    index_comps: Optional[Dict[str, ArrayComp]] = None,
-) -> CompiledComp:
+def build(kind: str, tree, request,
+          index_comps: Optional[Dict[str, ArrayComp]] = None):
+    """Compile one classified request — the router of every compile path.
+
+    ``kind`` and ``tree`` are
+    :func:`~repro.program.compile.classify_source`'s answer for
+    ``request.src``, and ``request`` is the
+    :class:`~repro.service.api.CompileRequest`.  ``repro.compile``,
+    the compile service (and so the HTTP wire and the CLI's
+    ``--cache``) all compile here, so one request means one program
+    on every path.  A field that does not apply to ``kind`` is a
+    :class:`CompileError`; ``strategy="auto"`` is resolved from the
+    tree.  A program compiles through
+    :func:`~repro.program.compile.compile_program`, a definition
+    through its strategy's passes.
+    """
+    strategy, force = request.strategy, request.force_strategy
     if strategy not in STRATEGIES:
         raise CompileError(
             f"unknown strategy {strategy!r}; expected one of "
             + ", ".join(repr(s) for s in STRATEGIES)
         )
-    if force_strategy is not None and force_strategy not in FORCED:
+    if force is not None and force not in FORCED:
         raise CompileError(
-            f"unknown force_strategy {force_strategy!r}; expected one of "
+            f"unknown force_strategy {force!r}; expected one of "
             + ", ".join(repr(s) for s in FORCED)
         )
-    cached = cache is not None and cache is not False
-    text = src
-    if isinstance(src, str):
-        from repro.program.compile import classify_source, compile_program
-
-        kind, src = classify_source(src)
-        if kind == "program":
-            if (strategy == "auto" and old_array is None
-                    and force_strategy is None):
-                return compile_program(text if cached else src,
-                                       params=params, options=options,
-                                       cache=cache, dist=dist,
-                                       workers=workers, ooc=ooc)
+    if kind == "program":
+        if (strategy != "auto" or request.old_array is not None
+                or force is not None):
             raise CompileError(
                 "source is a multi-binding program (bindings "
-                + ", ".join(repr(b.name) for b in src)
+                + ", ".join(repr(b.name) for b in tree)
                 + "); strategy=/old_array=/force_strategy= apply to "
                 "single definitions — use repro.compile_program(src, "
                 "params=..., options=...) for whole programs"
             )
-    if dist:
+        from repro.program.compile import compile_program
+
+        return compile_program(
+            tree, params=request.params, options=request.options,
+            result=request.result, fuse=request.fuse, dist=request.dist,
+            workers=request.workers, ooc=request.ooc,
+        )
+    if request.dist:
         raise CompileError(
             "dist= distributes a program's iterate/converge sweeps; "
             "a single definition has no convergence loop — use "
             "repro.compile_program on a multi-binding program"
         )
-    if ooc:
+    if request.ooc:
         raise CompileError(
             "ooc= streams a program's iterate/converge sweeps out of "
             "core; a single definition has no convergence loop — use "
             "repro.compile_program on a multi-binding program"
         )
+    if request.result is not None or not request.fuse:
+        raise CompileError(
+            "result=/fuse= pick a program's result binding and its "
+            "cross-binding fusion; a single definition has no other "
+            "bindings — use repro.compile_program on a multi-binding "
+            "program"
+        )
+    old_array = request.old_array
     resolved = strategy
     if resolved == "auto":
         resolved = "inplace" if old_array is not None \
-            else detect_strategy(src)
+            else detect_strategy(tree)
     if resolved == "inplace" and old_array is None:
         raise CompileError(
             "strategy 'inplace' needs old_array= (the input array "
@@ -1016,30 +1040,10 @@ def _compile_dispatch(
             f"old_array= only applies to strategy 'inplace' "
             f"(resolved strategy here: {resolved!r})"
         )
-    if force_strategy is not None and resolved != "array":
+    if force is not None and resolved != "array":
         raise CompileError(
             "force_strategy= (thunkless/thunked) only applies to "
             f"strategy 'array' (resolved strategy here: {resolved!r})"
         )
-
-    if cached:
-        if index_comps:
-            # Loop IR is not serializable into a cache key; the
-            # program compiler (which owns the only real producer of
-            # index_comps) never routes through here with them.
-            raise CompileError(
-                "index_comps= cannot be combined with cache= (compiled "
-                "loop IR does not key a cache entry); drop one"
-            )
-        from repro.service.api import CompileRequest
-        from repro.service.service import resolve_cache
-
-        # The request as sent, so it keys like repro.fingerprint of
-        # the same arguments.
-        return resolve_cache(cache).submit(CompileRequest(
-            text, params, options, force_strategy, strategy, old_array,
-            kind="definition",
-        )).value()
-
-    return _drive(resolved, src, params, options, old_array,
-                  force_strategy, index_comps)
+    return _drive(resolved, tree, request.params, request.options,
+                  old_array, force, index_comps)

@@ -9,7 +9,7 @@ threaded across bindings wherever liveness proves it safe, and with
 :class:`ProgramReport` records every decision.
 """
 
-from repro.program.compile import as_program, classify_source, compile_program
+from repro.program.compile import classify_source, compile_program
 from repro.program.iterate import (
     CONVERGE_CAP,
     IterateShapeError,
@@ -31,7 +31,6 @@ from repro.program.run import (
 )
 
 __all__ = [
-    "as_program",
     "classify_source",
     "compile_program",
     "CompiledProgram",

@@ -68,7 +68,8 @@ def classify_source(src, kind: str = "auto"):
     that is neither is a definition, so the expression parser's
     :class:`ParseError` is raised.  An explicit kind parses with its
     own grammar only.  Parsed input passes through (a binding list is
-    a program).
+    a program); one whose shape contradicts an explicit kind is a
+    :class:`CompileError`.
     """
     kind = kind or "auto"
     if kind not in ("auto", "definition", "program"):
@@ -77,9 +78,15 @@ def classify_source(src, kind: str = "auto"):
             "'definition', or 'program')"
         )
     if not isinstance(src, str):
-        if kind == "auto":
-            kind = "program" if isinstance(src, list) else "definition"
-        return kind, src
+        shape = "program" if isinstance(src, list) else "definition"
+        if kind not in ("auto", shape):
+            raise CompileError(
+                f"kind={kind!r} does not fit the parsed input: "
+                + ("a binding list is a program" if shape == "program"
+                   else f"an expression ({type(src).__name__}) is a "
+                        "definition")
+            )
+        return shape, src
     parser = Parser(src)
     if kind == "program":
         return kind, parser.parse_program()
@@ -94,18 +101,6 @@ def classify_source(src, kind: str = "auto"):
         return "program", parser.parse_program()
     except ParseError:
         raise error from None
-
-
-def as_program(src) -> Optional[List[ast.Binding]]:
-    """The binding list when ``src`` is program text, else ``None``
-    (:func:`classify_source` on a string; a parse error is ``None``)."""
-    if not isinstance(src, str):
-        return None
-    try:
-        kind, tree = classify_source(src)
-    except ParseError:
-        return None
-    return tree if kind == "program" else None
 
 
 def compile_program(

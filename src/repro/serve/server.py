@@ -421,7 +421,12 @@ class CompileServer:
             try:
                 writer.close()
                 await writer.wait_closed()
-            except (ConnectionError, OSError, RuntimeError):
+            except (ConnectionError, OSError, RuntimeError,
+                    asyncio.CancelledError):
+                # The handler ends either way; a CancelledError let out
+                # here (asyncio.run cancelling it at shutdown) is
+                # logged by asyncio's connection callback as a
+                # traceback.
                 pass
 
     @staticmethod

@@ -6,8 +6,11 @@ One request type, one result type, one wire schema:
   kind of work the service does.  A *definition* request mirrors
   ``repro.compile``'s signature; a *program* request carries
   ``result``/``fuse`` (``repro.compile_program``); ``kind="auto"``
-  (the default for wire traffic) detects which one the source is, the
-  same dispatch ``repro.compile`` does.  ``warm_only=True`` marks a
+  (the default for wire traffic) detects which one the source is.
+  Every request compiles as ``repro.compile`` compiles the same
+  arguments (:func:`repro.core.pipeline.build`): ``strategy`` defaults
+  to ``"auto"``, and a field the parsed kind ignores is a
+  ``CompileError``.  ``warm_only=True`` marks a
   cache-warming request: it compiles and stores like any other but the
   wire layer strips the generated source from the response.
 * :class:`CompileResult` — one request's outcome: fingerprint, the
@@ -46,6 +49,16 @@ _REQUEST_FIELDS = (
 
 _KINDS = ("auto", "definition", "program")
 
+#: Wire field -> (the JSON types it takes, how an error names them).
+#: Nothing is coerced: ``"false"`` is not a boolean.
+_FIELD_TYPES = {
+    **{name: (bool, "a JSON boolean")
+       for name in ("fuse", "warm_only", "dist", "ooc")},
+    **{name: (str, "a string") for name in ("strategy", "kind")},
+    **{name: ((str, type(None)), "a string or null")
+       for name in ("force_strategy", "old_array", "result")},
+}
+
 
 class WireError(ValueError):
     """A request or envelope that does not fit the wire schema."""
@@ -66,7 +79,8 @@ class CompileRequest:
     params: Optional[Dict] = None
     options: object = None
     force_strategy: Optional[str] = None
-    strategy: str = "array"
+    #: ``repro.compile``'s default: the mode follows the source.
+    strategy: str = "auto"
     old_array: Optional[str] = None
     #: ``"definition"``, ``"program"``, or ``"auto"`` — detect from
     #: the source (multi-binding programs route to the program
@@ -105,7 +119,7 @@ class CompileRequest:
             value = getattr(self, name)
             if value is not None:
                 out[name] = value
-        if self.strategy != "array":
+        if self.strategy != "auto":
             out["strategy"] = self.strategy
         if self.kind != "auto":
             out["kind"] = self.kind
@@ -123,7 +137,8 @@ class CompileRequest:
 
     @classmethod
     def from_wire(cls, payload: Dict) -> "CompileRequest":
-        """Parse one wire request, rejecting unknown keys loudly."""
+        """Parse one wire request, rejecting unknown keys and values of
+        the wrong JSON type loudly."""
         if not isinstance(payload, dict):
             raise WireError(
                 f"request must be a JSON object, got "
@@ -136,6 +151,10 @@ class CompileRequest:
             )
         if "src" not in payload or not isinstance(payload["src"], str):
             raise WireError("request needs a string 'src' field")
+        for name, (types, what) in _FIELD_TYPES.items():
+            if name in payload and not isinstance(payload[name], types):
+                raise WireError(
+                    f"{name} must be {what}; got {payload[name]!r}")
         kind = payload.get("kind", "auto")
         if kind not in _KINDS:
             raise WireError(
@@ -144,6 +163,13 @@ class CompileRequest:
         params = payload.get("params")
         if params is not None and not isinstance(params, dict):
             raise WireError("params must be an object of name -> number")
+        for name, value in (params or {}).items():
+            if isinstance(value, bool) or \
+                    not isinstance(value, (int, float)):
+                raise WireError(
+                    "params must be an object of name -> number; "
+                    f"{name!r} is {value!r}"
+                )
         workers = payload.get("workers", 0)
         if not isinstance(workers, int) or isinstance(workers, bool) \
                 or workers < 0:
@@ -154,15 +180,15 @@ class CompileRequest:
             params=dict(params) if params else None,
             options=options_from_wire(options),
             force_strategy=payload.get("force_strategy"),
-            strategy=payload.get("strategy", "array"),
+            strategy=payload.get("strategy", "auto"),
             old_array=payload.get("old_array"),
             kind=kind,
             result=payload.get("result"),
-            fuse=bool(payload.get("fuse", True)),
-            warm_only=bool(payload.get("warm_only", False)),
-            dist=bool(payload.get("dist", False)),
+            fuse=payload.get("fuse", True),
+            warm_only=payload.get("warm_only", False),
+            dist=payload.get("dist", False),
             workers=workers,
-            ooc=bool(payload.get("ooc", False)),
+            ooc=payload.get("ooc", False),
         )
 
 

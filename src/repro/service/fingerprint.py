@@ -4,9 +4,14 @@ A request is keyed as it was sent (:func:`request_key`): its source
 text, the size ``params``, the
 :class:`~repro.codegen.emit.CodegenOptions` (``None`` and
 ``CodegenOptions()`` are the same request), ``strategy``,
-``force_strategy``, ``old_array``, ``kind``, and the program fields
+``force_strategy``, ``old_array``, and the program fields
 ``result``, ``fuse``, ``dist``, ``workers`` and ``ooc``, plus
-:data:`PIPELINE_SALT`.  A parsed tree keys by its
+:data:`PIPELINE_SALT`.  ``kind`` is not keyed: a text parses under at
+most one grammar (a binding list needs a top-level ``name ... =``,
+which no expression has), so ``kind`` only decides whether a build
+fails, and a failure is never stored; the service refuses a hit
+whose explicit ``kind`` contradicts the entry as a cold build would.
+A parsed tree keys by its
 :func:`~repro.lang.pretty.pretty` rendering, and ``workers`` by the
 count a build uses (``0`` without ``dist``; this host's core count
 for ``dist`` with ``workers <= 0``).  The pipeline is a pure function
@@ -66,7 +71,6 @@ def request_key(request: CompileRequest,
         request.strategy,
         request.force_strategy,
         request.old_array,
-        request.kind,
         request.result,
         request.fuse,
         request.dist,
@@ -90,16 +94,16 @@ def fingerprint(
     old_array: Optional[str] = None,
     salt: str = PIPELINE_SALT,
 ) -> str:
-    """The fingerprint of one definition request.
+    """The fingerprint of ``repro.compile``'s request.
 
     The arguments, and their defaults, are ``repro.compile``'s, so a
     ``repro.compile(..., cache=...)`` call is stored under the
-    fingerprint of the same arguments.  ``src`` may be source text or
-    a parsed tree.
+    fingerprint of the same arguments, and a program source under its
+    :func:`fingerprint_program`.  ``src`` may be source text or a
+    parsed tree.
     """
     return key_digest(request_key(CompileRequest(
         src, params, options, force_strategy, strategy, old_array,
-        kind="definition",
     ), salt))
 
 

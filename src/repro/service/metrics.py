@@ -1,9 +1,10 @@
 """Counters and timers for the compile service.
 
 Everything is process-local and thread-safe.  ``stats()`` returns a
-plain dict (JSON-able, for machine consumers); ``render()`` a
-human-readable block for the CLI's ``serve-stats`` and interactive
-inspection.  Per-pass timings come from
+plain dict (JSON-able), which
+:func:`~repro.service.stats.render_stats` renders for people (the
+CLI's ``serve-stats`` and :meth:`CompileService.summary`).  Per-pass
+timings come from
 :attr:`repro.core.pipeline.Report.timings`, which the pipeline fills
 in on every run, so the service can say not just *how long* compiles
 take but *where* the time goes (the E11 question: how much of it is
@@ -85,22 +86,6 @@ class Histogram:
                 if n
             },
         }
-
-    def render(self, indent: str = "  ") -> str:
-        if not self.count:
-            return indent + "(no observations)"
-        lines = [
-            indent + f"n={self.count}  mean={self.mean * 1e3:.3f}ms  "
-            f"min={self.min * 1e3:.3f}ms  max={self.max * 1e3:.3f}ms"
-        ]
-        peak = max(self.counts)
-        for edge, n in zip(self.BUCKETS, self.counts):
-            if not n:
-                continue
-            label = "+inf" if edge == float("inf") else f"{edge:g}s"
-            bar = "#" * max(1, round(20 * n / peak))
-            lines.append(indent + f"{label:>9} {bar} {n}")
-        return "\n".join(lines)
 
 
 class ServiceMetrics:
@@ -192,36 +177,3 @@ class ServiceMetrics:
                     for name in sorted(self.pass_seconds)
                 },
             }
-
-    def render(self) -> str:
-        stats = self.stats()
-        lines = [
-            "compile service metrics",
-            f"  requests: {stats['requests']}  "
-            f"hits: {stats['hits']} "
-            f"(memory {stats['memory_hits']}, disk {stats['disk_hits']})  "
-            f"misses: {stats['misses']}  "
-            f"coalesced: {stats['coalesced']}  "
-            f"errors: {stats['errors']}",
-            f"  hit rate: {stats['hit_rate']:.1%}",
-        ]
-        if stats["batches"]:
-            lines.append(
-                f"  batches: {stats['batches']} "
-                f"({stats['batch_requests']} requests)"
-            )
-        lines.append("  compile wall time (misses):")
-        lines.append(self.compile_time.render("    "))
-        if self.hit_time.count:
-            lines.append("  cache hit time:")
-            lines.append(self.hit_time.render("    "))
-        if stats["passes"]:
-            lines.append("  pipeline passes (cumulative over misses):")
-            width = max(len(name) for name in stats["passes"])
-            for name, entry in stats["passes"].items():
-                lines.append(
-                    f"    {name:<{width}}  "
-                    f"{entry['total_s'] * 1e3:9.3f}ms over "
-                    f"{entry['count']} run(s)"
-                )
-        return "\n".join(lines)

@@ -9,7 +9,8 @@ sent, see :mod:`repro.service.fingerprint`) and a two-tier store (see
 * ``submit(CompileRequest(...))`` — one request (definition or
   program, detected from the source); a hit skips the entire pipeline
   (including the dependence tests, the expensive part per E11) and
-  the parse, and a miss parses its source once;
+  the parse, and a miss parses its source once and builds it through
+  :func:`repro.core.pipeline.build`, as ``repro.compile`` does;
 * ``submit([req, req, ...])`` — thread-pool fan-out with per-entry
   isolation (one bad source yields one errored
   :class:`CompileResult`, never a dead batch) and in-flight
@@ -33,7 +34,7 @@ from threading import Lock
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.pipeline import STRATEGIES
+from repro.core.pipeline import STRATEGIES, build
 from repro.obs.trace import count as _trace_count
 from repro.program.compile import CompiledProgram, classify_source
 from repro.service.api import CompileRequest, CompileResult
@@ -45,7 +46,7 @@ from repro.service.fingerprint import (
     request_key,
 )
 from repro.service.metrics import ServiceMetrics
-from repro.service.stats import service_stats
+from repro.service.stats import render_stats, service_stats
 from repro.service.store import DiskStore, MemoryLRU, TieredStore
 
 
@@ -157,10 +158,15 @@ class CompileService:
             if compiled is None:
                 compiled = self._build(key, digest, request, out)
             else:
+                kind = "program" if isinstance(compiled, CompiledProgram) \
+                    else "definition"
+                if request.kind not in ("auto", kind):
+                    # A text parses under one grammar at most, so this
+                    # raises what a cold service raises.
+                    classify_source(request.src, request.kind)
+                out.kind = kind
                 self.metrics.record_hit(tier, perf_counter() - started)
                 _trace_count(f"service.hit.{tier}")
-                if isinstance(compiled, CompiledProgram):
-                    out.kind = "program"
             out.compiled, out.fingerprint, out.tier = \
                 compiled, digest, tier
             out.cached = tier is not None
@@ -176,15 +182,18 @@ class CompileService:
 
         Identical concurrent requests coalesce onto the first one's
         future; the leader parses the source once and builds from the
-        tree.  ``out.kind`` is set to the kind the source parsed as,
-        also when the build then fails.
+        tree.  An explicit ``kind`` decides whether a build fails, so
+        only requests of one ``kind`` coalesce.  ``out.kind`` is set
+        to the kind the source parsed as, also when the build then
+        fails.
         """
+        flight = key + (request.kind,)
         with self._lock:
-            future = self._inflight.get(key)
+            future = self._inflight.get(flight)
             leader = future is None
             if leader:
                 future = Future()
-                self._inflight[key] = future
+                self._inflight[flight] = future
         if not leader:
             self.metrics.record_coalesced()
             _trace_count("service.coalesced")
@@ -209,31 +218,15 @@ class CompileService:
             raise
         finally:
             with self._lock:
-                self._inflight.pop(key, None)
+                self._inflight.pop(flight, None)
 
     @staticmethod
     def _compile(request: CompileRequest, out: CompileResult):
         """Parse a request's source once, note its kind in ``out`` and
-        compile the tree."""
+        build the tree (:func:`repro.core.pipeline.build`)."""
         kind, tree = classify_source(request.src, request.kind)
         out.kind = kind
-        if kind == "program":
-            from repro.program.compile import compile_program
-
-            return compile_program(
-                tree, params=request.params, options=request.options,
-                result=request.result, fuse=request.fuse,
-                dist=request.dist, workers=request.workers,
-                ooc=request.ooc,
-            )
-        from repro.core import pipeline
-
-        return pipeline.compile(
-            tree, strategy=request.strategy, params=request.params,
-            options=request.options,
-            force_strategy=request.force_strategy,
-            old_array=request.old_array,
-        )
+        return build(kind, tree, request)
 
     @staticmethod
     def _normalize(req) -> CompileRequest:
@@ -253,18 +246,16 @@ class CompileService:
         """Drop entries from both tiers; whether any was there.
 
         ``src`` is a :class:`CompileRequest`, whose entry is dropped,
-        or a source: then every entry its arguments can name is, the
-        source sent as any ``kind`` and, with ``strategy=None``, under
-        any strategy (a program's keyed with the default program
-        fields).
+        or a source: then every entry its arguments can name is, with
+        ``strategy=None`` under any strategy (a program's keyed with
+        the default program fields).
         """
         if isinstance(src, CompileRequest):
             requests = [src]
         else:
             requests = [
                 CompileRequest(src, params, options, force_strategy,
-                               each, old_array, kind=kind)
-                for kind in ("auto", "definition", "program")
+                               each, old_array)
                 for each in ((strategy,) if strategy else STRATEGIES)
             ]
         dropped = [self.store.invalidate(request_key(request, self.salt))
@@ -280,22 +271,9 @@ class CompileService:
         return service_stats(self)
 
     def summary(self) -> str:
-        """Human-readable account of the service's life so far."""
-        stats = self.stats()
-        store = stats["store"]
-        lines = [self.metrics.render()]
-        mem = store["memory"]
-        lines.append(
-            f"  memory tier: {mem['entries']}/{mem['capacity']} "
-            f"entries, {mem['evictions']} eviction(s)"
-        )
-        disk = store["disk"]
-        if disk is not None:
-            lines.append(
-                f"  disk tier: {disk['entries']} entries, "
-                f"{disk['bytes']} bytes at {disk['dir']}"
-            )
-        return "\n".join(lines)
+        """Human-readable account of the service's life so far: its
+        :meth:`stats`, rendered as ``serve-stats`` renders them."""
+        return render_stats(self.stats())
 
 
 # ----------------------------------------------------------------------

@@ -119,13 +119,26 @@ def render_stats(stats: Dict) -> str:
             f"errors {requests['errors']}  "
             f"hit rate {requests['hit_rate']:.1%}"
         )
-        compile_time = requests.get("compile_time") or {}
-        if compile_time.get("count"):
-            lines.append(
-                f"  compile time: n={compile_time['count']}  "
-                f"mean {compile_time['mean_s'] * 1e3:.2f}ms  "
-                f"p99 {compile_time['p99_s'] * 1e3:.2f}ms"
-            )
+        for label, name in (("compile time", "compile_time"),
+                            ("hit time", "hit_time")):
+            times = requests.get(name) or {}
+            if times.get("count"):
+                lines.append(
+                    f"  {label}: n={times['count']}  "
+                    f"mean {times['mean_s'] * 1e3:.3f}ms  "
+                    f"p50 {times['p50_s'] * 1e3:.3f}ms  "
+                    f"p99 {times['p99_s'] * 1e3:.3f}ms"
+                )
+        passes = requests.get("passes") or {}
+        if passes:
+            lines.append("  pipeline passes (cumulative over misses):")
+            width = max(len(name) for name in passes)
+            for name, entry in passes.items():
+                lines.append(
+                    f"    {name:<{width}}  "
+                    f"{entry['total_s'] * 1e3:9.3f}ms over "
+                    f"{entry['count']} run(s)"
+                )
     store = body.get("store")
     if store:
         mem = store["memory"]

@@ -40,11 +40,13 @@ class TestWireFormat:
         with pytest.raises(WireError, match="workers"):
             CompileRequest.from_wire(wire)
 
-    def test_dist_coerced_to_bool(self):
-        back = CompileRequest.from_wire(
-            {"src": kernels.PROGRAM_JACOBI, "dist": 1}
-        )
-        assert back.dist is True
+    def test_dist_must_be_a_json_boolean(self):
+        # Nothing is coerced: "false" would have been dist=True.
+        for dist in (1, "false", None):
+            with pytest.raises(WireError,
+                               match="dist must be a JSON boolean"):
+                CompileRequest.from_wire(
+                    {"src": kernels.PROGRAM_JACOBI, "dist": dist})
 
 
 class TestFingerprints:

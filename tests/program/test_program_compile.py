@@ -28,7 +28,6 @@ from repro.lang import parse_program
 from repro.program import (
     CompiledProgram,
     ProgramError,
-    as_program,
     compile_program,
 )
 from repro.service import fingerprint_program
@@ -432,14 +431,6 @@ class TestFacade:
         message = str(err.value)
         assert "compile_program" in message
         assert "'b'" in message  # names the bindings
-
-    def test_as_program_rejects_expressions(self):
-        assert as_program("1 + 2") is None
-        assert as_program(
-            "letrec* a = array (1,3) [ i := i | i <- [1..3] ] in a"
-        ) is None
-        binds = as_program("a = 1; main = a")
-        assert [b.name for b in binds] == ["a", "main"]
 
     def test_service_caches_programs(self):
         service = repro.CompileService()

@@ -179,6 +179,28 @@ class TestRoutes:
         assert "shards" not in service["store"]["memory"]
 
 
+class _CancelledCloseWriter:
+    """A writer whose ``wait_closed`` is cancelled, as when
+    ``asyncio.run`` cancels a handler still closing at shutdown."""
+
+    def close(self):
+        pass
+
+    async def wait_closed(self):
+        raise asyncio.CancelledError
+
+
+class TestConnectionTeardown:
+    def test_cancelled_close_ends_the_handler_quietly(self):
+        async def main():
+            reader = asyncio.StreamReader()
+            reader.feed_eof()
+            await CompileServer()._handle_connection(
+                reader, _CancelledCloseWriter())
+
+        asyncio.run(main())  # no CancelledError escapes
+
+
 class SlowService(CompileService):
     """A service whose builds block until released (admission tests)."""
 

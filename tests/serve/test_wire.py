@@ -103,6 +103,26 @@ class TestValidation:
             {"src": SRC, "options": {"vectorize": True}})
         assert request.options.vectorize
 
+    @pytest.mark.parametrize("field, value", [
+        ("dist", "false"), ("ooc", "false"), ("fuse", "false"),
+        ("warm_only", "false"), ("dist", 1), ("fuse", None),
+        ("strategy", 5), ("strategy", None), ("kind", None),
+        ("force_strategy", 1), ("old_array", ["u"]), ("result", False),
+        ("params", {"n": "4"}), ("params", {"n": True}),
+        ("params", {"n": None}),
+    ], ids=repr)
+    def test_field_types_are_checked_not_coerced(self, field, value):
+        with pytest.raises(WireError, match=f"^{field} must be"):
+            CompileRequest.from_wire({"src": SRC, field: value})
+
+    def test_null_and_number_fields_pass(self):
+        request = CompileRequest.from_wire({
+            "src": SRC, "force_strategy": None, "old_array": None,
+            "result": None, "params": {"n": 8, "tol": 1e-3},
+            "dist": False, "ooc": False, "fuse": True, "warm_only": False,
+        })
+        assert request == CompileRequest(SRC, {"n": 8, "tol": 1e-3})
+
     @pytest.mark.parametrize("options", [
         {"tile": 0}, {"tile": -3}, {"tile": "big"}, {"tile": True},
         {"vectorize": "false"}], ids=repr)

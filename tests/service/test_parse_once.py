@@ -97,6 +97,19 @@ class TestTokenizerCalls:
         assert tokenized() == 0
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_facade_cache_new_once_repeat_never(self, tokenized, kind):
+        # The facade submits the request as given: the service parses
+        # a new one once and a repeat not at all.
+        src, params = KINDS[kind]
+        service = CompileService()
+        tokenized()
+        first = repro.compile(src, params=params, cache=service)
+        assert tokenized() == 1
+        again = repro.compile(src, params=dict(params), cache=service)
+        assert again is first and tokenized() == 0
+        assert service.stats()["requests"]["misses"] == 1
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_facade_and_explain_parse_once(self, tokenized, kind):
         src, params = KINDS[kind]
         tokenized()

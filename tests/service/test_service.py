@@ -15,7 +15,7 @@ from repro import (
     CompileService,
     kernels,
 )
-from repro.service import resolve_cache
+from repro.service import render_stats, resolve_cache
 from repro.service.service import default_service
 
 
@@ -383,10 +383,14 @@ class TestMetricsRendering:
         compile_one(service, kernels.SQUARES, params={"n": 4})
         compile_one(service, kernels.SQUARES, params={"n": 4})
         text = service.summary()
-        assert "hits: 1" in text
-        assert "misses: 1" in text
+        assert text == render_stats(service.stats())
+        assert "hits 1 (memory 1, disk 0)" in text
+        assert "misses 1" in text
         assert "memory tier" in text
-        assert "compile wall time" in text
+        assert "compile time: n=1" in text
+        assert "hit time: n=1" in text
+        assert re.search(r"^    dependence +[\d.]+ms over 1 run\(s\)$",
+                         text, re.M)
 
     def test_pass_timings_aggregated(self):
         service = CompileService()
