@@ -43,13 +43,6 @@ threads §9 storage reuse across statements, and ``iterate``/
 program-shaped source.
 """
 
-from repro.backends import (
-    Backend,
-    BackendUnsupported,
-    available_backends,
-    backend_names,
-    register_backend,
-)
 from repro.codegen import CodegenOptions, FlatArray
 from repro.core.pipeline import (
     CompileError,
@@ -89,8 +82,6 @@ from repro.runtime import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "Backend",
-    "BackendUnsupported",
     "Bounds",
     "CodegenOptions",
     "CompileError",
@@ -107,8 +98,6 @@ __all__ = [
     "StrictArray",
     "accum_array",
     "analyze",
-    "available_backends",
-    "backend_names",
     "bigupd",
     "compile",
     "compile_program",
@@ -124,7 +113,6 @@ __all__ = [
     "parse_program",
     "pretty",
     "recursive_array",
-    "register_backend",
     "run_program",
     "upd",
 ]

@@ -1,4 +1,4 @@
-"""Shared vocabulary of the backend registry.
+"""Shared vocabulary of the two backends.
 
 A *backend* turns one already-scheduled compilation job into python
 source whose ``_build(_env)`` entry point the pipeline ``exec``'s (see
@@ -11,7 +11,7 @@ native kernel and a thin python wrapper around it.
 :class:`LoweringJob` is the whole contract: the codegen pass of
 :mod:`repro.core.pipeline` packs every strategy's inputs into one job
 and hands it to :func:`repro.backends.lower`, which picks the emitter.
-A backend that cannot lower a particular job raises
+When the C emitter cannot lower a particular job it raises
 :class:`BackendUnsupported` with a *reason a user can act on* — the
 dispatcher records it in ``Report.backend`` and falls back to the
 python emitter, which handles everything.
@@ -72,8 +72,8 @@ class LoweringJob:
     combine: object = None
     init_ast: object = None
     #: ``"guarded"`` mode: the :class:`~repro.core.subscripts_indirect.
-    #: GuardPlan` (verify specs + indirect dimension map).  Other
-    #: backends refuse the mode and fall back to python.
+    #: GuardPlan` (verify specs + indirect dimension map).  The C
+    #: backend refuses the mode and falls back to python.
     subscripts: object = None
     #: An accepted :class:`~repro.core.tiling.TilePlan` when the
     #: pipeline decided to cache-block this nest (``thunkless`` and
@@ -92,28 +92,3 @@ class LoweringJob:
         if self.subscripts is None:
             return None
         return getattr(self.subscripts, "indirect_dims", None)
-
-
-class Backend:
-    """One registered emitter.  Subclasses override both methods."""
-
-    #: Registry key; also what ``CodegenOptions(backend=...)`` names.
-    name = "?"
-
-    def availability(self) -> Optional[str]:
-        """``None`` when usable here, else a human-readable reason.
-
-        Called before every emit for non-default backends; an
-        unavailable backend is *skipped* (python fallback with the
-        reason logged), never an error — per-machine toolchain gaps
-        must not fail compiles.
-        """
-        return None
-
-    def emit(self, job: LoweringJob) -> str:
-        """Lower ``job`` to python source with a ``_build`` entry.
-
-        Raises :class:`BackendUnsupported` for constructs this backend
-        has no lowering for.
-        """
-        raise NotImplementedError

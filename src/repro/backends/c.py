@@ -50,7 +50,7 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Optional
 
-from repro.backends.base import Backend, BackendUnsupported, LoweringJob
+from repro.backends.base import BackendUnsupported, LoweringJob
 from repro.codegen.emit import input_prologue
 from repro.codegen.exprs import CodegenError, ExprGen
 from repro.comprehension.loopir import SVClause
@@ -680,269 +680,260 @@ class _CEmitter:
         self.w.close(opened)
 
 
-class CBackend(Backend):
-    """Registry entry ``"c"``: native kernels behind a python wrapper."""
-
-    name = "c"
-
-    def availability(self) -> Optional[str]:
-        from repro.backends.native import toolchain_status
-
-        return toolchain_status()
-
-    def emit(self, job: LoweringJob) -> str:
-        options = job.options
-        if options.vectorize:
+def emit(job: LoweringJob) -> str:
+    """Lower ``job`` to a native kernel behind a python wrapper, or
+    refuse it with :class:`BackendUnsupported` and the reason."""
+    options = job.options
+    if options.vectorize:
+        raise BackendUnsupported(
+            "vectorize requested — numpy slice emission is python-only"
+        )
+    # A check is on because the options force it or because the
+    # analysis could not discharge it (an unwritten cell of a
+    # partial comprehension, which a C double buffer cannot hold).
+    for flag in ("bounds_checks", "collision_checks", "empties_check"):
+        if getattr(options, flag):
             raise BackendUnsupported(
-                "vectorize requested — numpy slice emission is python-only"
+                f"{flag} on — runtime {flag.split('_')[0]} checks "
+                "are not lowered"
             )
-        # A check is on because the options force it or because the
-        # analysis could not discharge it (an unwritten cell of a
-        # partial comprehension, which a C double buffer cannot hold).
-        for flag in ("bounds_checks", "collision_checks", "empties_check"):
-            if getattr(options, flag):
-                raise BackendUnsupported(
-                    f"{flag} on — runtime {flag.split('_')[0]} checks "
-                    "are not lowered"
-                )
-        if job.mode == "thunked":
-            raise BackendUnsupported(
-                "thunked arrays suspend element values — there is no "
-                "static loop nest to lower"
-            )
-        if job.mode == "accum":
-            raise BackendUnsupported(
-                "accumulated stores (combine operators) are not lowered"
-            )
-        if job.mode == "guarded":
-            raise BackendUnsupported(
-                "guarded dual-schedule kernels (runtime subscript "
-                "verification) are not lowered"
-            )
-        if job.mode not in ("thunkless", "inplace"):
-            raise BackendUnsupported(f"unknown lowering mode {job.mode!r}")
-        if job.indirect_guard_dims():
-            raise BackendUnsupported(
-                "indirect write subscripts (a!(idx!i)) are not lowered"
-            )
-        if job.schedule is None or not getattr(job.schedule, "ok", False):
-            raise BackendUnsupported("no safe static schedule")
-        try:
-            return self._emit(job)
-        except CodegenError as exc:
-            # Wrapper-side expression translation (bounds) failed; the
-            # python emitter will raise the same error if it is real.
-            raise BackendUnsupported(str(exc)) from exc
+    if job.mode == "thunked":
+        raise BackendUnsupported(
+            "thunked arrays suspend element values — there is no "
+            "static loop nest to lower"
+        )
+    if job.mode == "accum":
+        raise BackendUnsupported(
+            "accumulated stores (combine operators) are not lowered"
+        )
+    if job.mode == "guarded":
+        raise BackendUnsupported(
+            "guarded dual-schedule kernels (runtime subscript "
+            "verification) are not lowered"
+        )
+    if job.mode not in ("thunkless", "inplace"):
+        raise BackendUnsupported(f"unknown lowering mode {job.mode!r}")
+    if job.indirect_guard_dims():
+        raise BackendUnsupported(
+            "indirect write subscripts (a!(idx!i)) are not lowered"
+        )
+    if job.schedule is None or not getattr(job.schedule, "ok", False):
+        raise BackendUnsupported("no safe static schedule")
+    try:
+        return _emit(job)
+    except CodegenError as exc:
+        # Wrapper-side expression translation (bounds) failed; the
+        # python emitter will raise the same error if it is real.
+        raise BackendUnsupported(str(exc)) from exc
 
-    # ------------------------------------------------------------------
 
-    def _emit(self, job: LoweringJob) -> str:
-        emitter = _CEmitter(job)
-        comp = job.comp
-        whole_copy = False
-        if job.mode == "inplace":
-            plan = job.plan
-            if plan.snapshots:
-                raise BackendUnsupported(
-                    "snapshot rings (§9 node-splitting temporaries) "
-                    "are not lowered to C"
-                )
-            if plan.hoisted:
-                raise BackendUnsupported(
-                    "hoisted temporaries (§9 node-splitting) "
-                    "are not lowered to C"
-                )
-            emitter.old_array = plan.old_array
-            if plan.mode == "whole_copy":
-                whole_copy = True
-                emitter.read_old = (
-                    lambda dims: f"_old[{emitter.linear('out', dims)}]"
-                )
-            elif plan.mode == "split":
-                emitter.read_old = (
-                    lambda dims: f"_out[{emitter.linear('out', dims)}]"
-                )
-            else:
-                raise BackendUnsupported(
-                    f"in-place mode {plan.mode!r} is not lowered to C"
-                )
-
-        tiling = job.tiling
-        if tiling is not None and getattr(tiling, "ok", False):
-            emitter.emit_tiled(job.schedule.items, tiling)
+def _emit(job: LoweringJob) -> str:
+    emitter = _CEmitter(job)
+    comp = job.comp
+    whole_copy = False
+    if job.mode == "inplace":
+        plan = job.plan
+        if plan.snapshots:
+            raise BackendUnsupported(
+                "snapshot rings (§9 node-splitting temporaries) "
+                "are not lowered to C"
+            )
+        if plan.hoisted:
+            raise BackendUnsupported(
+                "hoisted temporaries (§9 node-splitting) "
+                "are not lowered to C"
+            )
+        emitter.old_array = plan.old_array
+        if plan.mode == "whole_copy":
+            whole_copy = True
+            emitter.read_old = (
+                lambda dims: f"_old[{emitter.linear('out', dims)}]"
+            )
+        elif plan.mode == "split":
+            emitter.read_old = (
+                lambda dims: f"_out[{emitter.linear('out', dims)}]"
+            )
         else:
-            tiling = None
-            emitter.emit_items(job.schedule.items, {})
-
-        # ---- wrapper-side bounds ------------------------------------
-        def no_reads(name, dims, gen):
-            raise CodegenError(
-                f"array read of {name!r} inside a bounds expression"
+            raise BackendUnsupported(
+                f"in-place mode {plan.mode!r} is not lowered to C"
             )
 
-        bounds_gen = ExprGen(no_reads, params=emitter.params)
-        if comp.bounds_ast is None:
-            if job.mode != "inplace":
-                raise BackendUnsupported(
-                    "bounds-free comprehension outside in-place mode"
-                )
-            bounds_line = "_b = _bb"
-        else:
-            low, high = comp.bounds_ast.items
-            bounds_line = (
-                f"_b = Bounds({bounds_gen.emit(low)}, "
-                f"{bounds_gen.emit(high)})"
-            )
+    tiling = job.tiling
+    if tiling is not None and getattr(tiling, "ok", False):
+        emitter.emit_tiled(job.schedule.items, tiling)
+    else:
+        tiling = None
+        emitter.emit_items(job.schedule.items, {})
 
-        # ---- kernel signature / wrapper call args -------------------
-        decls: List[str] = ["double *_out"]
-        call_args: List[str] = [
-            "_KERNEL.ffi.from_buffer('double[]', _out)"
+    # ---- wrapper-side bounds ------------------------------------
+    def no_reads(name, dims, gen):
+        raise CodegenError(
+            f"array read of {name!r} inside a bounds expression"
+        )
+
+    bounds_gen = ExprGen(no_reads, params=emitter.params)
+    if comp.bounds_ast is None:
+        if job.mode != "inplace":
+            raise BackendUnsupported(
+                "bounds-free comprehension outside in-place mode"
+            )
+        bounds_line = "_b = _bb"
+    else:
+        low, high = comp.bounds_ast.items
+        bounds_line = (
+            f"_b = Bounds({bounds_gen.emit(low)}, "
+            f"{bounds_gen.emit(high)})"
+        )
+
+    # ---- kernel signature / wrapper call args -------------------
+    decls: List[str] = ["double *_out"]
+    call_args: List[str] = [
+        "_KERNEL.ffi.from_buffer('double[]', _out)"
+    ]
+    for position in range(comp.rank):
+        decls += [f"long _lo_out_{position}",
+                  f"long _ex_out_{position}"]
+        call_args += [f"_lo_out_{position}", f"_ex_out_{position}"]
+    if whole_copy:
+        decls.append("const double *_old")
+        call_args.append("_KERNEL.ffi.from_buffer('double[]', _old)")
+    for name in sorted(emitter.arrays):
+        rank = emitter.arrays[name]
+        decls.append(f"const double *_arr_{name}")
+        call_args.append(
+            f"_KERNEL.ffi.from_buffer('double[]', _np_{name})"
+        )
+        for position in range(rank):
+            decls += [f"long _lo_{name}_{position}",
+                      f"long _ex_{name}_{position}"]
+            call_args += [f"_lo_{name}_{position}",
+                          f"_ex_{name}_{position}"]
+    for name in sorted(emitter.c_env):
+        decls += [f"double _v_{name}", f"long _vi_{name}"]
+        call_args += [f"float(_v_{name})", f"int(_v_{name})"]
+    # A split plan sweeps _out in place, so one call can run every
+    # sweep of an iterate/converge loop (the '.sweeps' slot).
+    sweep_loop = job.mode == "inplace" and not whole_copy
+    if sweep_loop:
+        decls += ["long _limit", "double _tol", "double *_shadow"]
+        call_args += ["_limit", "0.0 if _tol is None else _tol",
+                      "_shadow"]
+
+    returns = "long" if sweep_loop else "void"
+    signature = f"{returns} repro_kernel({', '.join(decls)})"
+    cdef = signature + ";"
+
+    # ---- C source -----------------------------------------------
+    pieces = ["#include <math.h>"]
+    if sweep_loop:
+        pieces += ["#include <string.h>", "", _MAX_ABS_DIFF_C.rstrip()]
+    pieces.append("")
+    if "floordiv" in emitter.helpers:
+        pieces += [_FLOORDIV_C.rstrip(), ""]
+    if "floormod" in emitter.helpers:
+        pieces += [_FLOORMOD_C.rstrip(), ""]
+    pieces.append(signature)
+    pieces.append("{")
+    if sweep_loop:
+        pieces.append(_SWEEP_LOOP_C.rstrip().format(
+            cells=" * ".join(
+                f"_ex_out_{position}" for position in range(comp.rank)
+            ),
+            body="\n".join("    " + line for line in emitter.w.lines),
+        ))
+    else:
+        pieces.extend(emitter.w.lines)
+    pieces.append("}")
+    c_source = "\n".join(pieces) + "\n"
+
+    # ---- python wrapper -----------------------------------------
+    env_names = sorted(emitter.c_env | bounds_gen.used_env)
+    w: List[str] = [_WRAPPER_HEADER]
+    w.append(f"_C_CDEF = {cdef!r}")
+    w.append("_C_SOURCE = '''\\")
+    w.append(c_source + "'''")
+    w.append("_KERNEL = _load_kernel(_C_CDEF, _C_SOURCE)")
+    w.append("")
+    w.append("def _build(_env):")
+    body: List[str] = []
+    for name in env_names:
+        body.append(f"_v_{name} = _env[{name!r}]")
+    for name in sorted(emitter.arrays):
+        body += input_prologue(name, emitter.arrays[name])
+        body.append(f"_np_{name} = _as_f64(_arr_{name})")
+    if job.mode == "inplace":
+        body.append(
+            f"_bb, _cells = flatten_input(_env[{emitter.old_array!r}])"
+        )
+    body.append(bounds_line)
+    body.append("_size = _b.size()")
+    for position in range(comp.rank):
+        body.append(f"_lo_out_{position} = _b.dims[{position}][0]")
+        body.append(f"_ex_out_{position} = _b.extent({position})")
+    if job.mode == "thunkless":
+        # Same '.reuse' protocol as the python emitter, but the
+        # donated spare must already be a kernel-shaped buffer.
+        body += [
+            "_out = _env.pop('.reuse', None)",
+            "if not (isinstance(_out, _np.ndarray)",
+            "        and _out.dtype == _np.float64",
+            "        and _out.size == _size",
+            "        and _out.flags['C_CONTIGUOUS']):",
+            "    _alloc(_size)",
+            "    _out = _np.zeros(_size)",
         ]
-        for position in range(comp.rank):
-            decls += [f"long _lo_out_{position}",
-                      f"long _ex_out_{position}"]
-            call_args += [f"_lo_out_{position}", f"_ex_out_{position}"]
+    else:
+        body += [
+            "_shared = (isinstance(_cells, _np.ndarray)",
+            "           and _cells.dtype == _np.float64",
+            "           and _cells.flags['C_CONTIGUOUS'])",
+            "_out = _cells if _shared else "
+            "_np.ascontiguousarray(_cells, dtype=_np.float64)",
+        ]
         if whole_copy:
-            decls.append("const double *_old")
-            call_args.append("_KERNEL.ffi.from_buffer('double[]', _old)")
-        for name in sorted(emitter.arrays):
-            rank = emitter.arrays[name]
-            decls.append(f"const double *_arr_{name}")
-            call_args.append(
-                f"_KERNEL.ffi.from_buffer('double[]', _np_{name})"
-            )
-            for position in range(rank):
-                decls += [f"long _lo_{name}_{position}",
-                          f"long _ex_{name}_{position}"]
-                call_args += [f"_lo_{name}_{position}",
-                              f"_ex_{name}_{position}"]
-        for name in sorted(emitter.c_env):
-            decls += [f"double _v_{name}", f"long _vi_{name}"]
-            call_args += [f"float(_v_{name})", f"int(_v_{name})"]
-        # A split plan sweeps _out in place, so one call can run every
-        # sweep of an iterate/converge loop (the '.sweeps' slot).
-        sweep_loop = job.mode == "inplace" and not whole_copy
-        if sweep_loop:
-            decls += ["long _limit", "double _tol", "double *_shadow"]
-            call_args += ["_limit", "0.0 if _tol is None else _tol",
-                          "_shadow"]
-
-        returns = "long" if sweep_loop else "void"
-        signature = f"{returns} repro_kernel({', '.join(decls)})"
-        cdef = signature + ";"
-
-        # ---- C source -----------------------------------------------
-        pieces = ["#include <math.h>"]
-        if sweep_loop:
-            pieces += ["#include <string.h>", "", _MAX_ABS_DIFF_C.rstrip()]
-        pieces.append("")
-        if "floordiv" in emitter.helpers:
-            pieces += [_FLOORDIV_C.rstrip(), ""]
-        if "floormod" in emitter.helpers:
-            pieces += [_FLOORMOD_C.rstrip(), ""]
-        pieces.append(signature)
-        pieces.append("{")
-        if sweep_loop:
-            pieces.append(_SWEEP_LOOP_C.rstrip().format(
-                cells=" * ".join(
-                    f"_ex_out_{position}" for position in range(comp.rank)
-                ),
-                body="\n".join("    " + line for line in emitter.w.lines),
-            ))
-        else:
-            pieces.extend(emitter.w.lines)
-        pieces.append("}")
-        c_source = "\n".join(pieces) + "\n"
-
-        # ---- python wrapper -----------------------------------------
-        env_names = sorted(emitter.c_env | bounds_gen.used_env)
-        w: List[str] = [_WRAPPER_HEADER]
-        w.append(f"_C_CDEF = {cdef!r}")
-        w.append("_C_SOURCE = '''\\")
-        w.append(c_source + "'''")
-        w.append("_KERNEL = _load_kernel(_C_CDEF, _C_SOURCE)")
-        w.append("")
-        w.append("def _build(_env):")
-        body: List[str] = []
-        for name in env_names:
-            body.append(f"_v_{name} = _env[{name!r}]")
-        for name in sorted(emitter.arrays):
-            body += input_prologue(name, emitter.arrays[name])
-            body.append(f"_np_{name} = _as_f64(_arr_{name})")
-        if job.mode == "inplace":
-            body.append(
-                f"_bb, _cells = flatten_input(_env[{emitter.old_array!r}])"
-            )
-        body.append(bounds_line)
-        body.append("_size = _b.size()")
-        for position in range(comp.rank):
-            body.append(f"_lo_out_{position} = _b.dims[{position}][0]")
-            body.append(f"_ex_out_{position} = _b.extent({position})")
-        if job.mode == "thunkless":
-            # Same '.reuse' protocol as the python emitter, but the
-            # donated spare must already be a kernel-shaped buffer.
             body += [
-                "_out = _env.pop('.reuse', None)",
-                "if not (isinstance(_out, _np.ndarray)",
-                "        and _out.dtype == _np.float64",
-                "        and _out.size == _size",
-                "        and _out.flags['C_CONTIGUOUS']):",
-                "    _alloc(_size)",
-                "    _out = _np.zeros(_size)",
+                "_old = _out.copy()",
+                "_incr.STATS.arrays_copied += 1",
+                "_incr.STATS.cells_copied += len(_old)",
             ]
-        else:
-            body += [
-                "_shared = (isinstance(_cells, _np.ndarray)",
-                "           and _cells.dtype == _np.float64",
-                "           and _cells.flags['C_CONTIGUOUS'])",
-                "_out = _cells if _shared else "
-                "_np.ascontiguousarray(_cells, dtype=_np.float64)",
-            ]
-            if whole_copy:
-                body += [
-                    "_old = _out.copy()",
-                    "_incr.STATS.arrays_copied += 1",
-                    "_incr.STATS.cells_copied += len(_old)",
-                ]
-        if sweep_loop:
-            # '.sweeps' = (limit, tol): run up to ``limit`` sweeps, and
-            # for a tol (converge) stop at the first within it; the
-            # step then returns the count.  Absent: one sweep.
-            body += [
-                "_limit, _tol = _env.get('.sweeps', (1, None))",
-                "_shadow = _KERNEL.ffi.NULL",
-                "if _tol is not None:",
-                "    _alloc(_size)",
-                "    _shadow = _KERNEL.ffi.from_buffer('double[]', "
-                "_np.empty(_size))",
-                "_swept = 0",
-            ]
-        if tiling is not None and comp.rank == len(tiling.sizes):
-            # The ``tile.count`` counter: native code cannot bump
-            # python counters, so the wrapper models the grid from the
-            # output bounds (tiled loops span the output dims whenever
-            # rank == depth).
-            grid = " * ".join(
-                f"(-(-_b.extent({axis}) // {size}))"
-                for axis, size in enumerate(tiling.sizes)
-            )
-            body.append(f"_count_runtime('tile.count', {grid})")
-        body.append("if _size:")
-        body.append("    _count_runtime('backend.c.kernel_calls')")
-        body.append(("    _swept = " if sweep_loop else "    ")
-                    + "_KERNEL.lib.repro_kernel(")
-        for arg in call_args:
-            body.append(f"        {arg},")
-        body.append("    )")
-        if job.mode == "inplace":
-            body += [
-                "if not _shared:",
-                "    _cells[:] = _out.tolist()",
-                "    _out = _cells",
-            ]
-        if sweep_loop:
-            body += ["if '.sweeps' in _env:", "    return _swept"]
-        body.append("return FlatArray(_b, _out)")
-        w.extend("    " + line if line else "" for line in body)
-        return "\n".join(w) + "\n"
+    if sweep_loop:
+        # '.sweeps' = (limit, tol): run up to ``limit`` sweeps, and
+        # for a tol (converge) stop at the first within it; the
+        # step then returns the count.  Absent: one sweep.
+        body += [
+            "_limit, _tol = _env.get('.sweeps', (1, None))",
+            "_shadow = _KERNEL.ffi.NULL",
+            "if _tol is not None:",
+            "    _alloc(_size)",
+            "    _shadow = _KERNEL.ffi.from_buffer('double[]', "
+            "_np.empty(_size))",
+            "_swept = 0",
+        ]
+    if tiling is not None and comp.rank == len(tiling.sizes):
+        # The ``tile.count`` counter: native code cannot bump
+        # python counters, so the wrapper models the grid from the
+        # output bounds (tiled loops span the output dims whenever
+        # rank == depth).
+        grid = " * ".join(
+            f"(-(-_b.extent({axis}) // {size}))"
+            for axis, size in enumerate(tiling.sizes)
+        )
+        body.append(f"_count_runtime('tile.count', {grid})")
+    body.append("if _size:")
+    body.append("    _count_runtime('backend.c.kernel_calls')")
+    body.append(("    _swept = " if sweep_loop else "    ")
+                + "_KERNEL.lib.repro_kernel(")
+    for arg in call_args:
+        body.append(f"        {arg},")
+    body.append("    )")
+    if job.mode == "inplace":
+        body += [
+            "if not _shared:",
+            "    _cells[:] = _out.tolist()",
+            "    _out = _cells",
+        ]
+    if sweep_loop:
+        body += ["if '.sweeps' in _env:", "    return _swept"]
+    body.append("return FlatArray(_b, _out)")
+    w.extend("    " + line if line else "" for line in body)
+    return "\n".join(w) + "\n"

@@ -59,6 +59,11 @@ except ImportError:  # vector codegen is optional
 '''
 
 
+#: The backends ``CodegenOptions(backend=...)`` may name: the python
+#: emitters and the native C tier (:mod:`repro.backends`).
+BACKENDS = ("python", "c")
+
+
 @dataclass(frozen=True)
 class CodegenOptions:
     """What a compile asks of code generation.
@@ -82,14 +87,13 @@ class CodegenOptions:
     #: slice assignment per anti-diagonal.  The result buffer becomes
     #: float64.  Any runtime check keeps the unit scalar.
     vectorize: bool = False
-    #: Which registered emitter lowers the scheduled loops
-    #: (:mod:`repro.backends`): ``"python"`` (the default) or ``"c"``
+    #: Which emitter lowers the scheduled loops (:mod:`repro.backends`),
+    #: one of :data:`BACKENDS`: ``"python"`` (the default) or ``"c"``
     #: (native shared-object kernels via cffi).  The backend picks the
-    #: emitter only, never the checks or the lowering mode.  A job a
-    #: non-python backend cannot lower (vectorize, a runtime check, a
-    #: guarded or accumulated store, ...) gets the python emitter's
-    #: module for the same request, with a reasoned ``Report.backend``
-    #: entry.  An unknown name is the registry's error at lowering.
+    #: emitter only, never the checks or the lowering mode.  A job the
+    #: C backend cannot lower (vectorize, a runtime check, a guarded or
+    #: accumulated store, ...) gets the python emitter's module for the
+    #: same request, with a reasoned ``Report.backend`` entry.
     backend: str = "python"
     #: Cache-block the scheduled loops of a C kernel: ``None`` (off),
     #: ``"auto"`` (cache-model tile edge), or an int edge >= 1 applied
@@ -106,9 +110,10 @@ class CodegenOptions:
             value = getattr(self, name)
             if not isinstance(value, bool):
                 raise CodegenError(f"{name} must be a bool, got {value!r}")
-        if not isinstance(self.backend, str):
+        if self.backend not in BACKENDS:
             raise CodegenError(
-                f"backend must be a backend name, got {self.backend!r}"
+                f"unknown backend {self.backend!r}; backend must be one "
+                "of " + ", ".join(BACKENDS)
             )
         tile = self.tile
         if tile is not None and tile != "auto" and (

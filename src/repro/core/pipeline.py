@@ -35,6 +35,7 @@ compile-time side of each experiment in EXPERIMENTS.md.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
@@ -64,7 +65,7 @@ from repro.core.inplace import InPlacePlan, plan_inplace
 from repro.core.schedule import Schedule, schedule_comp
 from repro.lang import ast
 from repro.lang.parser import parse_expr
-from repro.obs.trace import ensure_trace, span, span_timings, trace_scope
+from repro.obs.trace import span, span_timings, trace_scope
 
 
 class CompileError(Exception):
@@ -96,8 +97,8 @@ class Report:
     #: (unavailable toolchain, unsupported construct) recorded by
     #: :func:`repro.backends.lower`.
     backend: List[str] = field(default_factory=list)
-    #: The registered backend whose emitter produced the source
-    #: (``"python"`` unless a non-default backend lowered the job).
+    #: The backend whose emitter produced the source
+    #: (``"python"`` unless the C backend lowered the job).
     backend_used: str = ""
     #: Subscript-property analysis over indirect writes
     #: (:class:`~repro.core.subscripts_indirect.SubscriptReport`);
@@ -823,11 +824,11 @@ def analyze(
     the collision and empties analyses for indirect writes.
     """
     st = _State("array", src, params, index_comps=index_comps)
-    with ensure_trace("analyze") as trace, dependence_memo():
+    with trace_scope("analyze") as scope, dependence_memo():
         for step in _ANALYSIS:
             step(st)
-    st.report.trace = trace.root
-    st.report.timings = trace.timings()
+    st.report.trace = scope
+    st.report.timings = span_timings(scope)
     return st.report
 
 
@@ -913,7 +914,9 @@ def compile(
         Attach the decision trace (an
         :class:`~repro.obs.explain.Explanation`) to the result's
         ``explanation`` attribute — *why* each schedule/in-place/
-        vectorize decision was taken or rejected.
+        vectorize decision was taken or rejected.  With ``cache=``
+        the result is a copy of the cached object, which stays
+        unexplained.
     dist / workers:
         Program sources only: plan block-partitioned convergence
         sweeps over ``workers`` processes
@@ -950,6 +953,10 @@ def compile(
         from repro.service.service import resolve_cache
 
         compiled = resolve_cache(cache).submit(request).value()
+        if explain:
+            # Every hit shares the service's object; this call's
+            # explanation goes on a copy.
+            compiled = copy.copy(compiled)
     else:
         from repro.program.compile import classify_source
 

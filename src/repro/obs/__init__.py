@@ -26,7 +26,6 @@ from repro.obs.trace import (
     annotate,
     count,
     count_runtime,
-    ensure_trace,
     refresh_runtime_tracing,
     reset_runtime_counters,
     runtime_counters,
@@ -49,7 +48,6 @@ __all__ = [
     "bench_check",
     "count",
     "count_runtime",
-    "ensure_trace",
     "explain",
     "explain_report",
     "refresh_runtime_tracing",

@@ -386,35 +386,35 @@ def explain(src, *, params=None, options=None, old_array=None,
             workers: int = 0) -> Explanation:
     """Compile ``src`` and return its decision trace.
 
-    A program compiles with the placements ``ooc``, ``dist`` and
-    ``workers`` as :func:`repro.program.compile.compile_program` takes
-    them, so the trace names the placements that ``run`` would use.
+    ``src`` compiles through :func:`repro.core.pipeline.build`, the
+    router of every compile path, so a field ``repro.compile`` refuses
+    is refused here too, and a program's trace names the placements
+    (``ooc``, ``dist``, ``workers``) that ``run`` would use.
 
-    A static rejection (certain write collision, unschedulable
-    in-place update) is part of the story, not an error: the
-    exception becomes a ``rejected`` compile decision and the
-    analysis-only report still contributes its decisions.
+    A definition's static rejection (certain write collision,
+    unschedulable in-place update, a field that does not apply to a
+    definition) is part of the story, not an error: the exception
+    becomes a ``rejected`` compile decision and the analysis-only
+    report still contributes its decisions.  A program's
+    :class:`~repro.core.pipeline.CompileError` propagates.
     """
-    from repro.core.pipeline import CompileError, analyze
-    from repro.core.pipeline import compile as pipeline_compile
-    from repro.program.compile import classify_source, compile_program
+    from repro.core.pipeline import CompileError, analyze, build
+    from repro.program.compile import classify_source
+    from repro.service.api import CompileRequest
 
-    kind, src = classify_source(src)
+    request = CompileRequest(src, params, options, force_strategy,
+                             strategy, old_array, dist=dist,
+                             workers=workers, ooc=ooc)
+    kind, tree = classify_source(src)
     if kind == "program":
-        program = compile_program(src, params=params, options=options,
-                                  ooc=ooc, dist=dist, workers=workers)
-        return explain_program_report(program.report)
-
+        return explain_program_report(build(kind, tree, request).report)
     try:
-        compiled = pipeline_compile(
-            src, strategy=strategy, params=params, options=options,
-            old_array=old_array, force_strategy=force_strategy,
-        )
+        compiled = build(kind, tree, request)
     except CompileError as exc:
         out = Explanation(kind="definition")
         out.add("compile", "definition", REJECTED, str(exc))
         try:
-            report = analyze(src, params)
+            report = analyze(tree, params)
         except Exception:
             return out
         report.strategy = ""

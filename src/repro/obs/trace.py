@@ -220,26 +220,6 @@ def tracing(trace: Trace):
 
 
 @contextmanager
-def ensure_trace(name: str):
-    """Join the active trace, or open (and close) a fresh one.
-
-    The pipeline's entry points all start with this, so nested entries
-    (``compile`` calling ``analyze``, the program driver calling the
-    single-definition pipeline per binding) share one span tree.
-    """
-    trace = active_trace()
-    if trace is not None:
-        yield trace
-        return
-    trace = Trace(name)
-    with tracing(trace):
-        try:
-            yield trace
-        finally:
-            trace.close()
-
-
-@contextmanager
 def trace_scope(name: str):
     """A span that works standalone or nested; yields the :class:`Span`.
 

@@ -1,8 +1,8 @@
-"""The backend registry: registration, dispatch, and option conflicts.
+"""The two backends: the closed name set, dispatch, and option conflicts.
 
-Covers the registry API (register/get/names/availability), the
-``lower()`` dispatch policy (default short-circuit, loud unknown
-names, reasoned fallbacks), and the full pairwise conflict matrix of
+Covers the backend names (``BACKENDS``, refused at construction when
+unknown), the ``lower()`` dispatch policy (default short-circuit,
+reasoned fallbacks), and the full pairwise conflict matrix of
 ``backend=`` against the options the C tier does not lower.
 """
 
@@ -11,75 +11,41 @@ import itertools
 import pytest
 
 import repro
-from repro.backends import (
-    Backend,
-    BackendUnsupported,
-    LoweringJob,
-    available_backends,
-    backend_names,
-    get_backend,
-    lower,
-    register_backend,
-)
-from repro.backends import _REGISTRY
+from repro.backends import BackendUnsupported, LoweringJob, lower
 from repro.backends.native import toolchain_status
-from repro.codegen.emit import CodegenOptions
+from repro.codegen.emit import BACKENDS, CodegenOptions
 from repro.codegen.exprs import CodegenError
 from repro.core.pipeline import Report
 from repro.kernels import JACOBI, SQUARES
 from repro.obs.trace import Trace, tracing
 
 
-@pytest.fixture
-def scratch_backend():
-    """Remove any test-registered backend names afterwards."""
-    before = set(backend_names())
-    yield
-    for name in set(backend_names()) - before:
-        _REGISTRY.pop(name, None)
-
-
 class TestRegistry:
-    def test_builtins_registered(self):
-        assert "python" in backend_names()
-        assert "c" in backend_names()
+    """The backend names are a closed set, checked when the options
+    are built."""
 
-    def test_python_always_available(self):
-        assert available_backends()["python"] is None
+    def test_builtins_registered(self):
+        assert BACKENDS == ("python", "c")
+        for name in BACKENDS:
+            assert CodegenOptions(backend=name).backend == name
+
+    def test_python_always_available(self, monkeypatch):
+        # A python request never asks for the toolchain.
+        def probe():  # pragma: no cover - must not be called
+            raise AssertionError("python lowering probed the toolchain")
+
+        monkeypatch.setattr("repro.backends.native.toolchain_status", probe)
+        compiled = repro.compile(SQUARES, params={"n": 4})
+        assert compiled.report.backend_used == "python"
+        assert compiled({"n": 4}).to_list() == [1, 4, 9, 16]
 
     def test_unknown_backend_is_loud(self):
-        with pytest.raises(CodegenError, match="unknown backend"):
-            get_backend("fortran")
+        with pytest.raises(CodegenError, match="unknown backend 'fortran'"):
+            CodegenOptions(backend="fortran")
 
     def test_unknown_backend_lists_registered(self):
-        with pytest.raises(CodegenError, match="python"):
-            get_backend("fortran")
-
-    def test_register_callable(self, scratch_backend):
-        backend = register_backend("echo", lambda job: "def _build(e):\n"
-                                                       "    return e")
-        assert backend.name == "echo"
-        assert "echo" in backend_names()
-        assert get_backend("echo") is backend
-
-    def test_register_class(self, scratch_backend):
-        class Dummy(Backend):
-            def emit(self, job):
-                return "source"
-
-        backend = register_backend("dummy", Dummy)
-        assert isinstance(backend, Dummy)
-        assert backend.name == "dummy"
-
-    def test_register_rejects_bad_names(self):
-        with pytest.raises(ValueError):
-            register_backend("", lambda job: "")
-        with pytest.raises(ValueError):
-            register_backend(None, lambda job: "")
-
-    def test_register_rejects_non_callable(self):
-        with pytest.raises(TypeError):
-            register_backend("bad", 42)
+        with pytest.raises(CodegenError, match="one of python, c"):
+            CodegenOptions(backend="fortran")
 
 
 class TestLowerDispatch:
@@ -93,66 +59,74 @@ class TestLowerDispatch:
             edges=report.edges,
         ), Report()
 
-    def test_default_backend_short_circuits(self):
+    def _lower(self, job, report):
+        trace = Trace("t")
+        with tracing(trace):
+            source = lower(job, report)
+        return source, trace.counters()
+
+    def test_default_backend_short_circuits(self, monkeypatch):
+        def refuse(job):  # pragma: no cover - must not be called
+            raise AssertionError("python request reached the C emitter")
+
+        monkeypatch.setattr("repro.backends.c.emit", refuse)
         job, report = self._job("python")
-        source = lower(job, report)
+        source, counters = self._lower(job, report)
         assert "_build" in source
         assert report.backend_used == "python"
         assert report.backend == []
+        assert not any(name.startswith("backend.") for name in counters)
 
     def test_unknown_backend_raises(self):
-        job, report = self._job("fortran")
+        # Refused when the options are built, before any job exists.
         with pytest.raises(CodegenError, match="unknown backend"):
-            lower(job, report)
+            self._job("fortran")
 
-    def test_unsupported_falls_back_with_reason(self, scratch_backend):
-        class Refuses(Backend):
-            def emit(self, job):
-                raise BackendUnsupported("no lowering for this shape")
+    def test_unsupported_falls_back_with_reason(self, monkeypatch):
+        def refuse(job):
+            raise BackendUnsupported("no lowering for this shape")
 
-        register_backend("refuses", Refuses)
-        job, report = self._job("refuses")
-        trace = Trace("t")
-        with tracing(trace):
-            source = lower(job, report)
+        monkeypatch.setattr("repro.backends.native.toolchain_status",
+                            lambda: None)
+        monkeypatch.setattr("repro.backends.c.emit", refuse)
+        job, report = self._job("c")
+        source, counters = self._lower(job, report)
         assert "_build" in source  # python emitter produced the code
+        assert source == lower(self._job("python")[0], Report())
         assert report.backend_used == "python"
-        assert any("no lowering for this shape" in line
-                   for line in report.backend)
-        assert trace.counters().get("backend.refuses.fallback") == 1
+        assert report.backend == [
+            "backend c fell back on thunkless lowering: no lowering for "
+            "this shape; python emitter used"
+        ]
+        assert counters.get("backend.c.fallback") == 1
 
-    def test_unavailable_skips_with_reason(self, scratch_backend):
-        class Unavailable(Backend):
-            def availability(self):
-                return "toolchain missing"
+    def test_unavailable_skips_with_reason(self, monkeypatch):
+        def emit(job):  # pragma: no cover - must not be called
+            raise AssertionError("emit called without a toolchain")
 
-            def emit(self, job):  # pragma: no cover - must not be hit
-                raise AssertionError("emit called on unavailable backend")
-
-        register_backend("absent", Unavailable)
-        job, report = self._job("absent")
-        trace = Trace("t")
-        with tracing(trace):
-            source = lower(job, report)
+        monkeypatch.setattr("repro.backends.native.toolchain_status",
+                            lambda: "toolchain missing")
+        monkeypatch.setattr("repro.backends.c.emit", emit)
+        job, report = self._job("c")
+        source, counters = self._lower(job, report)
         assert "_build" in source
         assert report.backend_used == "python"
-        assert any("toolchain missing" in line for line in report.backend)
-        assert trace.counters().get("backend.absent.unavailable") == 1
+        assert report.backend == [
+            "backend c unavailable: toolchain missing; python emitter used"
+        ]
+        assert counters.get("backend.c.unavailable") == 1
 
-    def test_success_counts_and_records(self, scratch_backend):
-        class Always(Backend):
-            def emit(self, job):
-                return "def _build(_env):\n    return None"
-
-        register_backend("always", Always)
-        job, report = self._job("always")
-        trace = Trace("t")
-        with tracing(trace):
-            source = lower(job, report)
+    def test_success_counts_and_records(self, monkeypatch):
+        monkeypatch.setattr("repro.backends.native.toolchain_status",
+                            lambda: None)
+        monkeypatch.setattr("repro.backends.c.emit",
+                            lambda job: "def _build(_env):\n    return None")
+        job, report = self._job("c")
+        source, counters = self._lower(job, report)
         assert "return None" in source
-        assert report.backend_used == "always"
+        assert report.backend_used == "c"
         assert report.backend == []
-        assert trace.counters().get("backend.always.lowered") == 1
+        assert counters.get("backend.c.lowered") == 1
 
 
 # ----------------------------------------------------------------------
@@ -215,11 +189,11 @@ class TestFromFlagsBackend:
         assert compiled.report.strategy == "inplace"
 
     def test_unknown_backend_name_is_loud(self):
-        # Construction takes any name; the registry refuses it.
-        options = CodegenOptions(backend="fortran")
-        with pytest.raises(repro.CompileError,
-                           match="unknown backend 'fortran'"):
-            _compile(options)
+        # Refused at construction, like every malformed option.
+        with pytest.raises(CodegenError,
+                           match="unknown backend 'fortran'; backend must "
+                                 "be one of python, c"):
+            CodegenOptions(backend="fortran")
 
     @needs_cc
     @pytest.mark.parametrize("flag", sorted(_CONFLICTING))

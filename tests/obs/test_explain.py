@@ -14,6 +14,7 @@ from repro.kernels import (
     PROGRAM_SOR,
     SOR,
     SOR_MONOLITHIC,
+    SQUARES,
     WAVEFRONT,
     WAVEFRONT_F,
 )
@@ -287,6 +288,66 @@ class TestCompileExplainKwarg:
     def test_compile_without_kwarg_has_no_explanation(self):
         compiled = repro.compile(WAVEFRONT_F, params={"n": 6})
         assert not hasattr(compiled, "explanation")
+
+    @pytest.mark.parametrize("src,params", [
+        (SQUARES, {"n": 4}),
+        (PROGRAM_JACOBI_STEPS, {"m": 6, "k": 2}),
+    ], ids=["definition", "program"])
+    def test_cached_explain_leaves_the_service_object_alone(self, src,
+                                                            params):
+        service = repro.CompileService()
+        explained = repro.compile(src, params=params, cache=service,
+                                  explain=True)
+        assert isinstance(explained.explanation, Explanation)
+        plain = repro.compile(src, params=params, cache=service)
+        assert plain is not explained
+        assert not hasattr(plain, "explanation")
+        stored = service.submit(repro.CompileRequest(src, params)).value()
+        assert stored is plain
+        assert not hasattr(stored, "explanation")
+
+
+class TestExplainRoutesLikeCompile:
+    """``explain`` compiles through the router ``repro.compile`` uses,
+    so it refuses the fields ``repro.compile`` refuses."""
+
+    def test_program_refuses_a_strategy(self):
+        with pytest.raises(repro.CompileError,
+                           match="apply to single definitions"):
+            repro.compile(PROGRAM_JACOBI_STEPS, params={"m": 6, "k": 2},
+                          strategy="array")
+        with pytest.raises(repro.CompileError,
+                           match="apply to single definitions"):
+            explain(PROGRAM_JACOBI_STEPS, params={"m": 6, "k": 2},
+                    strategy="array")
+
+    @pytest.mark.parametrize("fields,named", [
+        ({"dist": True, "ooc": True}, "dist="),
+        ({"ooc": True}, "ooc="),
+    ], ids=["dist+ooc", "ooc"])
+    def test_definition_placement_is_a_rejected_compile(self, fields,
+                                                        named):
+        with pytest.raises(repro.CompileError, match=named):
+            repro.compile(SQUARES, params={"n": 4}, **fields)
+        ex = explain(SQUARES, params={"n": 4}, **fields)
+        [decision] = ex.by_area("compile")
+        assert decision.verdict == REJECTED
+        assert decision.reason.startswith(named)
+        assert ex.by_area("schedule")  # the analysis still explains
+
+    @pytest.mark.parametrize("flags", [
+        ["--strategy", "thunked"], ["--inplace", "b"],
+    ], ids=["strategy", "inplace"])
+    def test_cli_program_refuses_definition_flags(self, tmp_path, flags):
+        from repro.__main__ import main
+
+        path = tmp_path / "prog.hs"
+        path.write_text(PROGRAM_JACOBI_STEPS)
+        argv = [str(path), "-p", "m=6", "-p", "k=2", *flags]
+        with pytest.raises(SystemExit, match="single definitions"):
+            main(["compile", *argv])
+        with pytest.raises(SystemExit, match="single definitions"):
+            main(["explain", *argv])
 
 
 #: Backward-running recurrence: tiles would run against the carried

@@ -158,6 +158,22 @@ class TestPipelineTimings:
             counters.update(node.counters)
         assert counters.get("program.bindings") == 3
 
+    def test_analyze_under_an_active_trace_reports_its_own_passes(self):
+        outer = Trace("outer")
+        with tracing(outer):
+            with span("busy"):
+                pass
+            report = repro.analyze(SOR_MONOLITHIC,
+                                   {"m": 8, "omega": 1.0})
+        assert report.trace is not outer.root
+        assert report.trace.name == "analyze"
+        assert "busy" not in {node.name for node in report.trace.walk()}
+        assert "busy" not in report.timings
+        assert {"parse", "schedule"} <= set(report.timings)
+        assert report.timings["total"] == report.trace.duration
+        # The enclosing trace still holds analyze's passes, nested.
+        assert report.trace in outer.root.children
+
 
 class TestRuntimeCounters:
     @pytest.fixture(autouse=True)

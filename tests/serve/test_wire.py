@@ -125,7 +125,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("options", [
         {"tile": 0}, {"tile": -3}, {"tile": "big"}, {"tile": True},
-        {"vectorize": "false"}], ids=repr)
+        {"vectorize": "false"}, {"backend": "fortran"}], ids=repr)
     def test_malformed_option_value_is_a_wire_error(self, options):
         with pytest.raises(WireError, match="bad option value"):
             CompileRequest.from_wire({"src": SRC, "options": options})

@@ -278,6 +278,12 @@ class TestOptionFlags:
         with pytest.raises(SystemExit, match="--tile must be 'auto'"):
             main(["run", squares_file, "-p", "n=4", "--tile", "big"])
 
+    def test_unknown_backend_exits_with_the_message(self, squares_file):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["run", squares_file, "-p", "n=4", "--backend", "fortran"])
+        assert str(exc_info.value) == (
+            "unknown backend 'fortran'; backend must be one of python, c")
+
     def test_backend_c_with_vectorize_compiles(self, squares_file,
                                                capsys):
         assert main(["compile", squares_file, "-p", "n=4",

@@ -39,7 +39,7 @@ OUT_OF_BINS = r"subscript -3 out of bounds \(1, 6\)"
 
 MALFORMED = [{"tile": 0}, {"tile": -3}, {"tile": "big"}, {"tile": True},
              {"vectorize": "false"}, {"bounds_checks": 1},
-             {"backend": None}]
+             {"backend": None}, {"backend": "fortran"}]
 
 
 def _compile_kwargs(name):
