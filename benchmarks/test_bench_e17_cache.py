@@ -9,11 +9,12 @@ key up as a tuple, so a hit neither parses nor hashes whatever its kind.
 Asserted shape: a warm hit is at least 10x faster than a cold pipeline
 run for a wavefront definition (with ``kind="definition"`` and with the
 default ``kind="auto"``) and for a whole program
-(``program_jacobi_steps``, ``kind="auto"``), and a batch of duplicates
-compiles exactly once.
+(``program_jacobi_steps``, ``kind="auto"``), and 12 concurrent
+submits of three distinct requests compile each request once.
 """
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -110,7 +111,8 @@ def test_e17_batch_throughput_dedup():
                 CompileRequest(SQUARES, {"n": 50}),
                 CompileRequest(SOR, {"m": 10, "omega": 1})] * 4
     started = time.perf_counter()
-    results = service.submit(requests, max_workers=4)
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        results = list(pool.map(service.submit, requests))
     batch_time = time.perf_counter() - started
     assert all(result.ok for result in results)
     stats = service.stats()["requests"]

@@ -72,9 +72,9 @@ class GlobalLockService(CompileService):
         super().__init__(**kwargs)
         self._global = Lock()
 
-    def _submit_one(self, request, index=0):
+    def submit(self, request):
         with self._global:
-            return super()._submit_one(request, index)
+            return super().submit(request)
 
 
 def cold_request_2d(rng):

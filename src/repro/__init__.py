@@ -65,7 +65,6 @@ from repro.service import (
     CompileResult,
     CompileService,
     fingerprint,
-    fingerprint_program,
 )
 from repro.runtime import (
     Bounds,
@@ -106,7 +105,6 @@ __all__ = [
     "explain",
     "explain_report",
     "fingerprint",
-    "fingerprint_program",
     "force_elements",
     "letrec_star",
     "parse_expr",

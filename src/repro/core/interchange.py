@@ -42,12 +42,11 @@ def perfect_rectangular_nest(outer: LoopNest) -> Optional[LoopNest]:
     return inner
 
 
-def _carried_at(loop: LoopNest, clauses, edges: Sequence[DepEdge]) -> bool:
-    """Whether any edge among ``clauses`` is carried at ``loop``."""
-    inside = {id(c) for c in clauses}
+def carried_at_loop(loop: LoopNest, edges: Sequence[DepEdge]) -> bool:
+    """Whether an edge between two clauses that both run ``loop`` has
+    ``<``, ``>`` or ``*`` at ``loop``'s level: the loop carries a
+    dependence, so its iterations cannot all run at once (§10)."""
     for edge in edges:
-        if id(edge.src) not in inside or id(edge.dst) not in inside:
-            continue
         if loop not in edge.src.loops or loop not in edge.dst.loops:
             continue
         level = edge.src.loops.index(loop)
@@ -74,9 +73,8 @@ def plan_interchanges(
         inner = perfect_rectangular_nest(entity)
         if inner is None:
             continue
-        clauses = inner.children
-        if _carried_at(inner, clauses, edges) and not _carried_at(
-            entity, clauses, edges
+        if carried_at_loop(inner, edges) and not carried_at_loop(
+            entity, edges
         ):
             proposals.append(entity)
     return proposals

@@ -62,6 +62,11 @@ from repro.core.dependence import (
     flow_edges,
 )
 from repro.core.inplace import InPlacePlan, plan_inplace
+from repro.core.interchange import (
+    carried_at_loop,
+    interchange,
+    plan_interchanges,
+)
 from repro.core.schedule import Schedule, schedule_comp
 from repro.lang import ast
 from repro.lang.parser import parse_expr
@@ -170,26 +175,11 @@ def _parse(src) -> ast.Node:
 
 def _vectorizable_loops(comp: ArrayComp, edges: List[DepEdge]) -> List[str]:
     """Innermost loops with no loop-carried dependence (paper §10)."""
-    out = []
-    for loop in comp.iter_loops():
-        if any(isinstance(c, LoopNest) for c in loop.children):
-            continue  # not innermost
-        carried = False
-        for edge in edges:
-            for clause in (edge.src, edge.dst):
-                if loop not in clause.loops:
-                    continue
-                level = clause.loops.index(loop)
-                if (
-                    loop in edge.src.loops
-                    and loop in edge.dst.loops
-                    and len(edge.direction) > level
-                    and edge.direction[level] in ("<", ">", "*")
-                ):
-                    carried = True
-        if not carried:
-            out.append(loop.var)
-    return out
+    return [
+        loop.var for loop in comp.iter_loops()
+        if not any(isinstance(c, LoopNest) for c in loop.children)
+        and not carried_at_loop(loop, edges)
+    ]
 
 
 def _unproven_guard_dims(
@@ -523,8 +513,6 @@ def _interchange(st: _State) -> None:
     preserving; only the analysis must be redone."""
     if not st.options.vectorize:
         return
-    from repro.core.interchange import interchange, plan_interchanges
-
     report = st.report
     proposals = plan_interchanges(report.comp, report.edges)
     if not proposals:

@@ -28,9 +28,11 @@ Routes (wire schema in :mod:`repro.service.api`, stats schema in
                           the response, cache populated)
 
 A bare single request answers with a single result object (``422`` if
-the compile failed); an envelope always answers ``200`` with per-entry
-results — batch neighbours are isolated, exactly like
-``CompileService.submit``.
+the compile failed); an envelope always answers ``200`` with one
+result per entry, in order, each carrying its position in the
+envelope as ``index``.  Each entry is submitted to the pool as a
+request of its own, so one entry's failure leaves its neighbours'
+results alone.
 """
 
 from __future__ import annotations
@@ -192,7 +194,10 @@ class CompileServer:
             await asyncio.gather(*self._connections,
                                  return_exceptions=True)
         if self.pool is not None:
-            self.pool.shutdown(wait=False)
+            # Joined, not abandoned: a process pool's manager thread
+            # left running races the interpreter's exit hook, which
+            # then writes to the wakeup pipe the thread closed.
+            await asyncio.to_thread(self.pool.shutdown)
 
     # -- routing -------------------------------------------------------
 
@@ -310,8 +315,10 @@ class CompileServer:
         finally:
             self.metrics.inflight -= 1
 
+        for index, result in enumerate(results):
+            result["index"] = index
         if single:
-            result = dict(results[0])
+            result = results[0]
             result["schema"] = WIRE_SCHEMA
             return (200 if result.get("ok") else 422), result
         return 200, {"schema": WIRE_SCHEMA, "results": results}

@@ -1,4 +1,4 @@
-"""Compile service: fingerprinting, caching, and batch compilation.
+"""Compile service: fingerprinting and caching of compile requests.
 
 The Anderson & Hudak pipeline is a pure function of (source, params,
 options, strategy) — the determinism tests in
@@ -16,9 +16,10 @@ memoized.  This package turns the per-call compiler into a service:
   JSON wire schema (shared with the HTTP endpoint in
   :mod:`repro.serve`);
 * :mod:`repro.service.service` — :class:`CompileService` with
-  ``submit()`` (single request, batch fan-out with per-entry
-  isolation and in-flight deduplication, or cache warming via
-  ``warm_only=True``);
+  ``submit()``: one request in, one result out, with the error
+  captured in the result, identical concurrent requests compiled once
+  (in-flight deduplication), and cache warming via
+  ``warm_only=True``;
 * :mod:`repro.service.metrics` / :mod:`repro.service.stats` —
   hit/miss/eviction counters, latency histograms with p50/p95/p99,
   per-pass timings, all rendered into one versioned stats schema.
@@ -46,13 +47,8 @@ from repro.service.api import (
     WireError,
     decode_requests,
     encode_requests,
-    encode_results,
 )
-from repro.service.fingerprint import (
-    PIPELINE_SALT,
-    fingerprint,
-    fingerprint_program,
-)
+from repro.service.fingerprint import PIPELINE_SALT, fingerprint
 from repro.service.metrics import Histogram, ServiceMetrics
 from repro.service.service import (
     CompileService,
@@ -84,9 +80,7 @@ __all__ = [
     "decode_requests",
     "default_service",
     "encode_requests",
-    "encode_results",
     "fingerprint",
-    "fingerprint_program",
     "render_stats",
     "resolve_cache",
     "service_stats",

@@ -68,11 +68,10 @@ class WireError(ValueError):
 class CompileRequest:
     """One unit of work for :meth:`CompileService.submit`.
 
-    The first six fields mirror ``repro.compile`` (``(src, params)``
-    tuples normalize positionally).  The rest cover the service's
-    other work: ``kind``/``result``/``fuse`` make a program request
-    (``repro.compile_program``), ``warm_only`` warms the cache, and a
-    list of requests is a batch.
+    The first six fields mirror ``repro.compile``.  The rest cover the
+    service's other work: ``kind``/``result``/``fuse`` make a program
+    request (``repro.compile_program``), and ``warm_only`` warms the
+    cache.
     """
 
     src: object
@@ -192,9 +191,20 @@ class CompileRequest:
         )
 
 
+def require_request(request) -> CompileRequest:
+    """``request`` itself; anything but a :class:`CompileRequest` is a
+    :class:`TypeError`."""
+    if not isinstance(request, CompileRequest):
+        raise TypeError(
+            "a request must be a CompileRequest, got "
+            f"{type(request).__name__}"
+        )
+    return request
+
+
 @dataclass
 class CompileResult:
-    """Outcome of one :class:`CompileRequest`, in request order.
+    """Outcome of one :class:`CompileRequest`.
 
     ``compiled`` is the live object (:class:`CompiledComp` or
     :class:`CompiledProgram`) for in-process callers; over the wire it
@@ -203,7 +213,6 @@ class CompileResult:
     that served a hit (``None`` for a fresh compile).
     """
 
-    index: int = 0
     fingerprint: Optional[str] = None
     compiled: Optional[object] = None
     error: Optional[BaseException] = field(default=None, repr=False)
@@ -227,7 +236,6 @@ class CompileResult:
         """The JSON-able wire form of this result."""
         out: Dict[str, object] = {
             "ok": self.ok,
-            "index": self.index,
             "kind": self.kind,
             "cached": self.cached,
             "tier": self.tier,
@@ -323,12 +331,4 @@ def decode_requests(payload: Dict) -> List[CompileRequest]:
     if not isinstance(requests, list) or not requests:
         raise WireError("'requests' must be a non-empty list")
     return [CompileRequest.from_wire(entry) for entry in requests]
-
-
-def encode_results(results: List[CompileResult]) -> Dict:
-    """Wrap wire results in the versioned envelope."""
-    return {
-        "schema": WIRE_SCHEMA,
-        "results": [res.to_wire() for res in results],
-    }
 

@@ -30,11 +30,10 @@ from __future__ import annotations
 
 import hashlib
 import os
-from typing import Dict, Optional
 
 from repro.codegen.emit import CodegenOptions
 from repro.lang.pretty import pretty
-from repro.service.api import CompileRequest
+from repro.service.api import CompileRequest, require_request
 
 #: Version salt mixed into every key.  Bump the trailing counter
 #: whenever a change anywhere in the pipeline can alter generated
@@ -85,45 +84,14 @@ def key_digest(key: tuple) -> str:
     return hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
 
 
-def fingerprint(
-    src,
-    params: Optional[Dict] = None,
-    options=None,
-    force_strategy: Optional[str] = None,
-    strategy: str = "auto",
-    old_array: Optional[str] = None,
-    salt: str = PIPELINE_SALT,
-) -> str:
-    """The fingerprint of ``repro.compile``'s request.
+def fingerprint(request: CompileRequest,
+                salt: str = PIPELINE_SALT) -> str:
+    """The fingerprint of one :class:`CompileRequest`: the
+    :func:`key_digest` of its :func:`request_key`.
 
-    The arguments, and their defaults, are ``repro.compile``'s, so a
-    ``repro.compile(..., cache=...)`` call is stored under the
-    fingerprint of the same arguments, and a program source under its
-    :func:`fingerprint_program`.  ``src`` may be source text or a
-    parsed tree.
+    A result reports the fingerprint of the request it answered, and
+    ``repro.compile(..., cache=...)`` (or ``repro.compile_program``)
+    stores its arguments under the fingerprint of the request with
+    the same fields.
     """
-    return key_digest(request_key(CompileRequest(
-        src, params, options, force_strategy, strategy, old_array,
-    ), salt))
-
-
-def fingerprint_program(
-    src,
-    params: Optional[Dict] = None,
-    options=None,
-    result: Optional[str] = None,
-    fuse: bool = True,
-    salt: str = PIPELINE_SALT,
-    dist: bool = False,
-    workers: int = 0,
-    ooc: bool = False,
-) -> str:
-    """The fingerprint of one whole-program request.
-
-    The arguments are ``repro.compile_program``'s; ``src`` may be
-    program text or a parsed binding list.
-    """
-    return key_digest(request_key(CompileRequest(
-        src, params, options, kind="program", result=result, fuse=fuse,
-        dist=dist, workers=workers, ooc=ooc,
-    ), salt))
+    return key_digest(request_key(require_request(request), salt))

@@ -99,8 +99,6 @@ class ServiceMetrics:
         self.misses = 0
         self.errors = 0
         self.coalesced = 0  # waited on an identical in-flight compile
-        self.batches = 0
-        self.batch_requests = 0
         self.compile_time = Histogram()
         self.hit_time = Histogram()
         self.pass_seconds: Dict[str, float] = defaultdict(float)
@@ -138,11 +136,6 @@ class ServiceMetrics:
         with self._lock:
             self.errors += 1
 
-    def record_batch(self, size: int) -> None:
-        with self._lock:
-            self.batches += 1
-            self.batch_requests += size
-
     # ------------------------------------------------------------------
 
     def stats(self) -> Dict:
@@ -156,8 +149,6 @@ class ServiceMetrics:
                 "misses": self.misses,
                 "coalesced": self.coalesced,
                 "errors": self.errors,
-                "batches": self.batches,
-                "batch_requests": self.batch_requests,
                 "hit_rate": (self.hits / requests) if requests else 0.0,
                 "tiers": {
                     tier: {

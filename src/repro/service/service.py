@@ -4,20 +4,21 @@
 :func:`repro.compile_program` behind request keys (the request as
 sent, see :mod:`repro.service.fingerprint`) and a two-tier store (see
 :mod:`repro.service.store`).  The entry point is
-:meth:`CompileService.submit`:
+:meth:`CompileService.submit`: one :class:`CompileRequest` in, one
+:class:`CompileResult` out.
 
-* ``submit(CompileRequest(...))`` — one request (definition or
-  program, detected from the source); a hit skips the entire pipeline
-  (including the dependence tests, the expensive part per E11) and
-  the parse, and a miss parses its source once and builds it through
-  :func:`repro.core.pipeline.build`, as ``repro.compile`` does;
-* ``submit([req, req, ...])`` — thread-pool fan-out with per-entry
-  isolation (one bad source yields one errored
-  :class:`CompileResult`, never a dead batch) and in-flight
-  deduplication (identical concurrent requests compile once; the rest
-  wait on the first's future);
-* ``submit(CompileRequest(..., warm_only=True))`` — cache warming,
-  e.g. at process start from a kernel catalog.
+* A request is a definition or a program, detected from the source.
+  A hit skips the entire pipeline (including the dependence tests,
+  the expensive part per E11) and the parse; a miss parses its source
+  once and builds it through :func:`repro.core.pipeline.build`, as
+  ``repro.compile`` does.
+* An error is captured in its own result, never raised, so callers
+  that submit from several threads (the serve pool) isolate each
+  request.
+* Identical concurrent requests compile once: the rest wait on the
+  first one's in-flight future.
+* ``CompileRequest(..., warm_only=True)`` warms the cache, e.g. at
+  process start from a kernel catalog.
 
 Concurrency: one lock guards the memory tier and one the in-flight
 table; neither is held across a build, so different requests build
@@ -29,40 +30,31 @@ Mutating a cached object's report would poison later hits — don't.
 from __future__ import annotations
 
 import os
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from threading import Lock
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
-from repro.core.pipeline import STRATEGIES, build
+from repro.core.pipeline import build
 from repro.obs.trace import count as _trace_count
 from repro.program.compile import CompiledProgram, classify_source
-from repro.service.api import CompileRequest, CompileResult
-from repro.service.fingerprint import (
-    PIPELINE_SALT,
-    fingerprint,
-    fingerprint_program,
-    key_digest,
-    request_key,
-)
+from repro.service.api import CompileRequest, CompileResult, require_request
+from repro.service.fingerprint import PIPELINE_SALT, fingerprint, request_key
 from repro.service.metrics import ServiceMetrics
 from repro.service.stats import render_stats, service_stats
 from repro.service.store import DiskStore, MemoryLRU, TieredStore
 
 
 class CompileService:
-    """Request-keyed compilation cache with a concurrent batch API.
+    """Request-keyed compilation cache, safe to share between threads.
 
     Parameters
     ----------
     capacity:
         Memory-tier LRU capacity (live ``CompiledComp`` objects).
-    disk_dir / disk:
-        Enable the persistent tier: either a directory, or ``True``
-        for the default ``~/.cache/repro`` (override with the
-        ``REPRO_CACHE_DIR`` environment variable).  Off by default —
-        tests and libraries should not write to the user's home
-        silently.
+    disk_dir:
+        A directory for the persistent tier.  Off by default — tests
+        and libraries should not write to the user's home silently.
     salt:
         Pipeline version salt; requests keyed under a different salt
         never see each other's entries.
@@ -72,84 +64,38 @@ class CompileService:
         self,
         capacity: int = 256,
         disk_dir=None,
-        disk: bool = False,
         salt: str = PIPELINE_SALT,
-        max_workers: Optional[int] = None,
     ):
         disk_store = None
-        if disk_dir is not None or disk:
+        if disk_dir is not None:
             disk_store = DiskStore(disk_dir, salt=salt)
         self.store = TieredStore(MemoryLRU(capacity), disk_store)
         self.salt = salt
         self.metrics = ServiceMetrics()
-        self.max_workers = max_workers
         #: Guards the in-flight table; never held across a build.
         self._lock = Lock()
         #: In-flight builds by request key (identical requests coalesce).
         self._inflight: Dict[tuple, Future] = {}
 
-    # ------------------------------------------------------------------
-    # Fingerprints.
-
-    def fingerprint(self, src, params=None, options=None,
-                    force_strategy=None, strategy="auto",
-                    old_array=None) -> str:
-        """The fingerprint this service would report for a definition."""
-        return fingerprint(src, params, options, force_strategy,
-                           strategy, old_array, salt=self.salt)
-
-    def fingerprint_program(self, src, params=None, options=None,
-                            result=None, fuse=True, dist=False,
-                            workers=0, ooc=False) -> str:
-        """The fingerprint this service would report for a program."""
-        return fingerprint_program(
-            src, params, options, result, fuse, salt=self.salt,
-            dist=dist, workers=workers, ooc=ooc,
-        )
-
     def fingerprint_request(self, request: CompileRequest) -> str:
-        """The fingerprint of a typed request (parses nothing)."""
-        return key_digest(request_key(request, self.salt))
+        """The fingerprint this service reports for ``request`` (parses
+        nothing)."""
+        return fingerprint(request, self.salt)
 
     # ------------------------------------------------------------------
-    # The typed entry point.
+    # The entry point.
 
-    def submit(self, request, max_workers: Optional[int] = None):
-        """Run one request or a batch through the cache.
+    def submit(self, request: CompileRequest) -> CompileResult:
+        """Run one :class:`CompileRequest` through the cache.
 
-        A single :class:`CompileRequest` (or anything
-        :meth:`_normalize` accepts: a source value, a ``(src,
-        params)`` tuple, a kwargs dict) returns one
-        :class:`CompileResult`.  A *list* of requests fans out over a
-        thread pool and returns a list of results in request order.
-        Errors are captured per result (``result.error``), never
-        raised — batch neighbours are isolated; call
-        :meth:`CompileResult.value` to re-raise.
+        Returns one :class:`CompileResult`.  Errors are captured in it
+        (``result.error``), never raised; call
+        :meth:`CompileResult.value` to re-raise.  Anything but a
+        ``CompileRequest`` is a :class:`TypeError`.
         """
-        if isinstance(request, list):
-            return self._submit_batch(request, max_workers)
-        return self._submit_one(self._normalize(request), 0)
-
-    def _submit_batch(self, requests: Sequence,
-                      max_workers: Optional[int]) -> List[CompileResult]:
-        normalized = [self._normalize(req) for req in requests]
-        self.metrics.record_batch(len(normalized))
-        if not normalized:
-            return []
-        workers = max_workers or self.max_workers or min(
-            8, len(normalized), (os.cpu_count() or 2)
-        )
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(self._submit_one, req, index)
-                for index, req in enumerate(normalized)
-            ]
-            return [future.result() for future in futures]
-
-    def _submit_one(self, request: CompileRequest,
-                    index: int = 0) -> CompileResult:
+        require_request(request)
         started = perf_counter()
-        out = CompileResult(index=index, warm_only=request.warm_only)
+        out = CompileResult(warm_only=request.warm_only)
         if request.kind == "program":  # even when its parse fails
             out.kind = "program"
         try:
@@ -228,39 +174,13 @@ class CompileService:
         out.kind = kind
         return build(kind, tree, request)
 
-    @staticmethod
-    def _normalize(req) -> CompileRequest:
-        if isinstance(req, CompileRequest):
-            return req
-        if isinstance(req, tuple):
-            return CompileRequest(*req)
-        if isinstance(req, dict):
-            return CompileRequest(**req)
-        return CompileRequest(req)
-
     # ------------------------------------------------------------------
 
-    def invalidate(self, src, params=None, options=None,
-                   force_strategy=None, strategy=None,
-                   old_array=None) -> bool:
-        """Drop entries from both tiers; whether any was there.
-
-        ``src`` is a :class:`CompileRequest`, whose entry is dropped,
-        or a source: then every entry its arguments can name is, with
-        ``strategy=None`` under any strategy (a program's keyed with
-        the default program fields).
-        """
-        if isinstance(src, CompileRequest):
-            requests = [src]
-        else:
-            requests = [
-                CompileRequest(src, params, options, force_strategy,
-                               each, old_array)
-                for each in ((strategy,) if strategy else STRATEGIES)
-            ]
-        dropped = [self.store.invalidate(request_key(request, self.salt))
-                   for request in requests]
-        return any(dropped)
+    def invalidate(self, request: CompileRequest) -> bool:
+        """Drop ``request``'s entry from both tiers; whether it was
+        there."""
+        require_request(request)
+        return self.store.invalidate(request_key(request, self.salt))
 
     def clear(self) -> None:
         """Drop every entry from both tiers."""

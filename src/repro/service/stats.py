@@ -15,7 +15,7 @@ Before the serve layer there were three ad-hoc ``stats()`` shapes
 Layout (see DESIGN.md for the field-by-field contract)::
 
     {
-      "schema": "repro-stats/2",
+      "schema": "repro-stats/3",
       "requests": { hits, misses, coalesced, errors, hit_rate,
                     tiers, compile_time, hit_time, passes, ... },
       "store": {
@@ -38,7 +38,7 @@ from typing import Dict, Optional
 
 #: Version tag carried by every stats payload.  Bump on incompatible
 #: layout changes; consumers check it before digging in.
-STATS_SCHEMA = "repro-stats/2"
+STATS_SCHEMA = "repro-stats/3"
 
 
 def store_stats(store) -> Dict:

@@ -175,8 +175,9 @@ class TestFromFlagsBackend:
         auto = _compile(None)
         assert default.source == auto.source
         assert default.report.summary() == auto.report.summary()
-        assert repro.fingerprint(SQUARES, {"n": 4}) == repro.fingerprint(
-            SQUARES, {"n": 4}, options=CodegenOptions())
+        assert repro.fingerprint(repro.CompileRequest(SQUARES, {"n": 4})) \
+            == repro.fingerprint(repro.CompileRequest(
+                SQUARES, {"n": 4}, options=CodegenOptions()))
 
     def test_backend_c_alone_is_allowed(self):
         options = CodegenOptions(backend="c")

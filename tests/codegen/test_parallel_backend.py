@@ -241,7 +241,8 @@ class TestOptionConflicts:
 
 class TestVectorizeInteraction:
     def test_fingerprints_differ_between_backends(self):
-        base = repro.fingerprint(kernels.SQUARES, params={"n": 30})
-        vec = repro.fingerprint(kernels.SQUARES, params={"n": 30},
-                                options=VEC)
+        base = repro.fingerprint(
+            repro.CompileRequest(kernels.SQUARES, params={"n": 30}))
+        vec = repro.fingerprint(repro.CompileRequest(
+            kernels.SQUARES, params={"n": 30}, options=VEC))
         assert base != vec

@@ -11,7 +11,7 @@ import repro
 from repro import CompileRequest, CompileService, kernels
 from repro.__main__ import main
 from repro.service.api import WireError
-from repro.service.fingerprint import fingerprint_program
+from repro.service.fingerprint import fingerprint
 
 
 class TestWireFormat:
@@ -53,14 +53,14 @@ class TestFingerprints:
     PARAMS = {"m": 6, "tol": 1e-2}
 
     def test_dist_and_workers_salt_the_program_fingerprint(self):
-        base = fingerprint_program(kernels.PROGRAM_JACOBI,
-                                   params=self.PARAMS)
-        two = fingerprint_program(kernels.PROGRAM_JACOBI,
-                                  params=self.PARAMS,
-                                  dist=True, workers=2)
-        four = fingerprint_program(kernels.PROGRAM_JACOBI,
-                                   params=self.PARAMS,
-                                   dist=True, workers=4)
+        base = fingerprint(CompileRequest(kernels.PROGRAM_JACOBI,
+                                          params=self.PARAMS))
+        two = fingerprint(CompileRequest(kernels.PROGRAM_JACOBI,
+                                         params=self.PARAMS,
+                                         dist=True, workers=2))
+        four = fingerprint(CompileRequest(kernels.PROGRAM_JACOBI,
+                                          params=self.PARAMS,
+                                          dist=True, workers=4))
         assert len({base, two, four}) == 3
 
     def test_service_request_fingerprints_differ(self):

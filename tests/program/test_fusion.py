@@ -295,11 +295,11 @@ class TestRandomizedDifferential:
 
 class TestServiceKeying:
     def test_fuse_flag_changes_the_program_fingerprint(self):
-        from repro.service.fingerprint import fingerprint_program
+        from repro.service import CompileRequest, fingerprint
 
         src = TestAccept.SRC
-        assert fingerprint_program(src, fuse=True) != \
-            fingerprint_program(src, fuse=False)
+        assert fingerprint(CompileRequest(src, fuse=True)) != \
+            fingerprint(CompileRequest(src, fuse=False))
 
     def test_service_keeps_fused_and_unfused_plans_apart(self):
         from repro.service.service import CompileRequest, CompileService

@@ -30,7 +30,7 @@ from repro.program import (
     ProgramError,
     compile_program,
 )
-from repro.service import fingerprint_program
+from repro.service import CompileRequest, fingerprint
 
 
 def allocations(program, params):
@@ -462,12 +462,13 @@ class TestFacade:
         assert result.compiled.report.result == "out"
         assert list(result.to_wire()["sources"]) == ["u0", "out"]
         src = "b = array (1,n) [ i := 1.0 * i | i <- [1..n] ]; main = b"
-        assert fingerprint_program(src) != fingerprint_program(
-            src.replace("b", "zz"))
+        assert fingerprint(CompileRequest(src)) != fingerprint(
+            CompileRequest(src.replace("b", "zz")))
         other = src.replace("n", "m")
-        assert fingerprint_program(src) != fingerprint_program(other)
-        assert (fingerprint_program(src, params={"n": 3})
-                != fingerprint_program(src, params={"n": 4}))
+        assert fingerprint(CompileRequest(src)) != \
+            fingerprint(CompileRequest(other))
+        assert (fingerprint(CompileRequest(src, params={"n": 3}))
+                != fingerprint(CompileRequest(src, params={"n": 4})))
 
     def test_disk_tier_roundtrip(self, tmp_path):
         spec = PROGRAM_CATALOG["program_pipeline"]

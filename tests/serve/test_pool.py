@@ -64,7 +64,7 @@ class TestProcessMode:
         with CompilePool(1) as pool:
             pool.submit_wire({"src": SRC}).result(120)
             stats = pool.stats_future().result(120)
-        assert stats["schema"] == "repro-stats/2"
+        assert stats["schema"] == "repro-stats/3"
 
 
 def test_negative_workers_rejected():

@@ -85,7 +85,7 @@ class TestRoutes:
         status, payload = live.request(
             "POST", "/v1/compile", {"src": SRC, "params": {"n": 8}},
         )
-        assert status == 200 and payload["ok"]
+        assert status == 200 and payload["ok"] and payload["index"] == 0
         direct = CompileService().submit(
             CompileRequest(SRC, params={"n": 8})
         )
@@ -110,12 +110,16 @@ class TestRoutes:
     def test_batch_envelope_isolates_errors(self, live):
         status, payload = live.request("POST", "/v1/compile", {
             "schema": "repro-serve/1",
-            "requests": [{"src": SRC}, {"src": "((( nope"}],
+            "requests": [{"src": SRC}, {"src": SRC, "params": {"n": 8}},
+                         {"src": "((( nope"}],
         })
         assert status == 200
-        ok, bad = payload["results"]
-        assert ok["ok"] and not bad["ok"]
+        ok, other, bad = payload["results"]
+        assert ok["ok"] and other["ok"] and not bad["ok"]
         assert bad["error"]["type"]
+        # Each result carries its position in the envelope.
+        assert [result["index"] for result in payload["results"]] \
+            == [0, 1, 2]
 
     def test_warmup_strips_source(self, live):
         status, payload = live.request("POST", "/v1/warmup",
@@ -169,13 +173,19 @@ class TestRoutes:
     def test_stats_schema(self, live):
         live.request("POST", "/v1/compile", {"src": SRC})
         live.request("POST", "/v1/compile", {"src": SRC})
+        live.request("POST", "/v1/compile", {
+            "schema": "repro-serve/1",
+            "requests": [{"src": SRC}, {"src": SRC, "params": {"n": 8}}],
+        })
         status, payload = live.request("GET", "/stats")
         assert status == 200
         assert payload["schema"] == STATS_SCHEMA
-        assert payload["serve"]["admitted"] == 2
+        assert payload["serve"]["admitted"] == 3
         service = payload["service"]
-        assert service["requests"]["hits"] == 1
-        assert payload["schema"] == "repro-stats/2"
+        assert service["requests"]["hits"] == 2
+        assert service["requests"]["requests"] == 4
+        assert payload["schema"] == "repro-stats/3"
+        assert not {"batches", "batch_requests"} & set(service["requests"])
         assert "shards" not in service["store"]["memory"]
 
 
@@ -199,6 +209,24 @@ class TestConnectionTeardown:
                 reader, _CancelledCloseWriter())
 
         asyncio.run(main())  # no CancelledError escapes
+
+
+class TestShutdown:
+    def test_stop_joins_the_process_pool(self):
+        # A manager thread left running at exit races the process
+        # pool's exit hook ("Exception ignored ... Bad file descriptor").
+        async def main():
+            server = CompileServer(ServeConfig(port=0, workers=1))
+            await server.start()
+            status, _ = await server.handle(
+                "POST", "/v1/compile", json.dumps({"src": SRC}).encode())
+            assert status == 200
+            manager = server.pool._executor._executor_manager_thread
+            assert manager.is_alive()
+            await server.stop()
+            assert not manager.is_alive()
+
+        asyncio.run(main())
 
 
 class SlowService(CompileService):

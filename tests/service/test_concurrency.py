@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import repro.core.pipeline as pipeline_mod
@@ -116,8 +117,10 @@ class TestCoalescing:
             f"array (1,{n}) [ (i) := i+{n} | i <- [1..{n}] ]"
             for n in range(4, 10)
         ]
-        service.submit([CompileRequest(s) for s in sources],
-                       max_workers=6)
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            results = list(pool.map(
+                service.submit, [CompileRequest(s) for s in sources]))
+        assert all(result.ok for result in results)
         assert active["peak"] >= 2
 
 

@@ -16,7 +16,7 @@ from repro import CodegenOptions, CompileRequest, CompileService, kernels
 from repro.__main__ import main
 from repro.obs.explain import explain
 from repro.program import classify_source
-from repro.service.fingerprint import fingerprint, fingerprint_program
+from repro.service.fingerprint import fingerprint
 
 DEFINITION = (kernels.WAVEFRONT, {"n": 6})
 PROGRAM = (kernels.PROGRAM_JACOBI_STEPS, {"m": 6, "k": 2})
@@ -189,9 +189,9 @@ class TestSameArtifacts:
         assert result.ok and not result.cached, result.error
         direct = repro.compile(entry["source"], params=params,
                                strategy=strategy, old_array=old)
-        assert result.fingerprint == fingerprint(
+        assert result.fingerprint == fingerprint(CompileRequest(
             entry["source"], params, strategy=strategy, old_array=old,
-        )
+        ))
         assert result.compiled.source == direct.source
         assert result.compiled.report.summary() == direct.report.summary()
 
@@ -203,7 +203,7 @@ class TestSameArtifacts:
         assert result.ok and result.kind == "program", result.error
         direct = repro.compile_program(entry["source"],
                                        params=entry["params"])
-        assert result.fingerprint == fingerprint_program(
-            entry["source"], entry["params"])
+        assert result.fingerprint == fingerprint(CompileRequest(
+            entry["source"], entry["params"]))
         assert result.compiled.sources() == direct.sources()
         assert result.compiled.report.summary() == direct.report.summary()

@@ -7,6 +7,7 @@ cases pin what each path must now agree on.
 """
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -18,11 +19,7 @@ from repro.lang import parse_expr, parse_program
 from repro.lang.errors import ParseError
 from repro.program import classify_source
 from repro.runtime.bounds import Bounds
-from repro.service.fingerprint import (
-    fingerprint,
-    fingerprint_program,
-    request_key,
-)
+from repro.service.fingerprint import fingerprint, request_key
 from tests.serve.test_server import LiveServer
 
 HISTOGRAM = (kernels.HISTOGRAM, {"n": 4, "m": 6})
@@ -154,7 +151,8 @@ class TestKindIsNotKeyed:
 
     def test_facade_fingerprint_keys_a_program_as_compile_program(self):
         src, params = PROGRAM
-        assert fingerprint(src, params) == fingerprint_program(src, params)
+        assert fingerprint(CompileRequest(src, params)) == fingerprint(
+            CompileRequest(src, params, kind="program"))
 
 
 def _cold_and_warm(request, warm_first):
@@ -206,9 +204,10 @@ class TestExplicitKinds:
 
         monkeypatch.setattr(pipeline_mod, "_drive", slow)
         src, params = DEFINITION
-        results = CompileService().submit(
-            [CompileRequest(src, params, kind=kind) for kind in order],
-            max_workers=2)
+        service = CompileService()
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = list(pool.map(service.submit, [
+                CompileRequest(src, params, kind=kind) for kind in order]))
         for kind, result in zip(order, results):
             if kind == "auto":
                 assert result.ok and result.kind == "definition"

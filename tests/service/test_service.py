@@ -1,8 +1,9 @@
-"""CompileService: accounting, batching, dedup, pipeline wiring."""
+"""CompileService: accounting, dedup, pipeline wiring."""
 
 import re
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -110,8 +111,8 @@ class TestAccounting:
     def test_invalidate_forces_recompile(self, counting_pipeline):
         service = CompileService()
         compile_one(service, kernels.SQUARES, params={"n": 4})
-        assert service.invalidate(kernels.SQUARES,
-                                  params={"n": 4}) is True
+        assert service.invalidate(
+            CompileRequest(kernels.SQUARES, {"n": 4})) is True
         compile_one(service, kernels.SQUARES, params={"n": 4})
         assert counting_pipeline["count"] == 2
 
@@ -120,14 +121,14 @@ class TestAccounting:
         (kernels.PROGRAM_JACOBI_STEPS, {"m": 6, "k": 2}),
     ], ids=["definition", "program"])
     def test_invalidate_drops_a_cached_facade_entry(self, src, params):
-        # repro.compile(..., cache=) stores a definition as kind
-        # "definition" with strategy "auto", and a program as kind
-        # "program"; the positional form names either entry.
+        # repro.compile(..., cache=) stores a definition with strategy
+        # "auto", and a program with the default program fields; kind
+        # is not keyed, so the plain request names either entry.
         service = CompileService()
         first = repro.compile(src, params=params, cache=service)
         assert repro.compile(src, params=params, cache=service) is first
-        assert service.invalidate(src, params) is True
-        assert service.invalidate(src, params) is False
+        assert service.invalidate(CompileRequest(src, params)) is True
+        assert service.invalidate(CompileRequest(src, params)) is False
         assert repro.compile(src, params=params, cache=service) \
             is not first
 
@@ -138,9 +139,9 @@ class TestAccounting:
     ], ids=["definition", "program"])
     def test_invalidate_finds_the_submitted_entry(self, tmp_path, tier,
                                                   src, params):
-        # A positional invalidate builds the request submit got, so a
-        # program's entry can be dropped too, positionally or by
-        # request, from whichever tier holds it.
+        # invalidate keys the request as submit does, so a program's
+        # entry can be dropped too, from whichever tier holds it, and
+        # is dropped once.
         CompileService(disk_dir=tmp_path).submit(
             CompileRequest(src, params)).value()
         service = CompileService(disk_dir=tmp_path)
@@ -149,7 +150,7 @@ class TestAccounting:
         if tier == "memory":
             assert service.submit(CompileRequest(src, params)).tier \
                 == "memory"
-        assert service.invalidate(src, params) is True
+        assert service.invalidate(CompileRequest(src, params)) is True
         rebuilt = service.submit(CompileRequest(src, params))
         assert rebuilt.ok and not rebuilt.cached
         assert service.invalidate(CompileRequest(src, params)) is True
@@ -230,8 +231,9 @@ class TestFailedRequests:
 
         monkeypatch.setattr(program_mod, "compile_program", slow)
         service = CompileService()
-        results = service.submit([FAILURES["program build"][0]] * 2,
-                                 max_workers=2)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = list(pool.map(service.submit,
+                                    [FAILURES["program build"][0]] * 2))
         assert service.stats()["requests"]["coalesced"] == 1
         assert [type(result.error).__name__ for result in results] \
             == ["CompileError"] * 2
@@ -265,7 +267,9 @@ class TestHitTime:
             CompileRequest(kernels.WAVEFRONT, {"n": 6}),
             CompileRequest(kernels.SOR_MONOLITHIC, {"m": 6, "omega": 1.5}),
         ]
-        CompileService(disk_dir=tmp_path).submit(requests)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            list(pool.map(CompileService(disk_dir=tmp_path).submit,
+                          requests))
         service = CompileService(disk_dir=tmp_path)
         results = [service.submit(request) for request in requests]
         assert [result.tier for result in results] == ["disk"] * 4
@@ -276,24 +280,16 @@ class TestHitTime:
 
 
 class TestBatch:
-    def test_results_in_request_order(self):
-        service = CompileService()
-        results = service.submit([
-            CompileRequest(kernels.SQUARES, {"n": 3}),
-            (kernels.WAVEFRONT, {"n": 4}),
-            {"src": kernels.SQUARES, "params": {"n": 5}},
-        ])
-        assert [r.index for r in results] == [0, 1, 2]
-        assert all(r.ok for r in results)
-        assert results[1].compiled({"n": 4}).at((4, 4)) == 63
+    """A caller's batch: its own threads, each submitting one request."""
 
     def test_bad_entry_does_not_kill_batch(self):
         service = CompileService()
-        results = service.submit([
-            CompileRequest(kernels.SQUARES, {"n": 3}),
-            CompileRequest("letrec* broken = array", {"n": 3}),
-            CompileRequest(kernels.SQUARES, {"n": 4}),
-        ])
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            results = list(pool.map(service.submit, [
+                CompileRequest(kernels.SQUARES, {"n": 3}),
+                CompileRequest("letrec* broken = array", {"n": 3}),
+                CompileRequest(kernels.SQUARES, {"n": 4}),
+            ]))
         assert [r.ok for r in results] == [True, False, True]
         assert isinstance(results[1], CompileResult)
         assert results[1].error is not None
@@ -302,17 +298,17 @@ class TestBatch:
     def test_duplicate_requests_compile_once(self, counting_pipeline):
         counting_pipeline["delay"] = 0.05  # force overlap
         service = CompileService()
-        results = service.submit(
-            [CompileRequest(kernels.WAVEFRONT, {"n": 6})] * 8,
-            max_workers=8,
-        )
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(
+                service.submit,
+                [CompileRequest(kernels.WAVEFRONT, {"n": 6})] * 8))
         assert all(r.ok for r in results)
         assert len({id(r.compiled) for r in results}) == 1
         assert counting_pipeline["count"] == 1
         stats = service.stats()["requests"]
         assert stats["misses"] == 1
         assert stats["hits"] + stats["coalesced"] == 7
-        assert stats["batch_requests"] == 8
+        assert stats["requests"] == 8
 
     def test_concurrent_compile_calls_dedup(self, counting_pipeline):
         counting_pipeline["delay"] = 0.05
@@ -331,9 +327,6 @@ class TestBatch:
             t.join()
         assert counting_pipeline["count"] == 1
         assert len({id(c) for c in outputs}) == 1
-
-    def test_empty_batch(self):
-        assert CompileService().submit([]) == []
 
 
 class TestPipelineWiring:
@@ -373,7 +366,7 @@ class TestMetricsRendering:
         compile_one(service, kernels.SQUARES, params={"n": 4})
         stats = service.stats()
         json.dumps(stats)  # must not raise
-        assert stats["schema"] == "repro-stats/2"
+        assert stats["schema"] == "repro-stats/3"
         assert set(stats["store"]["memory"]) == {
             "entries", "capacity", "evictions", "hits", "misses",
         }

@@ -1,7 +1,11 @@
-"""The typed submit() API: single requests, batches, cache warming."""
+"""The typed submit() API: one request in, one result out; cache
+warming."""
+
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import repro
 from repro import CompileRequest, CompileService, kernels
 from repro.service.api import CompileResult
 
@@ -41,29 +45,29 @@ class TestSubmitSingle:
         result = CompileService().submit(CompileRequest(SRC, kind="spell"))
         assert not result.ok and "unknown request kind" in str(result.error)
 
-    def test_normalizes_tuples_and_dicts(self):
+    @pytest.mark.parametrize("request_", [
+        [CompileRequest(SRC)],
+        (SRC, {"n": 8}),
+        {"src": SRC, "params": {"n": 8}},
+        SRC,
+    ], ids=["list", "tuple", "dict", "source"])
+    def test_only_a_request_is_taken(self, request_):
         service = CompileService()
-        from_tuple = service.submit((SRC, {"n": 8}))
-        from_dict = service.submit({"src": SRC, "params": {"n": 8}})
-        assert from_tuple.ok and from_dict.cached
-        assert from_tuple.fingerprint == from_dict.fingerprint
+        with pytest.raises(TypeError, match="CompileRequest"):
+            service.submit(request_)
+        with pytest.raises(TypeError, match="CompileRequest"):
+            service.invalidate(request_)
+        with pytest.raises(TypeError, match="CompileRequest"):
+            repro.fingerprint(request_)
+        assert service.stats()["requests"]["errors"] == 0
 
 
 class TestSubmitBatch:
-    def test_list_fans_out_in_order(self):
-        service = CompileService()
-        sources = [
-            f"array (1,{n}) [ (i) := i*{n} | i <- [1..{n}] ]"
-            for n in (4, 5, 6)
-        ]
-        results = service.submit([CompileRequest(s) for s in sources])
-        assert [r.index for r in results] == [0, 1, 2]
-        assert all(r.ok for r in results)
-
     def test_batch_isolates_errors(self):
-        results = CompileService().submit(
-            [CompileRequest(SRC), CompileRequest(BAD)]
-        )
+        service = CompileService()
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = list(pool.map(
+                service.submit, [CompileRequest(SRC), CompileRequest(BAD)]))
         assert results[0].ok and not results[1].ok
 
     def test_warm_only_still_compiles_and_caches(self):

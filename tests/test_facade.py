@@ -11,9 +11,8 @@ rejected.
 import pytest
 
 import repro
-from repro import CompileError, FlatArray, kernels
+from repro import CompileError, CompileRequest, FlatArray, kernels
 from repro.core.pipeline import STRATEGIES, detect_strategy
-from repro.service.fingerprint import fingerprint
 
 BIGUPD = "bigupd a [* i := 2.0 * a!i | i <- [1..n] *]"
 ACCUM = """
@@ -35,17 +34,17 @@ MATRIX = {
 class TestDispatchMatrix:
     def test_auto_compiles_like_resolved(self, tmp_path):
         # Two requests with two keys, and one module; a cached facade
-        # call is stored under the fingerprint of its own arguments,
-        # defaults included.
+        # call is stored under the fingerprint of the request with its
+        # own arguments, defaults included.
         auto = repro.compile(BIGUPD, params={"n": 5}, cache=str(tmp_path))
         assert auto.source == repro.compile(
             BIGUPD, params={"n": 5}, strategy="bigupd").source
-        key = fingerprint(BIGUPD, params={"n": 5})
+        key = repro.fingerprint(CompileRequest(BIGUPD, params={"n": 5}))
         assert [path.stem for path in tmp_path.glob("*/*.pkl")] == [key]
-        assert key == fingerprint(BIGUPD, params={"n": 5},
-                                  strategy="auto")
-        assert key != fingerprint(BIGUPD, params={"n": 5},
-                                  strategy="bigupd")
+        assert key == repro.fingerprint(
+            CompileRequest(BIGUPD, params={"n": 5}, strategy="auto"))
+        assert key != repro.fingerprint(
+            CompileRequest(BIGUPD, params={"n": 5}, strategy="bigupd"))
 
     def test_strategies_cover_detection(self):
         assert set(STRATEGIES) == {"auto", "array", "inplace",

@@ -98,9 +98,10 @@ class TestOneMeaning:
                                 options=CodegenOptions(), **kwargs)
         assert auto.source == default.source
         assert auto.report.summary() == default.report.summary()
-        assert repro.fingerprint(CATALOG[name]["source"], **kwargs) == \
-            repro.fingerprint(CATALOG[name]["source"],
-                              options=CodegenOptions(), **kwargs)
+        assert repro.fingerprint(
+            repro.CompileRequest(CATALOG[name]["source"], **kwargs)
+        ) == repro.fingerprint(repro.CompileRequest(
+            CATALOG[name]["source"], options=CodegenOptions(), **kwargs))
 
     @needs_cc
     @pytest.mark.parametrize("tile", [None, 4])
