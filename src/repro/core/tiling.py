@@ -147,6 +147,20 @@ def _check_rectangular(loops: List[ScheduledLoop]) -> None:
         outer_vars.add(loop.var)
 
 
+def check_permutable(loops: List[ScheduledLoop], edges) -> str:
+    """Reject, with :class:`TileReject`, a nest that a reordering of
+    its iteration space could break; else return the plan kind.
+
+    ``loops`` (outermost first) must run forward with unit stride over
+    rectangular bounds, and every edge in ``edges`` must have only
+    '<'/'=' components.  Tiles and the C backend's row strips
+    (:meth:`repro.backends.c._CEmitter.emit_strip`) both keep every
+    such dependence in order.
+    """
+    _check_rectangular(loops)
+    return _check_directions(edges)
+
+
 def _check_directions(edges) -> str:
     """All-'<'/'=' direction vectors, or reject.  Returns the kind."""
     carried = False
@@ -259,8 +273,7 @@ def plan_tiling(schedule: Schedule, edges, *, mode: str,
                     "iteration order"
                 )
         loops, clauses = _perfect_chain(schedule)
-        _check_rectangular(loops)
-        kind = _check_directions(edges)
+        kind = check_permutable(loops, edges)
         depth = len(loops)
         halos = _halo_widths(clauses, depth)
 

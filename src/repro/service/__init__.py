@@ -46,7 +46,6 @@ from repro.service.api import (
     CompileResult,
     WireError,
     decode_requests,
-    encode_requests,
 )
 from repro.service.fingerprint import PIPELINE_SALT, fingerprint
 from repro.service.metrics import Histogram, ServiceMetrics
@@ -79,7 +78,6 @@ __all__ = [
     "WireError",
     "decode_requests",
     "default_service",
-    "encode_requests",
     "fingerprint",
     "render_stats",
     "resolve_cache",

@@ -302,25 +302,22 @@ def options_from_wire(payload):
 # Envelopes: what actually travels in an HTTP body.
 
 
-def encode_requests(requests: List[CompileRequest]) -> Dict:
-    """Wrap wire requests in the versioned envelope."""
-    return {
-        "schema": WIRE_SCHEMA,
-        "requests": [req.to_wire() for req in requests],
-    }
-
-
 def decode_requests(payload: Dict) -> List[CompileRequest]:
     """Parse an envelope *or* a bare single request object.
 
     A bare object (no ``schema``/``requests`` keys) is treated as one
     request — the ergonomic curl form.  Envelopes must carry the
-    current :data:`WIRE_SCHEMA`.
+    current :data:`WIRE_SCHEMA`.  Either may carry ``timeout_s``, the
+    body's compile budget, which the server reads and this parse
+    leaves out of the request.
     """
     if not isinstance(payload, dict):
         raise WireError("body must be a JSON object")
     if "requests" not in payload and "schema" not in payload:
-        return [CompileRequest.from_wire(payload)]
+        return [CompileRequest.from_wire(
+            {key: value for key, value in payload.items()
+             if key != "timeout_s"}
+        )]
     schema = payload.get("schema")
     if schema != WIRE_SCHEMA:
         raise WireError(

@@ -40,7 +40,7 @@ from repro.service.api import CompileRequest, require_request
 #: source or reports: every cached artifact, in memory and on disk,
 #: is then invalidated at once (the salt also keys the native ``.so``
 #: cache).
-PIPELINE_SALT = "repro-pipeline/16"
+PIPELINE_SALT = "repro-pipeline/17"
 
 
 def request_key(request: CompileRequest,

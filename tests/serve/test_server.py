@@ -315,6 +315,29 @@ class TestAdmission:
         finally:
             server.close()
 
+    def test_bare_request_may_lower_the_timeout(self):
+        # A bare request object carries timeout_s as an envelope does:
+        # the budget drops from the server's 30 s to 0.3 s.
+        server = LiveServer(
+            ServeConfig(port=0, timeout_s=30),
+            service=SlowService(5.0),
+        )
+        try:
+            status, payload = live_post(server,
+                                        {"src": SRC, "timeout_s": 0.3})
+            assert status == 504 and payload["error"] == "timeout"
+            status, payload = live_post(server,
+                                        {"src": SRC, "timeout_s": "soon"})
+            assert status == 400
+            assert payload["reason"] == "timeout_s must be a number"
+            server.server._service.delay_s = 0.0
+            other = "array (1,4) [ i := i | i <- [1..4] ]"
+            status, payload = live_post(server,
+                                        {"src": other, "timeout_s": 5})
+            assert status == 200 and payload["ok"]
+        finally:
+            server.close()
+
     def test_timeout_counted_in_stats(self):
         server = LiveServer(
             ServeConfig(port=0, timeout_s=0.2),

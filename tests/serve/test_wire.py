@@ -8,12 +8,19 @@ from repro.service.api import (
     CompileRequest,
     WireError,
     decode_requests,
-    encode_requests,
     options_from_wire,
     options_to_wire,
 )
 
 SRC = "array (1,8) [ (i) := i*i | i <- [1..8] ]"
+
+
+def encode_requests(requests):
+    """Wrap wire requests in the versioned envelope, as a client does."""
+    return {
+        "schema": WIRE_SCHEMA,
+        "requests": [req.to_wire() for req in requests],
+    }
 
 
 class TestRequestRoundTrip:
@@ -140,6 +147,15 @@ class TestEnvelopes:
 
     def test_bare_single_object(self):
         assert decode_requests({"src": SRC}) == [CompileRequest(SRC)]
+
+    def test_bare_object_may_carry_the_timeout(self):
+        # The server reads the body's timeout_s; the request is the
+        # same with or without it, as in an envelope.
+        assert decode_requests({"src": SRC, "timeout_s": 5}) == [
+            CompileRequest(SRC)]
+        envelope = dict(encode_requests([CompileRequest(SRC)]),
+                        timeout_s=5)
+        assert decode_requests(envelope) == [CompileRequest(SRC)]
 
     def test_wrong_schema_version_rejected(self):
         with pytest.raises(WireError, match="unsupported wire schema"):

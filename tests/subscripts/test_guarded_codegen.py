@@ -236,4 +236,4 @@ class TestReporting:
     def test_fingerprint_salt_bumped(self):
         from repro.service.fingerprint import PIPELINE_SALT
 
-        assert PIPELINE_SALT == "repro-pipeline/16"
+        assert PIPELINE_SALT == "repro-pipeline/17"
